@@ -22,7 +22,7 @@ from .harness import (CacheMismatch, CheckpointRow, CorruptCache,
 from .modarith import (Factorization, NotASquare, PrimeModulus, factorize,
                        is_prime, legendre, mod_pow, sieve_primes, sqrt_mod)
 from .structure import (GroupStructure, NotAnnihilated, StructureUnverified,
-                        element_order, exponent_sampling, group_structure,
-                        structure_bruteforce)
+                        exponent_sampling, group_structure,
+                        has_full_two_torsion, structure_bruteforce)
 
 __version__ = "0.1.0"

@@ -1,7 +1,8 @@
 """Command-line front end: run experiments, evaluate the constant, verify.
 
 Exit codes: 0 on success, 2 when an invariant or verification fails,
-3 on cache errors.
+3 on cache errors, 4 when an argument value is rejected (one line on
+stderr).
 """
 
 import argparse
@@ -18,11 +19,13 @@ from .harness import (CacheMismatch, CorruptCache, ExperimentConfig,
                       write_checkpoints_csv, write_json, write_pi_e_csv,
                       write_records_csv)
 from .modarith import sieve_primes
-from .structure import StructureUnverified, group_structure, structure_bruteforce
+from .structure import (NotAnnihilated, StructureUnverified, group_structure,
+                        structure_bruteforce)
 
 EXIT_OK = 0
 EXIT_INVARIANT = 2
 EXIT_CACHE = 3
+EXIT_USAGE = 4
 
 VERIFY_CURVES = [
     GlobalCurve(1, 1, label="y^2 = x^3 + x + 1"),
@@ -31,18 +34,26 @@ VERIFY_CURVES = [
 ]
 
 
+def _usage_error(message: str) -> int:
+    print(f"usage error: {message}", file=sys.stderr)
+    return EXIT_USAGE
+
+
 def _parse_curve(args) -> GlobalCurve:
     if args.preset:
         if args.preset not in PRESETS:
-            raise SystemExit(f"unknown preset {args.preset!r}; have {sorted(PRESETS)}")
+            raise ValueError(f"unknown preset {args.preset!r}; have {sorted(PRESETS)}")
         return PRESETS[args.preset]
     if not args.curve:
-        raise SystemExit("one of --curve or --preset is required")
+        raise ValueError("one of --curve or --preset is required")
     try:
         a4, a6 = (int(t) for t in args.curve.split(","))
     except ValueError:
-        raise SystemExit("--curve expects 'a4,a6' with decimal integers")
-    return GlobalCurve(a4, a6, label=args.curve)
+        raise ValueError("--curve expects 'a4,a6' with decimal integers") from None
+    try:
+        return GlobalCurve(a4, a6, label=args.curve)
+    except ValueError as err:
+        raise ValueError(f"curve {args.curve}: {err}") from None
 
 
 def _build_model(args) -> DegreeModel:
@@ -53,20 +64,22 @@ def _build_model(args) -> DegreeModel:
 
 
 def cmd_run(args) -> int:
-    cfg = ExperimentConfig(
-        curve=_parse_curve(args),
-        x_max=args.xmax,
-        checkpoints=[int(t) for t in args.checkpoints.split(",")] if args.checkpoints else None,
-        seed=args.seed,
-        workers=args.workers,
-        trace_threshold=args.trace_threshold,
-        stability=args.stability,
-        model=_build_model(args),
-        k_max_diag=args.kmax_diag,
-        cache_path=args.cache,
-        output=args.out,
-        precision=args.precision,
-    )
+    try:
+        cfg = ExperimentConfig(
+            curve=_parse_curve(args),
+            x_max=args.xmax,
+            checkpoints=[int(t) for t in args.checkpoints.split(",")] if args.checkpoints else None,
+            seed=args.seed,
+            workers=args.workers,
+            trace_threshold=args.trace_threshold,
+            model=_build_model(args),
+            k_max_diag=args.kmax_diag,
+            cache_path=args.cache,
+            output=args.out,
+            precision=args.precision,
+        )
+    except ValueError as err:
+        return _usage_error(str(err))
     result = run_experiment(cfg)
     table = pi_E_table(result.records, cfg.x_max, cfg.k_max_diag, result.model)
 
@@ -103,8 +116,8 @@ def cmd_run(args) -> int:
 
 def cmd_constant(args) -> int:
     if args.model != "gl2":
-        raise SystemExit("the constant subcommand evaluates the gl2 model; "
-                         "empirical tables come from 'run --model empirical'")
+        return _usage_error("the constant subcommand evaluates the gl2 model; "
+                            "empirical tables come from 'run --model empirical'")
     model = _build_model(args)
     s = constant_series(model, args.series_y, args.precision)
     e = constant_euler(model, args.euler_pmax, args.precision)
@@ -121,7 +134,7 @@ def cmd_constant(args) -> int:
 
 def cmd_verify(args) -> int:
     if args.xmax > 5000:
-        raise SystemExit("verify is exhaustive and capped at --xmax 5000")
+        return _usage_error("verify is exhaustive and capped at --xmax 5000")
     primes = sieve_primes(args.xmax)
     failures = 0
     for E in VERIFY_CURVES:
@@ -136,7 +149,7 @@ def cmd_verify(args) -> int:
             want = structure_bruteforce(C)
             if (got.a_p, got.d_p, got.e_p) != (want.a_p, want.d_p, want.e_p):
                 print(f"MISMATCH {E.label} p={p}: "
-                      f"sampled {got} vs enumerated {want}")
+                      f"certified {got} vs enumerated {want}")
                 curve_failures += 1
             checked += 1
         failures += curve_failures
@@ -145,7 +158,7 @@ def cmd_verify(args) -> int:
     if failures:
         print(f"{failures} mismatches")
         return EXIT_INVARIANT
-    print("all sampled structures match full enumeration")
+    print("all certified structures match full enumeration")
     return EXIT_OK
 
 
@@ -164,7 +177,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--seed", type=int, default=1)
     run.add_argument("--workers", type=int, default=1)
     run.add_argument("--trace-threshold", type=int, default=10_000)
-    run.add_argument("--stability", type=int, default=8)
     run.add_argument("--model", choices=("gl2", "empirical"), default="gl2")
     run.add_argument("--overrides", help="file of 'k degree' pairs")
     run.add_argument("--kmax-diag", type=int, default=12)
@@ -182,8 +194,8 @@ def build_parser() -> argparse.ArgumentParser:
     const.add_argument("--precision", type=int, default=50)
     const.set_defaults(func=cmd_constant)
 
-    verify = sub.add_parser("verify", help="cross-check sampling against "
-                                           "full enumeration at small p")
+    verify = sub.add_parser("verify", help="cross-check the certified structures "
+                                           "against full enumeration at small p")
     verify.add_argument("--xmax", type=int, default=2000)
     verify.add_argument("--seed", type=int, default=1)
     verify.add_argument("--trace-threshold", type=int, default=10_000)
@@ -198,7 +210,8 @@ def main(argv=None) -> int:
     except (CacheMismatch, CorruptCache) as err:
         print(f"cache error: {err}", file=sys.stderr)
         return EXIT_CACHE
-    except (StructureUnverified, AmbiguityExhausted, ArithmeticError) as err:
+    except (StructureUnverified, NotAnnihilated, AmbiguityExhausted,
+            ArithmeticError) as err:
         print(f"invariant violation: {err}", file=sys.stderr)
         return EXIT_INVARIANT
 

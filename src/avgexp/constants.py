@@ -14,7 +14,6 @@ from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
-from scipy.integrate import quad
 
 from .modarith import divisors_from_factorization, factorize, sieve_primes
 
@@ -246,18 +245,10 @@ def constant_euler(model: DegreeModel, p_max: int, dps: int = DEFAULT_DPS) -> Co
 
 
 def li(x: float) -> float:
-    """Logarithmic integral of x from 2, by adaptive quadrature.
-
-    Substituting t = e^u tames the long range; relative error is well
-    below 1e-10 over the working range.
-    """
+    """Offset logarithmic integral: the integral of 1/log t from 2 to x."""
     if x < 2:
         raise ValueError("li is defined here for x >= 2")
-    if x == 2:
-        return 0.0
-    val, _ = quad(lambda u: math.exp(u) / u, math.log(2), math.log(x),
-                  epsabs=0.0, epsrel=1e-12, limit=200)
-    return val
+    return float(mp.li(x, offset=True))
 
 
 def estimate_degrees(records, x, k_max: int) -> DegreeModel:

@@ -27,7 +27,7 @@ from .constants import (DEFAULT_DPS, ConstantEstimate, DegreeModel,
 from .curve import GlobalCurve, ReducedCurve
 from .counting import trace
 from .modarith import sieve_primes
-from .structure import DEFAULT_STABILITY, group_structure
+from .structure import group_structure
 
 CACHE_MAGIC = b"AVGEXP1\0"
 _CACHE_HEADER = struct.Struct("<8sqqQI")
@@ -81,7 +81,6 @@ class ExperimentConfig:
     seed: int = 1
     workers: int = 1
     trace_threshold: int = 10_000
-    stability: int = DEFAULT_STABILITY
     model: DegreeModel = None
     k_max_diag: int = 12
     cache_path: str = None
@@ -148,28 +147,26 @@ def derive_rng(seed: int, p: int) -> random.Random:
 
 
 def compute_record(E: GlobalCurve, p: int, seed: int,
-                   trace_threshold: int, stability: int) -> PrimeRecord:
+                   trace_threshold: int) -> PrimeRecord:
     C = ReducedCurve(p, E.a4 % p, E.a6 % p)
     rng = derive_rng(seed, p)
     T = trace(C, rng, trace_threshold)
-    S = group_structure(C, T, rng, stability)
+    S = group_structure(C, T, rng)
     return PrimeRecord(p, S.a_p, S.d_p, S.e_p)
 
 
 def _chunk_worker(args):
-    E, ps, seed, threshold, stability = args
-    return [compute_record(E, p, seed, threshold, stability) for p in ps]
+    E, ps, seed, threshold = args
+    return [compute_record(E, p, seed, threshold) for p in ps]
 
 
 def _compute_records(cfg: ExperimentConfig, good_primes: list) -> list:
     if cfg.workers == 1 or len(good_primes) < 64:
-        return [compute_record(cfg.curve, p, cfg.seed,
-                               cfg.trace_threshold, cfg.stability)
+        return [compute_record(cfg.curve, p, cfg.seed, cfg.trace_threshold)
                 for p in good_primes]
     chunk = max(32, len(good_primes) // (cfg.workers * 16))
     chunks = [good_primes[i:i + chunk] for i in range(0, len(good_primes), chunk)]
-    args = [(cfg.curve, ps, cfg.seed, cfg.trace_threshold, cfg.stability)
-            for ps in chunks]
+    args = [(cfg.curve, ps, cfg.seed, cfg.trace_threshold) for ps in chunks]
     records = []
     with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
         for part in pool.map(_chunk_worker, args):

@@ -1,31 +1,36 @@
 """Invariant factors (d, e) of the point group: E(F_p) = Z/d x Z/e, d | e.
 
-The exponent e is found as an lcm of random element orders, with two
-deterministic accelerators: a complete-splitting test of the cubic pins
-whether 2 divides d, and the divisibility constraints on (d, e) often
-leave a single admissible exponent long before the sampling window
-closes.  A full-enumeration oracle (structure_bruteforce) provides an
-independent answer at small p.
+The exponent is settled one prime l | N at a time.  With k = v_l(N) and
+a = v_l(d), the l-Sylow subgroup is Z/l^a x Z/l^(k-a), and the
+constraints d^2 | N, d | p-1 and d | a_p-2 bound a from above; at l = 2
+the discriminant of the cubic fixes whether a >= 1.  Usually that leaves
+one admissible a and costs no group operation.  Otherwise the l-Sylow
+subgroup, which is tiny, is resolved directly (after Sutherland,
+"Structure computation and discrete logarithms in finite abelian
+p-groups", Math. Comp. 2011): a point Q1 of order l^b1 and a point R
+whose multiple l^j*R first lies in <Q1> at j = k - b1 generate the whole
+subgroup, which proves that its exponent is l^b1.  Randomness only
+affects the cost, never the answer (Las Vegas).  A full-enumeration
+oracle (structure_bruteforce) provides an independent answer at small p.
 """
 
 import math
 from collections import defaultdict
 from dataclasses import dataclass
 
-from .curve import INFINITY, ReducedCurve, random_point, scalar_mul
-from .modarith import divisors_from_factorization, factorize
+from .curve import INFINITY, ReducedCurve, add, neg, random_point, scalar_mul
+from .modarith import factorize, legendre
 
-DEFAULT_STABILITY = 8
-_MAX_RETRIES = 3
+_MAX_DRAWS = 100  # per l-Sylow subgroup; a handful are expected
 _BRUTEFORCE_CAP = 5000
 
 
 class NotAnnihilated(RuntimeError):
-    """N*P was not the identity: the group order upstream is wrong."""
+    """l^k does not annihilate the l-Sylow subgroup: N upstream is wrong."""
 
 
 class StructureUnverified(RuntimeError):
-    """Invariant checks kept failing after retries; an upstream bug."""
+    """No structure consistent with N could be proved; an upstream bug."""
 
 
 @dataclass(frozen=True)
@@ -67,154 +72,131 @@ class GroupStructure:
         return bad
 
 
-def element_order(P, C: ReducedCurve, N: int, factorization) -> int:
-    """Exact order of P given the group order N and its factorization.
+def has_full_two_torsion(C: ReducedCurve, N: int) -> bool:
+    """True iff the cubic splits completely, i.e. 2 | d.
 
-    Starts at N and strips each prime while the scaled point stays at
-    the identity.  Raises NotAnnihilated when N*P != infinity.
+    N even means the cubic has a root in F_p.  Frobenius permutes the
+    other two roots, and fixes them exactly when the discriminant
+    -4a^3 - 27b^2 is a square.
     """
-    if scalar_mul(N, P, C) is not INFINITY:
-        raise NotAnnihilated(f"group order {N} does not annihilate {P} at p = {C.p}")
-    o = N
-    for q, _ in factorization:
-        while o % q == 0 and scalar_mul(o // q, P, C) is INFINITY:
-            o //= q
-    return o
+    return N % 2 == 0 and legendre(-4 * C.a ** 3 - 27 * C.b ** 2, C.p) == 1
 
 
-def _poly_mul_mod(u, v, a, b, p):
-    # multiply deg<3 polys mod (x^3 + a*x + b) over F_p
-    u0, u1, u2 = u
-    v0, v1, v2 = v
-    c0 = u0 * v0
-    c1 = u0 * v1 + u1 * v0
-    c2 = u0 * v2 + u1 * v1 + u2 * v0
-    c3 = u1 * v2 + u2 * v1
-    c4 = u2 * v2
-    c2 -= a * c4
-    c1 -= b * c4 + a * c3
-    c0 -= b * c3
-    return (c0 % p, c1 % p, c2 % p)
+def _valuation(n: int, l: int, cap: int) -> int:
+    """min(v_l(n), cap); n = 0 is divisible by every power of l."""
+    v = 0
+    while v < cap and n % l == 0:
+        n //= l
+        v += 1
+    return v
 
 
-def _cubic_root_count(a, b, p) -> int:
-    """Number of roots of x^3 + a*x + b in F_p (0, 1 or 3).
+def _l_chain(Q, l: int, k: int, C: ReducedCurve) -> list:
+    """[Q, l*Q, ..., l^(b-1)*Q] for Q of order l^b.
 
-    deg gcd(x^p - x, cubic); the cubic is squarefree at good primes, and
-    a cubic with two rational roots has a third, so 2 never occurs.
+    Raises NotAnnihilated when b > k, i.e. l^k*Q is not the identity.
     """
-    # x^p mod cubic by square-and-multiply
-    result = (1, 0, 0)
-    base = (0, 1, 0)
-    k = p
-    while k:
-        if k & 1:
-            result = _poly_mul_mod(result, base, a, b, p)
-        base = _poly_mul_mod(base, base, a, b, p)
-        k >>= 1
-    # gcd(cubic, x^p - x)
-    f = [b, a, 0, 1]
-    g = [result[0], (result[1] - 1) % p, result[2]]
-    while any(g):
-        while g and g[-1] == 0:
-            g.pop()
-        if not g:
-            break
-        inv = pow(g[-1], -1, p)
-        r = f[:]
-        for shift in range(len(r) - len(g), -1, -1):
-            coef = r[shift + len(g) - 1] * inv % p
-            for i, c in enumerate(g):
-                r[shift + i] = (r[shift + i] - coef * c) % p
-        while r and r[-1] == 0:
-            r.pop()
-        f, g = g, r
-    count = len(f) - 1
-    if count == 2:
-        raise ArithmeticError(f"squarefree cubic with 2 roots mod {p}")
-    return count
+    chain = []
+    while Q is not INFINITY:
+        if len(chain) == k:
+            raise NotAnnihilated(
+                f"{l}^{k} does not annihilate the {l}-part of a point at p = {C.p}")
+        chain.append(Q)
+        Q = scalar_mul(l, Q, C)
+    return chain
 
 
-def has_full_two_torsion(C: ReducedCurve) -> bool:
-    """True iff the cubic splits completely, i.e. 2 | d."""
-    return _cubic_root_count(C.a, C.b, C.p) == 3
+def _log_base(Y, G, l: int, C: ReducedCurve):
+    """t in [0, l) with Y = t*G for G of prime order l, or None."""
+    if Y is INFINITY:
+        return 0
+    T = G
+    for t in range(1, l // 2 + 1):  # t*G and -t*G share their x
+        if T[0] == Y[0]:
+            return t if T[1] == Y[1] else l - t
+        T = add(T, G, C)
+    return None
 
 
-def _admissible_exponents(L, N, divisors, p, a_p, two_split):
-    """Divisors e of N, multiples of L, consistent with every (d, e)
-    divisibility constraint.  The true exponent is always among them."""
-    out = []
-    for e in divisors:
-        if e % L:
-            continue
-        d = N // e
-        if e % d or (p - 1) % d or (a_p - 2) % d:
-            continue
-        if two_split is not None and two_split != (d % 2 == 0):
-            continue
-        out.append(e)
-    return out
+def _index_outside(R_chain: list, Q_chain: list, l: int, C: ReducedCurve) -> int:
+    """Least j with l^j*R in <Q>, where ord(R) <= ord(Q).
+
+    Pohlig-Hellman digits: Z_i = l^(r-i)*R lies in <Q> iff it is a
+    multiple m_i of H_i = l^(b-i)*Q, and then m_i = m_(i-1) + t*l^(i-1)
+    with Z_i - m_(i-1)*H_i = t*G, G = l^(b-1)*Q of order l.
+    """
+    r, b = len(R_chain), len(Q_chain)
+    G = Q_chain[-1]
+    m = 0
+    for i in range(1, r + 1):
+        H = Q_chain[b - i]
+        Y = add(R_chain[r - i], neg(scalar_mul(m, H, C), C), C)
+        t = _log_base(Y, G, l, C)
+        if t is None:
+            return r - i + 1
+        m += t * l ** (i - 1)
+    return 0
 
 
-def exponent_sampling(C: ReducedCurve, N: int, factorization, rng,
-                      stability: int = DEFAULT_STABILITY) -> int:
-    """Candidate exponent: lcm of random element orders.
+def _sylow_exponent(C: ReducedCurve, N: int, l: int, k: int, a_min: int, rng) -> int:
+    """b with exp(S) = l^b for the l-Sylow subgroup S of order l^k,
+    given that S is Z/l^a x Z/l^(k-a) with a >= a_min.
 
-    Stops as soon as the admissible set is a singleton (then the value
-    is exact), or once the lcm has survived `stability` consecutive
-    draws unchanged -- but only while the lcm is itself admissible;
-    an inadmissible lcm is provably short, so sampling continues.  The
-    result always divides the true exponent and equals it except with
-    probability at most sum_{q | e} q^-stability.
+    Q1 is the point of largest order l^b1 drawn so far, so b1 <= k - a.
+    Equality is proved when b1 = k - a_min, or when a point R of order
+    at most l^b1 has l^j*R outside <Q1> for every j < k - b1: then
+    #<Q1, R> = l^k, so Q1 and R generate S and exp(S) = l^b1.
+    """
+    cofactor = N // l ** k
+    top = None
+    for _ in range(_MAX_DRAWS):
+        chain = _l_chain(scalar_mul(cofactor, random_point(C, rng), C), l, k, C)
+        if top is None or len(chain) > len(top):
+            top, chain = chain, top
+        b1 = len(top)
+        if b1 == k - a_min:
+            return b1
+        if chain and b1 + _index_outside(chain, top, l, C) == k:
+            return b1
+    raise StructureUnverified(
+        f"{l}-Sylow subgroup unresolved after {_MAX_DRAWS} draws at p = {C.p}")
+
+
+def exponent_sampling(C: ReducedCurve, N: int, factorization, rng) -> int:
+    """The exponent e of E(F_p), given the group order N and its
+    factorization, proved one prime l | N at a time.
+
+    The l-part is l^(k-a) with a = v_l(d) admissible: a <= k/2,
+    l^a | p-1 and l^a | a_p-2, and at l = 2, a >= 1 iff the 2-torsion is
+    rational.  A single admissible a needs no draws; otherwise the
+    l-Sylow subgroup decides.
     """
     p = C.p
     a_p = p + 1 - N
-    divisors = divisors_from_factorization(factorization)
-    two_split = has_full_two_torsion(C) if N % 2 == 0 else None
-    L = 1
-    stable = 0
-    draws = 0
-    cap = 64 * max(stability, 1)  # unreachable unless N is wrong upstream
-    cands = _admissible_exponents(L, N, divisors, p, a_p, two_split)
-    while True:
-        if len(cands) == 1:
-            return cands[0]
-        if stable >= stability and L in cands:
-            return L
-        if draws >= cap:
-            return L
-        P = random_point(C, rng)
-        o = element_order(P, C, N, factorization)
-        draws += 1
-        L2 = L * o // math.gcd(L, o)
-        if L2 == L:
-            stable += 1
+    e = 1
+    for l, k in factorization:
+        a_min = 0
+        a_max = min(_valuation(p - 1, l, k // 2), _valuation(a_p - 2, l, k // 2))
+        if l == 2:
+            if has_full_two_torsion(C, N):
+                a_min = 1
+            else:
+                a_max = 0
+        if a_min > a_max:
+            raise StructureUnverified(f"p = {p}: no {l}-Sylow structure fits N = {N}")
+        if a_min == a_max:
+            e *= l ** (k - a_max)
         else:
-            L, stable = L2, 0
-            cands = _admissible_exponents(L, N, divisors, p, a_p, two_split)
+            e *= l ** _sylow_exponent(C, N, l, k, a_min, rng)
+    return e
 
 
-def group_structure(C: ReducedCurve, T, rng,
-                    stability: int = DEFAULT_STABILITY) -> GroupStructure:
-    """(d, e) for the trace result T, with all invariants enforced.
-
-    A violated invariant means the sampled exponent was short; retry
-    with a doubled stability window up to 3 times, then give up loudly
-    (a persistent failure indicates a bug, not bad luck).
-    """
+def group_structure(C: ReducedCurve, T, rng) -> GroupStructure:
+    """(d, e) for the trace result T; construction re-proves every
+    invariant, so a violation means a bug upstream and is raised."""
     N = T.N
-    factorization = factorize(N)
-    window = stability
-    last = None
-    for _ in range(_MAX_RETRIES + 1):
-        e = exponent_sampling(C, N, factorization, rng, window)
-        try:
-            return GroupStructure(C.p, T.a_p, N, N // e, e)
-        except StructureUnverified as err:
-            last = err
-            window *= 2
-    raise StructureUnverified(
-        f"p = {C.p}: structure undetermined after {_MAX_RETRIES} retries ({last})")
+    e = exponent_sampling(C, N, factorize(N), rng)
+    return GroupStructure(C.p, T.a_p, N, N // e, e)
 
 
 def structure_bruteforce(C: ReducedCurve) -> GroupStructure:

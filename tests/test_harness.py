@@ -12,8 +12,8 @@ from avgexp.curve import GlobalCurve, ReducedCurve
 from avgexp.harness import (CacheMismatch, CheckpointRow, CorruptCache,
                             ExperimentConfig, InsufficientCheckpoints,
                             PRESETS, PrimeRecord, cache_load, cache_store,
-                            default_checkpoints, error_trend, pi_E_table,
-                            run_experiment, write_records_csv)
+                            compute_record, default_checkpoints, error_trend,
+                            pi_E_table, run_experiment, write_records_csv)
 from avgexp.modarith import sieve_primes
 from avgexp.structure import structure_bruteforce
 
@@ -88,6 +88,22 @@ class TestRunExperiment:
         assert result.model.kind == "empirical"
         assert 0 < result.c_model < 1
         assert "empirical" in result.constant_provenance
+
+    def test_short_exponent_regression_6701(self):
+        # the retired Monte Carlo step gave (4, 1708) here at seed 1
+        rec = compute_record(PRESETS["generic1"], 6701, 1, 10_000)
+        assert (rec.a_p, rec.d_p, rec.e_p) == (-130, 2, 3416)
+
+    @pytest.mark.parametrize("preset", ["cm-i", "generic1"])
+    def test_records_independent_of_seed(self, tmp_path, preset):
+        # certified records do not depend on the random stream
+        blobs = []
+        for seed in ("1", "2"):
+            out = tmp_path / seed
+            assert cli.main(["run", "--preset", preset, "--xmax", "20000",
+                             "--seed", seed, "--outfile", str(out)]) == 0
+            blobs.append((out / "records.csv").read_bytes())
+        assert blobs[0] == blobs[1]
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -259,6 +275,32 @@ class TestCli:
                        "--checkpoints", "300", "--cache", path,
                        "--outfile", str(tmp_path)])
         assert rc == 3
+
+    def test_xmax_too_small_is_a_usage_error(self, tmp_path, capsys):
+        rc = cli.main(["run", "--preset", "generic1", "--xmax", "50",
+                       "--outfile", str(tmp_path)])
+        assert rc == cli.EXIT_USAGE == 4
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "x_max must be >= 100" in err
+
+    def test_oversized_curve_is_a_usage_error(self, tmp_path, capsys):
+        # |disc| >= 2^63 is beyond factorize; lifting that cap is separate work
+        rc = cli.main(["run", "--curve", "100000000,1", "--xmax", "1000",
+                       "--outfile", str(tmp_path)])
+        assert rc == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "100000000,1" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--preset", "nope", "--xmax", "1000"],
+        ["run", "--curve", "1;1", "--xmax", "1000"],
+        ["run", "--curve", "0,0", "--xmax", "1000"],
+        ["constant", "--model", "empirical", "--series-y", "10", "--euler-pmax", "10"],
+        ["verify", "--xmax", "6000"],
+    ])
+    def test_other_rejected_values_are_usage_errors(self, argv, capsys):
+        assert cli.main(argv) == cli.EXIT_USAGE
+        assert capsys.readouterr().err.startswith("usage error: ")
 
     def test_presets_exist(self):
         assert PRESETS["generic1"].a4 == 1 and PRESETS["generic1"].a6 == 1

@@ -1,67 +1,26 @@
-"""Invariant factors: sampling path against the enumeration oracle."""
+"""Invariant factors: the certified step against the enumeration oracle."""
 
 import math
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from avgexp import structure
 from avgexp.counting import trace, trace_naive
-from avgexp.curve import GlobalCurve, INFINITY, ReducedCurve, reduce_curve
+from avgexp.curve import GlobalCurve, ReducedCurve, random_point, reduce_curve
 from avgexp.harness import derive_rng
 from avgexp.modarith import factorize, sieve_primes
 from avgexp.structure import (GroupStructure, NotAnnihilated,
-                              StructureUnverified, _cubic_root_count,
-                              element_order, exponent_sampling,
+                              StructureUnverified, exponent_sampling,
                               group_structure, has_full_two_torsion,
                               structure_bruteforce)
 
 GENERIC = GlobalCurve(1, 1)
 CM = GlobalCurve(-1, 0)
 THIRD = GlobalCurve(0, 6)
-
-
-def affine_points(C):
-    pts = []
-    for x in range(C.p):
-        rhs = (x ** 3 + C.a * x + C.b) % C.p
-        pts.extend((x, y) for y in range(C.p) if y * y % C.p == rhs)
-    return pts
-
-
-class TestElementOrder:
-    def test_identity_has_order_one(self):
-        C = reduce_curve(GENERIC, 5)
-        assert element_order(INFINITY, C, 9, factorize(9)) == 1
-
-    def test_f5_full_enumeration(self):
-        # N = 9: every non-identity point has order 3 or 9, lcm is 9
-        C = reduce_curve(GENERIC, 5)
-        pts = affine_points(C)
-        assert len(pts) == 8
-        orders = [element_order(P, C, 9, factorize(9)) for P in pts]
-        assert set(orders) <= {3, 9}
-        assert math.lcm(*orders) == 9
-
-    def test_order_divides_group_order(self):
-        rng = random.Random(4)
-        for p in (1009, 10007):
-            C = reduce_curve(GENERIC, p)
-            N = trace_naive(C).N
-            F = factorize(N)
-            from avgexp.curve import random_point, scalar_mul
-            for _ in range(30):
-                P = random_point(C, rng)
-                o = element_order(P, C, N, F)
-                assert N % o == 0
-                assert scalar_mul(o, P, C) is INFINITY
-                if o > 1:
-                    assert scalar_mul(o // [q for q, _ in factorize(o)][0],
-                                      P, C) is not INFINITY
-
-    def test_not_annihilated(self):
-        C = reduce_curve(GENERIC, 5)
-        with pytest.raises(NotAnnihilated):
-            element_order((0, 1), C, 7, factorize(7))
+PRIMES_TO_5000 = [p for p in sieve_primes(5000) if p >= 5]
 
 
 class TestTwoTorsionSplit:
@@ -72,13 +31,29 @@ class TestTwoTorsionSplit:
             for a, b in ((1, 1), (p - 1, 0), (0, 6 % p), (2, 3)):
                 if (4 * a ** 3 + 27 * b ** 2) % p == 0:
                     continue
-                want = sum(1 for x in range(p) if (x ** 3 + a * x + b) % p == 0)
-                assert _cubic_root_count(a, b, p) == want
+                C = ReducedCurve(p, a, b)
+                roots = sum(1 for x in range(p) if (x ** 3 + a * x + b) % p == 0)
+                assert has_full_two_torsion(C, trace_naive(C).N) == (roots == 3)
+
+    def test_random_curves_match_enumeration(self):
+        rng = random.Random(11)
+        primes = [p for p in sieve_primes(3000) if p >= 5]
+        checked = 0
+        while checked < 300:
+            p = rng.choice(primes)
+            a, b = rng.randrange(p), rng.randrange(p)
+            if (4 * a ** 3 + 27 * b ** 2) % p == 0:
+                continue
+            C = ReducedCurve(p, a, b)
+            roots = sum(1 for x in range(p) if (x ** 3 + a * x + b) % p == 0)
+            assert has_full_two_torsion(C, trace_naive(C).N) == (roots == 3), (a, b, p)
+            checked += 1
 
     def test_cm_curve_always_splits(self):
         # x^3 - x = x(x-1)(x+1) has all roots rational at every p
         for p in (5, 13, 1009):
-            assert has_full_two_torsion(reduce_curve(CM, p))
+            C = reduce_curve(CM, p)
+            assert has_full_two_torsion(C, trace_naive(C).N)
 
 
 class TestExponentSampling:
@@ -99,7 +74,7 @@ class TestExponentSampling:
         assert exponent_sampling(C, 8, factorize(8), derive_rng(1, 5)) == 4
 
     def test_divides_true_exponent_many_trials(self):
-        # stability-8 sampling never returned a proper divisor in 1e4 trials
+        # the certified step returns the exact exponent for every stream
         ps = [p for p in sieve_primes(200) if p >= 5]
         truth = {}
         trials = 0
@@ -119,6 +94,69 @@ class TestExponentSampling:
                 assert e == want.e_p
                 trials += 1
         assert trials >= 10_000
+
+    def test_wrong_order_raises_not_annihilated(self):
+        # true N = 640; 637 = 7^2 * 13 leaves the 7-part ambiguous, so the
+        # Sylow step runs, and 637 is prime to 640, so it kills no point
+        C = ReducedCurve(617, 169, 170)
+        assert trace_naive(C).N == 640
+        for s in range(20):
+            with pytest.raises(NotAnnihilated):
+                exponent_sampling(C, 637, factorize(637), derive_rng(s, 617))
+
+    def test_draw_cap_raises(self, monkeypatch):
+        # one point drawn over and over can never prove d = 6 at p = 1657
+        C = ReducedCurve(1657, 739, 129)
+        N = trace_naive(C).N
+        P = random_point(C, random.Random(1))
+        monkeypatch.setattr(structure, "random_point", lambda C, rng: P)
+        with pytest.raises(StructureUnverified):
+            exponent_sampling(C, N, factorize(N), derive_rng(1, 1657))
+
+
+class TestSylowPath:
+    """Primes whose l-part is left ambiguous by the divisibility
+    constraints, so the exponent is proved inside the l-Sylow subgroup."""
+
+    @pytest.mark.parametrize("E, p, l, a", [
+        (GENERIC, 349, 2, 1),     # 2 | d, 4 does not
+        (GENERIC, 1993, 2, 2),    # 4 | d
+        (CM, 257, 2, 4),          # 16 | d
+        (GENERIC, 13, 3, 0),
+        (GENERIC, 139, 3, 1),
+        (CM, 421, 7, 1),
+        (GENERIC, 677, 13, 0),
+        (CM, 1013, 11, 1),
+    ])
+    def test_named_cases(self, monkeypatch, E, p, l, a):
+        seen = []
+        real = structure._sylow_exponent
+
+        def spy(C, N, ell, k, a_min, rng):
+            b = real(C, N, ell, k, a_min, rng)
+            seen.append((ell, k - b))
+            return b
+        monkeypatch.setattr(structure, "_sylow_exponent", spy)
+        C = reduce_curve(E, p)
+        want = structure_bruteforce(C)
+        for s in range(5):
+            seen.clear()
+            got = group_structure(C, trace_naive(C), derive_rng(s, p))
+            assert (got.d_p, got.e_p) == (want.d_p, want.e_p)
+            assert (l, a) in seen
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(st.data())
+    def test_differential_against_bruteforce(self, data):
+        p = data.draw(st.sampled_from(PRIMES_TO_5000))
+        a = data.draw(st.integers(0, p - 1))
+        b = data.draw(st.integers(0, p - 1))
+        assume((4 * a ** 3 + 27 * b ** 2) % p)
+        seed = data.draw(st.integers(0, 2 ** 32))
+        C = ReducedCurve(p, a, b)
+        got = group_structure(C, trace_naive(C), derive_rng(seed, p))
+        want = structure_bruteforce(C)
+        assert (got.N, got.d_p, got.e_p) == (want.N, want.d_p, want.e_p)
 
 
 class TestGroupStructure:
