@@ -19,8 +19,8 @@ from .harness import (CacheMismatch, CheckpointRow, CorruptCache,
                       InsufficientCheckpoints, PRESETS, PrimeRecord,
                       cache_load, cache_store, error_trend, pi_E_table,
                       run_experiment)
-from .modarith import (Factorization, NotASquare, PrimeModulus, factorize,
-                       is_prime, legendre, mod_pow, sieve_primes, sqrt_mod)
+from .modarith import (NotASquare, factorize, is_prime, legendre, sieve_primes,
+                       sqrt_mod)
 from .structure import (GroupStructure, NotAnnihilated, StructureUnverified,
                         exponent_sampling, group_structure,
                         has_full_two_torsion, structure_bruteforce)

@@ -1,8 +1,8 @@
 """Command-line front end: run experiments, evaluate the constant, verify.
 
 Exit codes: 0 on success, 2 when an invariant or verification fails,
-3 on cache errors, 4 when an argument value is rejected (one line on
-stderr).
+3 on cache errors, 4 when the command line or an argument value is
+rejected.
 """
 
 import argparse
@@ -11,7 +11,7 @@ import sys
 
 from .constants import (DegreeModel, constant_euler, constant_series,
                         load_overrides)
-from .counting import AmbiguityExhausted, trace
+from .counting import AmbiguityExhausted, DEFAULT_TRACE_THRESHOLD, trace
 from .curve import GlobalCurve, ReducedCurve
 from .harness import (CacheMismatch, CorruptCache, ExperimentConfig,
                       InsufficientCheckpoints, PRESETS, derive_rng,
@@ -176,7 +176,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--checkpoints", help="comma-separated cut points")
     run.add_argument("--seed", type=int, default=1)
     run.add_argument("--workers", type=int, default=1)
-    run.add_argument("--trace-threshold", type=int, default=10_000)
+    run.add_argument("--trace-threshold", type=int,
+                     default=DEFAULT_TRACE_THRESHOLD)
     run.add_argument("--model", choices=("gl2", "empirical"), default="gl2")
     run.add_argument("--overrides", help="file of 'k degree' pairs")
     run.add_argument("--kmax-diag", type=int, default=12)
@@ -198,13 +199,17 @@ def build_parser() -> argparse.ArgumentParser:
                                            "against full enumeration at small p")
     verify.add_argument("--xmax", type=int, default=2000)
     verify.add_argument("--seed", type=int, default=1)
-    verify.add_argument("--trace-threshold", type=int, default=10_000)
+    verify.add_argument("--trace-threshold", type=int,
+                        default=DEFAULT_TRACE_THRESHOLD)
     verify.set_defaults(func=cmd_verify)
     return ap
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse: 0 after --help, 2 on a bad command line
+        return EXIT_USAGE if exc.code else EXIT_OK
     try:
         return args.func(args)
     except (CacheMismatch, CorruptCache) as err:

@@ -2,10 +2,10 @@
 
 trace_naive sums the quadratic character of the cubic over all of F_p;
 order_bsgs pins the order inside the Hasse interval with baby-step
-giant-step element annihilators, falling back to quadratic-twist samples
-when one point's order leaves several candidates.  Every result is
-checked against the Hasse bound |a_p| < 2*sqrt(p) before it leaves this
-module.
+giant-step element annihilators: a single annihilator in the interval is
+the order, and several fall back to point orders and quadratic-twist
+samples.  Every result is checked against the Hasse bound
+|a_p| < 2*sqrt(p) before it leaves this module.
 """
 
 import math
@@ -13,12 +13,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curve import INFINITY, ReducedCurve, add, neg, random_point, scalar_mul
+from .curve import INFINITY, ReducedCurve, add, random_point, scalar_mul
 from .modarith import factorize, legendre
 
 _NAIVE_CAP = 1 << 31  # int64 intermediates in the vectorized sum
 _MAX_SAMPLES = 64
 _CHUNK = 1 << 22
+# Below this p the O(p) character sum is used, at and above it BSGS.
+DEFAULT_TRACE_THRESHOLD = 10_000
 
 
 class AmbiguityExhausted(RuntimeError):
@@ -68,56 +70,56 @@ def quadratic_twist(C: ReducedCurve) -> ReducedCurve:
     return ReducedCurve(C.p, C.a * c2 % C.p, C.b * c2 % C.p * c % C.p)
 
 
-def _annihilator_gcd(P, C, lo, hi):
-    """gcd of all n in [lo, hi] with n*P = infinity.
+def _annihilators(P, C, lo, hi) -> list:
+    """Every n in [lo, hi] with n*P = infinity, ascending.
 
-    Baby-step giant-step over the window; [lo, hi] always contains a
-    multiple of ord(P) because the group order lies in it.
+    Baby-step giant-step over the window; it always holds a multiple of
+    ord(P), because the group order lies in it.
     """
     p = C.p
-    width = hi - lo + 1
-    m = math.isqrt(width) + 1
-    # baby steps j*P, keeping every j per x-coordinate (small orders wrap)
+    m = math.isqrt(p + 1 - lo) + 1
+    # baby steps j*P for 0 < j < m, every j kept per x-coordinate: j*P and
+    # -j*P share one, and so do j*P and j'*P = -j*P when j + j' = ord(P)
     baby = {}
-    Q = INFINITY
-    for j in range(m):
-        if j > 0 and Q is INFINITY:
-            return j  # ord(P) = j found outright
-        if Q is not INFINITY:
-            baby.setdefault(Q[0], []).append((j, Q[1]))
-        Q = add(Q, P, C)
-    Q0 = scalar_mul(p + 1, P, C)
-    mP = scalar_mul(m, P, C)
-    neg_mP = neg(mP, C)
-    # u = i*m +- j sweeps [-B, B] where n = p + 1 - u
-    B = p + 1 - lo
-    i_min = -(B // m) - 1
-    i_max = B // m + 1
-    matches = set()
-    if i_min < 0:
-        offset = scalar_mul(-i_min, mP, C)
-    else:
-        offset = scalar_mul(i_min, neg_mP, C)
-    R = add(Q0, offset, C)
-    for i in range(i_min, i_max + 1):
-        if R is INFINITY:
-            matches.add(i * m)
+    jP = P
+    for j in range(1, m):
+        baby.setdefault(jP[0], []).append((j, jP[1]))
+        nextP = add(jP, P, C)
+        if nextP is INFINITY:
+            # ord(P) = j + 1 <= m: the annihilators are its multiples
+            o = j + 1
+            return list(range(-(-lo // o) * o, hi + 1, o))
+        jP, prevP = nextP, jP
+    # The baby steps recognise G = t*P for every t in [-(m-1), m-1], so the
+    # giant point G = k*s*P finds each annihilator n = k*s - t in
+    # [k*s - (m-1), k*s + (m-1)].  With stride s = 2m - 1 these intervals
+    # tile the integers, and k0..k1 are the tiles that meet [lo, hi].
+    s = 2 * m - 1
+    sP = add(jP, prevP, C)  # m*P + (m-1)*P
+    k0 = (lo + m - 1) // s  # least k with k*s + (m-1) >= lo
+    k1 = (hi + m - 1) // s
+    G = scalar_mul(k0, sP, C)
+    found = []
+    for k in range(k0, k1 + 1):
+        if G is INFINITY:
+            found.append(k * s)
         else:
-            for j, y in baby.get(R[0], ()):
-                if y == R[1]:
-                    matches.add(i * m + j)
-                if y == p - R[1] or (y == 0 == R[1]):
-                    matches.add(i * m - j)
-        R = add(R, neg_mP, C)
-    anns = [p + 1 - u for u in matches if lo <= p + 1 - u <= hi]
+            for j, y in baby.get(G[0], ()):
+                if y == G[1]:
+                    found.append(k * s - j)
+                if (y + G[1]) % p == 0:
+                    found.append(k * s + j)
+        if k < k1:
+            G = add(G, sP, C)
+    anns = sorted(n for n in found if lo <= n <= hi)
     if not anns:
         raise AmbiguityExhausted(f"no annihilator in Hasse window at p = {p}")
-    return math.gcd(*anns)
+    return anns
 
 
-def _point_order(P, C, lo, hi) -> int:
-    """Exact order of P via the gcd of its window annihilators."""
-    g = _annihilator_gcd(P, C, lo, hi)
+def _point_order(P, C, anns) -> int:
+    """Exact order of P from the gcd of its window annihilators."""
+    g = math.gcd(*anns)
     for q, mult in factorize(g):
         for _ in range(mult):
             if scalar_mul(g // q, P, C) is INFINITY:
@@ -153,22 +155,30 @@ def _crt_candidates(L_E, L_T, p, lo, hi, cap=3):
 def order_bsgs(C: ReducedCurve, rng) -> TraceResult:
     """Exact group order from random-point annihilators, O(p^{1/4}) per point.
 
-    Points from the curve and its quadratic twist alternate; their order
-    lcms shrink the candidate set until exactly one order survives in the
-    Hasse interval.
+    The group order of a point's curve annihilates the point and lies in
+    the Hasse window, so a window holding one annihilator proves it.
+    Otherwise points from the curve and its quadratic twist alternate;
+    their order lcms shrink the candidate set until exactly one order
+    survives in the window.
     """
     p = C.p
     if p < 229:
         raise ValueError("order_bsgs needs p >= 229; use trace_naive")
     B = math.isqrt(4 * p)
     lo, hi = p + 1 - B, p + 1 + B
-    twist = quadratic_twist(C)
+    twist = None
     L_E = L_T = 1
     for attempt in range(_MAX_SAMPLES):
         on_twist = attempt % 2 == 1
+        if on_twist and twist is None:
+            twist = quadratic_twist(C)
         side = twist if on_twist else C
         P = random_point(side, rng)
-        o = _point_order(P, side, lo, hi)
+        anns = _annihilators(P, side, lo, hi)
+        if len(anns) == 1:
+            N = 2 * p + 2 - anns[0] if on_twist else anns[0]
+            return TraceResult(p, p + 1 - N, N, "bsgs")
+        o = _point_order(P, side, anns)
         if on_twist:
             L_T = L_T * o // math.gcd(L_T, o)
         else:
@@ -182,7 +192,8 @@ def order_bsgs(C: ReducedCurve, rng) -> TraceResult:
     raise AmbiguityExhausted(f"{_MAX_SAMPLES} samples left the order ambiguous at p = {p}")
 
 
-def trace(C: ReducedCurve, rng, threshold: int = 10_000) -> TraceResult:
+def trace(C: ReducedCurve, rng,
+          threshold: int = DEFAULT_TRACE_THRESHOLD) -> TraceResult:
     """Dispatch: full character sum below threshold, BSGS above.
 
     BSGS needs p >= 229 for sane interval spacing, so tiny primes always

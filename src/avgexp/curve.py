@@ -108,9 +108,10 @@ def scalar_mul(k: int, P, C: ReducedCurve):
     R = INFINITY
     while k:
         if k & 1:
-            R = add(R, P, C)
-        P = add(P, P, C)
+            R = P if R is INFINITY else add(R, P, C)
         k >>= 1
+        if k:
+            P = add(P, P, C)
     return R
 
 

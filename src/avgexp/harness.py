@@ -25,7 +25,7 @@ import numpy as np
 from .constants import (DEFAULT_DPS, ConstantEstimate, DegreeModel,
                         constant_series, degree, estimate_degrees, li)
 from .curve import GlobalCurve, ReducedCurve
-from .counting import trace
+from .counting import DEFAULT_TRACE_THRESHOLD, trace
 from .modarith import sieve_primes
 from .structure import group_structure
 
@@ -80,7 +80,7 @@ class ExperimentConfig:
     checkpoints: list = None
     seed: int = 1
     workers: int = 1
-    trace_threshold: int = 10_000
+    trace_threshold: int = DEFAULT_TRACE_THRESHOLD
     model: DegreeModel = None
     k_max_diag: int = 12
     cache_path: str = None
@@ -177,27 +177,25 @@ def _compute_records(cfg: ExperimentConfig, good_primes: list) -> list:
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Process every good prime p <= x_max exactly once and aggregate.
 
-    Records come from the cache when it covers the range; otherwise they
-    are recomputed and the cache rewritten.  Aggregation replays the
-    per-record identities, so a violated invariant aborts the run with
-    the offending prime named.
+    Only the good primes the cache lacks are computed; the cache is then
+    rewritten with its old records and the new ones.  Aggregation
+    replays the per-record identities, so a violated invariant aborts
+    the run with the offending prime named.
     """
     primes = sieve_primes(cfg.x_max)
     bad = cfg.curve.bad_primes
     good = [p for p in primes if p not in bad]
     skipped = [p for p in primes if p in bad]
 
-    records = None
+    cached = []
     if cfg.cache_path and os.path.exists(cfg.cache_path):
         cached = cache_load(cfg.cache_path, cfg.curve)
-        have = {rec.p for rec in cached}
-        if all(p in have for p in good):
-            records = sorted((rec for rec in cached if rec.p <= cfg.x_max))
-    if records is None:
-        records = _compute_records(cfg, good)
-        records.sort()
-        if cfg.cache_path:
-            cache_store(cfg.cache_path, cfg.curve, records)
+    have = {rec.p for rec in cached}
+    missing = [p for p in good if p not in have]
+    fresh = _compute_records(cfg, missing)
+    if cfg.cache_path and missing:
+        cache_store(cfg.cache_path, cfg.curve, sorted(cached + fresh))
+    records = sorted([rec for rec in cached if rec.p <= cfg.x_max] + fresh)
 
     model = cfg.model
     if model.kind == "empirical" and not model.overrides:

@@ -1,19 +1,11 @@
 """Modular arithmetic over word-sized prime moduli, prime sieving, factorization.
 
-Everything here is a pure function of its inputs; moduli are capped below
-2**62 so all intermediate products fit comfortably in CPython's fast
-small-int paths and in the double-width arithmetic of the vectorized
-callers.
+Everything here is a pure function of its inputs.
 """
 
 import math
 
 import numpy as np
-
-MODULUS_CAP = 1 << 62
-
-# Ascending (prime, multiplicity) pairs whose product reconstructs n.
-Factorization = list[tuple[int, int]]
 
 # Deterministic Miller-Rabin witness set, valid for all n < 3.3e24.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -49,25 +41,6 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
-
-
-class PrimeModulus(int):
-    """An odd prime p with 5 <= p < 2**62, certified at construction."""
-
-    def __new__(cls, p):
-        p = int(p)
-        if p < 5 or p >= MODULUS_CAP:
-            raise ValueError(f"modulus {p} outside [5, 2**62)")
-        if not is_prime(p):
-            raise ValueError(f"modulus {p} is not prime")
-        return super().__new__(cls, p)
-
-
-def mod_pow(base: int, exp: int, m: int) -> int:
-    """base**exp mod m; exp = 0 gives 1. Thin front for the builtin."""
-    if exp < 0:
-        raise ValueError("negative exponent")
-    return pow(base, exp, m)
 
 
 def legendre(a: int, p: int) -> int:

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from avgexp import cli
+from avgexp import cli, harness
 from avgexp.constants import DegreeModel
 from avgexp.curve import GlobalCurve, ReducedCurve
 from avgexp.harness import (CacheMismatch, CheckpointRow, CorruptCache,
@@ -228,10 +228,32 @@ class TestCache:
         r1 = small_run(cache_path=path)
         r2 = small_run(cache_path=path)  # second run loads, must agree
         assert r1.records == r2.records
-        # a cache for a smaller range is recomputed, not trusted
+        # a cache for a smaller range is extended by the primes it lacks
         r3 = small_run(x_max=3000, checkpoints=[3000], cache_path=path)
         assert len(r3.records) > len(r1.records)
         assert cache_load(path, GENERIC) == r3.records
+
+    def test_raising_xmax_computes_only_new_primes(self, tmp_path, monkeypatch):
+        path = str(tmp_path / "r.bin")
+        small_run(cache_path=path)
+        computed = []
+        real = harness.compute_record
+
+        def spy(E, p, seed, threshold):
+            computed.append(p)
+            return real(E, p, seed, threshold)
+        monkeypatch.setattr(harness, "compute_record", spy)
+        r3 = small_run(x_max=3000, checkpoints=[3000], cache_path=path)
+        assert computed and all(2000 < p <= 3000 for p in computed)
+        assert sorted(computed) == [rec.p for rec in r3.records if rec.p > 2000]
+        fresh = small_run(x_max=3000, checkpoints=[3000])
+        assert r3.records == fresh.records
+        computed.clear()
+        # a smaller x_max reads the cache and keeps the records above it
+        r4 = small_run(x_max=1000, checkpoints=[1000], cache_path=path)
+        assert computed == []
+        assert r4.records == [rec for rec in fresh.records if rec.p <= 1000]
+        assert cache_load(path, GENERIC) == fresh.records
 
 
 class TestCli:
@@ -301,6 +323,19 @@ class TestCli:
     def test_other_rejected_values_are_usage_errors(self, argv, capsys):
         assert cli.main(argv) == cli.EXIT_USAGE
         assert capsys.readouterr().err.startswith("usage error: ")
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--preset", "generic1"],
+        ["run", "--preset", "generic1", "--xmax", "ten"],
+        ["bogus"],
+    ])
+    def test_argparse_errors_are_usage_errors(self, argv, capsys):
+        assert cli.main(argv) == cli.EXIT_USAGE
+        assert "error:" in capsys.readouterr().err
+
+    def test_help_exits_zero(self, capsys):
+        assert cli.main(["run", "--help"]) == cli.EXIT_OK
+        assert "--xmax" in capsys.readouterr().out
 
     def test_presets_exist(self):
         assert PRESETS["generic1"].a4 == 1 and PRESETS["generic1"].a6 == 1

@@ -6,21 +6,8 @@ import random
 import numpy as np
 import pytest
 
-from avgexp.modarith import (Factorization, NotASquare, PrimeModulus,
-                             factorize, is_prime, legendre, mod_pow,
+from avgexp.modarith import (NotASquare, factorize, is_prime, legendre,
                              sieve_primes, sqrt_mod)
-
-
-def pow_by_squaring(base, exp, m):
-    # independent oracle: explicit square-and-multiply
-    result = 1 % m
-    base %= m
-    while exp:
-        if exp & 1:
-            result = result * base % m
-        base = base * base % m
-        exp >>= 1
-    return result
 
 
 def naive_primes(limit):
@@ -34,29 +21,6 @@ def naive_primes(limit):
 
 def squares_mod(p):
     return {x * x % p for x in range(p)}
-
-
-class TestModPow:
-    def test_small(self):
-        assert mod_pow(2, 10, 1009) == 15
-
-    def test_zero_exponent(self):
-        assert mod_pow(5, 0, 7) == 1
-
-    def test_fermat_little(self):
-        assert mod_pow(3, 1008, 1009) == 1
-        assert pow_by_squaring(3, 1008, 1009) == 1
-
-    def test_matches_squaring_oracle(self):
-        rng = random.Random(11)
-        for _ in range(500):
-            p = 10 ** 9 + 7
-            b, e = rng.randrange(p), rng.randrange(1 << 40)
-            assert mod_pow(b, e, p) == pow_by_squaring(b, e, p)
-
-    def test_negative_exponent_rejected(self):
-        with pytest.raises(ValueError):
-            mod_pow(2, -1, 7)
 
 
 class TestLegendre:
@@ -172,17 +136,3 @@ class TestFactorize:
             factorize(0)
         with pytest.raises(ValueError):
             factorize(1 << 63)
-
-
-class TestPrimeModulus:
-    def test_accepts_prime(self):
-        assert PrimeModulus(10007) == 10007
-
-    def test_rejects_two_three_and_composites(self):
-        for bad in (2, 3, 4, 9, 1 << 62):
-            with pytest.raises(ValueError):
-                PrimeModulus(bad)
-
-    def test_factorization_alias_shape(self):
-        fac: Factorization = factorize(360)
-        assert fac == [(2, 3), (3, 2), (5, 1)]
