@@ -57,7 +57,10 @@ def _parse_curve(args) -> GlobalCurve:
 
 
 def _build_model(args) -> DegreeModel:
-    overrides = load_overrides(args.overrides) if args.overrides else {}
+    try:
+        overrides = load_overrides(args.overrides) if args.overrides else {}
+    except OSError as err:
+        raise ValueError(f"--overrides: {err}") from None
     if args.model == "gl2":
         return DegreeModel("gl2_generic", overrides)
     return DegreeModel("empirical", overrides)
@@ -75,7 +78,6 @@ def cmd_run(args) -> int:
             model=_build_model(args),
             k_max_diag=args.kmax_diag,
             cache_path=args.cache,
-            output=args.out,
             precision=args.precision,
         )
     except ValueError as err:
@@ -99,7 +101,7 @@ def cmd_run(args) -> int:
     except (InsufficientCheckpoints, ValueError):
         pass
 
-    if cfg.output == "json":
+    if args.out == "json":
         path = args.outfile or "avgexp.json"
         write_json(path, result, table)
         print(f"wrote {path}")
@@ -118,9 +120,12 @@ def cmd_constant(args) -> int:
     if args.model != "gl2":
         return _usage_error("the constant subcommand evaluates the gl2 model; "
                             "empirical tables come from 'run --model empirical'")
-    model = _build_model(args)
-    s = constant_series(model, args.series_y, args.precision)
-    e = constant_euler(model, args.euler_pmax, args.precision)
+    try:  # every ValueError here comes from an argument value or the overrides file
+        model = _build_model(args)
+        s = constant_series(model, args.series_y, args.precision)
+        e = constant_euler(model, args.euler_pmax, args.precision)
+    except ValueError as err:
+        return _usage_error(str(err))
     print(f"series (y = {s.truncation}):     {s.value}")
     print(f"  tail <= {s.tail_bound:.3e}   [{s.tail_formula}]")
     print(f"euler  (p_max = {e.truncation}): {e.value}")

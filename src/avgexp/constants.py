@@ -18,7 +18,7 @@ import numpy as np
 from .modarith import divisors_from_factorization, factorize, sieve_primes
 
 DEFAULT_DPS = 50
-_EULER_NU_CAP = 1000
+MIN_DPS = 20  # below this, rounding can exceed the tail bounds the cross-check budgets
 
 
 class MissingDegree(KeyError):
@@ -36,13 +36,6 @@ def euler_phi(k: int) -> int:
     return phi
 
 
-def mobius(k: int) -> int:
-    fac = factorize(k)
-    if any(m > 1 for _, m in fac):
-        return 0
-    return -1 if len(fac) % 2 else 1
-
-
 @dataclass(frozen=True)
 class MobiusCoeff:
     """Exact value of sum_{d*m = k} mu(d)/m, the kernel weight at level k."""
@@ -52,21 +45,13 @@ class MobiusCoeff:
 
 
 def mobius_coeff(k: int) -> MobiusCoeff:
-    """Both the definition sum and the closed form (1/k)*prod(1-q),
-    asserted equal, returned exactly."""
+    """The closed form (1/k)*prod_{q | k}(1-q) of the definition sum,
+    exactly; mobius_identity_check tests it against the definition."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    fac = factorize(k)
     closed = Fraction(1, k)
-    for q, _ in fac:
+    for q, _ in factorize(k):
         closed *= 1 - q
-    total = Fraction(0)
-    for d in divisors_from_factorization(fac):
-        mu = mobius(d)
-        if mu:
-            total += Fraction(mu, k // d)
-    if total != closed:
-        raise ArithmeticError(f"mobius coefficient mismatch at k = {k}")
     return MobiusCoeff(k, closed)
 
 
@@ -90,9 +75,9 @@ def gl2_order(k: int) -> int:
     """|GL2(Z/kZ)| = k^3 * phi(k) * prod_{q | k} (1 - q^-2), exactly."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    n = k ** 3 * euler_phi(k)
-    for q, _ in factorize(k):
-        n = n // (q * q) * (q * q - 1)
+    n = 1
+    for q, m in factorize(k):
+        n *= q ** (4 * m - 3) * (q - 1) * (q * q - 1)
     return n
 
 
@@ -138,10 +123,11 @@ def load_overrides(path) -> dict:
             line = line.split("#", 1)[0].strip()
             if not line:
                 continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise ValueError(f"{path}:{lineno}: expected 'k degree'")
-            overrides[int(parts[0])] = Fraction(parts[1])
+            try:
+                k, n = line.split()
+                overrides[int(k)] = Fraction(n)
+            except (ValueError, ZeroDivisionError):  # Fraction("1/0") divides
+                raise ValueError(f"{path}:{lineno}: expected 'k degree'") from None
     return overrides
 
 
@@ -167,9 +153,20 @@ class ConstantEstimate:
             raise ValueError("negative tail bound")
 
 
-def _to_mpf(r) -> mp.mpf:
-    r = Fraction(r)
-    return mp.mpf(r.numerator) / mp.mpf(r.denominator)
+def _level_table(y: int) -> tuple:
+    """Lists with coeff[k] = k * mobius_coeff(k) and order[k] = |GL2(Z/kZ)|
+    for k <= y, built from k/q with q the smallest prime factor of k."""
+    spf = np.arange(y + 1)
+    for q in range(math.isqrt(y), 1, -1):  # descending: the smallest q writes last
+        spf[q * q::q] = q
+    coeff, order = [1] * (y + 1), [1] * (y + 1)
+    for k, q in enumerate(spf[2:].tolist(), 2):
+        j = k // q
+        if j % q:  # q exactly divides k
+            coeff[k], order[k] = coeff[j] * (1 - q), order[j] * q * (q - 1) * (q * q - 1)
+        else:  # |GL2(Z/q^(m+1))| = q^4 * |GL2(Z/q^m)|
+            coeff[k], order[k] = coeff[j], order[j] * q ** 4
+    return coeff, order
 
 
 def constant_series(model: DegreeModel, y: int, dps: int = DEFAULT_DPS) -> ConstantEstimate:
@@ -181,64 +178,64 @@ def constant_series(model: DegreeModel, y: int, dps: int = DEFAULT_DPS) -> Const
     beyond y.  Otherwise the documented bound 2/sqrt(y) is used, which
     assumes degree(k) >= phi(k)^2 with constant 1.
     """
-    if y < 1:
-        raise ValueError("y must be >= 1")
+    if y < 1 or dps < MIN_DPS:
+        raise ValueError(f"need y >= 1 and dps >= {MIN_DPS}, got y = {y}, dps = {dps}")
+    coeff, order = _level_table(y)
+    generic = model.kind == "gl2_generic"
     with mp.workdps(dps):
-        total = mp.mpf(0)
+        shift = mp.mp.prec + 64  # the y floor divisions err by < y * 2^-shift in all
+        acc = 0
         for k in range(1, y + 1):
-            c = mobius_coeff(k).value
-            if c:
-                total += _to_mpf(c) / _to_mpf(degree(model, k))
-        if model.kind == "gl2_generic":
-            tail = math.pi ** 2 / (18 * y ** 3)
-            formula = "pi^2/(18*y^3)"
+            n = order[k] if generic and k not in model.overrides else degree(model, k)
+            acc += (coeff[k] * n.denominator << shift) // (k * n.numerator)
+        total = mp.ldexp(mp.mpf(acc), -shift)
+        if generic:
             late = [k for k in model.overrides if k > y]
-            if late:
-                for k in late:
-                    tail += euler_phi(k) / k / float(degree(model, k))
-                formula += " + explicit override terms beyond y"
+            tail = math.pi ** 2 / (18 * y ** 3) + sum(
+                euler_phi(k) / k / float(degree(model, k)) for k in late)
+            formula = "pi^2/(18*y^3)" + (" + explicit override terms beyond y" if late else "")
         else:
             tail = 2 / math.sqrt(y)
             formula = "2/sqrt(y), assuming degree(k) >= phi(k)^2"
         return ConstantEstimate(total, y, tail, "series", formula)
 
 
-def _local_factor(model: DegreeModel, q: int, eps) -> mp.mpf:
-    # 1 - sum_nu (q-1)/(q^nu * degree(q^nu)); terms decay at least like q^-2nu
-    s = mp.mpf(0)
-    qnu = 1
-    for _ in range(_EULER_NU_CAP):
-        qnu *= q
-        term = mp.mpf(q - 1) / (qnu * _to_mpf(degree(model, qnu)))
-        s += term
-        if term < eps:
-            return 1 - s
-    raise ArithmeticError(f"local factor at {q} failed to converge")
+def _local_factor(model: DegreeModel, q: int) -> Fraction:
+    """1 - sum_{nu >= 1} (q-1)/(q^nu * degree(q^nu)), exactly: generic degrees
+    sum to q^3/((q^2-1)(q^5-1)), and each override at a power of q corrects
+    its term (constant_euler has checked that overrides sit at prime powers)."""
+    drop = Fraction(q ** 3, (q * q - 1) * (q ** 5 - 1))
+    for k in model.overrides:
+        if k % q == 0:
+            drop += Fraction(q - 1, k) * (1 / degree(model, k) - Fraction(1, gl2_order(k)))
+    return 1 - drop
 
 
 def constant_euler(model: DegreeModel, p_max: int, dps: int = DEFAULT_DPS) -> ConstantEstimate:
-    """Euler-product evaluation over primes q <= p_max.
+    """Euler product of exact local factors over primes q <= p_max.
 
-    Requires a multiplicative model: any override at a level that is not
-    a prime power breaks the product form.  Local factors of overridden
+    Requires a multiplicative gl2 model: any override at a level that is
+    not a prime power breaks the product form.  Local factors of overridden
     primes beyond p_max are included exactly, so the recorded tail bound
     2/(3*p_max^3) (from generic factors being 1 - O(q^-4)) stays valid.
     """
-    if p_max < 2:
-        raise ValueError("p_max must be >= 2")
+    if p_max < 2 or dps < MIN_DPS:
+        raise ValueError(f"need p_max >= 2 and dps >= {MIN_DPS}, got p_max = {p_max}, dps = {dps}")
     override_primes = set()
     for k in model.overrides:
         fac = factorize(k)
         if len(fac) != 1:
             raise NotMultiplicative(f"override at composite level {k}")
         override_primes.add(fac[0][0])
+    if model.kind != "gl2_generic":
+        raise MissingDegree(f"a finite {model.kind} table lacks most prime powers")
     qs = sieve_primes(p_max)
     qs += sorted(q for q in override_primes if q > p_max)
     with mp.workdps(dps):
-        eps = mp.mpf(10) ** (-dps - 10)
         prod = mp.mpf(1)
         for q in qs:
-            prod *= _local_factor(model, q, eps)
+            f = _local_factor(model, q)
+            prod = prod * f.numerator / f.denominator
         tail = 2 / (3 * p_max ** 3)
         return ConstantEstimate(prod, p_max, tail, "euler",
                                 "2/(3*p_max^3), generic factors are 1 - O(q^-4)")

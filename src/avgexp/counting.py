@@ -19,8 +19,9 @@ from .modarith import factorize, legendre
 _NAIVE_CAP = 1 << 31  # int64 intermediates in the vectorized sum
 _MAX_SAMPLES = 64
 _CHUNK = 1 << 22
-# Below this p the O(p) character sum is used, at and above it BSGS.
-DEFAULT_TRACE_THRESHOLD = 10_000
+# Below this p the O(p) character sum is used, at and above it BSGS, which
+# is the faster one from about p = 4000 on both generic and CM curves.
+DEFAULT_TRACE_THRESHOLD = 4_000
 
 
 class AmbiguityExhausted(RuntimeError):

@@ -22,9 +22,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .constants import (DEFAULT_DPS, ConstantEstimate, DegreeModel,
+from .constants import (DEFAULT_DPS, MIN_DPS, ConstantEstimate, DegreeModel,
                         constant_series, degree, estimate_degrees, li)
-from .curve import GlobalCurve, ReducedCurve
+from .curve import GlobalCurve, reduce_curve
 from .counting import DEFAULT_TRACE_THRESHOLD, trace
 from .modarith import sieve_primes
 from .structure import group_structure
@@ -84,7 +84,6 @@ class ExperimentConfig:
     model: DegreeModel = None
     k_max_diag: int = 12
     cache_path: str = None
-    output: str = "csv"
     precision: int = DEFAULT_DPS
 
     def __post_init__(self):
@@ -102,8 +101,8 @@ class ExperimentConfig:
             self.model = DegreeModel("gl2_generic")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
-        if self.output not in ("csv", "json"):
-            raise ValueError("output must be csv or json")
+        if self.precision < MIN_DPS:
+            raise ValueError(f"precision must be >= {MIN_DPS} digits")
 
 
 @dataclass(frozen=True)
@@ -148,7 +147,7 @@ def derive_rng(seed: int, p: int) -> random.Random:
 
 def compute_record(E: GlobalCurve, p: int, seed: int,
                    trace_threshold: int) -> PrimeRecord:
-    C = ReducedCurve(p, E.a4 % p, E.a6 % p)
+    C = reduce_curve(E, p)
     rng = derive_rng(seed, p)
     T = trace(C, rng, trace_threshold)
     S = group_structure(C, T, rng)

@@ -14,6 +14,39 @@ from avgexp.constants import (ConstantEstimate, DegreeModel, MissingDegree,
 from avgexp.harness import PrimeRecord
 
 GL2 = DegreeModel("gl2_generic")
+# prime-power overrides for q = 2, 3, 5 and 97, each at or above phi(k)
+PRIME_POWER_OVERRIDES = {2: 3, 4: 48, 8: 384, 3: 16, 9: 1296, 25: 1500, 97: 97 * 96 * 98}
+
+
+def trial_factor(k):
+    """(prime, multiplicity) pairs of k by trial division."""
+    out, q = [], 2
+    while q * q <= k:
+        m = 0
+        while k % q == 0:
+            k, m = k // q, m + 1
+        if m:
+            out.append((q, m))
+        q += 1
+    return out + ([(k, 1)] if k > 1 else [])
+
+
+def reference_partial_sums(model, y):
+    """Exact S_0, ..., S_y with S_n = sum_{k <= n} (sum_{d | k} mu(d) d/k) /
+    degree(k), mu and the GL2 order k^3 phi(k) prod(1 - q^-2) both from
+    trial division."""
+    sums = [Fraction(0)]
+    for k in range(1, y + 1):
+        coeff = Fraction(0)
+        for d in (d for d in range(1, k + 1) if k % d == 0):
+            fac = trial_factor(d)
+            if all(m == 1 for _, m in fac):
+                coeff += Fraction((-1) ** len(fac) * d, k)
+        gl2 = Fraction(k ** 4)  # k^3 phi(k) = k^4 prod(1 - 1/q)
+        for q, _ in trial_factor(k):
+            gl2 *= Fraction(q - 1, q) * Fraction(q * q - 1, q * q)
+        sums.append(sums[-1] + coeff / Fraction(model.overrides.get(k, gl2)))
+    return sums
 
 
 class TestMobiusCoeff:
@@ -115,6 +148,16 @@ class TestConstantSeries:
         assert with_late.tail_bound > plain.tail_bound
         assert "override" in with_late.tail_formula
 
+    @pytest.mark.parametrize("overrides", [{}, {**PRIME_POWER_OVERRIDES, 12: 96}])
+    def test_matches_trial_division_reference(self, overrides):
+        model = DegreeModel("gl2_generic", overrides)
+        reference = reference_partial_sums(model, 300)
+        for y in (1, 2, 12, 97, 150, 300):
+            want = reference[y]
+            with mp.workdps(60):
+                got = constant_series(model, y).value
+                assert abs(got - mp.mpf(want.numerator) / want.denominator) < mp.mpf(10) ** -48
+
     def test_empirical_tail_formula(self):
         m = DegreeModel("empirical", {k: Fraction(gl2_order(k)) for k in range(1, 30)})
         est = constant_series(m, 25)
@@ -128,11 +171,39 @@ class TestConstantEuler:
         from avgexp.constants import _local_factor
         with mp.workdps(30):
             for q in (2, 5, 97):
-                f = _local_factor(GL2, q, mp.mpf(10) ** -40)
+                f = _local_factor(GL2, q)
                 first = float(Fraction(q - 1, q * gl2_order(q)))
                 drop = float(1 - f)
                 assert drop >= first > 0
                 assert drop - first < first * q ** -3 * 4
+
+    @pytest.mark.parametrize("model", [GL2, DegreeModel("gl2_generic", PRIME_POWER_OVERRIDES)])
+    def test_local_factor_matches_truncated_nu_sum(self, model):
+        from avgexp.constants import _local_factor
+        nu_max = 6  # 97^6 < 2^63, the range of factorize
+        for q in (2, 3, 5, 97):
+            partial = sum(Fraction(q - 1, q ** nu) / degree(model, q ** nu)
+                          for nu in range(1, nu_max + 1))
+            rest = (1 - _local_factor(model, q)) - partial
+            # generic terms beyond nu_max sum to less than q^(-5 nu_max)
+            assert 0 < rest < Fraction(1, q ** (5 * nu_max))
+
+    def test_high_precision(self):
+        e = constant_euler(GL2, 100, dps=100)
+        s = constant_series(GL2, 100, dps=100)
+        assert abs(e.value - constant_euler(GL2, 100).value) < mp.mpf(10) ** -45
+        assert abs(s.value - e.value) <= s.tail_bound + e.tail_bound
+
+    def test_precision_floor(self):
+        for evaluate in (constant_series, constant_euler):
+            with pytest.raises(ValueError):
+                evaluate(GL2, 100, dps=19)
+            assert 0 < evaluate(GL2, 100, dps=20).value < 1
+
+    def test_empirical_model_rejected(self):
+        m = DegreeModel("empirical", {2: Fraction(6), 4: Fraction(96)})
+        with pytest.raises(MissingDegree):
+            constant_euler(m, 10)
 
     def test_tail_self_consistency(self):
         small = constant_euler(GL2, 100)
@@ -192,6 +263,14 @@ class TestLoadOverrides:
         f = tmp_path / "ov.txt"
         f.write_text("2 3 4\n")
         with pytest.raises(ValueError):
+            load_overrides(f)
+
+    @pytest.mark.parametrize("text", ["2\n", "x 3\n", "2 1/0\n", "2 three\n"],
+                             ids=["one-field", "bad-level", "zero-denominator", "bad-degree"])
+    def test_malformed_entries_name_the_line(self, tmp_path, text):
+        f = tmp_path / "ov.txt"
+        f.write_text("# header\n" + text)
+        with pytest.raises(ValueError, match=r"ov.txt:2: "):
             load_overrides(f)
 
 

@@ -114,6 +114,8 @@ class TestRunExperiment:
             ExperimentConfig(curve=GENERIC, x_max=1000, checkpoints=[2000])
         with pytest.raises(ValueError):
             ExperimentConfig(curve=GENERIC, x_max=1000, workers=0)
+        with pytest.raises(ValueError):
+            ExperimentConfig(curve=GENERIC, x_max=1000, precision=19)
 
     def test_default_checkpoints(self):
         assert default_checkpoints(10 ** 6) == [10 ** 3, 10 ** 4, 10 ** 5, 10 ** 6]
@@ -319,10 +321,43 @@ class TestCli:
         ["run", "--curve", "0,0", "--xmax", "1000"],
         ["constant", "--model", "empirical", "--series-y", "10", "--euler-pmax", "10"],
         ["verify", "--xmax", "6000"],
+        ["constant", "--series-y", "100", "--euler-pmax", "100", "--precision", "0"],
+        ["constant", "--series-y", "100", "--euler-pmax", "100", "--precision", "5"],
+        ["constant", "--series-y", "100", "--euler-pmax", "100", "--precision", "19"],
+        ["constant", "--series-y", "0", "--euler-pmax", "100"],
+        ["constant", "--series-y", "10", "--euler-pmax", "1"],
+        ["constant", "--series-y", "10", "--euler-pmax", "10", "--overrides", "/no/such/file"],
+        ["run", "--preset", "generic1", "--xmax", "1000", "--precision", "19"],
+        ["run", "--preset", "generic1", "--xmax", "1000", "--overrides", "/no/such/file"],
     ])
     def test_other_rejected_values_are_usage_errors(self, argv, capsys):
         assert cli.main(argv) == cli.EXIT_USAGE
         assert capsys.readouterr().err.startswith("usage error: ")
+
+    @pytest.mark.parametrize("command, text", [
+        ("constant", "6 288\n"),  # composite level: no Euler product
+        ("constant", "2 3 4\n"),
+        ("constant", "2 1/0\n"),
+        ("constant", "two 3\n"),
+        ("run", "2 1/0\n"),
+        ("run", "2\n"),
+    ], ids=["constant-composite", "constant-three-fields", "constant-zero-denominator",
+            "constant-bad-level", "run-zero-denominator", "run-one-field"])
+    def test_bad_overrides_are_usage_errors(self, command, text, tmp_path, capsys):
+        path = tmp_path / "ov.txt"
+        path.write_text(text)
+        argv = (["constant", "--series-y", "10", "--euler-pmax", "10"] if command == "constant"
+                else ["run", "--preset", "generic1", "--xmax", "1000", "--outfile", str(tmp_path)])
+        assert cli.main(argv + ["--overrides", str(path)]) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("precision", ["20", "100"])
+    def test_constant_at_and_above_precision_floor(self, precision, capsys):
+        rc = cli.main(["constant", "--series-y", "100", "--euler-pmax", "100",
+                       "--precision", precision])
+        assert rc == cli.EXIT_OK
+        assert "consistent" in capsys.readouterr().out
 
     @pytest.mark.parametrize("argv", [
         ["run", "--preset", "generic1"],
