@@ -9,17 +9,19 @@ import argparse
 import os
 import sys
 
+import mpmath as mp
+
 from .constants import (DegreeModel, constant_euler, constant_series,
                         load_overrides)
-from .counting import AmbiguityExhausted, DEFAULT_TRACE_THRESHOLD, trace
-from .curve import GlobalCurve, ReducedCurve
+from .counting import AmbiguityExhausted, DEFAULT_TRACE_THRESHOLD
+from .curve import GlobalCurve, reduce_curve
 from .harness import (CacheMismatch, CorruptCache, ExperimentConfig,
-                      InsufficientCheckpoints, PRESETS, derive_rng,
+                      InsufficientCheckpoints, PRESETS, compute_records,
                       error_trend, pi_E_table, run_experiment,
                       write_checkpoints_csv, write_json, write_pi_e_csv,
                       write_records_csv)
 from .modarith import sieve_primes
-from .structure import (NotAnnihilated, StructureUnverified, group_structure,
+from .structure import (NotAnnihilated, StructureUnverified,
                         structure_bruteforce)
 
 EXIT_OK = 0
@@ -126,9 +128,9 @@ def cmd_constant(args) -> int:
         e = constant_euler(model, args.euler_pmax, args.precision)
     except ValueError as err:
         return _usage_error(str(err))
-    print(f"series (y = {s.truncation}):     {s.value}")
+    print(f"series (y = {s.truncation}):     {mp.nstr(s.value, args.precision)}")
     print(f"  tail <= {s.tail_bound:.3e}   [{s.tail_formula}]")
-    print(f"euler  (p_max = {e.truncation}): {e.value}")
+    print(f"euler  (p_max = {e.truncation}): {mp.nstr(e.value, args.precision)}")
     print(f"  tail <= {e.tail_bound:.3e}   [{e.tail_formula}]")
     gap = abs(s.value - e.value)
     budget = s.tail_bound + e.tail_bound
@@ -143,23 +145,19 @@ def cmd_verify(args) -> int:
     primes = sieve_primes(args.xmax)
     failures = 0
     for E in VERIFY_CURVES:
-        checked = 0
+        good = [p for p in primes if p not in E.bad_primes]
+        records, paths = compute_records(E, good, args.seed, args.trace_threshold)
         curve_failures = 0
-        for p in primes:
-            if p in E.bad_primes:
-                continue
-            C = ReducedCurve(p, E.a4 % p, E.a6 % p)
-            rng = derive_rng(args.seed, p)
-            got = group_structure(C, trace(C, rng, args.trace_threshold), rng)
-            want = structure_bruteforce(C)
+        for got in records:
+            want = structure_bruteforce(reduce_curve(E, got.p))
             if (got.a_p, got.d_p, got.e_p) != (want.a_p, want.d_p, want.e_p):
-                print(f"MISMATCH {E.label} p={p}: "
+                print(f"MISMATCH {E.label} p={got.p}: "
                       f"certified {got} vs enumerated {want}")
                 curve_failures += 1
-            checked += 1
         failures += curve_failures
         status = "ok" if curve_failures == 0 else "FAIL"
-        print(f"{E.label}: {checked} good primes <= {args.xmax} cross-checked [{status}]")
+        print(f"{E.label}: {len(records)} good primes <= {args.xmax} cross-checked "
+              f"({', '.join(f'{k} {n}' for k, n in paths.items())}) [{status}]")
     if failures:
         print(f"{failures} mismatches")
         return EXIT_INVARIANT

@@ -1,8 +1,10 @@
 """Prime-sweep experiment: per-prime exponent records, checkpoint tables
 comparing the running average against the model constant, and diagnostics.
 
-Work is split into contiguous prime ranges over a process pool; every
-prime draws its randomness from a stream derived from (seed, p), so the
+Work is split into blocks of consecutive good primes, one pool task per
+block.  A block counts points for all its primes at once (trace_block),
+then proves each prime's structure; every prime draws its randomness
+from a stream derived from (seed, p), and every record is proved, so the
 record set is identical for any worker count.  Accumulators stay exact
 (integers and rationals); floats appear only in reported columns.
 """
@@ -18,6 +20,7 @@ import zlib
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -25,7 +28,7 @@ import numpy as np
 from .constants import (DEFAULT_DPS, MIN_DPS, ConstantEstimate, DegreeModel,
                         constant_series, degree, estimate_degrees, li)
 from .curve import GlobalCurve, reduce_curve
-from .counting import DEFAULT_TRACE_THRESHOLD, trace
+from .counting import DEFAULT_TRACE_THRESHOLD, TraceResult, trace_block
 from .modarith import sieve_primes
 from .structure import group_structure
 
@@ -34,6 +37,11 @@ _CACHE_HEADER = struct.Struct("<8sqqQI")
 _CACHE_RECORD = struct.Struct("<QqIQ")
 
 DEFAULT_SERIES_Y = 1000
+# Good primes per lane block and pool task: numpy's per-call cost is
+# spread over a few hundred lanes, and the row arrays stay small.
+LANE_BLOCK = 512
+# How each prime's trace was found, by TraceResult.method.
+PATHS = {"naive": "naive", "lanes": "lanes", "bsgs": "fallback"}
 
 PRESETS = {
     "generic1": GlobalCurve(1, 1, label="generic1"),
@@ -133,6 +141,7 @@ class ExperimentResult:
     model: DegreeModel
     constant: ConstantEstimate
     constant_provenance: str
+    paths: dict  # primes computed in this run, by point-counting path
 
     @property
     def c_model(self) -> float:
@@ -145,32 +154,41 @@ def derive_rng(seed: int, p: int) -> random.Random:
     return random.Random(int.from_bytes(h, "little"))
 
 
-def compute_record(E: GlobalCurve, p: int, seed: int,
-                   trace_threshold: int) -> PrimeRecord:
-    C = reduce_curve(E, p)
-    rng = derive_rng(seed, p)
-    T = trace(C, rng, trace_threshold)
-    S = group_structure(C, T, rng)
+def compute_record(E: GlobalCurve, p: int, seed: int, T: TraceResult) -> PrimeRecord:
+    """The record of p from its trace result T: the structure step."""
+    S = group_structure(reduce_curve(E, p), T, derive_rng(seed, p))
     return PrimeRecord(p, S.a_p, S.d_p, S.e_p)
 
 
-def _chunk_worker(args):
-    E, ps, seed, threshold = args
-    return [compute_record(E, p, seed, threshold) for p in ps]
+def compute_block(E: GlobalCurve, ps: list, seed: int, threshold: int) -> tuple:
+    """Records of the good primes ps, and how many took each path of
+    PATHS.  Point counting runs for the whole block at once."""
+    traces = trace_block([reduce_curve(E, p) for p in ps],
+                         lambda p: derive_rng(seed, p), threshold)
+    paths = dict.fromkeys(PATHS.values(), 0)
+    for T in traces:
+        paths[PATHS[T.method]] += 1
+    return [compute_record(E, T.p, seed, T) for T in traces], paths
 
 
-def _compute_records(cfg: ExperimentConfig, good_primes: list) -> list:
-    if cfg.workers == 1 or len(good_primes) < 64:
-        return [compute_record(cfg.curve, p, cfg.seed, cfg.trace_threshold)
-                for p in good_primes]
-    chunk = max(32, len(good_primes) // (cfg.workers * 16))
-    chunks = [good_primes[i:i + chunk] for i in range(0, len(good_primes), chunk)]
-    args = [(cfg.curve, ps, cfg.seed, cfg.trace_threshold) for ps in chunks]
+def compute_records(E: GlobalCurve, primes: list, seed: int, threshold: int,
+                    workers: int = 1) -> tuple:
+    """compute_block over blocks of LANE_BLOCK primes, on a process pool
+    when workers > 1; records in the order of primes, paths summed."""
+    blocks = [primes[i:i + LANE_BLOCK] for i in range(0, len(primes), LANE_BLOCK)]
+    work = partial(compute_block, E, seed=seed, threshold=threshold)
+    if workers == 1 or len(blocks) < 2:
+        parts = list(map(work, blocks))
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(work, blocks))
     records = []
-    with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-        for part in pool.map(_chunk_worker, args):
-            records.extend(part)
-    return records
+    paths = dict.fromkeys(PATHS.values(), 0)
+    for recs, counts in parts:
+        records.extend(recs)
+        for path, n in counts.items():
+            paths[path] += n
+    return records, paths
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
@@ -191,7 +209,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         cached = cache_load(cfg.cache_path, cfg.curve)
     have = {rec.p for rec in cached}
     missing = [p for p in good if p not in have]
-    fresh = _compute_records(cfg, missing)
+    fresh, paths = compute_records(cfg.curve, missing, cfg.seed,
+                                   cfg.trace_threshold, cfg.workers)
     if cfg.cache_path and missing:
         cache_store(cfg.cache_path, cfg.curve, sorted(cached + fresh))
     records = sorted([rec for rec in cached if rec.p <= cfg.x_max] + fresh)
@@ -201,7 +220,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         model = estimate_degrees(records, cfg.x_max, max(cfg.k_max_diag, 8))
     estimate, provenance = model_constant(model, cfg.precision)
     rows = aggregate_checkpoints(records, cfg.checkpoints, float(estimate.value))
-    return ExperimentResult(cfg, records, rows, skipped, model, estimate, provenance)
+    return ExperimentResult(cfg, records, rows, skipped, model, estimate,
+                            provenance, paths)
 
 
 def model_constant(model: DegreeModel, dps: int = DEFAULT_DPS):
@@ -381,6 +401,7 @@ def result_to_json(result: ExperimentResult, pi_table) -> dict:
                      "tail_bound": result.constant.tail_bound,
                      "provenance": result.constant_provenance},
         "skipped_bad_primes": result.skipped,
+        "paths": result.paths,
         "checkpoints": [{
             "x": r.x, "pi_x": r.pi_x, "sum_e": r.sum_e,
             "sum_p_over_d": [r.sum_p_over_d.numerator, r.sum_p_over_d.denominator],

@@ -8,12 +8,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from avgexp import counting, curve
-from avgexp.counting import (TraceResult, _annihilators, _point_order,
-                             order_bsgs, quadratic_twist, trace, trace_naive)
+from avgexp.counting import (LANE_CAP, TraceResult, _annihilators,
+                             _point_order, order_bsgs, order_lanes,
+                             quadratic_twist, trace, trace_block, trace_naive)
 from avgexp.curve import (GlobalCurve, INFINITY, ReducedCurve, random_point,
                           reduce_curve, scalar_mul)
 from avgexp.harness import derive_rng
-from avgexp.modarith import sieve_primes
+from avgexp.modarith import legendre, sieve_primes
 
 
 def enumerate_order(C):
@@ -28,6 +29,31 @@ def enumerate_order(C):
 GENERIC = GlobalCurve(1, 1)
 CM = GlobalCurve(-1, 0)
 PRIMES_229_TO_20000 = [p for p in sieve_primes(20000) if p >= 229]
+
+
+def lane_annihilators(C):
+    """The annihilators in the Hasse window of the point a lane takes for
+    C, from the scalar search, and whether that point is on the twist.
+
+    The lane's point has x0 = the first x >= 1 with c = x^3 + a*x + b != 0.
+    (x0*c, c^2) lies on y^2 = X^3 + a*c^2*X + b*c^3, which is C when c is
+    a square and its quadratic twist otherwise, and whose x-only law is
+    C's scaled by c; so its annihilators are the lane point's.
+    """
+    p, a, b = C.p, C.a, C.b
+    x0 = next(x for x in range(1, 5) if (x ** 3 + a * x + b) % p)
+    c = (x0 ** 3 + a * x0 + b) % p
+    side = ReducedCurve(p, a * c * c % p, b * c ** 3 % p)
+    return _annihilators((x0 * c % p, c * c % p), side, *hasse_window(p)), legendre(c, p) == -1
+
+
+def lane_oracle(C):
+    """What order_lanes must return for C: the lane is accepted exactly
+    when the Hasse window holds one annihilator of its point."""
+    anns, on_twist = lane_annihilators(C)
+    if len(anns) > 1:
+        return None
+    return 2 * C.p + 2 - anns[0] if on_twist else anns[0]
 
 
 class TestTraceNaive:
@@ -187,6 +213,100 @@ class TestBsgsPaths:
         seed = data.draw(st.integers(0, 2 ** 32))
         C = ReducedCurve(p, a, b)
         assert order_bsgs(C, derive_rng(seed, p)).N == trace_naive(C).N
+
+
+class TestOrderLanes:
+    @pytest.mark.parametrize("E", [GENERIC, CM], ids=["generic1", "cm-i"])
+    def test_accepts_exactly_the_single_annihilator_windows(self, E):
+        curves = [reduce_curve(E, p) for p in PRIMES_229_TO_20000
+                  if p not in E.bad_primes]
+        got = []
+        for i in range(0, len(curves), 512):
+            got += order_lanes(curves[i:i + 512])
+        assert got == [lane_oracle(C) for C in curves]
+        for C, N in zip(curves, got):
+            if N is not None:
+                assert N == trace_naive(C).N, C.p
+
+    def test_fallback_share_generic1(self):
+        # the lanes refuse a prime only when its point's window holds
+        # several annihilators: 85 of the 4583 good primes in [4000, 5e4]
+        curves = [reduce_curve(GENERIC, p) for p in sieve_primes(50_000)
+                  if p >= 4000 and p not in GENERIC.bad_primes]
+        refused = sum(N is None for N in order_lanes(curves))
+        assert refused == 85 and len(curves) == 4583
+
+    def test_twist_point_accepted_through_restart(self):
+        # generic1 at 4027: x = 1 lies on the twist (c = 3 is a nonresidue),
+        # m = 12, s = 23, and 4117 = 179*23 annihilates it, so the giant row
+        # k = 179 is at infinity and the chain must restart there
+        C = reduce_curve(GENERIC, 4027)
+        assert lane_annihilators(C) == ([4117], True)
+        assert order_lanes([C]) == [3939] == [trace_naive(C).N]
+
+    def test_several_annihilators_fall_back(self):
+        # cm-i at 4057: x = 1 is a root, and x = 2 has annihilators 4002,
+        # 4089 and 4176 in the window
+        C = reduce_curve(CM, 4057)
+        assert lane_annihilators(C) == ([4002, 4089, 4176], False)
+        assert order_lanes([C]) == [None]
+        (T,) = trace_block([C], lambda p: derive_rng(1, p), threshold=229)
+        assert (T.method, T.N) == ("bsgs", trace_naive(C).N) == ("bsgs", 4176)
+
+    def test_unreduced_coefficients(self):
+        # generic1 at 4027, its coefficients given as 1 + 4027*k
+        k = 1 << 40
+        raw = [ReducedCurve(4027, 1 + 4027 * k, 1 - 4027 * k),
+               ReducedCurve(4027, 1 - 4027 * k, 1 + 4027 * 3)]
+        assert order_lanes(raw) == [3939, 3939]
+
+    def test_large_prime_refused(self):
+        big = ReducedCurve(1073741827, 1, 1)  # the least prime above 2^30
+        assert big.p > LANE_CAP
+        small = reduce_curve(GENERIC, 4027)
+        assert order_lanes([big, small, big]) == [None, 3939, None]
+
+    def test_block_with_every_lane_refused(self):
+        # y^2 = x^3 + x at 229: x = 1 has several annihilators in the
+        # window, so no candidate is left to check
+        C = ReducedCurve(229, 1, 0)
+        assert lane_oracle(C) is None
+        assert order_lanes([C, C]) == [None, None]
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(st.data())
+    def test_differential_against_naive(self, data):
+        # random curves in a random block: each lane's answer is the one
+        # it gets alone, the oracle's, and the true order
+        curves = []
+        for _ in range(data.draw(st.integers(1, 12))):
+            p = data.draw(st.sampled_from(PRIMES_229_TO_20000))
+            a = data.draw(st.integers(0, p - 1))
+            b = data.draw(st.integers(0, p - 1))
+            if (4 * a ** 3 + 27 * b ** 2) % p:
+                curves.append(ReducedCurve(p, a, b))
+        assume(curves)
+        curves = data.draw(st.permutations(curves))
+        got = order_lanes(curves)
+        for C, N in zip(curves, got):
+            assert order_lanes([C]) == [N]
+            assert N == lane_oracle(C)
+            if N is not None:
+                assert N == trace_naive(C).N
+
+
+class TestTraceBlock:
+    def test_methods_and_orders(self):
+        curves = [reduce_curve(E, p) for E, p in
+                  ((GENERIC, 1009), (CM, 4057), (GENERIC, 4027), (CM, 101))]
+        got = trace_block(curves, lambda p: derive_rng(1, p), threshold=1000)
+        assert [T.method for T in got] == ["lanes", "bsgs", "lanes", "naive"]
+        assert [T.N for T in got] == [trace_naive(C).N for C in curves]
+
+    def test_threshold_floor(self):
+        C = reduce_curve(GENERIC, 227)
+        (T,) = trace_block([C], lambda p: derive_rng(1, p), threshold=0)
+        assert T.method == "naive"
 
 
 class TestDispatcher:

@@ -8,7 +8,8 @@ import pytest
 
 from avgexp import cli, harness
 from avgexp.constants import DegreeModel
-from avgexp.curve import GlobalCurve, ReducedCurve
+from avgexp.counting import trace_naive
+from avgexp.curve import GlobalCurve, ReducedCurve, reduce_curve
 from avgexp.harness import (CacheMismatch, CheckpointRow, CorruptCache,
                             ExperimentConfig, InsufficientCheckpoints,
                             PRESETS, PrimeRecord, cache_load, cache_store,
@@ -91,7 +92,8 @@ class TestRunExperiment:
 
     def test_short_exponent_regression_6701(self):
         # the retired Monte Carlo step gave (4, 1708) here at seed 1
-        rec = compute_record(PRESETS["generic1"], 6701, 1, 10_000)
+        rec = compute_record(PRESETS["generic1"], 6701, 1,
+                             trace_naive(reduce_curve(PRESETS["generic1"], 6701)))
         assert (rec.a_p, rec.d_p, rec.e_p) == (-130, 2, 3416)
 
     @pytest.mark.parametrize("preset", ["cm-i", "generic1"])
@@ -241,9 +243,9 @@ class TestCache:
         computed = []
         real = harness.compute_record
 
-        def spy(E, p, seed, threshold):
+        def spy(E, p, seed, T):
             computed.append(p)
-            return real(E, p, seed, threshold)
+            return real(E, p, seed, T)
         monkeypatch.setattr(harness, "compute_record", spy)
         r3 = small_run(x_max=3000, checkpoints=[3000], cache_path=path)
         assert computed and all(2000 < p <= 3000 for p in computed)
@@ -256,6 +258,39 @@ class TestCache:
         assert computed == []
         assert r4.records == [rec for rec in fresh.records if rec.p <= 1000]
         assert cache_load(path, GENERIC) == fresh.records
+
+
+class TestPipeline:
+    @pytest.mark.parametrize("preset", ["generic1", "cm-i"])
+    def test_records_independent_of_block_layout(self, preset, monkeypatch):
+        E = PRESETS[preset]
+        good = [p for p in sieve_primes(6000) if p not in E.bad_primes]
+        whole, paths = harness.compute_records(E, good, 1, 229)
+        monkeypatch.setattr(harness, "LANE_BLOCK", 37)
+        assert harness.compute_records(E, good[::-1], 1, 229)[0] == whole[::-1]
+        assert harness.compute_records(E, good, 1, 229, workers=2) == (whole, paths)
+        for rec in whole:
+            if rec.p < 1500:
+                want = structure_bruteforce(reduce_curve(E, rec.p))
+                assert (rec.a_p, rec.d_p, rec.e_p) == (want.a_p, want.d_p, want.e_p)
+
+    def test_paths_count_the_computed_primes(self, tmp_path):
+        out, cache = tmp_path / "res.json", str(tmp_path / "c.bin")
+        argv = ["run", "--preset", "cm-i", "--xmax", "5000", "--out", "json",
+                "--outfile", str(out), "--cache", cache, "--trace-threshold", "1000"]
+        assert cli.main(argv) == 0
+        paths = json.loads(out.read_text())["paths"]
+        assert set(paths) == {"naive", "lanes", "fallback"}
+        assert paths["naive"] == sum(p < 1000 for p in sieve_primes(5000)) - 2
+        assert sum(paths.values()) == 667 and paths["lanes"] > 0 and paths["fallback"] > 0
+        assert cli.main(argv) == 0  # every record now comes from the cache
+        assert json.loads(out.read_text())["paths"] == dict.fromkeys(paths, 0)
+
+    def test_verify_checks_the_lanes(self, capsys):
+        assert cli.main(["verify", "--xmax", "1000", "--trace-threshold", "229"]) == 0
+        out = capsys.readouterr().out
+        assert "y^2 = x^3 - x: 166 good primes <= 1000 cross-checked (naive 47, lanes" in out
+        assert "match full enumeration" in out
 
 
 class TestCli:
@@ -289,6 +324,15 @@ class TestCli:
                        "--series-y", "100", "--euler-pmax", "100"])
         assert rc == 0
         assert "consistent" in capsys.readouterr().out
+
+    def test_constant_prints_the_requested_precision(self, capsys):
+        rc = cli.main(["constant", "--series-y", "100", "--euler-pmax", "100",
+                       "--precision", "60"])
+        assert rc == 0
+        values = [line.split()[-1] for line in capsys.readouterr().out.splitlines()
+                  if line.startswith(("series", "euler"))]
+        assert len(values) == 2
+        assert all(len(v.lstrip("0.")) >= 59 for v in values), values
 
     def test_cache_error_exit_code(self, tmp_path):
         path = str(tmp_path / "c.bin")
