@@ -9,8 +9,7 @@ from .constants import (ConstantEstimate, DegreeModel, MissingDegree,
                         NotMultiplicative, constant_euler, constant_series,
                         degree, estimate_degrees, euler_phi, gl2_order, li,
                         load_overrides, mobius_coeff, mobius_identity_check)
-from .counting import (AmbiguityExhausted, TraceResult, order_bsgs, trace,
-                       trace_naive)
+from .counting import AmbiguityExhausted, TraceResult, order_bsgs, trace_naive
 from .curve import (BadReduction, GlobalCurve, INFINITY, Point, ReducedCurve,
                     add, is_on_curve, neg, random_point, reduce_curve,
                     scalar_mul)

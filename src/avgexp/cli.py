@@ -68,13 +68,23 @@ def _build_model(args) -> DegreeModel:
     return DegreeModel("empirical", overrides)
 
 
+def _prepare_output(args) -> None:
+    """Refuse an unusable --outfile before the sweep; make the csv directory."""
+    try:
+        if args.out == "csv":
+            os.makedirs(args.outfile or ".", exist_ok=True)
+        elif not os.path.isdir(os.path.dirname(args.outfile or "") or "."):
+            raise NotADirectoryError(f"no directory to hold {args.outfile}")
+    except OSError as err:
+        raise ValueError(f"--outfile: {err}") from None
+
+
 def cmd_run(args) -> int:
     try:
         cfg = ExperimentConfig(
             curve=_parse_curve(args),
             x_max=args.xmax,
             checkpoints=[int(t) for t in args.checkpoints.split(",")] if args.checkpoints else None,
-            seed=args.seed,
             workers=args.workers,
             trace_threshold=args.trace_threshold,
             model=_build_model(args),
@@ -82,6 +92,7 @@ def cmd_run(args) -> int:
             cache_path=args.cache,
             precision=args.precision,
         )
+        _prepare_output(args)
     except ValueError as err:
         return _usage_error(str(err))
     result = run_experiment(cfg)
@@ -103,18 +114,20 @@ def cmd_run(args) -> int:
     except (InsufficientCheckpoints, ValueError):
         pass
 
-    if args.out == "json":
-        path = args.outfile or "avgexp.json"
-        write_json(path, result, table)
-        print(f"wrote {path}")
-    else:
-        outdir = args.outfile or "."
-        os.makedirs(outdir, exist_ok=True)
-        write_records_csv(os.path.join(outdir, "records.csv"), result.records)
-        write_checkpoints_csv(os.path.join(outdir, "checkpoints.csv"),
-                              result.checkpoints)
-        write_pi_e_csv(os.path.join(outdir, "pi_e.csv"), table)
-        print(f"wrote {outdir}/records.csv, checkpoints.csv, pi_e.csv")
+    try:
+        if args.out == "json":
+            path = args.outfile or "avgexp.json"
+            write_json(path, result, table)
+            print(f"wrote {path}")
+        else:
+            outdir = args.outfile or "."
+            write_records_csv(os.path.join(outdir, "records.csv"), result.records)
+            write_checkpoints_csv(os.path.join(outdir, "checkpoints.csv"),
+                                  result.checkpoints)
+            write_pi_e_csv(os.path.join(outdir, "pi_e.csv"), table)
+            print(f"wrote {outdir}/records.csv, checkpoints.csv, pi_e.csv")
+    except OSError as err:
+        return _usage_error(f"--outfile: {err}")
     return EXIT_OK
 
 
@@ -140,13 +153,13 @@ def cmd_constant(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.xmax > 5000:
-        return _usage_error("verify is exhaustive and capped at --xmax 5000")
+    if not 2 <= args.xmax <= 5000:
+        return _usage_error("verify is exhaustive and needs 2 <= --xmax <= 5000")
     primes = sieve_primes(args.xmax)
     failures = 0
     for E in VERIFY_CURVES:
         good = [p for p in primes if p not in E.bad_primes]
-        records, paths = compute_records(E, good, args.seed, args.trace_threshold)
+        records, paths = compute_records(E, good, args.trace_threshold)
         curve_failures = 0
         for got in records:
             want = structure_bruteforce(reduce_curve(E, got.p))
@@ -177,7 +190,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--preset", help=f"named curve: {', '.join(sorted(PRESETS))}")
     run.add_argument("--xmax", type=int, required=True)
     run.add_argument("--checkpoints", help="comma-separated cut points")
-    run.add_argument("--seed", type=int, default=1)
     run.add_argument("--workers", type=int, default=1)
     run.add_argument("--trace-threshold", type=int,
                      default=DEFAULT_TRACE_THRESHOLD)
@@ -201,7 +213,6 @@ def build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="cross-check the certified structures "
                                            "against full enumeration at small p")
     verify.add_argument("--xmax", type=int, default=2000)
-    verify.add_argument("--seed", type=int, default=1)
     verify.add_argument("--trace-threshold", type=int,
                         default=DEFAULT_TRACE_THRESHOLD)
     verify.set_defaults(func=cmd_verify)

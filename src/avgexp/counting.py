@@ -2,17 +2,19 @@
 
 trace_naive sums the quadratic character of the cubic over all of F_p;
 order_bsgs pins the order inside the Hasse interval with baby-step
-giant-step element annihilators: a single annihilator in the interval is
-the order, and several fall back to point orders and quadratic-twist
-samples.  order_lanes runs the same baby-step giant-step search on x
-coordinates alone for a whole block of primes at once, one prime per
-int64 numpy lane, and proves the order wherever the window holds exactly
-one annihilator; trace_block sends the lanes it refuses to order_bsgs.
+giant-step annihilators of points drawn from random.Random(p): a single
+annihilator in the interval is the order, and several fall back to point
+orders and twist points.  order_lanes runs the same baby-step giant-step
+search on x coordinates alone for a whole block of primes at once, one
+prime per int64 numpy lane, and proves the order wherever the window
+holds exactly one annihilator; trace_block sends the lanes it refuses to
+order_bsgs.
 Every result is checked against the Hasse bound |a_p| < 2*sqrt(p)
 before it leaves this module.
 """
 
 import math
+import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -165,14 +167,15 @@ def _crt_candidates(L_E, L_T, p, lo, hi, cap=3):
     return out
 
 
-def order_bsgs(C: ReducedCurve, rng) -> TraceResult:
-    """Exact group order from random-point annihilators, O(p^{1/4}) per point.
+def order_bsgs(C: ReducedCurve) -> TraceResult:
+    """Exact group order from point annihilators, O(p^{1/4}) per point.
 
     The group order of a point's curve annihilates the point and lies in
     the Hasse window, so a window holding one annihilator proves it.
     Otherwise points from the curve and its quadratic twist alternate;
     their order lcms shrink the candidate set until exactly one order
-    survives in the window.
+    survives in the window.  Points come from the stream random.Random(p),
+    so the result and its cost depend on p alone.
     """
     p = C.p
     if p < _MIN_BSGS_P:
@@ -180,6 +183,7 @@ def order_bsgs(C: ReducedCurve, rng) -> TraceResult:
     B = math.isqrt(4 * p)
     lo, hi = p + 1 - B, p + 1 + B
     twist = None
+    rng = random.Random(p)
     L_E = L_T = 1
     for attempt in range(_MAX_SAMPLES):
         on_twist = attempt % 2 == 1
@@ -399,23 +403,11 @@ def order_lanes(curves) -> list:
     return out
 
 
-def trace(C: ReducedCurve, rng,
-          threshold: int = DEFAULT_TRACE_THRESHOLD) -> TraceResult:
-    """Dispatch: full character sum below threshold, BSGS above.
-
-    BSGS needs p >= 229 for sane interval spacing, so tiny primes always
-    take the naive route.
-    """
-    if C.p < max(threshold, _MIN_BSGS_P):
-        return trace_naive(C)
-    return order_bsgs(C, rng)
-
-
-def trace_block(curves, rng_for, threshold: int = DEFAULT_TRACE_THRESHOLD) -> list:
-    """TraceResult for each curve: the character sum below the threshold,
-    the lanes of order_lanes at and above it, and order_bsgs with the
-    stream rng_for(p) for every lane that order_lanes refuses.  The
-    methods read "naive", "lanes" and "bsgs"."""
+def trace_block(curves, threshold: int = DEFAULT_TRACE_THRESHOLD) -> list:
+    """TraceResult for each curve: the character sum below the threshold
+    (and below p = 229), the lanes of order_lanes at and above it, and
+    order_bsgs for every lane they refuse.  The methods read "naive",
+    "lanes" and "bsgs"."""
     cut = max(threshold, _MIN_BSGS_P)
     lanes = iter(order_lanes([C for C in curves if C.p >= cut]))
     out = []
@@ -425,7 +417,7 @@ def trace_block(curves, rng_for, threshold: int = DEFAULT_TRACE_THRESHOLD) -> li
             continue
         N = next(lanes)
         if N is None:
-            out.append(order_bsgs(C, rng_for(C.p)))
+            out.append(order_bsgs(C))
         else:
             out.append(TraceResult(C.p, C.p + 1 - N, N, "lanes"))
     return out

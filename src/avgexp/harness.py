@@ -3,24 +3,23 @@ comparing the running average against the model constant, and diagnostics.
 
 Work is split into blocks of consecutive good primes, one pool task per
 block.  A block counts points for all its primes at once (trace_block),
-then proves each prime's structure; every prime draws its randomness
-from a stream derived from (seed, p), and every record is proved, so the
-record set is identical for any worker count.  Accumulators stay exact
-(integers and rationals); floats appear only in reported columns.
+then proves each prime's structure.  Every record is proved, and the
+points behind it depend on p alone, so records are identical for any
+worker count and block layout.  Accumulators stay exact (integers and
+rationals); floats appear only in reported columns.
 """
 
 import csv
-import hashlib
 import json
 import math
 import os
-import random
 import struct
 import zlib
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
+from itertools import count
 from typing import NamedTuple
 
 import numpy as np
@@ -29,7 +28,7 @@ from .constants import (DEFAULT_DPS, MIN_DPS, ConstantEstimate, DegreeModel,
                         constant_series, degree, estimate_degrees, li)
 from .curve import GlobalCurve, reduce_curve
 from .counting import DEFAULT_TRACE_THRESHOLD, TraceResult, trace_block
-from .modarith import sieve_primes
+from .modarith import is_prime, sieve_primes
 from .structure import group_structure
 
 CACHE_MAGIC = b"AVGEXP1\0"
@@ -86,7 +85,6 @@ class ExperimentConfig:
     curve: GlobalCurve
     x_max: int
     checkpoints: list = None
-    seed: int = 1
     workers: int = 1
     trace_threshold: int = DEFAULT_TRACE_THRESHOLD
     model: DegreeModel = None
@@ -105,6 +103,10 @@ class ExperimentConfig:
             raise ValueError("checkpoints must be ascending")
         if self.checkpoints[-1] > self.x_max:
             raise ValueError("checkpoints must not exceed x_max")
+        least = next(q for q in count(5)
+                     if q not in self.curve.bad_primes and is_prime(q))
+        if self.checkpoints[0] < least:
+            raise ValueError(f"checkpoints must be >= {least}, the least good prime")
         if self.model is None:
             self.model = DegreeModel("gl2_generic")
         if self.workers < 1:
@@ -148,35 +150,28 @@ class ExperimentResult:
         return float(self.constant.value)
 
 
-def derive_rng(seed: int, p: int) -> random.Random:
-    """Per-prime stream, stable across platforms and worker layouts."""
-    h = hashlib.blake2b(f"{seed}:{p}".encode(), digest_size=8).digest()
-    return random.Random(int.from_bytes(h, "little"))
+def compute_record(E: GlobalCurve, T: TraceResult) -> PrimeRecord:
+    """The record of T.p from its trace result T: the structure step."""
+    S = group_structure(reduce_curve(E, T.p), T)
+    return PrimeRecord(T.p, S.a_p, S.d_p, S.e_p)
 
 
-def compute_record(E: GlobalCurve, p: int, seed: int, T: TraceResult) -> PrimeRecord:
-    """The record of p from its trace result T: the structure step."""
-    S = group_structure(reduce_curve(E, p), T, derive_rng(seed, p))
-    return PrimeRecord(p, S.a_p, S.d_p, S.e_p)
-
-
-def compute_block(E: GlobalCurve, ps: list, seed: int, threshold: int) -> tuple:
+def compute_block(E: GlobalCurve, ps: list, threshold: int) -> tuple:
     """Records of the good primes ps, and how many took each path of
     PATHS.  Point counting runs for the whole block at once."""
-    traces = trace_block([reduce_curve(E, p) for p in ps],
-                         lambda p: derive_rng(seed, p), threshold)
+    traces = trace_block([reduce_curve(E, p) for p in ps], threshold)
     paths = dict.fromkeys(PATHS.values(), 0)
     for T in traces:
         paths[PATHS[T.method]] += 1
-    return [compute_record(E, T.p, seed, T) for T in traces], paths
+    return [compute_record(E, T) for T in traces], paths
 
 
-def compute_records(E: GlobalCurve, primes: list, seed: int, threshold: int,
+def compute_records(E: GlobalCurve, primes: list, threshold: int,
                     workers: int = 1) -> tuple:
     """compute_block over blocks of LANE_BLOCK primes, on a process pool
     when workers > 1; records in the order of primes, paths summed."""
     blocks = [primes[i:i + LANE_BLOCK] for i in range(0, len(primes), LANE_BLOCK)]
-    work = partial(compute_block, E, seed=seed, threshold=threshold)
+    work = partial(compute_block, E, threshold=threshold)
     if workers == 1 or len(blocks) < 2:
         parts = list(map(work, blocks))
     else:
@@ -209,8 +204,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         cached = cache_load(cfg.cache_path, cfg.curve)
     have = {rec.p for rec in cached}
     missing = [p for p in good if p not in have]
-    fresh, paths = compute_records(cfg.curve, missing, cfg.seed,
-                                   cfg.trace_threshold, cfg.workers)
+    fresh, paths = compute_records(cfg.curve, missing, cfg.trace_threshold,
+                                   cfg.workers)
     if cfg.cache_path and missing:
         cache_store(cfg.cache_path, cfg.curve, sorted(cached + fresh))
     records = sorted([rec for rec in cached if rec.p <= cfg.x_max] + fresh)
@@ -396,7 +391,6 @@ def result_to_json(result: ExperimentResult, pi_table) -> dict:
                   "label": cfg.curve.label,
                   "bad_primes": sorted(cfg.curve.bad_primes)},
         "x_max": cfg.x_max,
-        "seed": cfg.seed,
         "constant": {"value": float(result.constant.value),
                      "tail_bound": result.constant.tail_bound,
                      "provenance": result.constant_provenance},

@@ -9,12 +9,14 @@ subgroup, which is tiny, is resolved directly (after Sutherland,
 "Structure computation and discrete logarithms in finite abelian
 p-groups", Math. Comp. 2011): a point Q1 of order l^b1 and a point R
 whose multiple l^j*R first lies in <Q1> at j = k - b1 generate the whole
-subgroup, which proves that its exponent is l^b1.  Randomness only
-affects the cost, never the answer (Las Vegas).  A full-enumeration
-oracle (structure_bruteforce) provides an independent answer at small p.
+subgroup, which proves that its exponent is l^b1.  Points come from
+random.Random(p) and affect only the cost, never the answer (Las Vegas).
+A full-enumeration oracle (structure_bruteforce) provides an independent
+answer at small p.
 """
 
 import math
+import random
 from collections import defaultdict
 from dataclasses import dataclass
 
@@ -138,7 +140,7 @@ def _index_outside(R_chain: list, Q_chain: list, l: int, C: ReducedCurve) -> int
     return 0
 
 
-def _sylow_exponent(C: ReducedCurve, N: int, l: int, k: int, a_min: int, rng) -> int:
+def _sylow_exponent(C: ReducedCurve, N: int, l: int, k: int, a_min: int) -> int:
     """b with exp(S) = l^b for the l-Sylow subgroup S of order l^k,
     given that S is Z/l^a x Z/l^(k-a) with a >= a_min.
 
@@ -148,6 +150,7 @@ def _sylow_exponent(C: ReducedCurve, N: int, l: int, k: int, a_min: int, rng) ->
     #<Q1, R> = l^k, so Q1 and R generate S and exp(S) = l^b1.
     """
     cofactor = N // l ** k
+    rng = random.Random(C.p)
     top = None
     for _ in range(_MAX_DRAWS):
         chain = _l_chain(scalar_mul(cofactor, random_point(C, rng), C), l, k, C)
@@ -162,7 +165,7 @@ def _sylow_exponent(C: ReducedCurve, N: int, l: int, k: int, a_min: int, rng) ->
         f"{l}-Sylow subgroup unresolved after {_MAX_DRAWS} draws at p = {C.p}")
 
 
-def exponent_sampling(C: ReducedCurve, N: int, factorization, rng) -> int:
+def exponent_sampling(C: ReducedCurve, N: int, factorization) -> int:
     """The exponent e of E(F_p), given the group order N and its
     factorization, proved one prime l | N at a time.
 
@@ -187,15 +190,15 @@ def exponent_sampling(C: ReducedCurve, N: int, factorization, rng) -> int:
         if a_min == a_max:
             e *= l ** (k - a_max)
         else:
-            e *= l ** _sylow_exponent(C, N, l, k, a_min, rng)
+            e *= l ** _sylow_exponent(C, N, l, k, a_min)
     return e
 
 
-def group_structure(C: ReducedCurve, T, rng) -> GroupStructure:
+def group_structure(C: ReducedCurve, T) -> GroupStructure:
     """(d, e) for the trace result T; construction re-proves every
     invariant, so a violation means a bug upstream and is raised."""
     N = T.N
-    e = exponent_sampling(C, N, factorize(N), rng)
+    e = exponent_sampling(C, N, factorize(N))
     return GroupStructure(C.p, T.a_p, N, N // e, e)
 
 

@@ -16,11 +16,10 @@ import pytest
 from avgexp.constants import (DegreeModel, constant_euler, constant_series,
                               estimate_degrees, degree, li,
                               mobius_coeff, mobius_identity_check, euler_phi)
-from avgexp.counting import order_bsgs, trace, trace_naive
+from avgexp.counting import order_bsgs, trace_naive
 from avgexp.curve import GlobalCurve, reduce_curve
-from avgexp.harness import (CheckpointRow, ExperimentConfig, derive_rng,
-                            error_trend, pi_E_table, run_experiment,
-                            write_records_csv)
+from avgexp.harness import (CheckpointRow, ExperimentConfig, error_trend,
+                            pi_E_table, run_experiment, write_records_csv)
 from avgexp.modarith import sieve_primes
 from avgexp.structure import group_structure, structure_bruteforce
 
@@ -43,7 +42,7 @@ def big_run():
     cfg = ExperimentConfig(
         curve=GENERIC, x_max=10 ** 6,
         checkpoints=[10 ** 3, 10 ** 4, 10 ** 5, 10 ** 6],
-        seed=1, workers=min(8, os.cpu_count() or 1),
+        workers=min(8, os.cpu_count() or 1),
         model=DegreeModel("gl2_generic"),
         cache_path=os.environ.get("AVGEXP_TEST_CACHE") or None,
     )
@@ -57,8 +56,7 @@ def test_criterion_1_oracle_equivalence():
             if p in E.bad_primes:
                 continue
             C = reduce_curve(E, p)
-            rng = derive_rng(1, p)
-            got = group_structure(C, trace(C, rng, 10_000), rng)
+            got = group_structure(C, trace_naive(C))
             want = structure_bruteforce(C)
             if (got.a_p, got.d_p, got.e_p) != (want.a_p, want.d_p, want.e_p):
                 mismatches.append((E.label, p, got, want))
@@ -74,7 +72,7 @@ def test_criterion_2_cross_algorithm_traces():
                 continue
             C = reduce_curve(E, p)
             naive = trace_naive(C)
-            bsgs = order_bsgs(C, derive_rng(2, p))
+            bsgs = order_bsgs(C)
             if (naive.a_p, naive.N) != (bsgs.a_p, bsgs.N):
                 bad.append((E.label, p))
     report(2, "trace_naive == order_bsgs on all good p in [229, 1e4], 3 curves",
@@ -156,12 +154,12 @@ def test_criterion_9_worker_determinism(tmp_path):
     outs = []
     for workers in (1, 8):
         cfg = ExperimentConfig(curve=GENERIC, x_max=10 ** 4,
-                               checkpoints=[10 ** 4], seed=123, workers=workers)
+                               checkpoints=[10 ** 4], workers=workers)
         result = run_experiment(cfg)
         path = tmp_path / f"records_w{workers}.csv"
         write_records_csv(path, result.records)
         outs.append(path.read_bytes())
-    report(9, "workers 1 vs 8, same seed: byte-identical records.csv",
+    report(9, "workers 1 vs 8: byte-identical records.csv",
            outs[0] == outs[1])
 
 

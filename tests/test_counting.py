@@ -2,6 +2,7 @@
 
 import math
 import random
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import assume, given, settings
@@ -10,11 +11,19 @@ from hypothesis import strategies as st
 from avgexp import counting, curve
 from avgexp.counting import (LANE_CAP, TraceResult, _annihilators,
                              _point_order, order_bsgs, order_lanes,
-                             quadratic_twist, trace, trace_block, trace_naive)
+                             quadratic_twist, trace_block, trace_naive)
 from avgexp.curve import (GlobalCurve, INFINITY, ReducedCurve, random_point,
                           reduce_curve, scalar_mul)
-from avgexp.harness import derive_rng
 from avgexp.modarith import legendre, sieve_primes
+
+
+@contextmanager
+def points_from(seed):
+    """order_bsgs draws from random.Random(seed) instead of Random(p)."""
+    rng = random.Random(seed)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(counting, "random_point", lambda C, _: curve.random_point(C, rng))
+        yield
 
 
 def enumerate_order(C):
@@ -94,12 +103,12 @@ class TestTraceNaive:
 class TestOrderBsgs:
     def test_agrees_with_naive_1009(self):
         C = reduce_curve(GENERIC, 1009)
-        assert order_bsgs(C, derive_rng(1, 1009)).N == trace_naive(C).N
+        assert order_bsgs(C).N == trace_naive(C).N
 
     def test_agrees_with_naive_10007(self):
         E = GlobalCurve(2, 3)
         C = reduce_curve(E, 10007)
-        assert order_bsgs(C, derive_rng(1, 10007)).N == trace_naive(C).N
+        assert order_bsgs(C).N == trace_naive(C).N
 
     def test_overlap_band(self):
         # both algorithms on every good prime in [229, 1500], three curves
@@ -108,18 +117,18 @@ class TestOrderBsgs:
                 if p < 229 or p in E.bad_primes:
                     continue
                 C = reduce_curve(E, p)
-                assert order_bsgs(C, derive_rng(3, p)).N == trace_naive(C).N
+                assert order_bsgs(C).N == trace_naive(C).N
 
     def test_lagrange_on_random_points(self):
         C = reduce_curve(GENERIC, 100003)
-        N = order_bsgs(C, derive_rng(5, 100003)).N
+        N = order_bsgs(C).N
         rng = random.Random(6)
         for _ in range(20):
             assert scalar_mul(N, random_point(C, rng), C) is INFINITY
 
     def test_rejects_tiny_p(self):
         with pytest.raises(ValueError):
-            order_bsgs(reduce_curve(GENERIC, 227), random.Random(0))
+            order_bsgs(reduce_curve(GENERIC, 227))
 
     def test_twist_orders_sum(self):
         for p in (1009, 10007):
@@ -174,7 +183,8 @@ class TestBsgsPaths:
         lo, hi = hasse_window(15377)
         assert len(_annihilators(random_point(C, random.Random(1)), C, lo, hi)) >= 2
         for seed in range(3):
-            assert order_bsgs(C, derive_rng(seed, 15377)).N == 124 * 124
+            with points_from(seed):
+                assert order_bsgs(C).N == 124 * 124
 
     def test_twist_point_needed(self, monkeypatch):
         sides = []
@@ -184,8 +194,8 @@ class TestBsgsPaths:
             sides.append(side)
             return real(side, rng)
         monkeypatch.setattr(counting, "random_point", spy)
-        C = reduce_curve(GENERIC, 10151)
-        assert order_bsgs(C, derive_rng(1, 10151)).N == trace_naive(C).N
+        C = reduce_curve(GENERIC, 10181)
+        assert order_bsgs(C).N == trace_naive(C).N
         assert sides == [C, quadratic_twist(C)]
 
     def test_add_count_at_100003(self, monkeypatch):
@@ -200,7 +210,7 @@ class TestBsgsPaths:
         monkeypatch.setattr(curve, "add", counted)
         monkeypatch.setattr(counting, "add", counted)
         C = reduce_curve(GENERIC, 100003)
-        assert order_bsgs(C, derive_rng(1, 100003)).N == trace_naive(C).N
+        assert order_bsgs(C).N == trace_naive(C).N
         assert calls[0] <= 75
 
     @settings(max_examples=80, deadline=None, database=None)
@@ -212,7 +222,8 @@ class TestBsgsPaths:
         assume((4 * a ** 3 + 27 * b ** 2) % p)
         seed = data.draw(st.integers(0, 2 ** 32))
         C = ReducedCurve(p, a, b)
-        assert order_bsgs(C, derive_rng(seed, p)).N == trace_naive(C).N
+        with points_from(seed):
+            assert order_bsgs(C).N == trace_naive(C).N
 
 
 class TestOrderLanes:
@@ -250,7 +261,7 @@ class TestOrderLanes:
         C = reduce_curve(CM, 4057)
         assert lane_annihilators(C) == ([4002, 4089, 4176], False)
         assert order_lanes([C]) == [None]
-        (T,) = trace_block([C], lambda p: derive_rng(1, p), threshold=229)
+        (T,) = trace_block([C], threshold=229)
         assert (T.method, T.N) == ("bsgs", trace_naive(C).N) == ("bsgs", 4176)
 
     def test_unreduced_coefficients(self):
@@ -299,37 +310,22 @@ class TestTraceBlock:
     def test_methods_and_orders(self):
         curves = [reduce_curve(E, p) for E, p in
                   ((GENERIC, 1009), (CM, 4057), (GENERIC, 4027), (CM, 101))]
-        got = trace_block(curves, lambda p: derive_rng(1, p), threshold=1000)
+        got = trace_block(curves, threshold=1000)
         assert [T.method for T in got] == ["lanes", "bsgs", "lanes", "naive"]
         assert [T.N for T in got] == [trace_naive(C).N for C in curves]
 
     def test_threshold_floor(self):
         C = reduce_curve(GENERIC, 227)
-        (T,) = trace_block([C], lambda p: derive_rng(1, p), threshold=0)
+        (T,) = trace_block([C], threshold=0)
         assert T.method == "naive"
 
-
-class TestDispatcher:
-    def test_routes_naive_below_threshold(self):
-        C = reduce_curve(GENERIC, 101)
-        assert trace(C, derive_rng(1, 101), threshold=10_000).method == "naive"
-
-    def test_routes_bsgs_above_threshold(self):
-        C = reduce_curve(GENERIC, 100003)
-        assert trace(C, derive_rng(1, 100003), threshold=10_000).method == "bsgs"
-
-    def test_tiny_primes_forced_naive(self):
-        C = reduce_curve(GENERIC, 101)
-        assert trace(C, derive_rng(1, 101), threshold=0).method == "naive"
-
     def test_methods_agree_in_overlap(self):
-        for p in sieve_primes(3000):
-            if p < 1000 or p in GENERIC.bad_primes:
-                continue
-            C = reduce_curve(GENERIC, p)
-            lo = trace(C, derive_rng(2, p), threshold=10 ** 9)
-            hi = trace(C, derive_rng(2, p), threshold=229)
-            assert (lo.method, hi.method) == ("naive", "bsgs")
+        curves = [reduce_curve(GENERIC, p) for p in sieve_primes(3000)
+                  if p >= 1000 and p not in GENERIC.bad_primes]
+        lows = trace_block(curves, threshold=10 ** 9)
+        highs = trace_block(curves, threshold=229)
+        for lo, hi in zip(lows, highs, strict=True):
+            assert lo.method == "naive" and hi.method in ("lanes", "bsgs")
             assert lo.N == hi.N and lo.a_p == hi.a_p
 
 

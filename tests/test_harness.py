@@ -54,8 +54,8 @@ class TestRunExperiment:
         assert abs(spd - se) <= slack <= coarse
 
     def test_worker_determinism(self, tmp_path):
-        r1 = small_run(seed=5, workers=1)
-        r2 = small_run(seed=5, workers=2)
+        r1 = small_run(workers=1)
+        r2 = small_run(workers=2)
         assert r1.records == r2.records
         f1, f2 = tmp_path / "a.csv", tmp_path / "b.csv"
         write_records_csv(f1, r1.records)
@@ -92,20 +92,9 @@ class TestRunExperiment:
 
     def test_short_exponent_regression_6701(self):
         # the retired Monte Carlo step gave (4, 1708) here at seed 1
-        rec = compute_record(PRESETS["generic1"], 6701, 1,
+        rec = compute_record(PRESETS["generic1"],
                              trace_naive(reduce_curve(PRESETS["generic1"], 6701)))
         assert (rec.a_p, rec.d_p, rec.e_p) == (-130, 2, 3416)
-
-    @pytest.mark.parametrize("preset", ["cm-i", "generic1"])
-    def test_records_independent_of_seed(self, tmp_path, preset):
-        # certified records do not depend on the random stream
-        blobs = []
-        for seed in ("1", "2"):
-            out = tmp_path / seed
-            assert cli.main(["run", "--preset", preset, "--xmax", "20000",
-                             "--seed", seed, "--outfile", str(out)]) == 0
-            blobs.append((out / "records.csv").read_bytes())
-        assert blobs[0] == blobs[1]
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -118,6 +107,9 @@ class TestRunExperiment:
             ExperimentConfig(curve=GENERIC, x_max=1000, workers=0)
         with pytest.raises(ValueError):
             ExperimentConfig(curve=GENERIC, x_max=1000, precision=19)
+        with pytest.raises(ValueError, match="least good prime"):
+            ExperimentConfig(curve=GENERIC, x_max=1000, checkpoints=[3, 1000])
+        ExperimentConfig(curve=GENERIC, x_max=1000, checkpoints=[5, 1000])
 
     def test_default_checkpoints(self):
         assert default_checkpoints(10 ** 6) == [10 ** 3, 10 ** 4, 10 ** 5, 10 ** 6]
@@ -243,9 +235,9 @@ class TestCache:
         computed = []
         real = harness.compute_record
 
-        def spy(E, p, seed, T):
-            computed.append(p)
-            return real(E, p, seed, T)
+        def spy(E, T):
+            computed.append(T.p)
+            return real(E, T)
         monkeypatch.setattr(harness, "compute_record", spy)
         r3 = small_run(x_max=3000, checkpoints=[3000], cache_path=path)
         assert computed and all(2000 < p <= 3000 for p in computed)
@@ -265,10 +257,10 @@ class TestPipeline:
     def test_records_independent_of_block_layout(self, preset, monkeypatch):
         E = PRESETS[preset]
         good = [p for p in sieve_primes(6000) if p not in E.bad_primes]
-        whole, paths = harness.compute_records(E, good, 1, 229)
+        whole, paths = harness.compute_records(E, good, 229)
         monkeypatch.setattr(harness, "LANE_BLOCK", 37)
-        assert harness.compute_records(E, good[::-1], 1, 229)[0] == whole[::-1]
-        assert harness.compute_records(E, good, 1, 229, workers=2) == (whole, paths)
+        assert harness.compute_records(E, good[::-1], 229)[0] == whole[::-1]
+        assert harness.compute_records(E, good, 229, workers=2) == (whole, paths)
         for rec in whole:
             if rec.p < 1500:
                 want = structure_bruteforce(reduce_curve(E, rec.p))
@@ -373,6 +365,9 @@ class TestCli:
         ["constant", "--series-y", "10", "--euler-pmax", "10", "--overrides", "/no/such/file"],
         ["run", "--preset", "generic1", "--xmax", "1000", "--precision", "19"],
         ["run", "--preset", "generic1", "--xmax", "1000", "--overrides", "/no/such/file"],
+        ["verify", "--xmax", "1"],
+        ["verify", "--xmax", "-3"],
+        ["run", "--preset", "generic1", "--xmax", "1000", "--checkpoints", "3,1000"],
     ])
     def test_other_rejected_values_are_usage_errors(self, argv, capsys):
         assert cli.main(argv) == cli.EXIT_USAGE
@@ -407,10 +402,23 @@ class TestCli:
         ["run", "--preset", "generic1"],
         ["run", "--preset", "generic1", "--xmax", "ten"],
         ["bogus"],
+        ["run", "--preset", "generic1", "--xmax", "1000", "--seed", "1"],
     ])
     def test_argparse_errors_are_usage_errors(self, argv, capsys):
         assert cli.main(argv) == cli.EXIT_USAGE
         assert "error:" in capsys.readouterr().err
+
+    def test_unwritable_outfile_is_a_usage_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "run_experiment", None)  # refused before the sweep
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        for out, outfile in (("json", tmp_path / "missing" / "x.json"),
+                             ("csv", blocker / "sub")):
+            rc = cli.main(["run", "--preset", "generic1", "--xmax", "1000",
+                           "--out", out, "--outfile", str(outfile)])
+            assert rc == cli.EXIT_USAGE
+            err = capsys.readouterr().err
+            assert err.startswith("usage error: --outfile") and err.count("\n") == 1
 
     def test_help_exits_zero(self, capsys):
         assert cli.main(["run", "--help"]) == cli.EXIT_OK

@@ -2,15 +2,15 @@
 
 import math
 import random
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from avgexp import structure
-from avgexp.counting import trace, trace_naive
+from avgexp import curve, structure
+from avgexp.counting import trace_naive
 from avgexp.curve import GlobalCurve, ReducedCurve, random_point, reduce_curve
-from avgexp.harness import derive_rng
 from avgexp.modarith import factorize, sieve_primes
 from avgexp.structure import (GroupStructure, NotAnnihilated,
                               StructureUnverified, exponent_sampling,
@@ -21,6 +21,15 @@ GENERIC = GlobalCurve(1, 1)
 CM = GlobalCurve(-1, 0)
 THIRD = GlobalCurve(0, 6)
 PRIMES_TO_5000 = [p for p in sieve_primes(5000) if p >= 5]
+
+
+@contextmanager
+def points_from(seed):
+    """The structure step draws from random.Random(seed) instead of Random(p)."""
+    rng = random.Random(seed)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(structure, "random_point", lambda C, _: curve.random_point(C, rng))
+        yield
 
 
 class TestTwoTorsionSplit:
@@ -62,16 +71,16 @@ class TestExponentSampling:
         C = reduce_curve(GENERIC, 7)
         N = trace_naive(C).N
         assert N == 5 and math.gcd(N, 6) == 1
-        assert exponent_sampling(C, N, factorize(N), derive_rng(1, 7)) == 5
+        assert exponent_sampling(C, N, factorize(N)) == 5
 
     def test_f5_generic(self):
         C = reduce_curve(GENERIC, 5)
-        assert exponent_sampling(C, 9, factorize(9), derive_rng(1, 5)) == 9
+        assert exponent_sampling(C, 9, factorize(9)) == 9
 
     def test_f5_cm_full_two_torsion(self):
         # x^3 - x splits over F_5, so d = 2 and e = 4
         C = reduce_curve(CM, 5)
-        assert exponent_sampling(C, 8, factorize(8), derive_rng(1, 5)) == 4
+        assert exponent_sampling(C, 8, factorize(8)) == 4
 
     def test_divides_true_exponent_many_trials(self):
         # the certified step returns the exact exponent for every stream
@@ -89,7 +98,8 @@ class TestExponentSampling:
             C = ReducedCurve(p, a4 % p, a6 % p)
             F = factorize(want.N)
             for s in seeds:
-                e = exponent_sampling(C, want.N, F, derive_rng(s, p))
+                with points_from(s):
+                    e = exponent_sampling(C, want.N, F)
                 assert want.e_p % e == 0
                 assert e == want.e_p
                 trials += 1
@@ -101,8 +111,8 @@ class TestExponentSampling:
         C = ReducedCurve(617, 169, 170)
         assert trace_naive(C).N == 640
         for s in range(20):
-            with pytest.raises(NotAnnihilated):
-                exponent_sampling(C, 637, factorize(637), derive_rng(s, 617))
+            with points_from(s), pytest.raises(NotAnnihilated):
+                exponent_sampling(C, 637, factorize(637))
 
     def test_draw_cap_raises(self, monkeypatch):
         # one point drawn over and over can never prove d = 6 at p = 1657
@@ -111,7 +121,7 @@ class TestExponentSampling:
         P = random_point(C, random.Random(1))
         monkeypatch.setattr(structure, "random_point", lambda C, rng: P)
         with pytest.raises(StructureUnverified):
-            exponent_sampling(C, N, factorize(N), derive_rng(1, 1657))
+            exponent_sampling(C, N, factorize(N))
 
 
 class TestSylowPath:
@@ -132,8 +142,8 @@ class TestSylowPath:
         seen = []
         real = structure._sylow_exponent
 
-        def spy(C, N, ell, k, a_min, rng):
-            b = real(C, N, ell, k, a_min, rng)
+        def spy(C, N, ell, k, a_min):
+            b = real(C, N, ell, k, a_min)
             seen.append((ell, k - b))
             return b
         monkeypatch.setattr(structure, "_sylow_exponent", spy)
@@ -141,7 +151,8 @@ class TestSylowPath:
         want = structure_bruteforce(C)
         for s in range(5):
             seen.clear()
-            got = group_structure(C, trace_naive(C), derive_rng(s, p))
+            with points_from(s):
+                got = group_structure(C, trace_naive(C))
             assert (got.d_p, got.e_p) == (want.d_p, want.e_p)
             assert (l, a) in seen
 
@@ -154,7 +165,8 @@ class TestSylowPath:
         assume((4 * a ** 3 + 27 * b ** 2) % p)
         seed = data.draw(st.integers(0, 2 ** 32))
         C = ReducedCurve(p, a, b)
-        got = group_structure(C, trace_naive(C), derive_rng(seed, p))
+        with points_from(seed):
+            got = group_structure(C, trace_naive(C))
         want = structure_bruteforce(C)
         assert (got.N, got.d_p, got.e_p) == (want.N, want.d_p, want.e_p)
 
@@ -162,10 +174,10 @@ class TestSylowPath:
 class TestGroupStructure:
     def test_f5_examples(self):
         C = reduce_curve(GENERIC, 5)
-        S = group_structure(C, trace_naive(C), derive_rng(1, 5))
+        S = group_structure(C, trace_naive(C))
         assert (S.d_p, S.e_p) == (1, 9)
         C = reduce_curve(CM, 5)
-        S = group_structure(C, trace_naive(C), derive_rng(1, 5))
+        S = group_structure(C, trace_naive(C))
         assert (S.d_p, S.e_p) == (2, 4)
 
     def test_matches_bruteforce_to_500(self):
@@ -175,8 +187,7 @@ class TestGroupStructure:
                 if p in E.bad_primes:
                     continue
                 C = reduce_curve(E, p)
-                rng = derive_rng(1, p)
-                got = group_structure(C, trace(C, rng, 10_000), rng)
+                got = group_structure(C, trace_naive(C))
                 want = structure_bruteforce(C)
                 assert (got.a_p, got.d_p, got.e_p) == \
                     (want.a_p, want.d_p, want.e_p), f"p = {p}"
