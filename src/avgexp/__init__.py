@@ -10,14 +10,14 @@ from .constants import (ConstantEstimate, DegreeModel, MissingDegree,
                         degree, estimate_degrees, euler_phi, gl2_order, li,
                         load_overrides, mobius_coeff, mobius_identity_check)
 from .counting import AmbiguityExhausted, TraceResult, order_bsgs, trace_naive
-from .curve import (BadReduction, GlobalCurve, INFINITY, Point, ReducedCurve,
+from .curve import (BadReduction, GlobalCurve, INFINITY, ReducedCurve,
                     add, is_on_curve, neg, random_point, reduce_curve,
                     scalar_mul)
 from .harness import (CacheMismatch, CheckpointRow, CorruptCache,
                       ExperimentConfig, ExperimentResult,
-                      InsufficientCheckpoints, PRESETS, PrimeRecord,
+                      InsufficientCheckpoints, PRESETS, RECORD,
                       cache_load, cache_store, error_trend, pi_E_table,
-                      run_experiment)
+                      record_violations, run_experiment)
 from .modarith import (NotASquare, factorize, is_prime, legendre, sieve_primes,
                        sqrt_mod)
 from .structure import (GroupStructure, NotAnnihilated, StructureUnverified,

@@ -1,8 +1,8 @@
 """Command-line front end: run experiments, evaluate the constant, verify.
 
 Exit codes: 0 on success, 2 when an invariant or verification fails,
-3 on cache errors, 4 when the command line or an argument value is
-rejected.
+3 on cache errors (a cached record that breaks an identity among them),
+4 when the command line or an argument value is rejected.
 """
 
 import argparse
@@ -16,10 +16,10 @@ from .constants import (DegreeModel, constant_euler, constant_series,
 from .counting import AmbiguityExhausted, DEFAULT_TRACE_THRESHOLD
 from .curve import GlobalCurve, reduce_curve
 from .harness import (CacheMismatch, CorruptCache, ExperimentConfig,
-                      InsufficientCheckpoints, PRESETS, compute_records,
-                      error_trend, pi_E_table, run_experiment,
-                      write_checkpoints_csv, write_json, write_pi_e_csv,
-                      write_records_csv)
+                      InsufficientCheckpoints, K_MAX_DIAG, PRESETS,
+                      compute_records, error_trend, pi_E_table,
+                      run_experiment, write_checkpoints_csv, write_json,
+                      write_pi_e_csv, write_records_csv)
 from .modarith import sieve_primes
 from .structure import (NotAnnihilated, StructureUnverified,
                         structure_bruteforce)
@@ -88,7 +88,6 @@ def cmd_run(args) -> int:
             workers=args.workers,
             trace_threshold=args.trace_threshold,
             model=_build_model(args),
-            k_max_diag=args.kmax_diag,
             cache_path=args.cache,
             precision=args.precision,
         )
@@ -96,7 +95,7 @@ def cmd_run(args) -> int:
     except ValueError as err:
         return _usage_error(str(err))
     result = run_experiment(cfg)
-    table = pi_E_table(result.records, cfg.x_max, cfg.k_max_diag, result.model)
+    table = pi_E_table(result.records, cfg.x_max, K_MAX_DIAG, result.model)
 
     print(f"curve: {cfg.curve.label or (cfg.curve.a4, cfg.curve.a6)}   "
           f"x_max = {cfg.x_max}   good primes = {len(result.records)}   "
@@ -161,10 +160,10 @@ def cmd_verify(args) -> int:
         good = [p for p in primes if p not in E.bad_primes]
         records, paths = compute_records(E, good, args.trace_threshold)
         curve_failures = 0
-        for got in records:
-            want = structure_bruteforce(reduce_curve(E, got.p))
-            if (got.a_p, got.d_p, got.e_p) != (want.a_p, want.d_p, want.e_p):
-                print(f"MISMATCH {E.label} p={got.p}: "
+        for got in records.tolist():
+            want = structure_bruteforce(reduce_curve(E, got[0]))
+            if got != (want.p, want.a_p, want.d_p, want.e_p):
+                print(f"MISMATCH {E.label} p={got[0]}: "
                       f"certified {got} vs enumerated {want}")
                 curve_failures += 1
         failures += curve_failures
@@ -195,7 +194,6 @@ def build_parser() -> argparse.ArgumentParser:
                      default=DEFAULT_TRACE_THRESHOLD)
     run.add_argument("--model", choices=("gl2", "empirical"), default="gl2")
     run.add_argument("--overrides", help="file of 'k degree' pairs")
-    run.add_argument("--kmax-diag", type=int, default=12)
     run.add_argument("--cache", help="binary record cache path")
     run.add_argument("--out", choices=("csv", "json"), default="csv")
     run.add_argument("--outfile", help="csv: output directory; json: file path")

@@ -92,7 +92,6 @@ class DegreeModel:
 
     kind: str
     overrides: dict = field(default_factory=dict)
-    serre_note: str = ""
 
     def __post_init__(self):
         if self.kind not in ("gl2_generic", "empirical"):
@@ -252,22 +251,13 @@ def estimate_degrees(records, x, k_max: int) -> DegreeModel:
     """Empirical degree table: degree(k) is estimated by li(x) divided by
     the count of recorded primes p <= x with k | d_p.
 
-    Levels never hit stay absent (MissingDegree on use).  Levels with
-    k | d_p can only occur when k | p - 1; that containment is replayed
-    on every record.
+    Levels never hit stay absent (MissingDegree on use).
     """
     li_x = Fraction(li(x))
-    ps = np.fromiter((rec.p for rec in records), dtype=np.int64)
-    ds = np.fromiter((rec.d_p for rec in records), dtype=np.int64)
-    keep = ps <= x
-    ps, ds = ps[keep], ds[keep]
-    if np.any((ps - 1) % ds):
-        bad = int(ps[np.flatnonzero((ps - 1) % ds)[0]])
-        raise ArithmeticError(f"record p = {bad} violates d | p - 1")
+    ds = records["d_p"][records["p"] <= x]
     table = {}
     for k in range(1, k_max + 1):
         count = int((ds % k == 0).sum())
         if count > 0:
             table[k] = li_x / count
-    return DegreeModel("empirical", table,
-                       serre_note=f"fitted from records up to {x}")
+    return DegreeModel("empirical", table)

@@ -9,8 +9,6 @@ search on x coordinates alone for a whole block of primes at once, one
 prime per int64 numpy lane, and proves the order wherever the window
 holds exactly one annihilator; trace_block sends the lanes it refuses to
 order_bsgs.
-Every result is checked against the Hasse bound |a_p| < 2*sqrt(p)
-before it leaves this module.
 """
 
 import math
@@ -48,13 +46,6 @@ class TraceResult:
     a_p: int
     N: int
     method: str
-
-    def __post_init__(self):
-        if self.N != self.p + 1 - self.a_p:
-            raise ValueError("N and a_p disagree")
-        # 4p is never a perfect square, so |a| < 2*sqrt(p) <=> |a| <= isqrt(4p)
-        if abs(self.a_p) > math.isqrt(4 * self.p):
-            raise ValueError(f"Hasse bound violated at p = {self.p}: a_p = {self.a_p}")
 
 
 def trace_naive(C: ReducedCurve) -> TraceResult:

@@ -12,9 +12,6 @@ from .modarith import factorize, legendre, sqrt_mod
 
 INFINITY = None
 
-# Affine points are (x, y) tuples; the identity is INFINITY.
-Point = tuple[int, int] | None
-
 
 class BadReduction(ValueError):
     """Raised by reduce_curve at primes where the model degenerates."""

@@ -5,13 +5,17 @@ Work is split into blocks of consecutive good primes, one pool task per
 block.  A block counts points for all its primes at once (trace_block),
 then proves each prime's structure.  Every record is proved, and the
 points behind it depend on p alone, so records are identical for any
-worker count and block layout.  Accumulators stay exact (integers and
-rationals); floats appear only in reported columns.
+worker count and block layout.
+
+Records are one numpy recarray of dtype RECORD, sorted by p.  The
+identities every true record obeys are written once, in
+record_violations, and checked where records enter a run: per block as
+they are computed, and when a cache is loaded.  Accumulators stay exact
+(integers and rationals); floats appear only in reported columns.
 """
 
 import csv
 import json
-import math
 import os
 import struct
 import zlib
@@ -20,7 +24,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import count
-from typing import NamedTuple
 
 import numpy as np
 
@@ -29,16 +32,22 @@ from .constants import (DEFAULT_DPS, MIN_DPS, ConstantEstimate, DegreeModel,
 from .curve import GlobalCurve, reduce_curve
 from .counting import DEFAULT_TRACE_THRESHOLD, TraceResult, trace_block
 from .modarith import is_prime, sieve_primes
-from .structure import group_structure
+from .structure import GroupStructure, group_structure
 
 CACHE_MAGIC = b"AVGEXP1\0"
 _CACHE_HEADER = struct.Struct("<8sqqQI")
-_CACHE_RECORD = struct.Struct("<QqIQ")
+# A record (p, a_p, d_p, e_p) in memory and in the cache.  In memory every
+# column is int64, so arithmetic on the columns stays integer (numpy turns
+# uint64 - int64 into float64); the cache keeps its packed "<QqIQ" layout.
+RECORD = np.dtype([("p", "<i8"), ("a_p", "<i8"), ("d_p", "<i8"), ("e_p", "<i8")])
+_CACHE_DTYPE = np.dtype([("p", "<u8"), ("a_p", "<i8"), ("d_p", "<u4"), ("e_p", "<u8")])
 
 DEFAULT_SERIES_Y = 1000
 # Good primes per lane block and pool task: numpy's per-call cost is
 # spread over a few hundred lanes, and the row arrays stay small.
 LANE_BLOCK = 512
+# Levels k of the pi_e.csv table and of the empirical degree table.
+K_MAX_DIAG = 12
 # How each prime's trace was found, by TraceResult.method.
 PATHS = {"naive": "naive", "lanes": "lanes", "bsgs": "fallback"}
 
@@ -61,13 +70,6 @@ class InsufficientCheckpoints(ValueError):
     """error_trend needs at least 4 checkpoints across 2 decades."""
 
 
-class PrimeRecord(NamedTuple):
-    p: int
-    a_p: int
-    d_p: int
-    e_p: int
-
-
 def default_checkpoints(x_max: int) -> list:
     """Powers of 10 from 10^3 up to x_max, always ending at x_max."""
     cps = []
@@ -88,7 +90,6 @@ class ExperimentConfig:
     workers: int = 1
     trace_threshold: int = DEFAULT_TRACE_THRESHOLD
     model: DegreeModel = None
-    k_max_diag: int = 12
     cache_path: str = None
     precision: int = DEFAULT_DPS
 
@@ -99,8 +100,8 @@ class ExperimentConfig:
             self.checkpoints = default_checkpoints(self.x_max)
         if not self.checkpoints:
             raise ValueError("checkpoints must be nonempty")
-        if sorted(self.checkpoints) != list(self.checkpoints):
-            raise ValueError("checkpoints must be ascending")
+        if any(b <= a for a, b in zip(self.checkpoints, self.checkpoints[1:])):
+            raise ValueError("checkpoints must be strictly ascending")
         if self.checkpoints[-1] > self.x_max:
             raise ValueError("checkpoints must not exceed x_max")
         least = next(q for q in count(5)
@@ -137,7 +138,7 @@ class CheckpointRow:
 @dataclass
 class ExperimentResult:
     config: ExperimentConfig
-    records: list
+    records: np.recarray  # of RECORD, ascending in p
     checkpoints: list
     skipped: list
     model: DegreeModel
@@ -150,69 +151,99 @@ class ExperimentResult:
         return float(self.constant.value)
 
 
-def compute_record(E: GlobalCurve, T: TraceResult) -> PrimeRecord:
+def record_violations(records) -> np.ndarray:
+    """Boolean mask of the records that break an identity every true
+    record obeys: the Hasse bound a^2 < 4p (4p is never a square),
+    d >= 1, e >= 1, d*e = p+1-a, d | e (so d^2 | p+1-a), d | p-1 and
+    a = 2 (mod d).
+
+    Records outside 5 <= p < 2^60 are flagged too: inside it Hasse gives
+    |a| < 2^31, so no int64 step below can wrap, and d*e = p+1-a is
+    tested by division for the same reason.
+    """
+    p, a, d, e = (np.asarray(records[name], dtype=np.int64) for name in RECORD.names)
+    n = p + 1 - a
+    m = np.maximum(d, 1)  # d < 1 is flagged; m keeps the remainders defined
+    return ((p < 5) | (p >= 2 ** 60) | (a <= -2 ** 31) | (a >= 2 ** 31)
+            | (a * a >= 4 * p) | (d < 1) | (e < 1) | (n % m != 0) | (n // m != e)
+            | (e % m != 0) | ((p - 1) % m != 0) | ((a - 2) % m != 0))
+
+
+def compute_record(E: GlobalCurve, T: TraceResult) -> GroupStructure:
     """The record of T.p from its trace result T: the structure step."""
-    S = group_structure(reduce_curve(E, T.p), T)
-    return PrimeRecord(T.p, S.a_p, S.d_p, S.e_p)
+    return group_structure(reduce_curve(E, T.p), T)
 
 
 def compute_block(E: GlobalCurve, ps: list, threshold: int) -> tuple:
     """Records of the good primes ps, and how many took each path of
-    PATHS.  Point counting runs for the whole block at once."""
+    PATHS.  Point counting runs for the whole block at once; a record
+    that breaks an identity raises ArithmeticError."""
     traces = trace_block([reduce_curve(E, p) for p in ps], threshold)
     paths = dict.fromkeys(PATHS.values(), 0)
     for T in traces:
         paths[PATHS[T.method]] += 1
-    return [compute_record(E, T) for T in traces], paths
+    records = np.array([(S.p, S.a_p, S.d_p, S.e_p)
+                        for S in (compute_record(E, T) for T in traces)], dtype=RECORD)
+    bad = record_violations(records)
+    if bad.any():
+        raise ArithmeticError(f"record identities fail at p = {records['p'][bad.argmax()]}")
+    return records, paths
 
 
 def compute_records(E: GlobalCurve, primes: list, threshold: int,
                     workers: int = 1) -> tuple:
     """compute_block over blocks of LANE_BLOCK primes, on a process pool
-    when workers > 1; records in the order of primes, paths summed."""
+    of at most one worker per block and per CPU; records in the order of
+    primes, paths summed."""
     blocks = [primes[i:i + LANE_BLOCK] for i in range(0, len(primes), LANE_BLOCK)]
     work = partial(compute_block, E, threshold=threshold)
-    if workers == 1 or len(blocks) < 2:
+    workers = min(workers, len(blocks), os.cpu_count() or 1)
+    if workers <= 1:
         parts = list(map(work, blocks))
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(work, blocks))
-    records = []
     paths = dict.fromkeys(PATHS.values(), 0)
-    for recs, counts in parts:
-        records.extend(recs)
+    for _, counts in parts:
         for path, n in counts.items():
             paths[path] += n
-    return records, paths
+    records = np.concatenate([np.empty(0, RECORD)] + [recs for recs, _ in parts])
+    return records.view(np.recarray), paths
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Process every good prime p <= x_max exactly once and aggregate.
 
     Only the good primes the cache lacks are computed; the cache is then
-    rewritten with its old records and the new ones.  Aggregation
-    replays the per-record identities, so a violated invariant aborts
-    the run with the offending prime named.
+    rewritten with its old records and the new ones.  A cached p <= x_max
+    that is not a good prime makes the cache corrupt.
     """
     primes = sieve_primes(cfg.x_max)
     bad = cfg.curve.bad_primes
-    good = [p for p in primes if p not in bad]
+    good = np.array([p for p in primes if p not in bad], dtype=np.int64)
     skipped = [p for p in primes if p in bad]
 
-    cached = []
+    records = np.empty(0, RECORD)
     if cfg.cache_path and os.path.exists(cfg.cache_path):
-        cached = cache_load(cfg.cache_path, cfg.curve)
-    have = {rec.p for rec in cached}
-    missing = [p for p in good if p not in have]
-    fresh, paths = compute_records(cfg.curve, missing, cfg.trace_threshold,
+        records = cache_load(cfg.cache_path, cfg.curve)
+    old = records["p"][records["p"] <= cfg.x_max]
+    known = np.isin(old, good)
+    if not known.all():
+        raise CorruptCache(f"{cfg.cache_path}: cached p = {old[~known][0]} "
+                           "is not a good prime")
+    missing = good[~np.isin(good, old)]
+    fresh, paths = compute_records(cfg.curve, missing.tolist(), cfg.trace_threshold,
                                    cfg.workers)
-    if cfg.cache_path and missing:
-        cache_store(cfg.cache_path, cfg.curve, sorted(cached + fresh))
-    records = sorted([rec for rec in cached if rec.p <= cfg.x_max] + fresh)
+    if len(missing):
+        records = np.concatenate([records, fresh])
+        records = records[np.argsort(records["p"])]
+        if cfg.cache_path:
+            cache_store(cfg.cache_path, cfg.curve, records)
+    records = records[records["p"] <= cfg.x_max].view(np.recarray)
 
     model = cfg.model
     if model.kind == "empirical" and not model.overrides:
-        model = estimate_degrees(records, cfg.x_max, max(cfg.k_max_diag, 8))
+        model = estimate_degrees(records, cfg.x_max, K_MAX_DIAG)
     estimate, provenance = model_constant(model, cfg.precision)
     rows = aggregate_checkpoints(records, cfg.checkpoints, float(estimate.value))
     return ExperimentResult(cfg, records, rows, skipped, model, estimate,
@@ -234,40 +265,29 @@ def model_constant(model: DegreeModel, dps: int = DEFAULT_DPS):
 
 
 def aggregate_checkpoints(records, checkpoints, c_model: float) -> list:
-    """Exact running sums cut at each checkpoint.
+    """Exact running sums cut at each checkpoint of records sorted by p.
 
-    sum(p/d) is kept as per-d integer sums (d is tiny) and only combined
-    into one rational at each cut.
+    The cuts come from searchsorted over p and sum(e) from a cumulative
+    sum.  sum(p/d) is kept as per-d integer sums (d is tiny) and only
+    combined into one rational at each cut.
     """
-    rows = []
-    sum_e = 0
-    count = 0
-    by_d = {}
-    idx = 0
-    cps = list(checkpoints)
-
-    def flush(x):
-        spd = sum((Fraction(s, d) for d, s in sorted(by_d.items())), Fraction(0))
-        avg = sum_e / count if count else 0.0
-        c_hat = 2 * sum_e / (count * x) if count else 0.0
+    p = records["p"]
+    cuts = np.searchsorted(p, checkpoints, side="right").tolist()
+    cum_e = np.concatenate(([0], np.cumsum(records["e_p"])))
+    ds, which = np.unique(records["d_p"], return_inverse=True)
+    by_d = np.zeros(len(ds), dtype=np.int64)
+    rows, lo = [], 0
+    for x, n in zip(checkpoints, cuts):
+        np.add.at(by_d, which[lo:n], p[lo:n])
+        lo = n
+        spd = sum((Fraction(s, d) for d, s in zip(ds.tolist(), by_d.tolist()) if s),
+                  Fraction(0))
+        sum_e = int(cum_e[n])
+        avg = sum_e / n if n else 0.0
+        c_hat = 2 * sum_e / (n * x) if n else 0.0
         rows.append(CheckpointRow(
-            x, count, sum_e, spd, avg, c_hat, c_model,
+            x, n, sum_e, spd, avg, c_hat, c_model,
             c_hat / c_model - 1, abs(float(spd) - c_model * li(float(x) ** 2))))
-
-    for rec in records:
-        while idx < len(cps) and rec.p > cps[idx]:
-            flush(cps[idx])
-            idx += 1
-        if rec.e_p * rec.d_p != rec.p + 1 - rec.a_p:
-            raise ArithmeticError(f"record identity e*d = p+1-a fails at p = {rec.p}")
-        if abs(rec.a_p) > math.isqrt(4 * rec.p):
-            raise ArithmeticError(f"Hasse bound fails at p = {rec.p}")
-        sum_e += rec.e_p
-        count += 1
-        by_d[rec.d_p] = by_d.get(rec.d_p, 0) + rec.p
-    while idx < len(cps):
-        flush(cps[idx])
-        idx += 1
     return rows
 
 
@@ -276,7 +296,7 @@ def pi_E_table(records, x: int, k_max: int, model: DegreeModel = None) -> list:
 
     The prediction column is None where the model has no degree.
     """
-    ds = np.fromiter((rec.d_p for rec in records if rec.p <= x), dtype=np.int64)
+    ds = records["d_p"][records["p"] <= x]
     li_x = li(float(x))
     out = []
     for k in range(1, k_max + 1):
@@ -293,8 +313,6 @@ def pi_E_table(records, x: int, k_max: int, model: DegreeModel = None) -> list:
 class TrendFit:
     slope: float
     intercept: float
-    residuals: tuple
-    per_decade: tuple  # (x, deviation, local slope to previous row)
     note: str = "diagnostic fit; not a verification of the error-term exponent"
 
 
@@ -308,21 +326,14 @@ def error_trend(rows) -> TrendFit:
     devs = [row.main_term_dev for row in rows]
     if any(d <= 0 for d in devs):
         raise ValueError("zero deviation rows cannot enter a log-log fit")
-    lx = np.log(np.asarray(xs, dtype=float))
-    ld = np.log(np.asarray(devs, dtype=float))
-    slope, intercept = np.polyfit(lx, ld, 1)
-    fitted = slope * lx + intercept
-    decade = []
-    for i, row in enumerate(rows):
-        local = ((ld[i] - ld[i - 1]) / (lx[i] - lx[i - 1])) if i else float("nan")
-        decade.append((row.x, devs[i], local))
-    return TrendFit(float(slope), float(intercept),
-                    tuple((ld - fitted).tolist()), tuple(decade))
+    slope, intercept = np.polyfit(np.log(np.asarray(xs, dtype=float)),
+                                  np.log(np.asarray(devs, dtype=float)), 1)
+    return TrendFit(float(slope), float(intercept))
 
 
 def cache_store(path, curve: GlobalCurve, records) -> None:
-    """Fixed-width little-endian records behind a checksummed header."""
-    body = b"".join(_CACHE_RECORD.pack(r.p, r.a_p, r.d_p, r.e_p) for r in records)
+    """Packed little-endian "<QqIQ" records behind a checksummed header."""
+    body = np.asarray(records, dtype=RECORD).astype(_CACHE_DTYPE).tobytes()
     header = _CACHE_HEADER.pack(CACHE_MAGIC, curve.a4, curve.a6,
                                 len(records), zlib.crc32(body))
     tmp = f"{path}.tmp.{os.getpid()}"
@@ -332,7 +343,9 @@ def cache_store(path, curve: GlobalCurve, records) -> None:
     os.replace(tmp, path)
 
 
-def cache_load(path, curve: GlobalCurve) -> list:
+def cache_load(path, curve: GlobalCurve) -> np.recarray:
+    """The cached records, re-validated: a record that breaks an identity,
+    or a p that is not above its predecessor's, makes the cache corrupt."""
     with open(path, "rb") as fh:
         raw = fh.read()
     if len(raw) < _CACHE_HEADER.size:
@@ -343,13 +356,18 @@ def cache_load(path, curve: GlobalCurve) -> list:
     if (a4, a6) != (curve.a4, curve.a6):
         raise CacheMismatch(
             f"{path}: cache is for curve ({a4}, {a6}), not ({curve.a4}, {curve.a6})")
-    body = raw[_CACHE_HEADER.size:]
-    if len(body) != count * _CACHE_RECORD.size:
+    body = memoryview(raw)[_CACHE_HEADER.size:]
+    if len(body) != count * _CACHE_DTYPE.itemsize:
         raise CorruptCache(f"{path}: truncated body")
     if zlib.crc32(body) != crc:
         raise CorruptCache(f"{path}: checksum mismatch")
-    return [PrimeRecord(*_CACHE_RECORD.unpack_from(body, i * _CACHE_RECORD.size))
-            for i in range(count)]
+    records = np.frombuffer(body, dtype=_CACHE_DTYPE).astype(RECORD).view(np.recarray)
+    bad = record_violations(records)
+    bad[1:] |= records.p[1:] <= records.p[:-1]
+    if bad.any():
+        raise CorruptCache(f"{path}: invalid or out-of-order record at "
+                           f"p = {records.p[bad.argmax()]}")
+    return records
 
 
 RECORDS_HEADER = ["p", "a_p", "d_p", "e_p"]
@@ -362,7 +380,8 @@ def write_records_csv(path, records) -> None:
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(RECORDS_HEADER)
-        w.writerows(records)
+        for i in range(0, len(records), 1 << 14):  # few Python tuples at a time
+            w.writerows(records[i:i + (1 << 14)].tolist())
 
 
 def write_checkpoints_csv(path, rows) -> None:
@@ -404,7 +423,7 @@ def result_to_json(result: ExperimentResult, pi_table) -> dict:
         } for r in result.checkpoints],
         "pi_e": [{"k": k, "count": c, "model_prediction": pred}
                  for k, c, pred in pi_table],
-        "records": [list(rec) for rec in result.records],
+        "records": result.records.tolist(),
     }
 
 

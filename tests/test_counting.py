@@ -9,9 +9,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from avgexp import counting, curve
-from avgexp.counting import (LANE_CAP, TraceResult, _annihilators,
-                             _point_order, order_bsgs, order_lanes,
-                             quadratic_twist, trace_block, trace_naive)
+from avgexp.counting import (LANE_CAP, _annihilators, _point_order,
+                             order_bsgs, order_lanes, quadratic_twist,
+                             trace_block, trace_naive)
 from avgexp.curve import (GlobalCurve, INFINITY, ReducedCurve, random_point,
                           reduce_curve, scalar_mul)
 from avgexp.modarith import legendre, sieve_primes
@@ -92,12 +92,6 @@ class TestTraceNaive:
                 continue
             T = trace_naive(reduce_curve(GENERIC, p))
             assert abs(T.a_p) <= math.isqrt(4 * p)
-
-    def test_result_invariants_enforced(self):
-        with pytest.raises(ValueError):
-            TraceResult(101, 50, 52, "naive")  # Hasse violated
-        with pytest.raises(ValueError):
-            TraceResult(101, 0, 100, "naive")  # N != p+1-a
 
 
 class TestOrderBsgs:

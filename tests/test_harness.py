@@ -1,9 +1,12 @@
 """Experiment orchestration: determinism, exactness, cache, diagnostics."""
 
+import dataclasses
 import json
 import math
+import struct
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from avgexp import cli, harness
@@ -12,9 +15,10 @@ from avgexp.counting import trace_naive
 from avgexp.curve import GlobalCurve, ReducedCurve, reduce_curve
 from avgexp.harness import (CacheMismatch, CheckpointRow, CorruptCache,
                             ExperimentConfig, InsufficientCheckpoints,
-                            PRESETS, PrimeRecord, cache_load, cache_store,
+                            PRESETS, RECORD, cache_load, cache_store,
                             compute_record, default_checkpoints, error_trend,
-                            pi_E_table, run_experiment, write_records_csv)
+                            pi_E_table, record_violations, run_experiment,
+                            write_records_csv)
 from avgexp.modarith import sieve_primes
 from avgexp.structure import structure_bruteforce
 
@@ -34,7 +38,8 @@ class TestRunExperiment:
         good = [p for p in sieve_primes(100) if p not in GENERIC.bad_primes]
         assert [rec.p for rec in result.records] == good
         for rec in result.records:
-            want = structure_bruteforce(ReducedCurve(rec.p, 1 % rec.p, 1 % rec.p))
+            p = int(rec.p)
+            want = structure_bruteforce(ReducedCurve(p, 1 % p, 1 % p))
             assert (rec.a_p, rec.d_p, rec.e_p) == (want.a_p, want.d_p, want.e_p)
 
     def test_exact_identity_sum_ed(self):
@@ -56,7 +61,7 @@ class TestRunExperiment:
     def test_worker_determinism(self, tmp_path):
         r1 = small_run(workers=1)
         r2 = small_run(workers=2)
-        assert r1.records == r2.records
+        assert np.array_equal(r1.records, r2.records)
         f1, f2 = tmp_path / "a.csv", tmp_path / "b.csv"
         write_records_csv(f1, r1.records)
         write_records_csv(f2, r2.records)
@@ -101,6 +106,8 @@ class TestRunExperiment:
             ExperimentConfig(curve=GENERIC, x_max=50)
         with pytest.raises(ValueError):
             ExperimentConfig(curve=GENERIC, x_max=1000, checkpoints=[900, 300])
+        with pytest.raises(ValueError, match="strictly ascending"):
+            ExperimentConfig(curve=GENERIC, x_max=1000, checkpoints=[100, 1000, 1000])
         with pytest.raises(ValueError):
             ExperimentConfig(curve=GENERIC, x_max=1000, checkpoints=[2000])
         with pytest.raises(ValueError):
@@ -115,6 +122,48 @@ class TestRunExperiment:
         assert default_checkpoints(10 ** 6) == [10 ** 3, 10 ** 4, 10 ** 5, 10 ** 6]
         assert default_checkpoints(5000) == [1000, 5000]
         assert default_checkpoints(500) == [500]
+
+
+TRUE_RECORD = (17, 0, 1, 18)  # generic1 at p = 17: E(F_17) = Z/18
+
+
+class TestRecordViolations:
+    @pytest.mark.parametrize("rec", [
+        (5, -3, 3, 3),  # d = 3 does not divide p - 1 = 4
+        (5, -3, 1, 3),  # d*e != N = 9
+        (101, 50, 1, 52),  # Hasse: a^2 >= 4p, with N = 52 = p+1-a
+        (101, 0, 1, 100),  # N = 100 != p+1-a = 102
+        (11, 2, 7, 2),  # d = 7 does not divide p - 1 = 10
+        (17, 9, 1, 9),  # Hasse alone
+        (17, 0, 0, 18),  # d < 1
+        (17, 0, 1, 0),  # e < 1
+        (17, 0, 1, 19),  # d*e = p+1-a alone
+        (17, 0, 2, 9),  # d | e and d^2 | p+1-a
+        (17, 0, 3, 6),  # d | p-1 and a = 2 (mod d): a planted d = 3
+        (17, 2, 4, 4 + 2 ** 62),  # d*e = 16 + 2^64 wraps to p+1-a in int64
+        (2 ** 61 + 1, 0, 1, 2 ** 61 + 2),  # beyond the exact int64 range
+    ], ids=["group-structure-d-not-dividing-p-1", "group-structure-de-not-N",
+            "trace-hasse", "trace-N-disagrees", "estimate-degrees-d-not-dividing-p-1",
+            "hasse", "d-below-1", "e-below-1", "de-is-N", "d-divides-e", "d-divides-p-1",
+            "de-wraps", "p-too-large"])
+    def test_flags_a_broken_identity(self, rec):
+        recs = np.array([TRUE_RECORD, rec, (139, 14, 3, 42)], dtype=RECORD)
+        assert record_violations(recs).tolist() == [False, True, False]
+
+    def test_true_records_pass(self):
+        result = small_run(x_max=3000, checkpoints=[3000])
+        assert not record_violations(result.records).any()
+        assert TRUE_RECORD in result.records.tolist()
+
+    def test_bad_block_raises(self, monkeypatch):
+        real = harness.group_structure
+
+        def planted(C, T):
+            S = real(C, T)
+            return dataclasses.replace(S, d_p=3, e_p=S.N // 3) if C.p == 17 else S
+        monkeypatch.setattr(harness, "group_structure", planted)
+        with pytest.raises(ArithmeticError, match="p = 17"):
+            harness.compute_block(GENERIC, [13, 17, 19], 229)
 
 
 class TestPiETable:
@@ -181,14 +230,51 @@ class TestErrorTrend:
 
 class TestCache:
     def _records(self):
-        return [PrimeRecord(5, -3, 1, 9), PrimeRecord(7, -3, 1, 11),
-                PrimeRecord(104729, -10, 2, 52360)]
+        return np.array([(5, -3, 1, 9), (7, -3, 1, 11), (104729, -10, 2, 52370)],
+                        dtype=RECORD)
 
     def test_round_trip(self, tmp_path):
         path = tmp_path / "r.bin"
         recs = self._records()
         cache_store(path, GENERIC, recs)
-        assert cache_load(path, GENERIC) == recs
+        assert np.array_equal(cache_load(path, GENERIC), recs)
+
+    def test_layout_is_packed_little_endian(self, tmp_path):
+        path = tmp_path / "r.bin"
+        cache_store(path, GENERIC, self._records())
+        body = path.read_bytes()[harness._CACHE_HEADER.size:]
+        assert body == b"".join(struct.pack("<QqIQ", *rec)
+                                for rec in self._records().tolist())
+
+    def test_identity_breaking_record_is_a_cache_error(self, tmp_path, capsys):
+        path = tmp_path / "r.bin"
+        recs = self._records()
+        recs["d_p"][1] = 3  # d*e = 33 != p+1-a = 11, with a valid checksum
+        cache_store(path, GENERIC, recs)
+        with pytest.raises(CorruptCache, match="p = 7"):
+            cache_load(path, GENERIC)
+        rc = cli.main(["run", "--preset", "generic1", "--xmax", "300", "--checkpoints", "300",
+                       "--cache", str(path), "--outfile", str(tmp_path)])
+        assert rc == cli.EXIT_CACHE == 3
+        assert "p = 7" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("order", [[0, 1, 1, 2], [0, 2, 1]], ids=["repeated", "unsorted"])
+    def test_repeated_or_unsorted_p_refused(self, order, tmp_path):
+        path = tmp_path / "r.bin"
+        cache_store(path, GENERIC, self._records()[order])
+        with pytest.raises(CorruptCache, match="p = 7"):
+            cache_load(path, GENERIC)
+
+    @pytest.mark.parametrize("rec", [(31, 0, 1, 32), (9, 0, 1, 10)], ids=["bad-prime", "composite"])
+    def test_cached_p_that_is_no_good_prime_refused(self, rec, tmp_path):
+        path = str(tmp_path / "r.bin")
+        small_run(x_max=100, checkpoints=[100], cache_path=path)
+        recs = np.sort(np.append(cache_load(path, GENERIC), np.array([rec], dtype=RECORD)),
+                       order="p")
+        cache_store(path, GENERIC, recs)
+        assert np.array_equal(cache_load(path, GENERIC), recs)  # every identity holds
+        with pytest.raises(CorruptCache, match=f"p = {rec[0]} is not a good prime"):
+            small_run(x_max=100, checkpoints=[100], cache_path=path)
 
     def test_wrong_curve_header(self, tmp_path):
         path = tmp_path / "r.bin"
@@ -223,11 +309,11 @@ class TestCache:
         path = str(tmp_path / "r.bin")
         r1 = small_run(cache_path=path)
         r2 = small_run(cache_path=path)  # second run loads, must agree
-        assert r1.records == r2.records
+        assert np.array_equal(r1.records, r2.records)
         # a cache for a smaller range is extended by the primes it lacks
         r3 = small_run(x_max=3000, checkpoints=[3000], cache_path=path)
         assert len(r3.records) > len(r1.records)
-        assert cache_load(path, GENERIC) == r3.records
+        assert np.array_equal(cache_load(path, GENERIC), r3.records)
 
     def test_raising_xmax_computes_only_new_primes(self, tmp_path, monkeypatch):
         path = str(tmp_path / "r.bin")
@@ -243,13 +329,13 @@ class TestCache:
         assert computed and all(2000 < p <= 3000 for p in computed)
         assert sorted(computed) == [rec.p for rec in r3.records if rec.p > 2000]
         fresh = small_run(x_max=3000, checkpoints=[3000])
-        assert r3.records == fresh.records
+        assert np.array_equal(r3.records, fresh.records)
         computed.clear()
         # a smaller x_max reads the cache and keeps the records above it
         r4 = small_run(x_max=1000, checkpoints=[1000], cache_path=path)
         assert computed == []
-        assert r4.records == [rec for rec in fresh.records if rec.p <= 1000]
-        assert cache_load(path, GENERIC) == fresh.records
+        assert np.array_equal(r4.records, fresh.records[fresh.records.p <= 1000])
+        assert np.array_equal(cache_load(path, GENERIC), fresh.records)
 
 
 class TestPipeline:
@@ -259,12 +345,42 @@ class TestPipeline:
         good = [p for p in sieve_primes(6000) if p not in E.bad_primes]
         whole, paths = harness.compute_records(E, good, 229)
         monkeypatch.setattr(harness, "LANE_BLOCK", 37)
-        assert harness.compute_records(E, good[::-1], 229)[0] == whole[::-1]
-        assert harness.compute_records(E, good, 229, workers=2) == (whole, paths)
+        assert np.array_equal(harness.compute_records(E, good[::-1], 229)[0], whole[::-1])
+        pooled, pooled_paths = harness.compute_records(E, good, 229, workers=2)
+        assert np.array_equal(pooled, whole) and pooled_paths == paths
         for rec in whole:
             if rec.p < 1500:
-                want = structure_bruteforce(reduce_curve(E, rec.p))
+                want = structure_bruteforce(reduce_curve(E, int(rec.p)))
                 assert (rec.a_p, rec.d_p, rec.e_p) == (want.a_p, want.d_p, want.e_p)
+
+    def test_pool_capped_at_blocks_and_cpus(self, monkeypatch):
+        pools = []
+
+        class SerialPool:  # records max_workers; starts no process
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        E = PRESETS["generic1"]
+        good = [p for p in sieve_primes(2000) if p not in E.bad_primes]
+        whole = harness.compute_records(E, good, 229)
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(harness, "LANE_BLOCK", 60)  # 300 primes: 5 blocks
+        for cpus, workers, want in ((4, 5000, 4), (64, 5000, 5), (None, 5000, None),
+                                    (64, 3, 3), (64, 1, None)):
+            monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
+            pools.clear()
+            recs, paths = harness.compute_records(E, good, 229, workers)
+            assert pools == ([want] if want else [])
+            assert np.array_equal(recs, whole[0]) and paths == whole[1]
 
     def test_paths_count_the_computed_primes(self, tmp_path):
         out, cache = tmp_path / "res.json", str(tmp_path / "c.bin")
@@ -368,6 +484,7 @@ class TestCli:
         ["verify", "--xmax", "1"],
         ["verify", "--xmax", "-3"],
         ["run", "--preset", "generic1", "--xmax", "1000", "--checkpoints", "3,1000"],
+        ["run", "--preset", "generic1", "--xmax", "1000", "--checkpoints", "100,1000,1000"],
     ])
     def test_other_rejected_values_are_usage_errors(self, argv, capsys):
         assert cli.main(argv) == cli.EXIT_USAGE
