@@ -17,10 +17,9 @@ from .counting import AmbiguityExhausted, DEFAULT_TRACE_THRESHOLD
 from .curve import GlobalCurve, reduce_curve
 from .harness import (CacheMismatch, CorruptCache, ExperimentConfig,
                       InsufficientCheckpoints, K_MAX_DIAG, PRESETS,
-                      compute_records, error_trend, pi_E_table,
+                      compute_records, error_trend, good_primes, pi_E_table,
                       run_experiment, write_checkpoints_csv, write_json,
                       write_pi_e_csv, write_records_csv)
-from .modarith import sieve_primes
 from .structure import (NotAnnihilated, StructureUnverified,
                         structure_bruteforce)
 
@@ -154,11 +153,10 @@ def cmd_constant(args) -> int:
 def cmd_verify(args) -> int:
     if not 2 <= args.xmax <= 5000:
         return _usage_error("verify is exhaustive and needs 2 <= --xmax <= 5000")
-    primes = sieve_primes(args.xmax)
     failures = 0
     for E in VERIFY_CURVES:
-        good = [p for p in primes if p not in E.bad_primes]
-        records, paths = compute_records(E, good, args.trace_threshold)
+        good, _ = good_primes(E, args.xmax)
+        records, paths = compute_records(E, good.tolist(), args.trace_threshold)
         curve_failures = 0
         for got in records.tolist():
             want = structure_bruteforce(reduce_curve(E, got[0]))

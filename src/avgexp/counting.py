@@ -3,22 +3,23 @@
 trace_naive sums the quadratic character of the cubic over all of F_p;
 order_bsgs pins the order inside the Hasse interval with baby-step
 giant-step annihilators of points drawn from random.Random(p): a single
-annihilator in the interval is the order, and several fall back to point
-orders and twist points.  order_lanes runs the same baby-step giant-step
-search on x coordinates alone for a whole block of primes at once, one
-prime per int64 numpy lane, and proves the order wherever the window
-holds exactly one annihilator; trace_block sends the lanes it refuses to
-order_bsgs.
+annihilator in the interval is the order, and several are spaced by the
+point's order and call for more points, on the curve and its twist.
+order_lanes runs the same baby-step giant-step search on x coordinates
+alone for a whole block of primes at once, one prime per int64 numpy
+lane, and proves the order wherever the window holds exactly one
+annihilator; trace_block sends the lanes it refuses to order_bsgs.
 """
 
 import math
 import random
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
 from .curve import INFINITY, ReducedCurve, add, random_point, scalar_mul
-from .modarith import factorize, legendre
+from .modarith import legendre
 
 _NAIVE_CAP = 1 << 31  # int64 intermediates in the vectorized sum
 _MAX_SAMPLES = 64
@@ -77,7 +78,9 @@ def quadratic_twist(C: ReducedCurve) -> ReducedCurve:
 
 
 def _annihilators(P, C, lo, hi) -> list:
-    """Every n in [lo, hi] with n*P = infinity, ascending.
+    """Every n in [lo, hi] with n*P = infinity, ascending, each once:
+    the multiples of ord(P) in the window, so two or more are spaced by
+    ord(P).
 
     Baby-step giant-step over the window; it always holds a multiple of
     ord(P), because the group order lies in it.
@@ -123,50 +126,16 @@ def _annihilators(P, C, lo, hi) -> list:
     return anns
 
 
-def _point_order(P, C, anns) -> int:
-    """Exact order of P from the gcd of its window annihilators."""
-    g = math.gcd(*anns)
-    for q, mult in factorize(g):
-        for _ in range(mult):
-            if scalar_mul(g // q, P, C) is INFINITY:
-                g //= q
-            else:
-                break
-    return g
-
-
-def _crt_candidates(L_E, L_T, p, lo, hi, cap=3):
-    """Orders n in [lo, hi] with L_E | n and L_T | (2p + 2 - n).
-
-    Returns at most cap + 1 of them (enough to detect non-uniqueness).
-    """
-    g = math.gcd(L_E, L_T)
-    target = 2 * p + 2
-    if target % g:
-        return []
-    # solve L_E * t = target (mod L_T)
-    lt = L_T // g
-    t0 = (target // g) * pow(L_E // g, -1, lt) % lt if lt > 1 else 0
-    n0 = L_E * t0
-    step = L_E * lt
-    first = n0 + ((lo - n0 + step - 1) // step) * step
-    out = []
-    n = first
-    while n <= hi and len(out) <= cap:
-        out.append(n)
-        n += step
-    return out
-
-
 def order_bsgs(C: ReducedCurve) -> TraceResult:
     """Exact group order from point annihilators, O(p^{1/4}) per point.
 
     The group order of a point's curve annihilates the point and lies in
     the Hasse window, so a window holding one annihilator proves it.
-    Otherwise points from the curve and its quadratic twist alternate;
-    their order lcms shrink the candidate set until exactly one order
-    survives in the window.  Points come from the stream random.Random(p),
-    so the result and its cost depend on p alone.
+    Otherwise the annihilators are spaced by the point's order, and points
+    from the curve and its quadratic twist alternate; their order lcms
+    shrink the candidate set until exactly one order survives in the
+    window.  Points come from the stream random.Random(p), so the result
+    and its cost depend on p alone.
     """
     p = C.p
     if p < _MIN_BSGS_P:
@@ -186,12 +155,15 @@ def order_bsgs(C: ReducedCurve) -> TraceResult:
         if len(anns) == 1:
             N = 2 * p + 2 - anns[0] if on_twist else anns[0]
             return TraceResult(p, p + 1 - N, N, "bsgs")
-        o = _point_order(P, side, anns)
+        o = anns[1] - anns[0]  # the annihilators are the multiples of ord(P)
         if on_twist:
-            L_T = L_T * o // math.gcd(L_T, o)
+            L_T = math.lcm(L_T, o)
         else:
-            L_E = L_E * o // math.gcd(L_E, o)
-        cands = _crt_candidates(L_E, L_T, p, lo, hi)
+            L_E = math.lcm(L_E, o)
+        # the orders left in the window, up to the two that show ambiguity;
+        # L_E >= 2 here, since the first point is on the curve and not O
+        cands = list(islice((n for n in range(-(-lo // L_E) * L_E, hi + 1, L_E)
+                             if (2 * p + 2 - n) % L_T == 0), 2))
         if len(cands) == 1:
             N = cands[0]
             return TraceResult(p, p + 1 - N, N, "bsgs")

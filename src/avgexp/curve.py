@@ -7,6 +7,7 @@ acceptable.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .modarith import factorize, legendre, sqrt_mod
 
@@ -19,26 +20,28 @@ class BadReduction(ValueError):
 
 @dataclass(frozen=True)
 class GlobalCurve:
-    """Integer model y^2 = x^3 + a4*x + a6 over Q.
+    """Integer model y^2 = x^3 + a4*x + a6 over Q, of any size.
 
-    bad_primes covers {2, 3} and every prime dividing the discriminant;
-    these are exactly the primes reduce_curve refuses.
+    A prime p is bad exactly when p < 5 or p divides disc; reduce_curve
+    refuses those primes.  Nothing factors disc on the way.
     """
 
     a4: int
     a6: int
     label: str = ""
     disc: int = field(init=False)
-    bad_primes: frozenset = field(init=False)
 
     def __post_init__(self):
         disc = -16 * (4 * self.a4 ** 3 + 27 * self.a6 ** 2)
         if disc == 0:
             raise ValueError("singular model: discriminant is zero")
-        bad = {2, 3}
-        bad.update(q for q, _ in factorize(abs(disc)))
         object.__setattr__(self, "disc", disc)
-        object.__setattr__(self, "bad_primes", frozenset(bad))
+
+    @cached_property
+    def bad_primes(self) -> frozenset:
+        """{2, 3} and every prime dividing disc, by factoring it, so only
+        for |disc| < 2^63; a sweep tests p | disc directly instead."""
+        return frozenset({2, 3} | {q for q, _ in factorize(abs(self.disc))})
 
 
 @dataclass(frozen=True)
@@ -60,7 +63,7 @@ def reduce_curve(E: GlobalCurve, p: int) -> ReducedCurve:
     Primes 2 and 3 and divisors of the discriminant are rejected; the
     caller skips them (they contribute exponent 0).
     """
-    if p in E.bad_primes or p < 5:
+    if p < 5 or E.disc % p == 0:
         raise BadReduction(f"p = {p} is a bad prime for {E}")
     return ReducedCurve(p, E.a4 % p, E.a6 % p)
 

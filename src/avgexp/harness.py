@@ -29,13 +29,13 @@ import numpy as np
 
 from .constants import (DEFAULT_DPS, MIN_DPS, ConstantEstimate, DegreeModel,
                         constant_series, degree, estimate_degrees, li)
-from .curve import GlobalCurve, reduce_curve
+from .curve import GlobalCurve, ReducedCurve, reduce_curve
 from .counting import DEFAULT_TRACE_THRESHOLD, TraceResult, trace_block
 from .modarith import is_prime, sieve_primes
 from .structure import GroupStructure, group_structure
 
 CACHE_MAGIC = b"AVGEXP1\0"
-_CACHE_HEADER = struct.Struct("<8sqqQI")
+_CACHE_HEADER = struct.Struct("<8sqqQI")  # a4 and a6 are int64
 # A record (p, a_p, d_p, e_p) in memory and in the cache.  In memory every
 # column is int64, so arithmetic on the columns stays integer (numpy turns
 # uint64 - int64 into float64); the cache keeps its packed "<QqIQ" layout.
@@ -104,8 +104,7 @@ class ExperimentConfig:
             raise ValueError("checkpoints must be strictly ascending")
         if self.checkpoints[-1] > self.x_max:
             raise ValueError("checkpoints must not exceed x_max")
-        least = next(q for q in count(5)
-                     if q not in self.curve.bad_primes and is_prime(q))
+        least = next(q for q in count(5) if is_prime(q) and self.curve.disc % q)
         if self.checkpoints[0] < least:
             raise ValueError(f"checkpoints must be >= {least}, the least good prime")
         if self.model is None:
@@ -114,6 +113,10 @@ class ExperimentConfig:
             raise ValueError("workers must be >= 1")
         if self.precision < MIN_DPS:
             raise ValueError(f"precision must be >= {MIN_DPS} digits")
+        if self.cache_path and not all(-2 ** 63 <= a < 2 ** 63
+                                       for a in (self.curve.a4, self.curve.a6)):
+            raise ValueError("a cache stores a4 and a6 as int64, "
+                             "and this curve's coefficients do not fit")
 
 
 @dataclass(frozen=True)
@@ -169,21 +172,22 @@ def record_violations(records) -> np.ndarray:
             | (e % m != 0) | ((p - 1) % m != 0) | ((a - 2) % m != 0))
 
 
-def compute_record(E: GlobalCurve, T: TraceResult) -> GroupStructure:
-    """The record of T.p from its trace result T: the structure step."""
-    return group_structure(reduce_curve(E, T.p), T)
+def compute_record(C: ReducedCurve, T: TraceResult) -> GroupStructure:
+    """The record of C.p from its trace result T: the structure step."""
+    return group_structure(C, T)
 
 
 def compute_block(E: GlobalCurve, ps: list, threshold: int) -> tuple:
     """Records of the good primes ps, and how many took each path of
     PATHS.  Point counting runs for the whole block at once; a record
     that breaks an identity raises ArithmeticError."""
-    traces = trace_block([reduce_curve(E, p) for p in ps], threshold)
+    curves = [reduce_curve(E, p) for p in ps]
+    traces = trace_block(curves, threshold)
     paths = dict.fromkeys(PATHS.values(), 0)
     for T in traces:
         paths[PATHS[T.method]] += 1
     records = np.array([(S.p, S.a_p, S.d_p, S.e_p)
-                        for S in (compute_record(E, T) for T in traces)], dtype=RECORD)
+                        for S in map(compute_record, curves, traces)], dtype=RECORD)
     bad = record_violations(records)
     if bad.any():
         raise ArithmeticError(f"record identities fail at p = {records['p'][bad.argmax()]}")
@@ -211,6 +215,22 @@ def compute_records(E: GlobalCurve, primes: list, threshold: int,
     return records.view(np.recarray), paths
 
 
+def good_primes(E: GlobalCurve, limit: int) -> tuple:
+    """The good primes p <= limit of E and the bad ones, as int64 arrays.
+
+    p is bad when p < 5 or p | disc.  |disc| mod every sieved prime at
+    once comes from Horner's rule over its 16-bit limbs, which stays
+    inside int64 for p < 2^47; disc is never factored.
+    """
+    primes = np.array(sieve_primes(limit), dtype=np.int64)
+    d = abs(E.disc)
+    r = np.zeros_like(primes)
+    for shift in range(d.bit_length() // 16 * 16, -1, -16):
+        r = ((r << 16) + ((d >> shift) & 0xFFFF)) % primes
+    bad = (primes < 5) | (r == 0)
+    return primes[~bad], primes[bad]
+
+
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Process every good prime p <= x_max exactly once and aggregate.
 
@@ -218,11 +238,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     rewritten with its old records and the new ones.  A cached p <= x_max
     that is not a good prime makes the cache corrupt.
     """
-    primes = sieve_primes(cfg.x_max)
-    bad = cfg.curve.bad_primes
-    good = np.array([p for p in primes if p not in bad], dtype=np.int64)
-    skipped = [p for p in primes if p in bad]
-
+    good, skipped = good_primes(cfg.curve, cfg.x_max)
     records = np.empty(0, RECORD)
     if cfg.cache_path and os.path.exists(cfg.cache_path):
         records = cache_load(cfg.cache_path, cfg.curve)
@@ -246,7 +262,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         model = estimate_degrees(records, cfg.x_max, K_MAX_DIAG)
     estimate, provenance = model_constant(model, cfg.precision)
     rows = aggregate_checkpoints(records, cfg.checkpoints, float(estimate.value))
-    return ExperimentResult(cfg, records, rows, skipped, model, estimate,
+    return ExperimentResult(cfg, records, rows, skipped.tolist(), model, estimate,
                             provenance, paths)
 
 
@@ -406,9 +422,7 @@ def write_pi_e_csv(path, table) -> None:
 def result_to_json(result: ExperimentResult, pi_table) -> dict:
     cfg = result.config
     return {
-        "curve": {"a4": cfg.curve.a4, "a6": cfg.curve.a6,
-                  "label": cfg.curve.label,
-                  "bad_primes": sorted(cfg.curve.bad_primes)},
+        "curve": {"a4": cfg.curve.a4, "a6": cfg.curve.a6, "label": cfg.curve.label},
         "x_max": cfg.x_max,
         "constant": {"value": float(result.constant.value),
                      "tail_bound": result.constant.tail_bound,

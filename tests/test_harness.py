@@ -17,9 +17,9 @@ from avgexp.harness import (CacheMismatch, CheckpointRow, CorruptCache,
                             ExperimentConfig, InsufficientCheckpoints,
                             PRESETS, RECORD, cache_load, cache_store,
                             compute_record, default_checkpoints, error_trend,
-                            pi_E_table, record_violations, run_experiment,
-                            write_records_csv)
-from avgexp.modarith import sieve_primes
+                            good_primes, pi_E_table, record_violations,
+                            run_experiment, write_records_csv)
+from avgexp.modarith import is_prime, sieve_primes
 from avgexp.structure import structure_bruteforce
 
 GENERIC = GlobalCurve(1, 1)
@@ -97,8 +97,8 @@ class TestRunExperiment:
 
     def test_short_exponent_regression_6701(self):
         # the retired Monte Carlo step gave (4, 1708) here at seed 1
-        rec = compute_record(PRESETS["generic1"],
-                             trace_naive(reduce_curve(PRESETS["generic1"], 6701)))
+        C = reduce_curve(PRESETS["generic1"], 6701)
+        rec = compute_record(C, trace_naive(C))
         assert (rec.a_p, rec.d_p, rec.e_p) == (-130, 2, 3416)
 
     def test_config_validation(self):
@@ -122,6 +122,51 @@ class TestRunExperiment:
         assert default_checkpoints(10 ** 6) == [10 ** 3, 10 ** 4, 10 ** 5, 10 ** 6]
         assert default_checkpoints(5000) == [1000, 5000]
         assert default_checkpoints(500) == [500]
+
+
+# |disc| >= 2^63, beyond factorize: 86 and 220 bits; the second curve's
+# bad primes are 2, 3, 5, 653 and 2273
+BIG_CURVES = [GlobalCurve(10 ** 8, 1), GlobalCurve(3 ** 45, -7 ** 30)]
+
+
+class TestGoodPrimes:
+    @pytest.mark.parametrize("E", BIG_CURVES + list(PRESETS.values()))
+    def test_matches_trial_division(self, E):
+        primes = sieve_primes(5000)
+        good, bad = good_primes(E, 5000)
+        assert good.dtype == bad.dtype == np.int64
+        assert good.tolist() == [q for q in primes if q >= 5 and E.disc % q]
+        assert bad.tolist() == [q for q in primes if q < 5 or E.disc % q == 0]
+
+    def test_residues_exact_near_2_to_47(self, monkeypatch):
+        # Horner steps reach r * 2^16 < 2^63 for p < 2^47
+        big = [q for q in range(2 ** 47 - 400, 2 ** 47) if is_prime(q)]
+        E = GlobalCurve(big[-1] * 3 ** 40, 0)  # disc = -64 * a4^3
+        monkeypatch.setattr(harness, "sieve_primes", lambda limit: [2, 3, 5] + big)
+        good, bad = good_primes(E, 2 ** 47)
+        assert bad.tolist() == [2, 3, big[-1]]
+        assert good.tolist() == [5] + big[:-1]
+
+    @pytest.mark.parametrize("E", BIG_CURVES)
+    def test_records_match_bruteforce_to_3000(self, E):
+        result = run_experiment(ExperimentConfig(curve=E, x_max=3000, checkpoints=[3000],
+                                                 trace_threshold=229))
+        assert result.skipped == [q for q in sieve_primes(3000) if q < 5 or E.disc % q == 0]
+        assert result.paths["lanes"] and result.paths["fallback"]
+        for p, a, d, e in result.records.tolist():
+            want = structure_bruteforce(reduce_curve(E, p))
+            assert (p, a, d, e) == (want.p, want.a_p, want.d_p, want.e_p)
+
+    def test_cache_needs_int64_coefficients(self, tmp_path):
+        for a4, a6 in ((2 ** 63, 1), (1, -2 ** 63 - 1)):
+            with pytest.raises(ValueError, match="int64"):
+                ExperimentConfig(curve=GlobalCurve(a4, a6), x_max=1000,
+                                 cache_path=str(tmp_path / "c.bin"))
+            ExperimentConfig(curve=GlobalCurve(a4, a6), x_max=1000)
+        E = GlobalCurve(2 ** 63 - 1, -2 ** 63)  # the extremes still round-trip
+        path = str(tmp_path / "edge.bin")
+        cfg = ExperimentConfig(curve=E, x_max=300, checkpoints=[300], cache_path=path)
+        assert np.array_equal(run_experiment(cfg).records, cache_load(path, E))
 
 
 TRUE_RECORD = (17, 0, 1, 18)  # generic1 at p = 17: E(F_17) = Z/18
@@ -321,9 +366,9 @@ class TestCache:
         computed = []
         real = harness.compute_record
 
-        def spy(E, T):
-            computed.append(T.p)
-            return real(E, T)
+        def spy(C, T):
+            computed.append(C.p)
+            return real(C, T)
         monkeypatch.setattr(harness, "compute_record", spy)
         r3 = small_run(x_max=3000, checkpoints=[3000], cache_path=path)
         assert computed and all(2000 < p <= 3000 for p in computed)
@@ -423,7 +468,8 @@ class TestCli:
                        "--outfile", str(out)])
         assert rc == 0
         blob = json.loads(out.read_text())
-        assert blob["curve"]["a4"] == 1
+        assert blob["curve"] == {"a4": 1, "a6": 1, "label": "1,1"}
+        assert blob["skipped_bad_primes"] == [2, 3, 31]
         assert blob["checkpoints"][0]["pi_x"] > 0
         assert blob["records"][0][0] == 5
 
@@ -459,13 +505,24 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "x_max must be >= 100" in err
 
-    def test_oversized_curve_is_a_usage_error(self, tmp_path, capsys):
-        # |disc| >= 2^63 is beyond factorize; lifting that cap is separate work
+    def test_oversized_curve_runs(self, tmp_path):
+        # |disc| ~ 2^86 is beyond factorize; its bad primes are the p | disc
         rc = cli.main(["run", "--curve", "100000000,1", "--xmax", "1000",
                        "--outfile", str(tmp_path)])
+        assert rc == cli.EXIT_OK
+        rows = (tmp_path / "records.csv").read_text().splitlines()
+        assert len(rows) == 1 + 166 and rows[1].startswith("5,")  # 2 and 3 skipped
+
+    def test_oversized_coefficient_with_cache_is_a_usage_error(self, tmp_path, capsys,
+                                                               monkeypatch):
+        monkeypatch.setattr(cli, "run_experiment", None)  # refused before the sweep
+        cache = tmp_path / "c.bin"
+        rc = cli.main(["run", "--curve", "10000000000000000000,1", "--xmax", "1000",
+                       "--cache", str(cache), "--outfile", str(tmp_path)])
         assert rc == cli.EXIT_USAGE
         err = capsys.readouterr().err
-        assert err.count("\n") == 1 and "100000000,1" in err
+        assert err.count("\n") == 1 and "int64" in err
+        assert not cache.exists()
 
     @pytest.mark.parametrize("argv", [
         ["run", "--preset", "nope", "--xmax", "1000"],
