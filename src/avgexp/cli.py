@@ -2,10 +2,12 @@
 
 Exit codes: 0 on success, 2 when an invariant or verification fails,
 3 on cache errors (a cached record that breaks an identity among them),
-4 when the command line or an argument value is rejected.
+4 when the command line or an argument value is rejected, 141 (128 + SIGPIPE)
+when standard output closes early; run has written its output files by then.
 """
 
 import argparse
+import contextlib
 import os
 import sys
 
@@ -13,7 +15,7 @@ import mpmath as mp
 
 from .constants import (DegreeModel, constant_euler, constant_series,
                         load_overrides)
-from .counting import AmbiguityExhausted, DEFAULT_TRACE_THRESHOLD
+from .counting import _MIN_BSGS_P, AmbiguityExhausted, DEFAULT_TRACE_THRESHOLD
 from .curve import GlobalCurve, reduce_curve
 from .harness import (CacheMismatch, CorruptCache, ExperimentConfig,
                       InsufficientCheckpoints, K_MAX_DIAG, PRESETS,
@@ -27,6 +29,7 @@ EXIT_OK = 0
 EXIT_INVARIANT = 2
 EXIT_CACHE = 3
 EXIT_USAGE = 4
+EXIT_PIPE = 141
 
 VERIFY_CURVES = [
     GlobalCurve(1, 1, label="y^2 = x^3 + x + 1"),
@@ -88,13 +91,25 @@ def cmd_run(args) -> int:
             trace_threshold=args.trace_threshold,
             model=_build_model(args),
             cache_path=args.cache,
-            precision=args.precision,
         )
         _prepare_output(args)
     except ValueError as err:
         return _usage_error(str(err))
     result = run_experiment(cfg)
     table = pi_E_table(result.records, cfg.x_max, K_MAX_DIAG, result.model)
+    try:  # before any print, so that a closed stdout cannot cost the files
+        if args.out == "json":
+            written = args.outfile or "avgexp.json"
+            write_json(written, result, table)
+        else:
+            outdir = args.outfile or "."
+            write_records_csv(os.path.join(outdir, "records.csv"), result.records)
+            write_checkpoints_csv(os.path.join(outdir, "checkpoints.csv"),
+                                  result.checkpoints)
+            write_pi_e_csv(os.path.join(outdir, "pi_e.csv"), table)
+            written = f"{outdir}/records.csv, checkpoints.csv, pi_e.csv"
+    except OSError as err:
+        return _usage_error(f"--outfile: {err}")
 
     print(f"curve: {cfg.curve.label or (cfg.curve.a4, cfg.curve.a6)}   "
           f"x_max = {cfg.x_max}   good primes = {len(result.records)}   "
@@ -111,21 +126,7 @@ def cmd_run(args) -> int:
         print(f"deviation trend: slope {fit.slope:.3f} ({fit.note})")
     except (InsufficientCheckpoints, ValueError):
         pass
-
-    try:
-        if args.out == "json":
-            path = args.outfile or "avgexp.json"
-            write_json(path, result, table)
-            print(f"wrote {path}")
-        else:
-            outdir = args.outfile or "."
-            write_records_csv(os.path.join(outdir, "records.csv"), result.records)
-            write_checkpoints_csv(os.path.join(outdir, "checkpoints.csv"),
-                                  result.checkpoints)
-            write_pi_e_csv(os.path.join(outdir, "pi_e.csv"), table)
-            print(f"wrote {outdir}/records.csv, checkpoints.csv, pi_e.csv")
-    except OSError as err:
-        return _usage_error(f"--outfile: {err}")
+    print(f"wrote {written}")
     return EXIT_OK
 
 
@@ -156,7 +157,7 @@ def cmd_verify(args) -> int:
     failures = 0
     for E in VERIFY_CURVES:
         good, _ = good_primes(E, args.xmax)
-        records, paths = compute_records(E, good.tolist(), args.trace_threshold)
+        records, paths = compute_records(E, good.tolist(), _MIN_BSGS_P)
         curve_failures = 0
         for got in records.tolist():
             want = structure_bruteforce(reduce_curve(E, got[0]))
@@ -195,7 +196,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--cache", help="binary record cache path")
     run.add_argument("--out", choices=("csv", "json"), default="csv")
     run.add_argument("--outfile", help="csv: output directory; json: file path")
-    run.add_argument("--precision", type=int, default=50)
     run.set_defaults(func=cmd_run)
 
     const = sub.add_parser("constant", help="evaluate the constant two ways")
@@ -209,8 +209,6 @@ def build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="cross-check the certified structures "
                                            "against full enumeration at small p")
     verify.add_argument("--xmax", type=int, default=2000)
-    verify.add_argument("--trace-threshold", type=int,
-                        default=DEFAULT_TRACE_THRESHOLD)
     verify.set_defaults(func=cmd_verify)
     return ap
 
@@ -229,6 +227,11 @@ def main(argv=None) -> int:
             ArithmeticError) as err:
         print(f"invariant violation: {err}", file=sys.stderr)
         return EXIT_INVARIANT
+    except BrokenPipeError:
+        # point the descriptor at devnull, so the flush at exit cannot fail too
+        with contextlib.suppress(AttributeError, OSError, ValueError):
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
 
 
 if __name__ == "__main__":

@@ -27,8 +27,8 @@ from itertools import count
 
 import numpy as np
 
-from .constants import (DEFAULT_DPS, MIN_DPS, ConstantEstimate, DegreeModel,
-                        constant_series, degree, estimate_degrees, li)
+from .constants import (ConstantEstimate, DegreeModel, constant_series,
+                        degree, estimate_degrees, li)
 from .curve import GlobalCurve, ReducedCurve, reduce_curve
 from .counting import DEFAULT_TRACE_THRESHOLD, TraceResult, trace_block
 from .modarith import is_prime, sieve_primes
@@ -91,7 +91,6 @@ class ExperimentConfig:
     trace_threshold: int = DEFAULT_TRACE_THRESHOLD
     model: DegreeModel = None
     cache_path: str = None
-    precision: int = DEFAULT_DPS
 
     def __post_init__(self):
         if self.x_max < 100:
@@ -111,8 +110,6 @@ class ExperimentConfig:
             self.model = DegreeModel("gl2_generic")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
-        if self.precision < MIN_DPS:
-            raise ValueError(f"precision must be >= {MIN_DPS} digits")
         if self.cache_path and not all(-2 ** 63 <= a < 2 ** 63
                                        for a in (self.curve.a4, self.curve.a6)):
             raise ValueError("a cache stores a4 and a6 as int64, "
@@ -260,23 +257,23 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     model = cfg.model
     if model.kind == "empirical" and not model.overrides:
         model = estimate_degrees(records, cfg.x_max, K_MAX_DIAG)
-    estimate, provenance = model_constant(model, cfg.precision)
+    estimate, provenance = model_constant(model)
     rows = aggregate_checkpoints(records, cfg.checkpoints, float(estimate.value))
     return ExperimentResult(cfg, records, rows, skipped.tolist(), model, estimate,
                             provenance, paths)
 
 
-def model_constant(model: DegreeModel, dps: int = DEFAULT_DPS):
+def model_constant(model: DegreeModel):
     """Series value of the constant under the model, with provenance."""
     if model.kind == "gl2_generic":
-        est = constant_series(model, DEFAULT_SERIES_Y, dps)
+        est = constant_series(model, DEFAULT_SERIES_Y)
         return est, f"gl2_generic series, y = {DEFAULT_SERIES_Y}"
     covered = 0
     while (covered + 1) in model.overrides:
         covered += 1
     if covered == 0:
         raise ValueError("empirical model covers no levels")
-    est = constant_series(model, covered, dps)
+    est = constant_series(model, covered)
     return est, f"empirical series, y = {covered} (fitted table)"
 
 

@@ -1,18 +1,19 @@
 """Invariant factors (d, e) of the point group: E(F_p) = Z/d x Z/e, d | e.
 
-The exponent is settled one prime l | N at a time.  With k = v_l(N) and
-a = v_l(d), the l-Sylow subgroup is Z/l^a x Z/l^(k-a), and the
-constraints d^2 | N, d | p-1 and d | a_p-2 bound a from above; at l = 2
-the discriminant of the cubic fixes whether a >= 1.  Usually that leaves
-one admissible a and costs no group operation.  Otherwise the l-Sylow
-subgroup, which is tiny, is resolved directly (after Sutherland,
-"Structure computation and discrete logarithms in finite abelian
-p-groups", Math. Comp. 2011): a point Q1 of order l^b1 and a point R
-whose multiple l^j*R first lies in <Q1> at j = k - b1 generate the whole
-subgroup, which proves that its exponent is l^b1.  Points come from
-random.Random(p) and affect only the cost, never the answer (Las Vegas).
-A full-enumeration oracle (structure_bruteforce) provides an independent
-answer at small p.
+The Weil pairing gives d | p-1 and Frobenius fixing E[d] gives d | a_p-2, so
+d | g = gcd(p-1, a_p-2), and g | N = (p-1) - (a_p-2); as p is odd, N is even
+exactly when 2 | g.  The exponent is thus settled one prime l | g at a time,
+and N is never factored.  With k = v_l(N) and a = v_l(d), the l-Sylow
+subgroup is Z/l^a x Z/l^(k-a), a <= k/2 and a <= v_l(g); at l = 2 the
+discriminant of the cubic fixes whether a >= 1.  Usually that leaves one
+admissible a and costs no group operation.  Otherwise the l-Sylow subgroup,
+which is tiny, is resolved directly (after Sutherland, "Structure
+computation and discrete logarithms in finite abelian p-groups", Math. Comp.
+2011): a point Q1 of order l^b1 and a point R whose multiple l^j*R first
+lies in <Q1> at j = k - b1 generate the whole subgroup, which proves that
+its exponent is l^b1.  Points come from random.Random(p) and affect only the
+cost, never the answer (Las Vegas).  A full-enumeration oracle
+(structure_bruteforce) provides an independent answer at small p.
 """
 
 import math
@@ -57,10 +58,10 @@ def has_full_two_torsion(C: ReducedCurve, N: int) -> bool:
     return N % 2 == 0 and legendre(-4 * C.a ** 3 - 27 * C.b ** 2, C.p) == 1
 
 
-def _valuation(n: int, l: int, cap: int) -> int:
-    """min(v_l(n), cap); n = 0 is divisible by every power of l."""
+def _valuation(n: int, l: int) -> int:
+    """v_l(n) for n > 0."""
     v = 0
-    while v < cap and n % l == 0:
+    while n % l == 0:
         n //= l
         v += 1
     return v
@@ -138,21 +139,21 @@ def _sylow_exponent(C: ReducedCurve, N: int, l: int, k: int, a_min: int) -> int:
         f"{l}-Sylow subgroup unresolved after {_MAX_DRAWS} draws at p = {C.p}")
 
 
-def exponent_sampling(C: ReducedCurve, N: int, factorization) -> int:
-    """The exponent e of E(F_p), given the group order N and its
-    factorization, proved one prime l | N at a time.
+def exponent_sampling(C: ReducedCurve, N: int) -> int:
+    """The exponent e = N/d of E(F_p), given the group order N, proved
+    one prime l | g = gcd(p-1, a_p-2) at a time.
 
-    The l-part is l^(k-a) with a = v_l(d) admissible: a <= k/2,
-    l^a | p-1 and l^a | a_p-2, and at l = 2, a >= 1 iff the 2-torsion is
-    rational.  A single admissible a needs no draws; otherwise the
-    l-Sylow subgroup decides.
+    v_l(d) is an admissible a: a <= v_l(N)/2, a <= v_l(g), and at l = 2,
+    a >= 1 iff the 2-torsion is rational.  A single admissible a needs
+    no draws; otherwise the l-Sylow subgroup decides.
     """
     p = C.p
-    a_p = p + 1 - N
-    e = 1
-    for l, k in factorization:
+    g = math.gcd(p - 1, p - 1 - N)  # a_p - 2 = p - 1 - N
+    d = 1
+    for l, v in factorize(g):
+        k = _valuation(N, l)
         a_min = 0
-        a_max = min(_valuation(p - 1, l, k // 2), _valuation(a_p - 2, l, k // 2))
+        a_max = min(v, k // 2)
         if l == 2:
             if has_full_two_torsion(C, N):
                 a_min = 1
@@ -161,17 +162,16 @@ def exponent_sampling(C: ReducedCurve, N: int, factorization) -> int:
         if a_min > a_max:
             raise StructureUnverified(f"p = {p}: no {l}-Sylow structure fits N = {N}")
         if a_min == a_max:
-            e *= l ** (k - a_max)
+            d *= l ** a_max
         else:
-            e *= l ** _sylow_exponent(C, N, l, k, a_min)
-    return e
+            d *= l ** (k - _sylow_exponent(C, N, l, k, a_min))
+    return N // d
 
 
 def group_structure(C: ReducedCurve, T) -> GroupStructure:
     """(d, e) for the trace result T."""
-    N = T.N
-    e = exponent_sampling(C, N, factorize(N))
-    return GroupStructure(C.p, T.a_p, N, N // e, e)
+    e = exponent_sampling(C, T.N)
+    return GroupStructure(C.p, T.a_p, T.N, T.N // e, e)
 
 
 def structure_bruteforce(C: ReducedCurve) -> GroupStructure:

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import struct
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -112,8 +113,6 @@ class TestRunExperiment:
             ExperimentConfig(curve=GENERIC, x_max=1000, checkpoints=[2000])
         with pytest.raises(ValueError):
             ExperimentConfig(curve=GENERIC, x_max=1000, workers=0)
-        with pytest.raises(ValueError):
-            ExperimentConfig(curve=GENERIC, x_max=1000, precision=19)
         with pytest.raises(ValueError, match="least good prime"):
             ExperimentConfig(curve=GENERIC, x_max=1000, checkpoints=[3, 1000])
         ExperimentConfig(curve=GENERIC, x_max=1000, checkpoints=[5, 1000])
@@ -440,7 +439,7 @@ class TestPipeline:
         assert json.loads(out.read_text())["paths"] == dict.fromkeys(paths, 0)
 
     def test_verify_checks_the_lanes(self, capsys):
-        assert cli.main(["verify", "--xmax", "1000", "--trace-threshold", "229"]) == 0
+        assert cli.main(["verify", "--xmax", "1000"]) == 0
         out = capsys.readouterr().out
         assert "y^2 = x^3 - x: 166 good primes <= 1000 cross-checked (naive 47, lanes" in out
         assert "match full enumeration" in out
@@ -536,7 +535,6 @@ class TestCli:
         ["constant", "--series-y", "0", "--euler-pmax", "100"],
         ["constant", "--series-y", "10", "--euler-pmax", "1"],
         ["constant", "--series-y", "10", "--euler-pmax", "10", "--overrides", "/no/such/file"],
-        ["run", "--preset", "generic1", "--xmax", "1000", "--precision", "19"],
         ["run", "--preset", "generic1", "--xmax", "1000", "--overrides", "/no/such/file"],
         ["verify", "--xmax", "1"],
         ["verify", "--xmax", "-3"],
@@ -577,6 +575,7 @@ class TestCli:
         ["run", "--preset", "generic1", "--xmax", "ten"],
         ["bogus"],
         ["run", "--preset", "generic1", "--xmax", "1000", "--seed", "1"],
+        ["run", "--preset", "generic1", "--xmax", "1000", "--precision", "19"],
     ])
     def test_argparse_errors_are_usage_errors(self, argv, capsys):
         assert cli.main(argv) == cli.EXIT_USAGE
@@ -593,6 +592,25 @@ class TestCli:
             assert rc == cli.EXIT_USAGE
             err = capsys.readouterr().err
             assert err.startswith("usage error: --outfile") and err.count("\n") == 1
+
+    def test_closed_stdout_keeps_the_files(self, tmp_path, capsys, monkeypatch):
+        class ClosedPipe:
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+            def flush(self):
+                pass
+
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        base = ["run", "--curve", "100000000,1", "--xmax", "1000"]
+        assert cli.main(base + ["--outfile", str(tmp_path)]) == cli.EXIT_PIPE
+        for name in ("records.csv", "checkpoints.csv", "pi_e.csv"):
+            assert (tmp_path / name).exists()
+        out = tmp_path / "res.json"
+        assert cli.main(base + ["--checkpoints", ",".join(map(str, range(100, 1001, 100))),
+                                "--out", "json", "--outfile", str(out)]) == cli.EXIT_PIPE
+        assert out.exists()
+        assert capsys.readouterr().err == ""  # no usage error, no traceback
 
     def test_help_exits_zero(self, capsys):
         assert cli.main(["run", "--help"]) == cli.EXIT_OK

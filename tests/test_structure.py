@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from avgexp import curve, structure
 from avgexp.counting import trace_naive
 from avgexp.curve import GlobalCurve, ReducedCurve, random_point, reduce_curve
-from avgexp.harness import RECORD, record_violations
+from avgexp.harness import PRESETS, RECORD, good_primes, record_violations
 from avgexp.modarith import factorize, sieve_primes
 from avgexp.structure import (NotAnnihilated, StructureUnverified,
                               exponent_sampling, group_structure,
@@ -72,16 +72,16 @@ class TestExponentSampling:
         C = reduce_curve(GENERIC, 7)
         N = trace_naive(C).N
         assert N == 5 and math.gcd(N, 6) == 1
-        assert exponent_sampling(C, N, factorize(N)) == 5
+        assert exponent_sampling(C, N) == 5
 
     def test_f5_generic(self):
         C = reduce_curve(GENERIC, 5)
-        assert exponent_sampling(C, 9, factorize(9)) == 9
+        assert exponent_sampling(C, 9) == 9
 
     def test_f5_cm_full_two_torsion(self):
         # x^3 - x splits over F_5, so d = 2 and e = 4
         C = reduce_curve(CM, 5)
-        assert exponent_sampling(C, 8, factorize(8)) == 4
+        assert exponent_sampling(C, 8) == 4
 
     def test_divides_true_exponent_many_trials(self):
         # the certified step returns the exact exponent for every stream
@@ -97,14 +97,30 @@ class TestExponentSampling:
         seeds = range(120)
         for (a4, a6, p), want in truth.items():
             C = ReducedCurve(p, a4 % p, a6 % p)
-            F = factorize(want.N)
             for s in seeds:
                 with points_from(s):
-                    e = exponent_sampling(C, want.N, F)
+                    e = exponent_sampling(C, want.N)
                 assert want.e_p % e == 0
                 assert e == want.e_p
                 trials += 1
         assert trials >= 10_000
+
+    def test_split_cubic_with_odd_two_part_raises(self):
+        # x^3 - x splits over F_5, so 2 | d and 4 | N; v_2(6) = 1 fits no d
+        with pytest.raises(StructureUnverified):
+            exponent_sampling(reduce_curve(CM, 5), 6)
+
+    def test_factors_gcd_not_group_order(self, monkeypatch):
+        # only l | gcd(p-1, a_p-2) can divide d, so N itself is never factored
+        seen = []
+        monkeypatch.setattr(structure, "factorize", lambda n: seen.append(n) or factorize(n))
+        for E in (PRESETS["generic1"], PRESETS["cm-i"]):
+            for p in good_primes(E, 5000)[0].tolist():
+                C = reduce_curve(E, p)
+                T = trace_naive(C)
+                seen.clear()
+                group_structure(C, T)
+                assert seen == [math.gcd(p - 1, T.a_p - 2)]
 
     def test_wrong_order_raises_not_annihilated(self):
         # true N = 640; 637 = 7^2 * 13 leaves the 7-part ambiguous, so the
@@ -113,7 +129,7 @@ class TestExponentSampling:
         assert trace_naive(C).N == 640
         for s in range(20):
             with points_from(s), pytest.raises(NotAnnihilated):
-                exponent_sampling(C, 637, factorize(637))
+                exponent_sampling(C, 637)
 
     def test_draw_cap_raises(self, monkeypatch):
         # one point drawn over and over can never prove d = 6 at p = 1657
@@ -122,7 +138,7 @@ class TestExponentSampling:
         P = random_point(C, random.Random(1))
         monkeypatch.setattr(structure, "random_point", lambda C, rng: P)
         with pytest.raises(StructureUnverified):
-            exponent_sampling(C, N, factorize(N))
+            exponent_sampling(C, N)
 
 
 class TestSylowPath:
