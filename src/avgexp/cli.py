@@ -157,7 +157,7 @@ def cmd_verify(args) -> int:
     failures = 0
     for E in VERIFY_CURVES:
         good, _ = good_primes(E, args.xmax)
-        records, paths = compute_records(E, good.tolist(), _MIN_BSGS_P)
+        records, paths = compute_records(E, good, _MIN_BSGS_P)
         curve_failures = 0
         for got in records.tolist():
             want = structure_bruteforce(reduce_curve(E, got[0]))

@@ -37,6 +37,10 @@ _MIN_BSGS_P = 229
 DEFAULT_TRACE_THRESHOLD = 400
 
 
+# The point-counting paths of trace_block, by index.
+PATHS = ("naive", "lanes", "fallback")
+
+
 class AmbiguityExhausted(RuntimeError):
     """order_bsgs could not pin the order; signals a logic bug upstream."""
 
@@ -46,7 +50,6 @@ class TraceResult:
     p: int
     a_p: int
     N: int
-    method: str
 
 
 def trace_naive(C: ReducedCurve) -> TraceResult:
@@ -65,7 +68,7 @@ def trace_naive(C: ReducedCurve) -> TraceResult:
         rhs = (x * x % p) * x % p
         rhs = (rhs + C.a * x + C.b) % p
         total += int(chi[rhs].sum())
-    return TraceResult(p, -total, p + 1 + total, "naive")
+    return TraceResult(p, -total, p + 1 + total)
 
 
 def quadratic_twist(C: ReducedCurve) -> ReducedCurve:
@@ -154,7 +157,7 @@ def order_bsgs(C: ReducedCurve) -> TraceResult:
         anns = _annihilators(P, side, lo, hi)
         if len(anns) == 1:
             N = 2 * p + 2 - anns[0] if on_twist else anns[0]
-            return TraceResult(p, p + 1 - N, N, "bsgs")
+            return TraceResult(p, p + 1 - N, N)
         o = anns[1] - anns[0]  # the annihilators are the multiples of ord(P)
         if on_twist:
             L_T = math.lcm(L_T, o)
@@ -166,7 +169,7 @@ def order_bsgs(C: ReducedCurve) -> TraceResult:
                              if (2 * p + 2 - n) % L_T == 0), 2))
         if len(cands) == 1:
             N = cands[0]
-            return TraceResult(p, p + 1 - N, N, "bsgs")
+            return TraceResult(p, p + 1 - N, N)
         if not cands:
             raise AmbiguityExhausted(f"inconsistent order constraints at p = {p}")
     raise AmbiguityExhausted(f"{_MAX_SAMPLES} samples left the order ambiguous at p = {p}")
@@ -256,9 +259,18 @@ def _affine(rows, p):
     return out
 
 
-def order_lanes(curves) -> list:
-    """Group order of each curve, proved on int64 lanes, or None where
-    the lane is refused.  Lanes need 229 <= p < 2^30.
+def _isqrt(n):
+    """floor(sqrt(n)) lane by lane, for 0 <= n < 2^52."""
+    r = np.sqrt(n.astype(np.float64)).astype(np.int64)
+    r -= r * r > n
+    return r + ((r + 1) * (r + 1) <= n)
+
+
+def order_lanes(p, a, b) -> np.ndarray:
+    """Group order of y^2 = x^3 + a*x + b over F_p, lane by lane, proved
+    on int64 lanes, or 0 where the lane is refused.  p, a and b are int64
+    arrays with 0 <= a, b < p; lanes need 229 <= p < 2^30, and the others
+    are refused.
 
     Lane i takes the first x0 = 1, 2, ... with c = x0^3 + a*x0 + b != 0.
     That x0 is the x of a point P on the curve when c is a square and on
@@ -274,17 +286,14 @@ def order_lanes(curves) -> list:
     share an x, a row degenerates to (0 : 0), or the window holds several
     annihilators are refused.  Nothing in a lane depends on the others.
     """
-    out = [None] * len(curves)
-    idx = [i for i, C in enumerate(curves) if _MIN_BSGS_P <= C.p < LANE_CAP]
-    if not idx:
+    out = np.zeros(len(p), dtype=np.int64)
+    idx = np.flatnonzero((p >= _MIN_BSGS_P) & (p < LANE_CAP))
+    if not len(idx):
         return out
-    ps = [curves[i].p for i in idx]
-    p = np.array(ps, dtype=np.int64)
-    a = np.array([curves[i].a % q for i, q in zip(idx, ps)], dtype=np.int64)
-    b = np.array([curves[i].b % q for i, q in zip(idx, ps)], dtype=np.int64)
+    p, a, b = p[idx], a[idx], b[idx]
     b4, b8 = 4 * b % p, 8 * b % p
-    B = np.array([math.isqrt(4 * q) for q in ps], dtype=np.int64)
-    m = np.array([math.isqrt(w) + 1 for w in B.tolist()], dtype=np.int64)
+    B = _isqrt(4 * p)
+    m = _isqrt(B) + 1
     s = 2 * m - 1
     lo, hi = p + 1 - B, p + 1 + B
     k0 = (lo + m - 1) // s  # the giant rows k0 .. k1 tile the window
@@ -360,27 +369,23 @@ def order_lanes(curves) -> list:
     n = np.zeros_like(p)
     n[cl[good]] = cand[good]
     N = np.where(twist, 2 * p + 2 - n, n)
-    for i, ok, order_ in zip(idx, (count == 1) & ~refused, N.tolist()):
-        if ok:
-            out[i] = order_
+    accepted = (count == 1) & ~refused
+    out[idx[accepted]] = N[accepted]
     return out
 
 
-def trace_block(curves, threshold: int = DEFAULT_TRACE_THRESHOLD) -> list:
-    """TraceResult for each curve: the character sum below the threshold
-    (and below p = 229), the lanes of order_lanes at and above it, and
-    order_bsgs for every lane they refuse.  The methods read "naive",
-    "lanes" and "bsgs"."""
-    cut = max(threshold, _MIN_BSGS_P)
-    lanes = iter(order_lanes([C for C in curves if C.p >= cut]))
-    out = []
-    for C in curves:
-        if C.p < cut:
-            out.append(trace_naive(C))
-            continue
-        N = next(lanes)
-        if N is None:
-            out.append(order_bsgs(C))
-        else:
-            out.append(TraceResult(C.p, C.p + 1 - N, N, "lanes"))
-    return out
+def trace_block(p, a, b, threshold: int = DEFAULT_TRACE_THRESHOLD) -> tuple:
+    """Group orders N of y^2 = x^3 + a*x + b over F_p, lane by lane, and
+    the path each took, an index into PATHS: the character sum below the
+    threshold (and below p = 229), the lanes of order_lanes at and above
+    it, and order_bsgs for every lane they refuse.  p, a and b are as
+    for order_lanes; a ReducedCurve is built only for the two scalar
+    paths."""
+    naive = p < max(threshold, _MIN_BSGS_P)
+    N = np.zeros_like(p)
+    N[~naive] = order_lanes(p[~naive], a[~naive], b[~naive])
+    path = np.where(naive, 0, np.where(N == 0, 2, 1))
+    for i in np.flatnonzero(path != 1).tolist():
+        C = ReducedCurve(int(p[i]), int(a[i]), int(b[i]))
+        N[i] = (trace_naive(C) if naive[i] else order_bsgs(C)).N
+    return N, path

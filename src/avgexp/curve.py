@@ -9,7 +9,7 @@ acceptable.
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .modarith import factorize, legendre, sqrt_mod
+from .modarith import NotASquare, factorize, sqrt_mod
 
 INFINITY = None
 
@@ -119,7 +119,8 @@ def random_point(C: ReducedCurve, rng):
     """A random affine point: uniform x until the cubic is a square.
 
     The y sign is fixed by one rng bit; by Hasse roughly half of all x
-    succeed, so this takes about two draws.  Never returns INFINITY.
+    succeed, so this takes about two draws, one square root attempt each.
+    Never returns INFINITY.
     """
     p = C.p
     while True:
@@ -128,7 +129,9 @@ def random_point(C: ReducedCurve, rng):
         if rhs == 0:
             rng.getrandbits(1)
             return (x, 0)
-        if legendre(rhs, p) == 1:
+        try:
             r = sqrt_mod(rhs, p)
-            y = r if rng.getrandbits(1) == 0 else p - r
-            return (x, y)
+        except NotASquare:
+            continue
+        y = r if rng.getrandbits(1) == 0 else p - r
+        return (x, y)

@@ -2,10 +2,12 @@
 comparing the running average against the model constant, and diagnostics.
 
 Work is split into blocks of consecutive good primes, one pool task per
-block.  A block counts points for all its primes at once (trace_block),
-then proves each prime's structure.  Every record is proved, and the
-points behind it depend on p alone, so records are identical for any
-worker count and block layout.
+block.  A block is columnar from the primes to the records: it counts
+points for all its primes at once (trace_block), settles every d_p that
+the divisibility constraints force (settle), and proves the structure
+prime by prime only where points must be drawn (compute_record).  Every
+record is proved, and the points behind it depend on p alone, so records
+are identical for any worker count and block layout.
 
 Records are one numpy recarray of dtype RECORD, sorted by p.  The
 identities every true record obeys are written once, in
@@ -29,10 +31,10 @@ import numpy as np
 
 from .constants import (ConstantEstimate, DegreeModel, constant_series,
                         degree, estimate_degrees, li)
-from .curve import GlobalCurve, ReducedCurve, reduce_curve
-from .counting import DEFAULT_TRACE_THRESHOLD, TraceResult, trace_block
-from .modarith import is_prime, sieve_primes
-from .structure import GroupStructure, group_structure
+from .curve import GlobalCurve, ReducedCurve
+from .counting import DEFAULT_TRACE_THRESHOLD, PATHS, TraceResult, trace_block
+from .modarith import is_prime, residues, sieve_primes
+from .structure import GroupStructure, group_structure, settle
 
 CACHE_MAGIC = b"AVGEXP1\0"
 _CACHE_HEADER = struct.Struct("<8sqqQI")  # a4 and a6 are int64
@@ -48,8 +50,6 @@ DEFAULT_SERIES_Y = 1000
 LANE_BLOCK = 512
 # Levels k of the pi_e.csv table and of the empirical degree table.
 K_MAX_DIAG = 12
-# How each prime's trace was found, by TraceResult.method.
-PATHS = {"naive": "naive", "lanes": "lanes", "bsgs": "fallback"}
 
 PRESETS = {
     "generic1": GlobalCurve(1, 1, label="generic1"),
@@ -174,24 +174,30 @@ def compute_record(C: ReducedCurve, T: TraceResult) -> GroupStructure:
     return group_structure(C, T)
 
 
-def compute_block(E: GlobalCurve, ps: list, threshold: int) -> tuple:
+def compute_block(E: GlobalCurve, ps, threshold: int) -> tuple:
     """Records of the good primes ps, and how many took each path of
-    PATHS.  Point counting runs for the whole block at once; a record
-    that breaks an identity raises ArithmeticError."""
-    curves = [reduce_curve(E, p) for p in ps]
-    traces = trace_block(curves, threshold)
-    paths = dict.fromkeys(PATHS.values(), 0)
-    for T in traces:
-        paths[PATHS[T.method]] += 1
-    records = np.array([(S.p, S.a_p, S.d_p, S.e_p)
-                        for S in map(compute_record, curves, traces)], dtype=RECORD)
+    PATHS.  Point counting and the forced structures run for the whole
+    block at once; only the primes settle leaves open go through
+    compute_record.  A record that breaks an identity raises
+    ArithmeticError."""
+    p = np.asarray(ps, dtype=np.int64)
+    a, b = residues(E.a4, p), residues(E.a6, p)
+    N, path = trace_block(p, a, b, threshold)
+    d = settle(p, a, b, N)
+    for i in np.flatnonzero(d == 0).tolist():
+        q, n = int(p[i]), int(N[i])
+        S = compute_record(ReducedCurve(q, int(a[i]), int(b[i])), TraceResult(q, q + 1 - n, n))
+        d[i] = S.d_p
+    records = np.empty(len(p), RECORD)
+    for name, column in zip(RECORD.names, (p, p + 1 - N, d, N // d)):
+        records[name] = column
     bad = record_violations(records)
     if bad.any():
         raise ArithmeticError(f"record identities fail at p = {records['p'][bad.argmax()]}")
-    return records, paths
+    return records, dict(zip(PATHS, np.bincount(path, minlength=len(PATHS)).tolist()))
 
 
-def compute_records(E: GlobalCurve, primes: list, threshold: int,
+def compute_records(E: GlobalCurve, primes, threshold: int,
                     workers: int = 1) -> tuple:
     """compute_block over blocks of LANE_BLOCK primes, on a process pool
     of at most one worker per block and per CPU; records in the order of
@@ -204,7 +210,7 @@ def compute_records(E: GlobalCurve, primes: list, threshold: int,
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(work, blocks))
-    paths = dict.fromkeys(PATHS.values(), 0)
+    paths = dict.fromkeys(PATHS, 0)
     for _, counts in parts:
         for path, n in counts.items():
             paths[path] += n
@@ -215,16 +221,11 @@ def compute_records(E: GlobalCurve, primes: list, threshold: int,
 def good_primes(E: GlobalCurve, limit: int) -> tuple:
     """The good primes p <= limit of E and the bad ones, as int64 arrays.
 
-    p is bad when p < 5 or p | disc.  |disc| mod every sieved prime at
-    once comes from Horner's rule over its 16-bit limbs, which stays
-    inside int64 for p < 2^47; disc is never factored.
+    p is bad when p < 5 or p | disc.  disc mod every sieved prime comes
+    at once from residues, exact for p < 2^47; disc is never factored.
     """
     primes = np.array(sieve_primes(limit), dtype=np.int64)
-    d = abs(E.disc)
-    r = np.zeros_like(primes)
-    for shift in range(d.bit_length() // 16 * 16, -1, -16):
-        r = ((r << 16) + ((d >> shift) & 0xFFFF)) % primes
-    bad = (primes < 5) | (r == 0)
+    bad = (primes < 5) | (residues(E.disc, primes) == 0)
     return primes[~bad], primes[bad]
 
 
@@ -245,8 +246,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         raise CorruptCache(f"{cfg.cache_path}: cached p = {old[~known][0]} "
                            "is not a good prime")
     missing = good[~np.isin(good, old)]
-    fresh, paths = compute_records(cfg.curve, missing.tolist(), cfg.trace_threshold,
-                                   cfg.workers)
+    fresh, paths = compute_records(cfg.curve, missing, cfg.trace_threshold, cfg.workers)
     if len(missing):
         records = np.concatenate([records, fresh])
         records = records[np.argsort(records["p"])]

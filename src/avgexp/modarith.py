@@ -54,42 +54,53 @@ def legendre(a: int, p: int) -> int:
 def sqrt_mod(a: int, p: int) -> int:
     """Smaller square root of a mod p (Tonelli-Shanks).
 
-    Raises NotASquare when (a|p) = -1.
+    Raises NotASquare when (a|p) = -1.  One exponentiation w = a^((q-1)/2),
+    p - 1 = q*2^s with q odd, gives both the first root r = a*w and
+    t = r*w = a^q; t has order 2^i with i < s exactly when a is a square,
+    so the symbol is read off the squarings Tonelli-Shanks does anyway.
     """
     a %= p
     if a == 0:
         return 0
-    ls = legendre(a, p)
-    if ls == -1:
-        raise NotASquare(f"{a} is not a square mod {p}")
-    if p % 4 == 3:
-        r = pow(a, (p + 1) // 4, p)
-        return min(r, p - r)
-    # p = 1 (mod 4): full Tonelli-Shanks
-    q = p - 1
-    s = 0
+    q, s = p - 1, 0
     while q % 2 == 0:
         q //= 2
         s += 1
-    z = 2
-    while legendre(z, p) != -1:
-        z += 1
-    c = pow(z, q, p)
-    r = pow(a, (q + 1) // 2, p)
-    t = pow(a, q, p)
+    w = pow(a, (q - 1) // 2, p)
+    r = a * w % p
+    t = r * w % p
+    c = None
     m = s
     while t != 1:
-        t2 = t
-        i = 0
+        t2, i = t, 0
         while t2 != 1:
-            t2 = t2 * t2 % p
             i += 1
+            if i == m:  # t^(2^(s-1)) = (a|p) = -1
+                raise NotASquare(f"{a} is not a square mod {p}")
+            t2 = t2 * t2 % p
+        if c is None:  # a generator of the 2-Sylow subgroup
+            z = 2
+            while legendre(z, p) != -1:
+                z += 1
+            c = pow(z, q, p)
         b = pow(c, 1 << (m - i - 1), p)
         r = r * b % p
         c = b * b % p
         t = t * c % p
         m = i
     return min(r, p - r)
+
+
+def residues(n: int, moduli: np.ndarray) -> np.ndarray:
+    """n mod q for every q of the int64 array moduli, for an integer n of
+    any size and sign: Horner's rule over the 16-bit limbs of |n|, which
+    stays inside int64 for moduli below 2^47.  No big-int step depends on
+    the number of moduli."""
+    m = abs(n)
+    r = np.zeros_like(moduli)
+    for shift in range(m.bit_length() // 16 * 16, -1, -16):
+        r = ((r << 16) + ((m >> shift) & 0xFFFF)) % moduli
+    return -r % moduli if n < 0 else r
 
 
 def sieve_primes(limit: int) -> list:

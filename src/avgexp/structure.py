@@ -6,7 +6,8 @@ exactly when 2 | g.  The exponent is thus settled one prime l | g at a time,
 and N is never factored.  With k = v_l(N) and a = v_l(d), the l-Sylow
 subgroup is Z/l^a x Z/l^(k-a), a <= k/2 and a <= v_l(g); at l = 2 the
 discriminant of the cubic fixes whether a >= 1.  Usually that leaves one
-admissible a and costs no group operation.  Otherwise the l-Sylow subgroup,
+admissible a and costs no group operation; settle finds those primes for
+a whole block of lanes at once.  Otherwise the l-Sylow subgroup,
 which is tiny, is resolved directly (after Sutherland, "Structure
 computation and discrete logarithms in finite abelian p-groups", Math. Comp.
 2011): a point Q1 of order l^b1 and a point R whose multiple l^j*R first
@@ -21,8 +22,11 @@ import random
 from collections import defaultdict
 from dataclasses import dataclass
 
+import numpy as np
+
+from .counting import LANE_CAP, _powmod
 from .curve import INFINITY, ReducedCurve, add, neg, random_point, scalar_mul
-from .modarith import factorize, legendre
+from .modarith import _simple_sieve, factorize, legendre
 
 _MAX_DRAWS = 100  # per l-Sylow subgroup; a handful are expected
 _BRUTEFORCE_CAP = 5000
@@ -166,6 +170,40 @@ def exponent_sampling(C: ReducedCurve, N: int) -> int:
         else:
             d *= l ** (k - _sylow_exponent(C, N, l, k, a_min))
     return N // d
+
+
+def settle(p, a, b, N) -> np.ndarray:
+    """d for the curves y^2 = x^3 + a*x + b of order N over F_p, lane by
+    lane, wherever exponent_sampling's admissible a is forced for every
+    l | g = gcd(p-1, a_p-2), and 0 at every other lane.  p, a, b and N
+    are int64 arrays, 0 <= a, b < p; lanes with p >= 2^30 are left at 0.
+
+    An odd l | g allows only a = 0 exactly when v_l(N) = 1; with h the
+    odd part of g (h | N), that holds for every odd l | g when h is
+    squarefree and prime to N/h.  The square test tries l^2 for odd
+    primes l <= 255, which is exact only for h < 2^16, so larger h are
+    left to the scalar path (h <= g <= |a_p - 2| < 2^16 + 3 unless
+    a_p = 2).  At l = 2 one a is left when the cubic does not split
+    (a = 0), or when it splits and min(v_2(g), v_2(N)/2) = 1 (a = 1).
+    It splits when N is even and the discriminant -4a^3 - 27b^2 is a
+    square, so the forced d is 2 where it splits and 1 elsewhere.
+    """
+    settled = np.zeros_like(p)
+    if not len(p):
+        return settled
+    q = np.where(p < LANE_CAP, p, 5)  # keeps the products below inside int64
+    ar, br = a % q, b % q
+    disc = (-4 * (ar * ar % q * ar % q) - 27 * (br * br % q)) % q
+    split = (N % 2 == 0) & (_powmod(disc, (q - 1) // 2, q) == 1)
+    g = np.gcd(p - 1, p - 1 - N)
+    two = g & -g  # 2^v_2(g)
+    h = g // two
+    ok = (p < LANE_CAP) & (h < 1 << 16) & (np.gcd(h, N // h) == 1)
+    for l in _simple_sieve(math.isqrt(int(h[ok].max(initial=1))))[1:]:
+        ok &= h % (l * l) != 0
+    ok &= ~split | ((N % 4 == 0) & ((two == 2) | ((N & -N) <= 8)))
+    settled[ok] = np.where(split, 2, 1)[ok]
+    return settled
 
 
 def group_structure(C: ReducedCurve, T) -> GroupStructure:

@@ -4,17 +4,18 @@ import math
 import random
 from contextlib import contextmanager
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from avgexp import counting, curve
-from avgexp.counting import (LANE_CAP, _annihilators, order_bsgs,
+from avgexp.counting import (LANE_CAP, PATHS, _annihilators, order_bsgs,
                              order_lanes, quadratic_twist, trace_block,
                              trace_naive)
 from avgexp.curve import (GlobalCurve, INFINITY, ReducedCurve, random_point,
                           reduce_curve, scalar_mul)
-from avgexp.modarith import legendre, sieve_primes
+from avgexp.modarith import legendre, residues, sieve_primes
 
 
 @contextmanager
@@ -56,12 +57,24 @@ def lane_annihilators(C):
     return _annihilators((x0 * c % p, c * c % p), side, *hasse_window(p)), legendre(c, p) == -1
 
 
+def columns(curves):
+    """The int64 columns p, a, b of order_lanes and trace_block."""
+    return tuple(np.array([getattr(C, f) for C in curves], dtype=np.int64)
+                 for f in ("p", "a", "b"))
+
+
+def lanes(curves):
+    """order_lanes over the curves, as a list."""
+    return order_lanes(*columns(curves)).tolist()
+
+
 def lane_oracle(C):
     """What order_lanes must return for C: the lane is accepted exactly
-    when the Hasse window holds one annihilator of its point."""
+    when the Hasse window holds one annihilator of its point, and 0
+    marks a refused lane."""
     anns, on_twist = lane_annihilators(C)
     if len(anns) > 1:
-        return None
+        return 0
     return 2 * C.p + 2 - anns[0] if on_twist else anns[0]
 
 
@@ -227,10 +240,10 @@ class TestOrderLanes:
                   if p not in E.bad_primes]
         got = []
         for i in range(0, len(curves), 512):
-            got += order_lanes(curves[i:i + 512])
+            got += lanes(curves[i:i + 512])
         assert got == [lane_oracle(C) for C in curves]
         for C, N in zip(curves, got):
-            if N is not None:
+            if N:
                 assert N == trace_naive(C).N, C.p
 
     def test_fallback_share_generic1(self):
@@ -238,7 +251,7 @@ class TestOrderLanes:
         # several annihilators: 85 of the 4583 good primes in [4000, 5e4]
         curves = [reduce_curve(GENERIC, p) for p in sieve_primes(50_000)
                   if p >= 4000 and p not in GENERIC.bad_primes]
-        refused = sum(N is None for N in order_lanes(curves))
+        refused = lanes(curves).count(0)
         assert refused == 85 and len(curves) == 4583
 
     def test_twist_point_accepted_through_restart(self):
@@ -247,36 +260,47 @@ class TestOrderLanes:
         # k = 179 is at infinity and the chain must restart there
         C = reduce_curve(GENERIC, 4027)
         assert lane_annihilators(C) == ([4117], True)
-        assert order_lanes([C]) == [3939] == [trace_naive(C).N]
+        assert lanes([C]) == [3939] == [trace_naive(C).N]
 
     def test_several_annihilators_fall_back(self):
         # cm-i at 4057: x = 1 is a root, and x = 2 has annihilators 4002,
         # 4089 and 4176 in the window
         C = reduce_curve(CM, 4057)
         assert lane_annihilators(C) == ([4002, 4089, 4176], False)
-        assert order_lanes([C]) == [None]
-        (T,) = trace_block([C], threshold=229)
-        assert (T.method, T.N) == ("bsgs", trace_naive(C).N) == ("bsgs", 4176)
+        assert lanes([C]) == [0]
+        N, path = trace_block(*columns([C]), threshold=229)
+        assert (PATHS[path[0]], N[0]) == ("fallback", trace_naive(C).N) == ("fallback", 4176)
 
     def test_unreduced_coefficients(self):
-        # generic1 at 4027, its coefficients given as 1 + 4027*k
+        # generic1 at 4027, its coefficients given as 1 + 4027*k, reduced
+        # by the residue helper before they enter the lanes
         k = 1 << 40
-        raw = [ReducedCurve(4027, 1 + 4027 * k, 1 - 4027 * k),
-               ReducedCurve(4027, 1 - 4027 * k, 1 + 4027 * 3)]
-        assert order_lanes(raw) == [3939, 3939]
+        p = np.array([4027, 4027], dtype=np.int64)
+        a = np.concatenate([residues(1 + 4027 * k, p[:1]), residues(1 - 4027 * k, p[1:])])
+        b = np.concatenate([residues(1 - 4027 * k, p[:1]), residues(1 + 4027 * 3, p[1:])])
+        assert a.tolist() == b.tolist() == [1, 1]
+        assert order_lanes(p, a, b).tolist() == [3939, 3939]
 
     def test_large_prime_refused(self):
         big = ReducedCurve(1073741827, 1, 1)  # the least prime above 2^30
         assert big.p > LANE_CAP
         small = reduce_curve(GENERIC, 4027)
-        assert order_lanes([big, small, big]) == [None, 3939, None]
+        assert lanes([big, small, big]) == [0, 3939, 0]
 
     def test_block_with_every_lane_refused(self):
         # y^2 = x^3 + x at 229: x = 1 has several annihilators in the
         # window, so no candidate is left to check
         C = ReducedCurve(229, 1, 0)
-        assert lane_oracle(C) is None
-        assert order_lanes([C, C]) == [None, None]
+        assert lane_oracle(C) == 0
+        assert lanes([C, C]) == [0, 0]
+
+    def test_empty_block(self):
+        # a block whose primes all lie below the cut hands the lanes nothing
+        assert lanes([]) == []
+        curves = [reduce_curve(GENERIC, p) for p in (5, 7, 227)]
+        N, path = trace_block(*columns(curves), threshold=400)
+        assert N.tolist() == [trace_naive(C).N for C in curves]
+        assert [PATHS[i] for i in path] == ["naive"] * 3
 
     @settings(max_examples=40, deadline=None, database=None)
     @given(st.data())
@@ -292,11 +316,11 @@ class TestOrderLanes:
                 curves.append(ReducedCurve(p, a, b))
         assume(curves)
         curves = data.draw(st.permutations(curves))
-        got = order_lanes(curves)
+        got = lanes(curves)
         for C, N in zip(curves, got):
-            assert order_lanes([C]) == [N]
+            assert lanes([C]) == [N]
             assert N == lane_oracle(C)
-            if N is not None:
+            if N:
                 assert N == trace_naive(C).N
 
 
@@ -304,23 +328,24 @@ class TestTraceBlock:
     def test_methods_and_orders(self):
         curves = [reduce_curve(E, p) for E, p in
                   ((GENERIC, 1009), (CM, 4057), (GENERIC, 4027), (CM, 101))]
-        got = trace_block(curves, threshold=1000)
-        assert [T.method for T in got] == ["lanes", "bsgs", "lanes", "naive"]
-        assert [T.N for T in got] == [trace_naive(C).N for C in curves]
+        N, path = trace_block(*columns(curves), threshold=1000)
+        assert [PATHS[i] for i in path] == ["lanes", "fallback", "lanes", "naive"]
+        assert N.tolist() == [trace_naive(C).N for C in curves]
 
     def test_threshold_floor(self):
         C = reduce_curve(GENERIC, 227)
-        (T,) = trace_block([C], threshold=0)
-        assert T.method == "naive"
+        N, path = trace_block(*columns([C]), threshold=0)
+        assert PATHS[path[0]] == "naive"
 
     def test_methods_agree_in_overlap(self):
         curves = [reduce_curve(GENERIC, p) for p in sieve_primes(3000)
                   if p >= 1000 and p not in GENERIC.bad_primes]
-        lows = trace_block(curves, threshold=10 ** 9)
-        highs = trace_block(curves, threshold=229)
-        for lo, hi in zip(lows, highs, strict=True):
-            assert lo.method == "naive" and hi.method in ("lanes", "bsgs")
-            assert lo.N == hi.N and lo.a_p == hi.a_p
+        lows, low_paths = trace_block(*columns(curves), threshold=10 ** 9)
+        highs, high_paths = trace_block(*columns(curves), threshold=229)
+        assert len(lows) == len(highs) == len(curves)
+        assert all(PATHS[i] == "naive" for i in low_paths)
+        assert all(PATHS[i] in ("lanes", "fallback") for i in high_paths)
+        assert lows.tolist() == highs.tolist()
 
 
 class TestSupersingular:

@@ -1,6 +1,5 @@
 """Experiment orchestration: determinism, exactness, cache, diagnostics."""
 
-import dataclasses
 import json
 import math
 import struct
@@ -10,9 +9,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from avgexp import cli, harness
+from avgexp import cli, harness, structure
 from avgexp.constants import DegreeModel
-from avgexp.counting import trace_naive
+from avgexp.counting import DEFAULT_TRACE_THRESHOLD, trace_naive
 from avgexp.curve import GlobalCurve, ReducedCurve, reduce_curve
 from avgexp.harness import (CacheMismatch, CheckpointRow, CorruptCache,
                             ExperimentConfig, InsufficientCheckpoints,
@@ -200,12 +199,14 @@ class TestRecordViolations:
         assert TRUE_RECORD in result.records.tolist()
 
     def test_bad_block_raises(self, monkeypatch):
-        real = harness.group_structure
+        # every prime of a block passes settle; a planted d = 3 at p = 17
+        real = harness.settle
 
-        def planted(C, T):
-            S = real(C, T)
-            return dataclasses.replace(S, d_p=3, e_p=S.N // 3) if C.p == 17 else S
-        monkeypatch.setattr(harness, "group_structure", planted)
+        def planted(p, a, b, N):
+            d = real(p, a, b, N)
+            d[p == 17] = 3
+            return d
+        monkeypatch.setattr(harness, "settle", planted)
         with pytest.raises(ArithmeticError, match="p = 17"):
             harness.compute_block(GENERIC, [13, 17, 19], 229)
 
@@ -363,12 +364,12 @@ class TestCache:
         path = str(tmp_path / "r.bin")
         small_run(cache_path=path)
         computed = []
-        real = harness.compute_record
+        real = harness.compute_block
 
-        def spy(C, T):
-            computed.append(C.p)
-            return real(C, T)
-        monkeypatch.setattr(harness, "compute_record", spy)
+        def spy(E, ps, threshold):
+            computed.extend(int(p) for p in ps)
+            return real(E, ps, threshold)
+        monkeypatch.setattr(harness, "compute_block", spy)
         r3 = small_run(x_max=3000, checkpoints=[3000], cache_path=path)
         assert computed and all(2000 < p <= 3000 for p in computed)
         assert sorted(computed) == [rec.p for rec in r3.records if rec.p > 2000]
@@ -425,6 +426,40 @@ class TestPipeline:
             recs, paths = harness.compute_records(E, good, 229, workers)
             assert pools == ([want] if want else [])
             assert np.array_equal(recs, whole[0]) and paths == whole[1]
+
+    def test_objects_only_on_the_scalar_paths(self, monkeypatch):
+        # a reduction of generic1 (a = b = 1; order_bsgs's quadratic
+        # twists aside) is built per naive prime, per fallback prime and
+        # per prime whose structure needs draws; the 4557 settled primes
+        # build none
+        built, unsettled = [], []
+        real_init = ReducedCurve.__post_init__
+
+        def spy(C):
+            if (C.a, C.b) == (1, 1):
+                built.append(C.p)
+            real_init(C)
+        monkeypatch.setattr(ReducedCurve, "__post_init__", spy)
+        real_record = harness.compute_record
+        monkeypatch.setattr(harness, "compute_record",
+                            lambda C, T: unsettled.append(C.p) or real_record(C, T))
+        E = PRESETS["generic1"]
+        good = good_primes(E, 50_000)[0].tolist()
+        _, paths = harness.compute_records(E, good, DEFAULT_TRACE_THRESHOLD)
+        assert (len(good), len(unsettled)) == (5130, 573)
+        assert len(built) == paths["naive"] + paths["fallback"] + len(unsettled)
+
+    @pytest.mark.parametrize("preset, x_max, draws", [
+        ("generic1", 50_000, 1131), ("cm-i", 20_000, 2439), ("cm-3", 20_000, 3514)])
+    def test_structure_draws(self, preset, x_max, draws, monkeypatch):
+        # the points the structure step draws, over every prime of a sweep
+        seen = [0]
+        real = structure.random_point
+        monkeypatch.setattr(structure, "random_point",
+                            lambda C, rng: seen.__setitem__(0, seen[0] + 1) or real(C, rng))
+        E = PRESETS[preset]
+        harness.compute_records(E, good_primes(E, x_max)[0].tolist(), DEFAULT_TRACE_THRESHOLD)
+        assert seen[0] == draws
 
     def test_paths_count_the_computed_primes(self, tmp_path):
         out, cache = tmp_path / "res.json", str(tmp_path / "c.bin")

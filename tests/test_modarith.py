@@ -60,6 +60,22 @@ class TestSqrtMod:
                     r = sqrt_mod(a, p)
                     assert r <= p - r
 
+    def test_exhaustive_below_3000(self):
+        # every a at every prime 5 <= p < 3000: p = 3, 5 and 1 (mod 8),
+        # with p - 1 = q*2^s up to s = 8 (p = 257); a root, the smaller
+        # one, exactly for the squares
+        primes = [p for p in sieve_primes(2999) if p >= 5]
+        assert {p % 8 for p in primes} == {1, 3, 5, 7}
+        for p in primes:
+            squares = {x * x % p for x in range(1, p)}
+            for a in range(1, p):
+                try:
+                    r = sqrt_mod(a, p)
+                except NotASquare:
+                    assert a not in squares, (a, p)
+                else:
+                    assert a in squares and r * r % p == a and r <= p - r, (a, p)
+
     def test_square_then_root_identity(self):
         rng = random.Random(5)
         ps = [p for p in sieve_primes(100_000) if p > 100]

@@ -10,13 +10,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from avgexp import curve, structure
-from avgexp.counting import trace_naive
+from avgexp.counting import order_bsgs, trace_block, trace_naive
 from avgexp.curve import GlobalCurve, ReducedCurve, random_point, reduce_curve
 from avgexp.harness import PRESETS, RECORD, good_primes, record_violations
-from avgexp.modarith import factorize, sieve_primes
+from avgexp.modarith import factorize, is_prime, residues, sieve_primes
 from avgexp.structure import (NotAnnihilated, StructureUnverified,
                               exponent_sampling, group_structure,
-                              has_full_two_torsion, structure_bruteforce)
+                              has_full_two_torsion, settle,
+                              structure_bruteforce)
 
 GENERIC = GlobalCurve(1, 1)
 CM = GlobalCurve(-1, 0)
@@ -186,6 +187,127 @@ class TestSylowPath:
             got = group_structure(C, trace_naive(C))
         want = structure_bruteforce(C)
         assert (got.N, got.d_p, got.e_p) == (want.N, want.d_p, want.e_p)
+
+
+def sampled(C, N):
+    """exponent_sampling's d for C of order N, and whether it drew points."""
+    drew = []
+    real = structure._sylow_exponent
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(structure, "_sylow_exponent", lambda *args: drew.append(1) or real(*args))
+        e = exponent_sampling(C, N)
+    return N // e, bool(drew)
+
+
+def settle_one(C, N):
+    return settle(*(np.array([v], dtype=np.int64) for v in (C.p, C.a, C.b, N))).item()
+
+
+def group_order(C):
+    return (trace_naive(C) if C.p < 229 else order_bsgs(C)).N
+
+
+def apex_two_curve(p, family):
+    """A curve over F_p with a_p = 2, so g = gcd(p-1, a_p-2) = p-1 = N:
+    the twist with trace 2 of y^2 = x^3 + c (p = 3w^2 + 1, traces
+    +-2, +-(1 +- 3w)) or of y^2 = x^3 + c*x (p = w^2 + 1, traces +-2,
+    +-2w)."""
+    for c in range(1, 200):
+        C = ReducedCurve(p, 0, c) if family == "j0" else ReducedCurve(p, c, 0)
+        if group_order(C) == p - 1:
+            return C
+    raise AssertionError(f"no twist with a_p = 2 at p = {p}")
+
+
+class TestSettle:
+    """The vectorized settle step against exponent_sampling, its reference."""
+
+    @pytest.mark.parametrize("preset", ["generic1", "cm-i", "cm-3"])
+    def test_matches_exponent_sampling_to_1e5(self, preset, monkeypatch):
+        # a prime is settled exactly when exponent_sampling draws no point,
+        # and then with exponent_sampling's d
+        E = PRESETS[preset]
+        p = good_primes(E, 100_000)[0]
+        a, b = residues(E.a4, p), residues(E.a6, p)
+        N = trace_block(p, a, b)[0]
+        got = settle(p, a, b, N)
+        drew = set()
+        real = structure._sylow_exponent
+        monkeypatch.setattr(structure, "_sylow_exponent",
+                            lambda C, *args: drew.add(C.p) or real(C, *args))
+        want = [n // exponent_sampling(ReducedCurve(q, x, y), n)
+                for q, x, y, n in zip(p.tolist(), a.tolist(), b.tolist(), N.tolist())]
+        want = [0 if q in drew else d for q, d in zip(p.tolist(), want)]
+        assert got.tolist() == want
+        assert 0 < len(drew) < len(p) // 2
+
+    @settings(max_examples=120, deadline=None, database=None)
+    @given(st.data())
+    def test_differential_random_curves(self, data):
+        # p up to 2^20, a quarter of them p = 1 (mod 8)
+        if data.draw(st.booleans()):
+            p = 8 * data.draw(st.integers(1, 2 ** 17 - 2)) + 1
+            while not is_prime(p):
+                p += 8
+        else:
+            p = data.draw(st.integers(5, 2 ** 20 - 40))
+            while not is_prime(p):
+                p += 1
+        a = data.draw(st.integers(0, p - 1))
+        b = data.draw(st.integers(0, p - 1))
+        assume((4 * a ** 3 + 27 * b ** 2) % p)
+        C = ReducedCurve(p, a, b)
+        self.check(C, group_order(C))
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(st.data())
+    def test_differential_trace_two(self, data):
+        # a_p = 2: g = p - 1, whose odd part holds the square w^2 (times 3)
+        # once w has an odd prime factor, and p = 1 (mod 8) once 4 | w
+        family = data.draw(st.sampled_from(["j0", "j1728"]))
+        if family == "j0":
+            ws = [w for w in range(2, 592) if is_prime(3 * w * w + 1)]
+            p = 3 * data.draw(st.sampled_from(ws)) ** 2 + 1
+        else:
+            ws = [w for w in range(2, 1024, 2) if is_prime(w * w + 1)]
+            p = data.draw(st.sampled_from(ws)) ** 2 + 1
+        self.check(apex_two_curve(p, family), p - 1)
+
+    @staticmethod
+    def check(C, N):
+        d, drew = sampled(C, N)
+        g = math.gcd(C.p - 1, C.p - 1 - N)
+        odd = g // (g & -g)
+        # the square test is exact for odd parts below 2^16; a larger one
+        # (only at a_p = 2) is left to the scalar path, never guessed
+        assert settle_one(C, N) == (0 if drew or odd >= 1 << 16 else d)
+
+    def test_large_odd_part_left_open(self):
+        # generic1 at 163363: a_p = 2, so g = p - 1 = 2 * 81681, and
+        # 81681 = 3 * 19 * 1433 is squarefree but beyond the square test
+        C = reduce_curve(GENERIC, 163363)
+        N = group_order(C)
+        assert N == C.p - 1
+        assert sampled(C, N) == (1, False)
+        assert settle_one(C, N) == 0
+
+    def test_splits_as_has_full_two_torsion(self):
+        # a prime with N even is settled with d = 2 exactly when the cubic splits
+        for E in (GENERIC, CM, THIRD):
+            for q in PRIMES_TO_5000[:300]:
+                if E.disc % q == 0:
+                    continue
+                C = reduce_curve(E, q)
+                N = trace_naive(C).N
+                d = settle_one(C, N)
+                if d:
+                    assert (d == 2) == has_full_two_torsion(C, N), (E, q)
+
+    def test_unsettled_beyond_lanes_and_empty_block(self):
+        big = ReducedCurve(1073741827, 1, 1)  # the least prime above 2^30
+        assert settle_one(big, big.p + 1) == 0
+        empty = np.zeros(0, dtype=np.int64)
+        assert settle(empty, empty, empty, empty).tolist() == []
 
 
 class TestGroupStructure:
