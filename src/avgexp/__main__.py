@@ -1,0 +1,3 @@
+import sys
+from .cli import main
+sys.exit(main())

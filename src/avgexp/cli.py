@@ -71,7 +71,10 @@ def _build_model(args) -> DegreeModel:
 
 
 def _prepare_output(args) -> None:
-    """Refuse an unusable --outfile before the sweep; make the csv directory."""
+    """Refuse an unusable --outfile or --cache before the sweep; make the csv directory."""
+    cache = args.cache
+    if cache and (os.path.isdir(cache) or not os.path.isdir(os.path.dirname(cache) or ".")):
+        raise ValueError(f"--cache: {cache} is a directory or lies in no directory")
     try:
         if args.out == "csv":
             os.makedirs(args.outfile or ".", exist_ok=True)

@@ -7,8 +7,8 @@ annihilator in the interval is the order, and several are spaced by the
 point's order and call for more points, on the curve and its twist.
 order_lanes runs the same baby-step giant-step search on x coordinates
 alone for a whole block of primes at once, one prime per int64 numpy
-lane, and proves the order wherever the window holds exactly one
-annihilator; trace_block sends the lanes it refuses to order_bsgs.
+lane, proves each annihilator by recovered y and the order where the
+window holds one; trace_block sends the lanes it refuses to order_bsgs.
 """
 
 import math
@@ -187,8 +187,8 @@ def _powmod(base, exp, p):
 def _xadd(X1, Z1, X2, Z2, Xd, Zd, a, b4, p):
     """x(Q1 + Q2) in (X : Z) from x(Q1), x(Q2) and x(Q1 - Q2) = (Xd : Zd),
     differential addition after Brier and Joye, "Weierstrass elliptic
-    curves and side-channel attacks" (PKC 2002).  Z2 = None or Zd = None
-    means 1.  A difference at infinity (Zd = 0) gives (0 : 0)."""
+    curves and side-channel attacks" (PKC 2002).  Z2 = None means 1.  A
+    difference at infinity (Zd = 0) gives (0 : 0)."""
     if Z2 is None:
         t1, t2, zz = X1, X2 * Z1 % p, Z1
     else:
@@ -196,8 +196,6 @@ def _xadd(X1, Z1, X2, Z2, Xd, Zd, a, b4, p):
     u = t1 - t2
     Z = u * u % p
     X = (2 * (t1 + t2) * ((X1 * X2 + a * zz) % p) + b4 * (zz * zz % p)) % p
-    if Zd is None:
-        return (X - Xd * Z) % p, Z
     return (Zd * X - Xd * Z) % p, Zd * Z % p
 
 
@@ -211,7 +209,8 @@ def _xdbl(X, Z, a, b, b8, p):
 
 
 def _ladder(k, X, Z, a, b, b4, b8, p):
-    """x(k*Q) and x((k+1)*Q) for x(Q) = (X : Z) and k >= 0, lane by lane.
+    """x(k*Q) and x((k+1)*Q) for x(Q) = (X : Z) and k >= 0, lane by lane;
+    order_lanes takes its first two giant rows k0*s*P and (k0+1)*s*P from it.
 
     Montgomery ladder on (R0, R1) with R1 - R0 = Q throughout: a lane
     whose bit is set works on the swapped pair, and a swap is applied
@@ -219,7 +218,7 @@ def _ladder(k, X, Z, a, b, b4, b8, p):
     lanes of different bit lengths share one loop.
     """
     X0, Z0 = np.ones_like(p), np.zeros_like(p)
-    X1, Z1 = X, (np.ones_like(p) if Z is None else Z)
+    X1, Z1 = X, Z
     swapped = np.zeros(len(p), dtype=bool)
     for bit in range(int(k.max(initial=0)).bit_length() - 1, -1, -1):
         up = (k >> bit) & 1 == 1
@@ -233,11 +232,21 @@ def _ladder(k, X, Z, a, b, b4, b8, p):
             np.where(swapped, X0, X1), np.where(swapped, Z0, Z1))
 
 
+def _recover(x, xq, xn, at_inf, a, b, p):
+    """2*c*y*y_Q for points (x, y), Q = (xq, y_Q) of c*y^2 = x^3 + a*x + b,
+    lane by lane, from xn = x(Q + (x, y)), or at_inf where that is infinity:
+    Okeya and Sakurai's y-recovery (CHES 2001) in Brier and Joye's form."""
+    d = (x - xq) % p
+    num = (2 * b + (a + x * xq % p) * (x + xq) % p - xn * (d * d % p)) % p
+    return np.where(at_inf, -2 * ((x * x % p + a) * x % p + b) % p, num)
+
+
 def _affine(rows, p):
     """Affine x = X/Z of every row of every (X, Z) pair of 2-D arrays,
     with one Fermat inversion per lane (Montgomery's simultaneous
-    inversion: prefix products along the rows, then back).  Rows at
-    infinity must carry Z = 1 and come out as X."""
+    inversion: prefix products along the rows, then back).  A row at
+    infinity, Z = 0, comes out as X."""
+    rows = [(X, np.where(Z != 0, Z, 1)) for X, Z in rows]
     prefix, run = [], np.ones_like(p)
     for _, Z in rows:
         pre = np.empty_like(Z)
@@ -272,25 +281,41 @@ def order_lanes(p, a, b) -> np.ndarray:
     arrays with 0 <= a, b < p; lanes need 229 <= p < 2^30, and the others
     are refused.
 
-    Lane i takes the first x0 = 1, 2, ... with c = x0^3 + a*x0 + b != 0.
-    That x0 is the x of a point P on the curve when c is a square and on
-    its quadratic twist otherwise; both share the x-only group law, and
-    the twist's order 2p + 2 - N lies in the same Hasse window
+    Lane i takes the first x0 = 1, 2, ... with c = x0^3 + a*x0 + b != 0
+    and the point P = (x0*c, c^2) of E_c: y^2 = x^3 + a*c^2*x + b*c^3,
+    the curve when c is a square and its quadratic twist otherwise, with
+    no square root taken; E_c's x-only law is the curve's, x scaled by c,
+    and the twist's order 2p + 2 - N lies in the same Hasse window
     [p+1-B, p+1+B].  The tiling of _annihilators finds every n in the
     window with n*P = infinity: baby rows x(j*P), 0 < j < m, giant rows
-    x(k*s*P), stride s = 2m - 1, matched by x.  Each candidate it yields
-    is checked by its own ladder, and a lane is accepted only when
-    exactly one candidate annihilates P: since every annihilator in the
-    window shows up as a candidate, that one is the curve's (or the
-    twist's) group order.  Lanes where P has order <= m, two baby rows
-    share an x, a row degenerates to (0 : 0), or the window holds several
+    x(k*s*P), stride s = 2m - 1, matched by x.  A match (k, j) means
+    k*s*P = +-j*P, and y-recovery from the next rows' x (Okeya and
+    Sakurai, CHES 2001, in Brier and Joye's Weierstrass form, PKC 2002)
+    proves which, so each candidate k*s -+ j kept, and k*s for a giant
+    row at infinity, annihilates P.  A lane is accepted only when exactly
+    one annihilator lies in the window: since every one shows up as a
+    candidate, that one is the curve's (or the twist's) group order.
+    Lanes where P has order <= m, two baby rows share an x, a row
+    degenerates to (0 : 0), s*P has order 2, or the window holds several
     annihilators are refused.  Nothing in a lane depends on the others.
     """
     out = np.zeros(len(p), dtype=np.int64)
     idx = np.flatnonzero((p >= _MIN_BSGS_P) & (p < LANE_CAP))
     if not len(idx):
         return out
-    p, a, b = p[idx], a[idx], b[idx]
+    p = p[idx]
+    lane, n, refused, twist = _window_annihilators(p, a[idx], b[idx])
+    one = (np.bincount(lane, minlength=len(p)) == 1) & ~refused
+    N = np.zeros_like(p)
+    N[lane] = np.where(twist[lane], 2 * p[lane] + 2 - n, n)
+    out[idx[one]] = N[one]
+    return out
+
+
+def _window_annihilators(p, a, b):
+    """order_lanes' search, 229 <= p < 2^30: every n in the window with
+    n*P = infinity, proved, as arrays (lane, n), and per lane whether it is
+    refused (its n then prove nothing) and whether P lies on the twist."""
     b4, b8 = 4 * b % p, 8 * b % p
     B = _isqrt(4 * p)
     m = _isqrt(B) + 1
@@ -320,58 +345,55 @@ def order_lanes(p, a, b) -> np.ndarray:
 
     # s*P = m*P + (m-1)*P, difference P; k0*s*P and (k0+1)*s*P by one ladder
     SX, SZ = _xadd(BX[m, lane], BZ[m, lane], BX[m - 1, lane], BZ[m - 1, lane],
-                   x0, None, a, b4, p)
+                   x0, np.ones_like(p), a, b4, p)
+    TX, TZ = _xdbl(BX[m, lane], BZ[m, lane], a, b, b8, p)  # s*P + P, for y of s*P
     refused |= SZ == 0
     DX, DZ = _xdbl(SX, SZ, a, b, b8, p)
-    GX, GZ = np.empty((K, L), np.int64), np.empty((K, L), np.int64)
+    GX, GZ = np.empty((K + 1, L), np.int64), np.empty((K + 1, L), np.int64)
     GX[0], GZ[0], GX[1], GZ[1] = _ladder(k0, SX, SZ, a, b, b4, b8, p)
-    for r in range(2, K):
+    for r in range(2, K + 1):
         # G_r = G_(r-1) + s*P, difference G_(r-2); after a row at infinity
         # the chain restarts: the next two rows are s*P and 2*s*P
         X, Z = _xadd(GX[r - 1], GZ[r - 1], SX, SZ, GX[r - 2], GZ[r - 2], a, b4, p)
         restart = GZ[r - 2] == 0
         GX[r], GZ[r] = np.where(restart, DX, X), np.where(restart, DZ, Z)
-    k_row = np.arange(K)[:, None]
-    g_live = k_row < rows_k
-    refused |= (g_live & (GX == 0) & (GZ == 0)).any(axis=0)
+    k_row = np.arange(K + 1)[:, None]
+    g_live = k_row < rows_k  # rows k0 .. k1; the row after each recovers its y
+    refused |= ((k_row <= rows_k) & (GX == 0) & (GZ == 0)).any(axis=0)
 
-    b_live = (j_row[1:M] < m)
-    bx, gx = _affine([(BX[1:M], np.where(b_live, BZ[1:M], 1)),
-                      (GX, np.where(g_live & (GZ != 0), GZ, 1))], p)
+    bx, gx, (sx, tx) = _affine([(BX[1:], BZ[1:]), (GX, GZ),
+                                (np.array([SX, TX]), np.array([SZ, TZ]))], p)
 
     # match giant x against baby x through sorted keys lane * 2^30 + x,
     # each carrying its row below (rows < 2^9); taken lane by lane, so
     # the sorts only order x within each lane
     lane_hi = (lane << 30)[:, None]
-    b_keys = np.sort((((lane_hi + bx.T) << 9) + j_row[1:M].T)[b_live.T])
+    b_keys = np.sort((((lane_hi + bx[:M - 1].T) << 9) + j_row[1:M].T)[(j_row[1:M] < m).T])
     b_x, b_j = b_keys >> 9, b_keys & 511
-    repeated = b_x[1:] == b_x[:-1]
-    refused[b_x[1:][repeated] >> 30] = True
-    g_hit = g_live & (GZ != 0)
-    g_keys = np.sort((((lane_hi + gx.T) << 9) + k_row.T)[g_hit.T])
+    refused[b_x[1:][b_x[1:] == b_x[:-1]] >> 30] = True  # two baby rows share an x
+    g_keys = np.sort((((lane_hi + gx.T) << 9) + k_row.T)[(g_live & (GZ != 0)).T])
     g_x = g_keys >> 9
-    g_lane = g_x >> 30
     pos = np.minimum(np.searchsorted(b_x, g_x), len(b_x) - 1)
     match = b_x[pos] == g_x
-    m_lane, m_j = g_lane[match], b_j[pos[match]]
-    m_ks = (k0[m_lane] + (g_keys[match] & 511)) * s[m_lane]
-    o_row, o_lane = np.nonzero(g_live & (GZ == 0))
-    cand_lane = np.concatenate([m_lane, m_lane, o_lane])
-    cand = np.concatenate([m_ks - m_j, m_ks + m_j, (k0[o_lane] + o_row) * s[o_lane]])
-    keep = (cand >= lo[cand_lane]) & (cand <= hi[cand_lane]) & ~refused[cand_lane]
-    cand_lane, cand = cand_lane[keep], cand[keep]
+    ml, j, r = g_x[match] >> 30, b_j[pos[match]], g_keys[match] & 511
+    ks = (k0[ml] + r) * s[ml]
 
-    # every candidate n is checked by a ladder on P: n*P = (X : 0), X != 0
-    cl = cand_lane
-    X, Z, _, _ = _ladder(cand, x0[cl], None, a[cl], b[cl], b4[cl], b8[cl], p[cl])
-    good = (Z == 0) & (X != 0)
-    count = np.bincount(cl[good], minlength=L)
-    n = np.zeros_like(p)
-    n[cl[good]] = cand[good]
-    N = np.where(twist, 2 * p + 2 - n, n)
-    accepted = (count == 1) & ~refused
-    out[idx[accepted]] = N[accepted]
-    return out
+    # nS, nJ, nG = 2c*y*y_Q of (P, s*P), (P, j*P), (s*P, G), for P = (x0, 1) on
+    # c*y^2 = x^3 + a*x + b, the model of E_c with x scaled back by c:
+    # G = +-j*P iff 2c*nG = +-nS*nJ, so a j*P of order 2 passes both, and nS = 0 anything
+    nS = _recover(x0, sx, tx, TZ == 0, a, b, p)
+    refused |= nS == 0
+    pl = p[ml]
+    nJ = _recover(x0[ml], bx[j - 1, ml], bx[j, ml], False, a[ml], b[ml], pl)
+    nG = _recover(sx[ml], gx[r, ml], gx[r + 1, ml], GZ[r + 1, ml] == 0, a[ml], b[ml], pl)
+    lhs, rhs = 2 * c[ml] * nG % pl, nS[ml] * nJ % pl
+    plus, minus = lhs == rhs, lhs == (pl - rhs) % pl
+    o_row, o_lane = np.nonzero(g_live & (GZ == 0))
+    cand_lane = np.concatenate([ml[plus], ml[minus], o_lane])
+    cand = np.concatenate([ks[plus] - j[plus], ks[minus] + j[minus],
+                           (k0[o_lane] + o_row) * s[o_lane]])
+    keep = (cand >= lo[cand_lane]) & (cand <= hi[cand_lane])
+    return cand_lane[keep], cand[keep], refused, twist
 
 
 def trace_block(p, a, b, threshold: int = DEFAULT_TRACE_THRESHOLD) -> tuple:

@@ -10,12 +10,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from avgexp import counting, curve
-from avgexp.counting import (LANE_CAP, PATHS, _annihilators, order_bsgs,
-                             order_lanes, quadratic_twist, trace_block,
-                             trace_naive)
-from avgexp.curve import (GlobalCurve, INFINITY, ReducedCurve, random_point,
-                          reduce_curve, scalar_mul)
-from avgexp.modarith import legendre, residues, sieve_primes
+from avgexp.counting import (LANE_CAP, PATHS, _annihilators, _recover,
+                             _window_annihilators, order_bsgs, order_lanes,
+                             quadratic_twist, trace_block, trace_naive)
+from avgexp.curve import (GlobalCurve, INFINITY, ReducedCurve, add, neg,
+                          random_point, reduce_curve, scalar_mul)
+from avgexp.modarith import is_prime, legendre, residues, sieve_primes
 
 
 @contextmanager
@@ -38,6 +38,7 @@ def enumerate_order(C):
 
 GENERIC = GlobalCurve(1, 1)
 CM = GlobalCurve(-1, 0)
+CM3 = GlobalCurve(0, 16)
 PRIMES_229_TO_20000 = [p for p in sieve_primes(20000) if p >= 229]
 
 
@@ -66,6 +67,14 @@ def columns(curves):
 def lanes(curves):
     """order_lanes over the curves, as a list."""
     return order_lanes(*columns(curves)).tolist()
+
+
+def lane_proofs(curves):
+    """The annihilators each lane proves, as sorted lists, with None for a
+    lane the search refuses; the lanes need 229 <= p < 2^30."""
+    lane, n, refused, _ = _window_annihilators(*columns(curves))
+    return [None if refused[i] else sorted(n[lane == i].tolist())
+            for i in range(len(curves))]
 
 
 def lane_oracle(C):
@@ -233,6 +242,48 @@ class TestBsgsPaths:
             assert order_bsgs(C).N == trace_naive(C).N
 
 
+class TestRecover:
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(st.data())
+    def test_matches_scalar_arithmetic(self, data):
+        # _recover(x, x_Q, x(Q + P0)) is 2*c*y*y_Q for P0 = (x, y) and Q on
+        # c*y^2 = x^3 + a*x + b; (x, y) -> (c*x, c^2*y) takes those points
+        # to E_c: Y^2 = X^3 + a*c^2*X + b*c^3, where curve.add and
+        # scalar_mul find Q and Q + P0, so the value is 2*Y*Y_Q / c^3
+        p = data.draw(st.integers(5, LANE_CAP - 1))
+        while not is_prime(p):
+            p -= 1
+        rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
+        a = data.draw(st.integers(0, p - 1))
+        kind = data.draw(st.sampled_from(["multiple", "base", "negative", "two-torsion"]))
+        e = rng.randrange(p)  # a root of the cubic, for the 2-torsion point
+        b = (-e ** 3 - a * e) % p if kind == "two-torsion" else rng.randrange(p)
+        assume((4 * a ** 3 + 27 * b ** 2) % p)
+        c = 1
+        if data.draw(st.booleans()):  # E_c is the quadratic twist
+            while legendre(c, p) != -1:
+                c = rng.randrange(2, p)
+        E_c = ReducedCurve(p, a * c * c % p, b * c ** 3 % p)
+        P0 = random_point(E_c, rng)
+        if kind == "multiple":
+            Q = scalar_mul(data.draw(st.integers(2, 2 ** 40)), P0, E_c)
+        elif kind == "base":
+            Q = P0
+        elif kind == "negative":
+            Q = neg(P0, E_c)
+        else:
+            Q = (e * c % p, 0)
+        assume(Q is not INFINITY)
+        R = add(Q, P0, E_c)
+        assert (R is INFINITY) == (kind == "negative" or Q == neg(P0, E_c))
+        x, xq, xn = (pow(c, -1, p) * X % p for X in (P0[0], Q[0], 0 if R is INFINITY else R[0]))
+        got = _recover(*(np.array([v], dtype=np.int64) for v in (x, xq, xn)),
+                       np.array([R is INFINITY]), a, b, p)
+        assert int(got[0]) * c ** 3 % p == 2 * P0[1] * Q[1] % p
+        if kind == "two-torsion":
+            assert got[0] == 0
+
+
 class TestOrderLanes:
     @pytest.mark.parametrize("E", [GENERIC, CM], ids=["generic1", "cm-i"])
     def test_accepts_exactly_the_single_annihilator_windows(self, E):
@@ -270,6 +321,28 @@ class TestOrderLanes:
         assert lanes([C]) == [0]
         N, path = trace_block(*columns([C]), threshold=229)
         assert (PATHS[path[0]], N[0]) == ("fallback", trace_naive(C).N) == ("fallback", 4176)
+
+    @pytest.mark.parametrize("E, p", [
+        (CM, 239), (CM, 577), (CM, 941), (CM3, 2287), (GENERIC, 18797), (GENERIC, 63611),
+    ], ids=["cm-i-239", "cm-i-577", "cm-i-941", "cm-3-2287", "generic1-18797",
+            "generic1-63611"])
+    def test_rare_sign_branches(self, E, p):
+        # a match here has a baby row of order 2 (both signs hold) or a
+        # giant row whose next row is at infinity (so it is -s*P); each
+        # window holds several annihilators, and each must be proved
+        C = reduce_curve(E, p)
+        assert lanes([C]) == [lane_oracle(C)] == [0]
+        assert lane_proofs([C]) == [lane_annihilators(C)[0]]
+
+    @pytest.mark.parametrize("E", [GENERIC, CM, CM3], ids=["generic1", "cm-i", "cm-3"])
+    def test_proves_exactly_the_window_annihilators(self, E):
+        # every lane the search does not refuse proves each annihilator of
+        # its point in the window, and nothing else
+        curves = [reduce_curve(E, p) for p in PRIMES_229_TO_20000 if p not in E.bad_primes]
+        proofs = lane_proofs(curves)
+        assert proofs.count(None) < len(curves) // 50
+        for C, proved in zip(curves, proofs):
+            assert proved in (None, lane_annihilators(C)[0]), C.p
 
     def test_unreduced_coefficients(self):
         # generic1 at 4027, its coefficients given as 1 + 4027*k, reduced

@@ -2,7 +2,9 @@
 
 import json
 import math
+import os
 import struct
+import subprocess
 import sys
 from fractions import Fraction
 
@@ -628,6 +630,25 @@ class TestCli:
             err = capsys.readouterr().err
             assert err.startswith("usage error: --outfile") and err.count("\n") == 1
 
+    def test_cache_directory_is_a_usage_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "run_experiment", None)  # refused before the sweep
+        rc = cli.main(["run", "--preset", "generic1", "--xmax", "1000",
+                       "--cache", str(tmp_path), "--outfile", str(tmp_path)])
+        assert rc == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: --cache") and err.count("\n") == 1
+
+    def test_cache_in_missing_directory_is_a_usage_error(self, tmp_path, capsys,
+                                                         monkeypatch):
+        monkeypatch.setattr(cli, "run_experiment", None)  # refused before the sweep
+        rc = cli.main(["run", "--preset", "generic1", "--xmax", "1000",
+                       "--cache", str(tmp_path / "nodir" / "c.bin"),
+                       "--outfile", str(tmp_path)])
+        assert rc == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: --cache") and err.count("\n") == 1
+        assert not (tmp_path / "records.csv").exists()
+
     def test_closed_stdout_keeps_the_files(self, tmp_path, capsys, monkeypatch):
         class ClosedPipe:
             def write(self, text):
@@ -650,6 +671,15 @@ class TestCli:
     def test_help_exits_zero(self, capsys):
         assert cli.main(["run", "--help"]) == cli.EXIT_OK
         assert "--xmax" in capsys.readouterr().out
+
+    def test_module_entry_point(self):
+        # python -m avgexp runs the same main as the avgexp script
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-m", "avgexp", "--help"], env=env,
+                              capture_output=True, text=True)
+        assert done.returncode == 0 and "usage: avgexp" in done.stdout
 
     def test_presets_exist(self):
         assert PRESETS["generic1"].a4 == 1 and PRESETS["generic1"].a6 == 1
