@@ -1,20 +1,20 @@
 """Trace of Frobenius and group order, by independent algorithms.
 
-trace_naive sums the quadratic character of the cubic over all of F_p;
-order_bsgs pins the order inside the Hasse interval with baby-step
-giant-step annihilators of points drawn from random.Random(p): a single
-annihilator in the interval is the order, and several are spaced by the
-point's order and call for more points, on the curve and its twist.
-order_lanes runs the same baby-step giant-step search on x coordinates
-alone for a whole block of primes at once, one prime per int64 numpy
-lane, proves each annihilator by recovered y and the order where the
-window holds one; trace_block sends the lanes it refuses to order_bsgs.
+trace_naive sums the quadratic character of the cubic over all of F_p.
+order_lanes runs baby-step giant-step on x coordinates alone for a whole
+block of primes at once, one prime per int64 numpy lane, proves each
+annihilator of its point in the Hasse window by recovered y, and takes
+the order where the window holds one.  order_bsgs pins the order for one
+prime: its candidates are the annihilators of a point, the ones a lane
+proved or those of its own first point, and points drawn from
+random.Random(p), on the twist and the curve in turn, weed them out
+until one is left.  trace_block sends the lanes order_lanes refuses to
+order_bsgs, with their annihilators where they proved them.
 """
 
 import math
 import random
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 
@@ -129,50 +129,60 @@ def _annihilators(P, C, lo, hi) -> list:
     return anns
 
 
-def order_bsgs(C: ReducedCurve) -> TraceResult:
-    """Exact group order from point annihilators, O(p^{1/4}) per point.
+def _annihilating(P, C, orders) -> list:
+    """The n of orders, an ascending arithmetic progression of at least
+    two positive terms, with n*P = infinity: two scalar multiples, for the
+    first term and the step, and one addition per further term."""
+    R, D = scalar_mul(orders[0], P, C), scalar_mul(orders[1] - orders[0], P, C)
+    kept = [orders[0]] if R is INFINITY else []
+    for n in orders[1:]:
+        R = add(R, D, C)
+        if R is INFINITY:
+            kept.append(n)
+    return kept
 
-    The group order of a point's curve annihilates the point and lies in
-    the Hasse window, so a window holding one annihilator proves it.
-    Otherwise the annihilators are spaced by the point's order, and points
-    from the curve and its quadratic twist alternate; their order lcms
-    shrink the candidate set until exactly one order survives in the
-    window.  Points come from the stream random.Random(p), so the result
-    and its cost depend on p alone.
+
+def order_bsgs(C: ReducedCurve, candidates=None) -> TraceResult:
+    """Exact group order N from point annihilators.
+
+    N annihilates every point of the curve, 2p + 2 - N every point of its
+    quadratic twist, and both lie in the Hasse window.  The candidates
+    for N are given, in any order, as the orders a lane proved to
+    annihilate its point (every annihilator in its window, read as a
+    curve order), or are the annihilators of a first point of the curve,
+    found by baby-step giant-step in O(p^{1/4}) additions.  Either way N
+    is among them, and they are all the multiples of the point's order in
+    the window, an arithmetic progression.  A single one is N.  Otherwise
+    each further point, from the twist and the curve in turn, keeps only
+    the candidates whose order on its side annihilates it, again a
+    progression, until one is left.  Points come from the stream
+    random.Random(p), so the result and its cost depend on p and the
+    candidates alone.
     """
     p = C.p
     if p < _MIN_BSGS_P:
         raise ValueError(f"order_bsgs needs p >= {_MIN_BSGS_P}; use trace_naive")
-    B = math.isqrt(4 * p)
-    lo, hi = p + 1 - B, p + 1 + B
-    twist = None
     rng = random.Random(p)
-    L_E = L_T = 1
-    for attempt in range(_MAX_SAMPLES):
-        on_twist = attempt % 2 == 1
-        if on_twist and twist is None:
-            twist = quadratic_twist(C)
-        side = twist if on_twist else C
-        P = random_point(side, rng)
-        anns = _annihilators(P, side, lo, hi)
-        if len(anns) == 1:
-            N = 2 * p + 2 - anns[0] if on_twist else anns[0]
-            return TraceResult(p, p + 1 - N, N)
-        o = anns[1] - anns[0]  # the annihilators are the multiples of ord(P)
-        if on_twist:
-            L_T = math.lcm(L_T, o)
+    if candidates is None:
+        B = math.isqrt(4 * p)
+        candidates = _annihilators(random_point(C, rng), C, p + 1 - B, p + 1 + B)
+    cands = sorted(candidates)
+    twist = None
+    for attempt in range(1, _MAX_SAMPLES):
+        if len(cands) < 2:
+            break
+        if attempt % 2 == 1:
+            if twist is None:
+                twist = quadratic_twist(C)
+            kept = _annihilating(random_point(twist, rng), twist,
+                                 [2 * p + 2 - n for n in reversed(cands)])
+            cands = [2 * p + 2 - n for n in reversed(kept)]
         else:
-            L_E = math.lcm(L_E, o)
-        # the orders left in the window, up to the two that show ambiguity;
-        # L_E >= 2 here, since the first point is on the curve and not O
-        cands = list(islice((n for n in range(-(-lo // L_E) * L_E, hi + 1, L_E)
-                             if (2 * p + 2 - n) % L_T == 0), 2))
-        if len(cands) == 1:
-            N = cands[0]
-            return TraceResult(p, p + 1 - N, N)
-        if not cands:
-            raise AmbiguityExhausted(f"inconsistent order constraints at p = {p}")
-    raise AmbiguityExhausted(f"{_MAX_SAMPLES} samples left the order ambiguous at p = {p}")
+            cands = _annihilating(random_point(C, rng), C, cands)
+    if len(cands) != 1:
+        raise AmbiguityExhausted(f"{len(cands)} candidate orders left at p = {p}")
+    N = cands[0]
+    return TraceResult(p, p + 1 - N, N)
 
 
 def _powmod(base, exp, p):
@@ -275,11 +285,12 @@ def _isqrt(n):
     return r + ((r + 1) * (r + 1) <= n)
 
 
-def order_lanes(p, a, b) -> np.ndarray:
-    """Group order of y^2 = x^3 + a*x + b over F_p, lane by lane, proved
-    on int64 lanes, or 0 where the lane is refused.  p, a and b are int64
-    arrays with 0 <= a, b < p; lanes need 229 <= p < 2^30, and the others
-    are refused.
+def order_lanes(p, a, b) -> tuple:
+    """Group orders N of y^2 = x^3 + a*x + b over F_p, lane by lane,
+    proved on int64 lanes, or 0 where the lane is refused, and the
+    annihilators the lanes proved, as arrays (N, lane, orders).  p, a and
+    b are int64 arrays with 0 <= a, b < p; lanes need 229 <= p < 2^30,
+    and the others are refused.
 
     Lane i takes the first x0 = 1, 2, ... with c = x0^3 + a*x0 + b != 0
     and the point P = (x0*c, c^2) of E_c: y^2 = x^3 + a*c^2*x + b*c^3,
@@ -298,18 +309,23 @@ def order_lanes(p, a, b) -> np.ndarray:
     Lanes where P has order <= m, two baby rows share an x, a row
     degenerates to (0 : 0), s*P has order 2, or the window holds several
     annihilators are refused.  Nothing in a lane depends on the others.
+
+    A lane accepted, or refused only for several annihilators, lists every
+    annihilator in its window in orders, read as a curve order (2p + 2 - n
+    where its point lies on the twist), so the curve's order is among
+    them; the other lanes list none.
     """
-    out = np.zeros(len(p), dtype=np.int64)
+    N = np.zeros(len(p), dtype=np.int64)
     idx = np.flatnonzero((p >= _MIN_BSGS_P) & (p < LANE_CAP))
     if not len(idx):
-        return out
-    p = p[idx]
-    lane, n, refused, twist = _window_annihilators(p, a[idx], b[idx])
-    one = (np.bincount(lane, minlength=len(p)) == 1) & ~refused
-    N = np.zeros_like(p)
-    N[lane] = np.where(twist[lane], 2 * p[lane] + 2 - n, n)
-    out[idx[one]] = N[one]
-    return out
+        return N, idx, idx
+    q = p[idx]
+    lane, n, refused, twist = _window_annihilators(q, a[idx], b[idx])
+    lane, n = lane[~refused[lane]], n[~refused[lane]]
+    orders = np.where(twist[lane], 2 * q[lane] + 2 - n, n)
+    single = (np.bincount(lane, minlength=len(q)) == 1)[lane]
+    N[idx[lane[single]]] = orders[single]
+    return N, idx[lane], orders
 
 
 def _window_annihilators(p, a, b):
@@ -400,14 +416,17 @@ def trace_block(p, a, b, threshold: int = DEFAULT_TRACE_THRESHOLD) -> tuple:
     """Group orders N of y^2 = x^3 + a*x + b over F_p, lane by lane, and
     the path each took, an index into PATHS: the character sum below the
     threshold (and below p = 229), the lanes of order_lanes at and above
-    it, and order_bsgs for every lane they refuse.  p, a and b are as
-    for order_lanes; a ReducedCurve is built only for the two scalar
-    paths."""
+    it, and order_bsgs for every lane they refuse.  A lane refused only
+    because its window holds several proved annihilators hands them to
+    order_bsgs as its candidates.  p, a and b are as for order_lanes; a
+    ReducedCurve is built only for the two scalar paths."""
     naive = p < max(threshold, _MIN_BSGS_P)
-    N = np.zeros_like(p)
-    N[~naive] = order_lanes(p[~naive], a[~naive], b[~naive])
+    N, lane, orders = order_lanes(np.where(naive, 0, p), a, b)  # p = 0: no lane
     path = np.where(naive, 0, np.where(N == 0, 2, 1))
     for i in np.flatnonzero(path != 1).tolist():
         C = ReducedCurve(int(p[i]), int(a[i]), int(b[i]))
-        N[i] = (trace_naive(C) if naive[i] else order_bsgs(C)).N
+        if naive[i]:
+            N[i] = trace_naive(C).N
+        else:
+            N[i] = order_bsgs(C, orders[lane == i].tolist() or None).N
     return N, path

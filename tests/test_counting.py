@@ -66,7 +66,7 @@ def columns(curves):
 
 def lanes(curves):
     """order_lanes over the curves, as a list."""
-    return order_lanes(*columns(curves)).tolist()
+    return order_lanes(*columns(curves))[0].tolist()
 
 
 def lane_proofs(curves):
@@ -215,8 +215,10 @@ class TestBsgsPaths:
         assert sides == [C, quadratic_twist(C)]
 
     def test_add_count_at_100003(self, monkeypatch):
-        # ~2*sqrt(B) = 50 adds for the baby and giant steps, B = isqrt(4p),
-        # and ~16 more for the start point k0*(s*P), k0 ~ p/s ~ 2000
+        # counts the affine adds only: ~2*sqrt(B) = 50 for the baby and
+        # giant steps, B = isqrt(4p), and one per candidate the later
+        # points filter; the Jacobian steps inside scalar_mul, such as the
+        # start point k0*(s*P), are not counted
         calls = [0]
         real = curve.add
 
@@ -240,6 +242,104 @@ class TestBsgsPaths:
         C = ReducedCurve(p, a, b)
         with points_from(seed):
             assert order_bsgs(C).N == trace_naive(C).N
+
+
+def lcm_rule_draws(C):
+    """How many points order_bsgs drew for C before its candidate filter:
+    from random.Random(p), curve and twist in turn, until a point's
+    window holds one annihilator, or one n in the window has L_E | n and
+    L_T | 2p+2-n, the lcms of the orders (annihilator spacings) of the
+    curve and the twist points so far."""
+    p = C.p
+    lo, hi = hasse_window(p)
+    sides, rng, lcms = (C, quadratic_twist(C)), random.Random(p), [1, 1]
+    for drawn in range(1, 65):
+        side = (drawn - 1) % 2
+        anns = _annihilators(random_point(sides[side], rng), sides[side], lo, hi)
+        if len(anns) == 1:
+            return drawn
+        lcms[side] = math.lcm(lcms[side], anns[1] - anns[0])
+        left = [n for n in range(lo, hi + 1)
+                if n % lcms[0] == 0 and (2 * p + 2 - n) % lcms[1] == 0]
+        if len(left) == 1:
+            return drawn
+    raise AssertionError(f"lcm rule undecided at p = {p}")
+
+
+class TestCandidateFilter:
+    @pytest.mark.parametrize("E, total", [(GENERIC, 2299), (CM, 2492), (CM3, 2446)],
+                             ids=["generic1", "cm-i", "cm-3"])
+    def test_unseeded_stops_where_the_lcm_rule_did(self, E, total, monkeypatch):
+        # over every good prime in [229, 2e4], prime by prime; the totals
+        # are the lcm rule's, counted before the filter replaced it
+        drawn = [0]
+        real = counting.random_point
+
+        def spy(side, rng):
+            drawn[0] += 1
+            return real(side, rng)
+        monkeypatch.setattr(counting, "random_point", spy)
+        curves = [reduce_curve(E, p) for p in PRIMES_229_TO_20000 if p not in E.bad_primes]
+        got = []
+        for C in curves:
+            drawn[0] = 0
+            order_bsgs(C)
+            got.append(drawn[0])
+        monkeypatch.undo()
+        assert sum(got) == total
+        assert got == [lcm_rule_draws(C) for C in curves]
+
+    @pytest.mark.parametrize("E, seeded, twisted", [(GENERIC, 208, 106), (CM, 883, 188),
+                                                    (CM3, 584, 90)],
+                             ids=["generic1", "cm-i", "cm-3"])
+    def test_lane_annihilators_hold_the_order(self, E, seeded, twisted):
+        # every lane of [229, 2e5] the search does not refuse but whose
+        # window holds several annihilators: read as curve orders, they
+        # hold the curve's order, and order_bsgs seeded with them finds it
+        curves = [reduce_curve(E, p) for p in sieve_primes(200_000)
+                  if p >= 229 and p not in E.bad_primes]
+        count = on_twist = 0
+        for i in range(0, len(curves), 512):
+            block = curves[i:i + 512]
+            lane, n, refused, twist = _window_annihilators(*columns(block))
+            several = (np.bincount(lane, minlength=len(block)) >= 2) & ~refused
+            for j in np.flatnonzero(several).tolist():
+                C = block[j]
+                orders = [2 * C.p + 2 - x if twist[j] else x for x in n[lane == j].tolist()]
+                N = order_bsgs(C).N
+                assert N in orders, C.p
+                assert order_bsgs(C, orders).N == N, C.p
+                count += 1
+                on_twist += bool(twist[j])
+        assert (count, on_twist) == (seeded, twisted)
+
+    def test_trace_block_hands_over_the_lane_annihilators(self, monkeypatch):
+        # generic1 at 283: x = 1 lies on the twist, with annihilators 266,
+        # 285, 304, so the curve orders 302, 283, 264; cm-i at 4057: 4002,
+        # 4089, 4176 on the curve; generic1 at 337: the search refuses the
+        # lane, so order_bsgs finds its own; generic1 at 4027: accepted
+        seen = []
+        real = counting.order_bsgs
+
+        def spy(C, candidates=None):
+            seen.append(candidates and sorted(candidates))
+            return real(C, candidates)
+        monkeypatch.setattr(counting, "order_bsgs", spy)
+        curves = [reduce_curve(GENERIC, 283), reduce_curve(CM, 4057),
+                  reduce_curve(GENERIC, 337), reduce_curve(GENERIC, 4027)]
+        N, path = trace_block(*columns(curves), threshold=229)
+        assert seen == [[264, 283, 302], [4002, 4089, 4176], None]
+        assert [PATHS[i] for i in path] == ["fallback"] * 3 + ["lanes"]
+        assert N.tolist() == [trace_naive(C).N for C in curves]
+
+    def test_seeded_candidates_in_any_order(self):
+        # cm-i at 15377, E = Z/124 x Z/124: the multiples of 124 in the
+        # window, in any order, leave only 124^2 once a twist point is drawn
+        C = reduce_curve(CM, 15377)
+        lo, hi = hasse_window(15377)
+        orders = list(range(-(-lo // 124) * 124, hi + 1, 124))
+        assert len(orders) >= 2 and 124 * 124 in orders
+        assert order_bsgs(C, orders[::-1]).N == 124 * 124
 
 
 class TestRecover:
@@ -352,7 +452,7 @@ class TestOrderLanes:
         a = np.concatenate([residues(1 + 4027 * k, p[:1]), residues(1 - 4027 * k, p[1:])])
         b = np.concatenate([residues(1 - 4027 * k, p[:1]), residues(1 + 4027 * 3, p[1:])])
         assert a.tolist() == b.tolist() == [1, 1]
-        assert order_lanes(p, a, b).tolist() == [3939, 3939]
+        assert order_lanes(p, a, b)[0].tolist() == [3939, 3939]
 
     def test_large_prime_refused(self):
         big = ReducedCurve(1073741827, 1, 1)  # the least prime above 2^30

@@ -3,11 +3,14 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from avgexp.curve import (BadReduction, GlobalCurve, INFINITY, add,
+from avgexp import curve
+from avgexp.curve import (BadReduction, GlobalCurve, INFINITY, ReducedCurve, add,
                           is_on_curve, neg, random_point, reduce_curve,
                           scalar_mul)
-from avgexp.modarith import legendre
+from avgexp.modarith import is_prime, legendre
 
 
 def egcd_inverse(a, p):
@@ -38,6 +41,17 @@ def oracle_add(P, Q, p, a):
     x3 = (lam * lam - x1 - x2) % p
     y3 = (lam * (x1 - x3) - y1) % p
     return (x3, y3)
+
+
+def oracle_mul(k, P, p, a):
+    # right-to-left double-and-add on the oracle law, all affine
+    R = None
+    while k:
+        if k & 1:
+            R = oracle_add(R, P, p, a)
+        P = oracle_add(P, P, p, a)
+        k >>= 1
+    return R
 
 
 def all_points(C):
@@ -151,6 +165,59 @@ class TestGroupLaw:
             rng = random.Random(p)
             for _ in range(10):
                 assert scalar_mul(N, random_point(C, rng), C) is INFINITY
+
+
+class TestJacobianScalarMul:
+    # scalar_mul works in Jacobian coordinates; the other tests use it as
+    # their oracle, so it is checked here against affine chains of the
+    # test's own group law
+    SMALL = [ReducedCurve(5, 1, 1), ReducedCurve(11, 0, 1), ReducedCurve(13, 1, 0),
+             ReducedCurve(47, 2, 3), ReducedCurve(59, 0, 1)]
+
+    def test_every_point_every_k_to_twice_the_order(self, monkeypatch):
+        # k in [0, 2*ord(P) + 2] covers k = 0 (mod ord(P)), where the sum
+        # passes -P, and k = 1 (mod ord(P)) after a doubling, where it is
+        # P and the sum 2P: the one call to add for k >= 3
+        calls = [0]
+
+        def counted(*args):
+            calls[0] += 1
+            return oracle_add(args[0], args[1], args[2].p, args[2].a)
+        monkeypatch.setattr(curve, "add", counted)
+        orders, doubled = set(), 0
+        for C in self.SMALL:
+            for P in all_points(C)[1:]:
+                chain = [None]
+                while len(chain) == 1 or chain[-1] is not None:
+                    chain.append(oracle_add(chain[-1], P, C.p, C.a))
+                order = len(chain) - 1
+                orders.add(order)
+                for k in range(2 * order + 3):
+                    before = calls[0]
+                    assert scalar_mul(k, P, C) == chain[k % order], (C, P, k)
+                    doubled += k >= 3 and calls[0] > before
+        assert {2, 3} <= orders
+        assert doubled > 0
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(st.data())
+    def test_against_affine_double_and_add(self, data):
+        p = data.draw(st.integers(5, 1073741789))  # the largest prime below 2^30
+        while not is_prime(p):
+            p += 1
+        a = data.draw(st.integers(0, p - 1))
+        b = data.draw(st.integers(0, p - 1))
+        assume((4 * a ** 3 + 27 * b ** 2) % p)
+        C = ReducedCurve(p, a, b)
+        P = random_point(C, random.Random(data.draw(st.integers(0, 2 ** 32))))
+        k = data.draw(st.integers(0, (1 << 31) - 1))
+        assert scalar_mul(k, P, C) == oracle_mul(k, P, p, a)
+
+    def test_identity_and_negative(self):
+        C = reduce_curve(GENERIC, 1009)
+        assert scalar_mul(5, INFINITY, C) is INFINITY
+        with pytest.raises(ValueError):
+            scalar_mul(-1, (0, 1), C)
 
 
 class TestRandomPoint:

@@ -19,6 +19,28 @@ def naive_primes(limit):
     return out
 
 
+def tonelli_shanks(a, p):
+    # textbook Tonelli-Shanks: Euler's criterion first, then the least
+    # nonresidue; None for a nonresidue
+    a %= p
+    if a == 0:
+        return 0
+    if pow(a, (p - 1) // 2, p) != 1:
+        return None
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q, s = q // 2, s + 1
+    z = next(z for z in range(2, p) if pow(z, (p - 1) // 2, p) == p - 1)
+    m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+    while t != 1:
+        i, t2 = 0, t
+        while t2 != 1:
+            t2, i = t2 * t2 % p, i + 1
+        b = pow(c, 1 << (m - i - 1), p)
+        m, c, t, r = i, b * b % p, t * b * b % p, r * b % p
+    return min(r, p - r)
+
+
 def squares_mod(p):
     return {x * x % p for x in range(p)}
 
@@ -75,6 +97,21 @@ class TestSqrtMod:
                     assert a not in squares, (a, p)
                 else:
                     assert a in squares and r * r % p == a and r <= p - r, (a, p)
+
+    def test_against_textbook_tonelli_shanks(self):
+        # primes above the exhaustive range, with s = v_2(p - 1) up to 20
+        primes = [p for p in sieve_primes(200_000) if p > 5][::90][:189]
+        primes += [65537, 786433, 7340033]  # 2^16 + 1, 3*2^18 + 1, 7*2^20 + 1
+        assert {p % 16 for p in primes} >= {1, 3, 5, 7, 9, 13}
+        rng = random.Random(12)
+        for p in primes:
+            for a in [rng.randrange(p) for _ in range(24)]:
+                want = tonelli_shanks(a, p)
+                if want is None:
+                    with pytest.raises(NotASquare):
+                        sqrt_mod(a, p)
+                else:
+                    assert sqrt_mod(a, p) == want, (a, p)
 
     def test_square_then_root_identity(self):
         rng = random.Random(5)
