@@ -12,9 +12,15 @@ which is tiny, is resolved directly (after Sutherland, "Structure
 computation and discrete logarithms in finite abelian p-groups", Math. Comp.
 2011): a point Q1 of order l^b1 and a point R whose multiple l^j*R first
 lies in <Q1> at j = k - b1 generate the whole subgroup, which proves that
-its exponent is l^b1.  Points come from random.Random(p) and affect only the
-cost, never the answer (Las Vegas).  A full-enumeration oracle
-(structure_bruteforce) provides an independent answer at small p.
+its exponent is l^b1.  At l = 2 on a split cubic, the 2-torsion point
+(e1, 0) that Q1 ends in gives the other two roots, and E[4] lies in E(F_p)
+exactly when the three differences of the roots are squares (Miret, Moreno,
+Rio and Valls, "Determining the 2-Sylow subgroup of an elliptic curve over
+a finite field", Math. Comp. 2005): that decides a = 1 or a >= 2 with no
+second generator.  Points come from one stream random.Random(p) per prime,
+shared by every l, and affect only the cost, never the answer (Las Vegas).
+A full-enumeration oracle (structure_bruteforce) provides an independent
+answer at small p.
 """
 
 import math
@@ -26,7 +32,7 @@ import numpy as np
 
 from .counting import LANE_CAP, _powmod
 from .curve import INFINITY, ReducedCurve, add, neg, random_point, scalar_mul
-from .modarith import _simple_sieve, factorize, legendre
+from .modarith import NotASquare, _simple_sieve, factorize, legendre, sqrt_mod
 
 _MAX_DRAWS = 100  # per l-Sylow subgroup; a handful are expected
 _BRUTEFORCE_CAP = 5000
@@ -118,25 +124,56 @@ def _index_outside(R_chain: list, Q_chain: list, l: int, C: ReducedCurve) -> int
     return 0
 
 
-def _sylow_exponent(C: ReducedCurve, N: int, l: int, k: int, a_min: int) -> int:
-    """b with exp(S) = l^b for the l-Sylow subgroup S of order l^k,
-    given that S is Z/l^a x Z/l^(k-a) with a >= a_min.
+def _has_four_torsion(C: ReducedCurve, T) -> bool:
+    """True iff E[4] lies in E(F_p), given T = (e1, 0) of order 2 on a
+    split cubic at p = 1 (mod 4).  With the other roots e2,3 =
+    (-e1 +- sqrt(-3e1^2 - 4a))/2, (ei, 0) is halved in E(F_p) iff ei - ej
+    and ei - ek are squares, so, as -1 is a square, all of E[2] is halved
+    iff the three differences are (Miret, Moreno, Rio and Valls, 2005).
+    """
+    p = C.p
+    e1, y = T
+    if y or (e1 * e1 * e1 + C.a * e1 + C.b) % p:
+        raise StructureUnverified(f"p = {p}: {T} is not a root of the cubic")
+    try:
+        r = sqrt_mod(-3 * e1 * e1 - 4 * C.a, p)
+    except NotASquare:
+        raise StructureUnverified(f"p = {p}: the cubic does not split") from None
+    half = (p + 1) // 2
+    e2, e3 = (r - e1) * half % p, (-r - e1) * half % p
+    return all(legendre(u, p) == 1 for u in (e1 - e2, e1 - e3, e2 - e3))
 
-    Q1 is the point of largest order l^b1 drawn so far, so b1 <= k - a.
-    Equality is proved when b1 = k - a_min, or when a point R of order
-    at most l^b1 has l^j*R outside <Q1> for every j < k - b1: then
-    #<Q1, R> = l^k, so Q1 and R generate S and exp(S) = l^b1.
+
+def _sylow_exponent(C: ReducedCurve, N: int, l: int, k: int, a_min: int, a_max: int,
+                    points: list, rng) -> int:
+    """b with exp(S) = l^b for the l-Sylow subgroup S of order l^k,
+    given that S is Z/l^a x Z/l^(k-a) with a_min <= a <= a_max.
+
+    points[i] is the i-th point from rng, drawn on first use and kept,
+    so every l walks the same points.  Q1 is the point of largest order
+    l^b1 projected so far, so b1 <= k - a.  Equality is proved when
+    b1 = k - a_min, or when a point R of order at most l^b1 has l^j*R
+    outside <Q1> for every j < k - b1: then #<Q1, R> = l^k, so Q1 and R
+    generate S and exp(S) = l^b1.  At l = 2 on a split cubic (a_min = 1,
+    so 4 | p-1), the first Q1 ends in a 2-torsion point, and 2-descent
+    from it (Miret, Moreno, Rio and Valls) decides whether a >= 2
+    without a further draw.
     """
     cofactor = N // l ** k
-    rng = random.Random(C.p)
     top = None
-    for _ in range(_MAX_DRAWS):
-        chain = _l_chain(scalar_mul(cofactor, random_point(C, rng), C), l, k, C)
+    for i in range(_MAX_DRAWS):
+        if i == len(points):
+            points.append(random_point(C, rng))
+        chain = _l_chain(scalar_mul(cofactor, points[i], C), l, k, C)
         if top is None or len(chain) > len(top):
             top, chain = chain, top
         b1 = len(top)
-        if b1 == k - a_min:
-            return b1
+        if a_min == 1 and top:
+            if not _has_four_torsion(C, top[-1]):
+                return k - 1
+            a_min = 2
+        if b1 == k - a_min or a_min == a_max:
+            return k - a_min
         if chain and b1 + _index_outside(chain, top, l, C) == k:
             return b1
     raise StructureUnverified(
@@ -149,10 +186,12 @@ def exponent_sampling(C: ReducedCurve, N: int) -> int:
 
     v_l(d) is an admissible a: a <= v_l(N)/2, a <= v_l(g), and at l = 2,
     a >= 1 iff the 2-torsion is rational.  A single admissible a needs
-    no draws; otherwise the l-Sylow subgroup decides.
+    no draws; otherwise the l-Sylow subgroup decides, from points of
+    the one stream random.Random(p) that every l shares.
     """
     p = C.p
     g = math.gcd(p - 1, p - 1 - N)  # a_p - 2 = p - 1 - N
+    rng, points = random.Random(p), []
     d = 1
     for l, v in factorize(g):
         k = _valuation(N, l)
@@ -168,7 +207,7 @@ def exponent_sampling(C: ReducedCurve, N: int) -> int:
         if a_min == a_max:
             d *= l ** a_max
         else:
-            d *= l ** (k - _sylow_exponent(C, N, l, k, a_min))
+            d *= l ** (k - _sylow_exponent(C, N, l, k, a_min, a_max, points, rng))
     return N // d
 
 

@@ -452,7 +452,7 @@ class TestPipeline:
         assert len(built) == paths["naive"] + paths["fallback"] + len(unsettled)
 
     @pytest.mark.parametrize("preset, x_max, draws", [
-        ("generic1", 50_000, 1131), ("cm-i", 20_000, 2439), ("cm-3", 20_000, 3514)])
+        ("generic1", 50_000, 907), ("cm-i", 20_000, 1327), ("cm-3", 20_000, 3045)])
     def test_structure_draws(self, preset, x_max, draws, monkeypatch):
         # the points the structure step draws, over every prime of a sweep
         seen = [0]

@@ -11,9 +11,10 @@ from hypothesis import strategies as st
 
 from avgexp import curve, structure
 from avgexp.counting import order_bsgs, trace_block, trace_naive
-from avgexp.curve import GlobalCurve, ReducedCurve, random_point, reduce_curve
+from avgexp.curve import (INFINITY, GlobalCurve, ReducedCurve, add, random_point,
+                          reduce_curve)
 from avgexp.harness import PRESETS, RECORD, good_primes, record_violations
-from avgexp.modarith import factorize, is_prime, residues, sieve_primes
+from avgexp.modarith import factorize, is_prime, legendre, residues, sieve_primes, sqrt_mod
 from avgexp.structure import (NotAnnihilated, StructureUnverified,
                               exponent_sampling, group_structure,
                               has_full_two_torsion, settle,
@@ -106,6 +107,25 @@ class TestExponentSampling:
                 trials += 1
         assert trials >= 10_000
 
+    def test_one_point_list_per_prime(self, monkeypatch):
+        # every l walks the stream random.Random(p) from its start, and a
+        # point drawn for one l is reused, not redrawn, by the next
+        walked, drawn = [], []
+        real = structure._sylow_exponent
+
+        def spy(C, N, l, k, a_min, a_max, points, rng):
+            b = real(C, N, l, k, a_min, a_max, points, rng)
+            walked.append((l, len(points)))
+            return b
+        monkeypatch.setattr(structure, "_sylow_exponent", spy)
+        monkeypatch.setattr(structure, "random_point",
+                            lambda C, rng: drawn.append(curve.random_point(C, rng)) or drawn[-1])
+        C = reduce_curve(CM, 313)
+        exponent_sampling(C, trace_naive(C).N)
+        rng = random.Random(313)
+        assert walked == [(2, 1), (3, 3)]
+        assert drawn == [random_point(C, rng) for _ in range(3)]
+
     def test_split_cubic_with_odd_two_part_raises(self):
         # x^3 - x splits over F_5, so 2 | d and 4 | N; v_2(6) = 1 fits no d
         with pytest.raises(StructureUnverified):
@@ -160,8 +180,8 @@ class TestSylowPath:
         seen = []
         real = structure._sylow_exponent
 
-        def spy(C, N, ell, k, a_min):
-            b = real(C, N, ell, k, a_min)
+        def spy(C, N, ell, k, *bounds_and_points):
+            b = real(C, N, ell, k, *bounds_and_points)
             seen.append((ell, k - b))
             return b
         monkeypatch.setattr(structure, "_sylow_exponent", spy)
@@ -187,6 +207,88 @@ class TestSylowPath:
             got = group_structure(C, trace_naive(C))
         want = structure_bruteforce(C)
         assert (got.N, got.d_p, got.e_p) == (want.N, want.d_p, want.e_p)
+
+
+def split_cubic(p, e1, e2):
+    """y^2 = (x - e1)(x - e2)(x - e3) over F_p, e3 = -e1 - e2."""
+    e3 = -e1 - e2
+    return ReducedCurve(p, (e1 * e2 + e1 * e3 + e2 * e3) % p, -e1 * e2 * e3 % p)
+
+
+def four_torsion_count(C):
+    """#{P in E(F_p) : 4P = O}, by enumerating every point."""
+    p, count = C.p, 1
+    for x in range(p):
+        rhs = (x * x * x + C.a * x + C.b) % p
+        if rhs and legendre(rhs, p) == 1:
+            y = sqrt_mod(rhs, p)
+            points = [(x, y), (x, p - y)]
+        else:
+            points = [] if rhs else [(x, 0)]
+        for P in points:
+            D = add(P, P, C)
+            count += add(D, D, C) is INFINITY
+    return count
+
+
+class TestTwoDescent:
+    """At l = 2 on a split cubic, 2-descent from one 2-torsion point
+    decides whether E[4] lies in E(F_p)."""
+
+    @settings(max_examples=80, deadline=None, database=None)
+    @given(st.data())
+    def test_verdict_against_enumeration(self, data):
+        p = data.draw(st.sampled_from([q for q in PRIMES_TO_5000 if q % 4 == 1]))
+        e1, e2 = data.draw(st.integers(0, p - 1)), data.draw(st.integers(0, p - 1))
+        e3 = (-e1 - e2) % p
+        assume(len({e1, e2, e3}) == 3)
+        C = split_cubic(p, e1, e2)
+        full = four_torsion_count(C) == 16
+        for e in (e1, e2, e3):
+            assert structure._has_four_torsion(C, (e, 0)) == full
+        got = group_structure(C, trace_naive(C))
+        want = structure_bruteforce(C)
+        assert (got.d_p, got.e_p) == (want.d_p, want.e_p)
+        assert (want.d_p % 4 == 0) == full
+
+    @pytest.mark.parametrize("E, p, a_max, a, verdict, drawn", [
+        (GENERIC, 349, 2, 1, False, 1),   # a = 1 from the first point
+        (GENERIC, 1993, 2, 2, True, 1),   # a = 2 = a_max from the first point
+        (CM, 257, 4, 4, True, 2),         # a >= 2, then a second generator
+    ])
+    def test_named_cases(self, monkeypatch, E, p, a_max, a, verdict, drawn):
+        sylow, verdicts, points = [], [], []
+        real_sylow, real_descent = structure._sylow_exponent, structure._has_four_torsion
+
+        def spy(C, N, l, k, a_min, a_max, *rest):
+            b = real_sylow(C, N, l, k, a_min, a_max, *rest)
+            sylow.append((l, a_min, a_max, k - b))
+            return b
+        monkeypatch.setattr(structure, "_sylow_exponent", spy)
+        monkeypatch.setattr(structure, "_has_four_torsion",
+                            lambda *args: verdicts.append(real_descent(*args)) or verdicts[-1])
+        monkeypatch.setattr(structure, "random_point",
+                            lambda C, rng: points.append(1) or curve.random_point(C, rng))
+        C = reduce_curve(E, p)
+        got = group_structure(C, trace_naive(C))
+        want = structure_bruteforce(C)
+        assert (got.d_p, got.e_p) == (want.d_p, want.e_p)
+        assert sylow == [(2, 1, a_max, a)]
+        assert verdicts == [verdict]
+        assert len(points) == drawn
+
+    def test_not_a_root_raises(self):
+        C = split_cubic(13, 1, 3)  # roots 1, 3, 9
+        with pytest.raises(StructureUnverified):
+            structure._has_four_torsion(C, (2, 0))
+        with pytest.raises(StructureUnverified):
+            structure._has_four_torsion(C, (1, 5))
+
+    def test_cubic_without_other_roots_raises(self):
+        # x^3 - 2x - 1 = (x + 1)(x^2 - x - 1) over F_13, and 5 is no square
+        C = ReducedCurve(13, 11, 12)
+        with pytest.raises(StructureUnverified):
+            structure._has_four_torsion(C, (12, 0))
 
 
 def sampled(C, N):
