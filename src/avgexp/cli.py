@@ -10,20 +10,20 @@ import argparse
 import contextlib
 import os
 import sys
+from dataclasses import astuple, fields
 
 import mpmath as mp
 
 from .constants import (DegreeModel, constant_euler, constant_series,
                         load_overrides)
-from .counting import _MIN_BSGS_P, AmbiguityExhausted, DEFAULT_TRACE_THRESHOLD
+from .counting import _MIN_BSGS_P, DEFAULT_TRACE_THRESHOLD
 from .curve import GlobalCurve, reduce_curve
-from .harness import (CacheMismatch, CorruptCache, ExperimentConfig,
-                      InsufficientCheckpoints, K_MAX_DIAG, PRESETS,
-                      compute_records, error_trend, good_primes, pi_E_table,
-                      run_experiment, write_checkpoints_csv, write_json,
-                      write_pi_e_csv, write_records_csv)
-from .structure import (NotAnnihilated, StructureUnverified,
-                        structure_bruteforce)
+from .harness import (CacheMismatch, CheckpointRow, CorruptCache,
+                      ExperimentConfig, InsufficientCheckpoints, K_MAX_DIAG,
+                      PI_E_HEADER, PRESETS, RECORD, compute_records,
+                      error_trend, good_primes, pi_E_table, run_experiment,
+                      write_csv, write_json)
+from .structure import structure_bruteforce
 
 EXIT_OK = 0
 EXIT_INVARIANT = 2
@@ -106,10 +106,11 @@ def cmd_run(args) -> int:
             write_json(written, result, table)
         else:
             outdir = args.outfile or "."
-            write_records_csv(os.path.join(outdir, "records.csv"), result.records)
-            write_checkpoints_csv(os.path.join(outdir, "checkpoints.csv"),
-                                  result.checkpoints)
-            write_pi_e_csv(os.path.join(outdir, "pi_e.csv"), table)
+            write_csv(os.path.join(outdir, "records.csv"), RECORD.names, result.records)
+            write_csv(os.path.join(outdir, "checkpoints.csv"),
+                      [f.name for f in fields(CheckpointRow)],
+                      map(astuple, result.checkpoints))
+            write_csv(os.path.join(outdir, "pi_e.csv"), PI_E_HEADER, table)
             written = f"{outdir}/records.csv, checkpoints.csv, pi_e.csv"
     except OSError as err:
         return _usage_error(f"--outfile: {err}")
@@ -226,8 +227,7 @@ def main(argv=None) -> int:
     except (CacheMismatch, CorruptCache) as err:
         print(f"cache error: {err}", file=sys.stderr)
         return EXIT_CACHE
-    except (StructureUnverified, NotAnnihilated, AmbiguityExhausted,
-            ArithmeticError) as err:
+    except ArithmeticError as err:
         print(f"invariant violation: {err}", file=sys.stderr)
         return EXIT_INVARIANT
     except BrokenPipeError:

@@ -15,7 +15,7 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 
-from .modarith import divisors_from_factorization, factorize, sieve_primes
+from .modarith import factorize, sieve_primes
 
 DEFAULT_DPS = 50
 MIN_DPS = 20  # below this, rounding can exceed the tail bounds the cross-check budgets
@@ -46,29 +46,13 @@ class MobiusCoeff:
 
 def mobius_coeff(k: int) -> MobiusCoeff:
     """The closed form (1/k)*prod_{q | k}(1-q) of the definition sum,
-    exactly; mobius_identity_check tests it against the definition."""
+    exactly."""
     if k < 1:
         raise ValueError("k must be >= 1")
     closed = Fraction(1, k)
     for q, _ in factorize(k):
         closed *= 1 - q
     return MobiusCoeff(k, closed)
-
-
-def mobius_identity_check(k_max: int) -> bool:
-    """Verify sum_{j | k} coeff(j) = 1/k exactly for all k <= k_max.
-
-    Raises on the smallest violating k (which must never exist); returns
-    True otherwise.
-    """
-    coeffs = {}
-    for k in range(1, k_max + 1):
-        coeffs[k] = mobius_coeff(k).value
-        total = sum((coeffs[j] for j in divisors_from_factorization(factorize(k))),
-                    Fraction(0))
-        if total != Fraction(1, k):
-            raise ArithmeticError(f"inversion identity fails first at k = {k}")
-    return True
 
 
 def gl2_order(k: int) -> int:

@@ -41,7 +41,7 @@ DEFAULT_TRACE_THRESHOLD = 400
 PATHS = ("naive", "lanes", "fallback")
 
 
-class AmbiguityExhausted(RuntimeError):
+class AmbiguityExhausted(ArithmeticError):
     """order_bsgs could not pin the order; signals a logic bug upstream."""
 
 
@@ -251,31 +251,22 @@ def _recover(x, xq, xn, at_inf, a, b, p):
     return np.where(at_inf, -2 * ((x * x % p + a) * x % p + b) % p, num)
 
 
-def _affine(rows, p):
-    """Affine x = X/Z of every row of every (X, Z) pair of 2-D arrays,
+def _affine(X, Z, p):
+    """Affine x = X/Z of every row of the (rows x lanes) arrays X and Z,
     with one Fermat inversion per lane (Montgomery's simultaneous
-    inversion: prefix products along the rows, then back).  A row at
+    inversion: prefix products down the rows, then back up).  A row at
     infinity, Z = 0, comes out as X."""
-    rows = [(X, np.where(Z != 0, Z, 1)) for X, Z in rows]
-    prefix, run = [], np.ones_like(p)
-    for _, Z in rows:
-        pre = np.empty_like(Z)
-        for r in range(len(Z)):
-            run = run * Z[r] % p
-            pre[r] = run
-        prefix.append(pre)
+    Z = np.where(Z != 0, Z, 1)
+    before, run = np.empty_like(Z), np.ones_like(p)
+    for r in range(len(Z)):
+        before[r] = run  # the product of the rows above r
+        run = run * Z[r] % p
     inv = _powmod(run, p - 2, p)  # 1 / (product of every Z)
-    out = [None] * len(rows)
-    for i in range(len(rows) - 1, -1, -1):
-        X, Z = rows[i]
-        pre = prefix[i]
-        x = np.empty_like(X)
-        for r in range(len(Z) - 1, -1, -1):
-            before = pre[r - 1] if r else (prefix[i - 1][-1] if i else 1)
-            x[r] = X[r] * (inv * before % p) % p
-            inv = inv * Z[r] % p
-        out[i] = x
-    return out
+    x = np.empty_like(X)
+    for r in range(len(Z) - 1, -1, -1):
+        x[r] = X[r] * (inv * before[r] % p) % p
+        inv = inv * Z[r] % p
+    return x
 
 
 def _isqrt(n):
@@ -377,8 +368,8 @@ def _window_annihilators(p, a, b):
     g_live = k_row < rows_k  # rows k0 .. k1; the row after each recovers its y
     refused |= ((k_row <= rows_k) & (GX == 0) & (GZ == 0)).any(axis=0)
 
-    bx, gx, (sx, tx) = _affine([(BX[1:], BZ[1:]), (GX, GZ),
-                                (np.array([SX, TX]), np.array([SZ, TZ]))], p)
+    xs = _affine(np.vstack((BX[1:], GX, SX, TX)), np.vstack((BZ[1:], GZ, SZ, TZ)), p)
+    bx, gx, (sx, tx) = xs[:M], xs[M:M + K + 1], xs[M + K + 1:]
 
     # match giant x against baby x through sorted keys lane * 2^30 + x,
     # each carrying its row below (rows < 2^9); taken lane by lane, so

@@ -69,13 +69,6 @@ def reduce_curve(E: GlobalCurve, p: int) -> ReducedCurve:
     return ReducedCurve(p, E.a4 % p, E.a6 % p)
 
 
-def is_on_curve(P, C: ReducedCurve) -> bool:
-    if P is INFINITY:
-        return True
-    x, y = P
-    return (y * y - (x * x % C.p * x + C.a * x + C.b)) % C.p == 0
-
-
 def neg(P, C: ReducedCurve):
     if P is INFINITY:
         return INFINITY

@@ -22,7 +22,7 @@ import os
 import struct
 import zlib
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import count
@@ -383,37 +383,23 @@ def cache_load(path, curve: GlobalCurve) -> np.recarray:
     return records
 
 
-RECORDS_HEADER = ["p", "a_p", "d_p", "e_p"]
-CHECKPOINTS_HEADER = ["x", "pi_x", "sum_e", "sum_p_over_d", "avg_e",
-                      "c_hat", "c_model", "rel_dev", "main_term_dev"]
 PI_E_HEADER = ["k", "count", "model_prediction"]
 
 
-def write_records_csv(path, records) -> None:
+def write_csv(path, header, rows) -> None:
+    """The header, then rows: a recarray, 2^14 records at a time so that
+    few Python tuples exist at once, or an iterable of sequences, in which
+    a Fraction is written n/d (str(Fraction(5)) is 5).  csv.writer writes
+    a float as its repr and None as an empty field."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(RECORDS_HEADER)
-        for i in range(0, len(records), 1 << 14):  # few Python tuples at a time
-            w.writerows(records[i:i + (1 << 14)].tolist())
-
-
-def write_checkpoints_csv(path, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(CHECKPOINTS_HEADER)
-        for r in rows:
-            w.writerow([r.x, r.pi_x, r.sum_e,
-                        f"{r.sum_p_over_d.numerator}/{r.sum_p_over_d.denominator}",
-                        repr(r.avg_e), repr(r.c_hat), repr(r.c_model),
-                        repr(r.rel_dev), repr(r.main_term_dev)])
-
-
-def write_pi_e_csv(path, table) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(PI_E_HEADER)
-        for k, count, pred in table:
-            w.writerow([k, count, "" if pred is None else repr(pred)])
+        w.writerow(header)
+        if isinstance(rows, np.ndarray):
+            for i in range(0, len(rows), 1 << 14):
+                w.writerows(rows[i:i + (1 << 14)].tolist())
+        else:
+            w.writerows([f"{c.numerator}/{c.denominator}" if isinstance(c, Fraction) else c
+                         for c in row] for row in rows)
 
 
 def result_to_json(result: ExperimentResult, pi_table) -> dict:
@@ -427,13 +413,10 @@ def result_to_json(result: ExperimentResult, pi_table) -> dict:
         "skipped_bad_primes": result.skipped,
         "paths": result.paths,
         "checkpoints": [{
-            "x": r.x, "pi_x": r.pi_x, "sum_e": r.sum_e,
+            **asdict(r),
             "sum_p_over_d": [r.sum_p_over_d.numerator, r.sum_p_over_d.denominator],
-            "avg_e": r.avg_e, "c_hat": r.c_hat, "c_model": r.c_model,
-            "rel_dev": r.rel_dev, "main_term_dev": r.main_term_dev,
         } for r in result.checkpoints],
-        "pi_e": [{"k": k, "count": c, "model_prediction": pred}
-                 for k, c, pred in pi_table],
+        "pi_e": [dict(zip(PI_E_HEADER, row)) for row in pi_table],
         "records": result.records.tolist(),
     }
 

@@ -206,15 +206,3 @@ def factorize(n: int) -> list:
         stack.append(m // d)
     return sorted(factors.items())
 
-
-def divisors_from_factorization(factorization) -> list:
-    """All positive divisors (ascending) from a (prime, mult) list."""
-    divs = [1]
-    for q, m in factorization:
-        qk = 1
-        new = []
-        for _ in range(m):
-            qk *= q
-            new.extend(d * qk for d in divs)
-        divs.extend(new)
-    return sorted(divs)

@@ -38,11 +38,11 @@ _MAX_DRAWS = 100  # per l-Sylow subgroup; a handful are expected
 _BRUTEFORCE_CAP = 5000
 
 
-class NotAnnihilated(RuntimeError):
+class NotAnnihilated(ArithmeticError):
     """l^k does not annihilate the l-Sylow subgroup: N upstream is wrong."""
 
 
-class StructureUnverified(RuntimeError):
+class StructureUnverified(ArithmeticError):
     """No structure consistent with N could be proved; an upstream bug."""
 
 

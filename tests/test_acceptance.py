@@ -15,11 +15,11 @@ import pytest
 
 from avgexp.constants import (DegreeModel, constant_euler, constant_series,
                               estimate_degrees, degree, li,
-                              mobius_coeff, mobius_identity_check, euler_phi)
+                              mobius_coeff, euler_phi)
 from avgexp.counting import order_bsgs, trace_naive
 from avgexp.curve import GlobalCurve, reduce_curve
-from avgexp.harness import (CheckpointRow, ExperimentConfig, error_trend,
-                            pi_E_table, run_experiment, write_records_csv)
+from avgexp.harness import (RECORD, CheckpointRow, ExperimentConfig, error_trend,
+                            pi_E_table, run_experiment, write_csv)
 from avgexp.modarith import sieve_primes
 from avgexp.structure import group_structure, structure_bruteforce
 
@@ -93,9 +93,13 @@ def test_criterion_3_hasse_and_divisibility(big_run):
 
 
 def test_criterion_4_exact_identities(big_run):
-    ok = mobius_identity_check(10_000)
-    bound_ok = all(abs(mobius_coeff(k).value) <= Fraction(euler_phi(k), k)
-                   for k in range(1, 10_001))
+    sums, bound_ok = [Fraction(0)] * 10_001, True  # sums[k] = sum_{j | k} coeff(j)
+    for j in range(1, 10_001):  # each j adds its coefficient to its multiples
+        c = mobius_coeff(j).value
+        bound_ok &= abs(c) <= Fraction(euler_phi(j), j)
+        for k in range(j, 10_001, j):
+            sums[k] += c
+    ok = sums[1:] == [Fraction(1, k) for k in range(1, 10_001)]
     lhs = sum(r.e_p * r.d_p for r in big_run.records)
     rhs = sum(r.p + 1 - r.a_p for r in big_run.records)
     report(4, "mobius inversion to 1e4, coefficient bound, and exact "
@@ -157,7 +161,7 @@ def test_criterion_9_worker_determinism(tmp_path):
                                checkpoints=[10 ** 4], workers=workers)
         result = run_experiment(cfg)
         path = tmp_path / f"records_w{workers}.csv"
-        write_records_csv(path, result.records)
+        write_csv(path, RECORD.names, result.records)
         outs.append(path.read_bytes())
     report(9, "workers 1 vs 8: byte-identical records.csv",
            outs[0] == outs[1])

@@ -20,7 +20,7 @@ from avgexp.harness import (CacheMismatch, CheckpointRow, CorruptCache,
                             PRESETS, RECORD, cache_load, cache_store,
                             compute_record, default_checkpoints, error_trend,
                             good_primes, pi_E_table, record_violations,
-                            run_experiment, write_records_csv)
+                            run_experiment, write_csv)
 from avgexp.modarith import is_prime, sieve_primes
 from avgexp.structure import structure_bruteforce
 
@@ -65,9 +65,13 @@ class TestRunExperiment:
         r2 = small_run(workers=2)
         assert np.array_equal(r1.records, r2.records)
         f1, f2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        write_records_csv(f1, r1.records)
-        write_records_csv(f2, r2.records)
+        write_csv(f1, RECORD.names, r1.records)
+        write_csv(f2, RECORD.names, r2.records)
         assert f1.read_bytes() == f2.read_bytes()
+
+    def test_csv_cells(self, tmp_path):  # str(Fraction(5)) would be "5"
+        write_csv(tmp_path / "t.csv", ["q", "f", "none"], [(Fraction(5), 0.1, None)])
+        assert (tmp_path / "t.csv").read_bytes() == b"q,f,none\r\n5/1,0.1,\r\n"
 
     def test_bad_primes_skipped_and_reported(self):
         result = small_run()
