@@ -19,6 +19,9 @@ from .modarith import factorize, sieve_primes
 
 DEFAULT_DPS = 50
 MIN_DPS = 20  # below this, rounding can exceed the tail bounds the cross-check budgets
+# The largest series level y and Euler prime p_max: either takes 8-13 s
+# and 1 GB there, and leaves a tail below 1e-21.
+TRUNCATION_CAP = 10 ** 7
 
 
 class MissingDegree(KeyError):
@@ -161,8 +164,9 @@ def constant_series(model: DegreeModel, y: int, dps: int = DEFAULT_DPS) -> Const
     beyond y.  Otherwise the documented bound 2/sqrt(y) is used, which
     assumes degree(k) >= phi(k)^2 with constant 1.
     """
-    if y < 1 or dps < MIN_DPS:
-        raise ValueError(f"need y >= 1 and dps >= {MIN_DPS}, got y = {y}, dps = {dps}")
+    if not 1 <= y <= TRUNCATION_CAP or dps < MIN_DPS:
+        raise ValueError(f"need 1 <= y <= {TRUNCATION_CAP} and dps >= {MIN_DPS}, "
+                         f"got y = {y}, dps = {dps}")
     coeff, order = _level_table(y)
     generic = model.kind == "gl2_generic"
     with mp.workdps(dps):
@@ -202,8 +206,9 @@ def constant_euler(model: DegreeModel, p_max: int, dps: int = DEFAULT_DPS) -> Co
     primes beyond p_max are included exactly, so the recorded tail bound
     2/(3*p_max^3) (from generic factors being 1 - O(q^-4)) stays valid.
     """
-    if p_max < 2 or dps < MIN_DPS:
-        raise ValueError(f"need p_max >= 2 and dps >= {MIN_DPS}, got p_max = {p_max}, dps = {dps}")
+    if not 2 <= p_max <= TRUNCATION_CAP or dps < MIN_DPS:
+        raise ValueError(f"need 2 <= p_max <= {TRUNCATION_CAP} and dps >= {MIN_DPS}, "
+                         f"got p_max = {p_max}, dps = {dps}")
     override_primes = set()
     for k in model.overrides:
         fac = factorize(k)

@@ -2,12 +2,13 @@
 
 trace_naive sums the quadratic character of the cubic over all of F_p.
 order_lanes runs baby-step giant-step on x coordinates alone for a whole
-block of primes at once, one prime per int64 numpy lane, proves each
-annihilator of its point in the Hasse window by recovered y, and takes
-the order where the window holds one.  order_bsgs pins the order for one
-prime: its candidates are the annihilators of a point, the ones a lane
-proved or those of its own first point, and points drawn from
-random.Random(p), on the twist and the curve in turn, weed them out
+block of primes at once, one prime per int64 numpy lane, over the class
+of N mod 2 or 4 that the cubic's roots fix (cubic_roots), proves each
+annihilator of its point in that class and the Hasse window by recovered
+y, and takes the order where the window holds one.  order_bsgs pins the
+order for one prime: its candidates are the annihilators of a point, the
+ones a lane proved or those of its own first point, and points drawn
+from random.Random(p), on the twist and the curve in turn, weed them out
 until one is left.  trace_block sends the lanes order_lanes refuses to
 order_bsgs, with their annihilators where they proved them.
 """
@@ -188,7 +189,7 @@ def order_bsgs(C: ReducedCurve, candidates=None) -> TraceResult:
 def _powmod(base, exp, p):
     """base^exp mod p, lane by lane."""
     result = np.ones_like(base)
-    for bit in range(int(exp.max()).bit_length()):
+    for bit in range(int(exp.max(initial=0)).bit_length()):
         result = result * np.where((exp >> bit) & 1 == 1, base, 1) % p
         base = base * base % p
     return result
@@ -253,20 +254,20 @@ def _recover(x, xq, xn, at_inf, a, b, p):
 
 def _affine(X, Z, p):
     """Affine x = X/Z of every row of the (rows x lanes) arrays X and Z,
-    with one Fermat inversion per lane (Montgomery's simultaneous
-    inversion: prefix products down the rows, then back up).  A row at
-    infinity, Z = 0, comes out as X."""
-    Z = np.where(Z != 0, Z, 1)
-    before, run = np.empty_like(Z), np.ones_like(p)
+    written over X, with one Fermat inversion per lane (Montgomery's
+    simultaneous inversion: each row times the product of the Zs above it
+    on the way down, times the inverse of the product of the Zs up to it
+    on the way back up).  A row at infinity, Z = 0, comes out as X.  Z is
+    overwritten."""
+    Z[Z == 0] = 1
+    run = np.ones_like(p)
     for r in range(len(Z)):
-        before[r] = run  # the product of the rows above r
+        X[r] = X[r] * run % p
         run = run * Z[r] % p
     inv = _powmod(run, p - 2, p)  # 1 / (product of every Z)
-    x = np.empty_like(X)
     for r in range(len(Z) - 1, -1, -1):
-        x[r] = X[r] * (inv * before[r] % p) % p
+        X[r] = X[r] * inv % p
         inv = inv * Z[r] % p
-    return x
 
 
 def _isqrt(n):
@@ -276,42 +277,91 @@ def _isqrt(n):
     return r + ((r + 1) * (r + 1) <= n)
 
 
-def order_lanes(p, a, b) -> tuple:
+def cubic_roots(p, a, b):
+    """The number of roots of x^3 + a*x + b in F_p, 0, 1 or 3, lane by
+    lane, for int64 arrays p, a and b with 0 <= a, b < p and a cubic of
+    nonzero discriminant; lanes need 5 <= p < 2^30, and the others get -1.
+
+    Frobenius permutes the three roots, as a transposition exactly when
+    the discriminant -4a^3 - 27b^2 is a nonsquare: then one is rational.
+    A square discriminant leaves 0 or 3, and 3 exactly when x^p = x
+    modulo the cubic (_fixes_x).  E(F_p)[2] is the identity and the
+    points (e, 0), so 4 | N with three roots, N is even with one and odd
+    with none, for the curve and its twist alike.
+    """
+    ok = (p >= 5) & (p < LANE_CAP)
+    q = np.where(ok, p, 5)  # keeps the products below inside int64
+    ar, br = a % q, b % q
+    disc = (-4 * (ar * ar % q * ar % q) - 27 * (br * br % q)) % q
+    square = ok & (_powmod(disc, (q - 1) // 2, q) == 1)
+    roots = np.where(ok, np.where(square, 0, 1), -1)
+    sq = np.flatnonzero(square)
+    roots[sq[_fixes_x(q[sq], ar[sq], br[sq])]] = 3
+    return roots
+
+
+def _fixes_x(p, a, b):
+    """Whether x^p = x modulo f = x^3 + a*x + b, lane by lane, for 0 <= a,
+    b < p < 2^30: left-to-right square-and-multiply on the residue c0 + c1*x
+    + c2*x^2, reduced by x^3 = -a*x - b and x^4 = -a*x^2 - b*x.  Every
+    intermediate lies below 2^62 in absolute value."""
+    c0, c1, c2 = np.ones_like(p), np.zeros_like(p), np.zeros_like(p)
+    for bit in range(int(p.max(initial=1)).bit_length() - 1, -1, -1):
+        u, v = c1 * c2 % p, c2 * c2 % p
+        c0, c1, c2 = ((c0 * c0 - 2 * b * u) % p,
+                      (2 * (c0 * c1 - a * u) - b * v) % p,
+                      (c1 * c1 + 2 * c0 * c2 - a * v) % p)
+        up = (p >> bit) & 1 == 1  # then times x
+        c0, c1, c2 = (np.where(up, -b * c2 % p, c0), np.where(up, (c0 - a * c2) % p, c1),
+                      np.where(up, c1, c2))
+    return (c0 == 0) & (c1 == 1) & (c2 == 0)
+
+
+def order_lanes(p, a, b, roots) -> tuple:
     """Group orders N of y^2 = x^3 + a*x + b over F_p, lane by lane,
     proved on int64 lanes, or 0 where the lane is refused, and the
     annihilators the lanes proved, as arrays (N, lane, orders).  p, a and
-    b are int64 arrays with 0 <= a, b < p; lanes need 229 <= p < 2^30,
-    and the others are refused.
+    b are int64 arrays with 0 <= a, b < p, and roots is cubic_roots(p, a,
+    b); lanes need 229 <= p < 2^30, and the others are refused.
 
     Lane i takes the first x0 = 1, 2, ... with c = x0^3 + a*x0 + b != 0
     and the point P = (x0*c, c^2) of E_c: y^2 = x^3 + a*c^2*x + b*c^3,
     the curve when c is a square and its quadratic twist otherwise, with
     no square root taken; E_c's x-only law is the curve's, x scaled by c,
     and the twist's order 2p + 2 - N lies in the same Hasse window
-    [p+1-B, p+1+B].  The tiling of _annihilators finds every n in the
-    window with n*P = infinity: baby rows x(j*P), 0 < j < m, giant rows
-    x(k*s*P), stride s = 2m - 1, matched by x.  A match (k, j) means
-    k*s*P = +-j*P, and y-recovery from the next rows' x (Okeya and
-    Sakurai, CHES 2001, in Brier and Joye's Weierstrass form, PKC 2002)
-    proves which, so each candidate k*s -+ j kept, and k*s for a giant
-    row at infinity, annihilates P.  A lane is accepted only when exactly
-    one annihilator lies in the window: since every one shows up as a
-    candidate, that one is the curve's (or the twist's) group order.
-    Lanes where P has order <= m, two baby rows share an x, a row
-    degenerates to (0 : 0), s*P has order 2, or the window holds several
-    annihilators are refused.  Nothing in a lane depends on the others.
+    [p+1-B, p+1+B].  E_c's cubic has the roots c*e_i of the curve's, so
+    its order, like the curve's, is r (mod t): (t, r) = (4, 0) for three
+    roots, (2, 0) for one and (2, 1) for none.  The search therefore
+    finds only the n = r (mod t) in the window with n*P = infinity,
+    after the tiling of _annihilators on the multiples of t*P: baby rows
+    x(v_j*P), v_j = t*j (r = 0) or 2j - 1 (r = 1), stepping by t*P, giant
+    rows x(k*S*P) with S a multiple of t, matched by x.  That is about
+    1/sqrt(t) of the rows of an unrestricted search.  A match (k, j)
+    means k*S*P = +-v_j*P, and y-recovery from the next rows' x (Okeya
+    and Sakurai, CHES 2001, in Brier and Joye's Weierstrass form, PKC
+    2002) against the reference point t*P proves which, so each
+    candidate k*S -+ v_j kept, and k*S for a giant row at infinity
+    where r = 0 (S is even), annihilates P.  A lane is accepted only
+    when exactly one annihilator of the class lies in the window: since
+    every one shows up as a candidate, that one is the curve's (or the
+    twist's) group order.
+    Lanes where a used multiple of P is at infinity, two baby rows share
+    an x, a row degenerates to (0 : 0), t*P or S*P has order 2, or the
+    window holds several annihilators of the class are refused.
+    Nothing in a lane depends on the others.
 
     A lane accepted, or refused only for several annihilators, lists every
-    annihilator in its window in orders, read as a curve order (2p + 2 - n
-    where its point lies on the twist), so the curve's order is among
-    them; the other lanes list none.
+    annihilator of its class in its window in orders, read as a curve
+    order (2p + 2 - n where its point lies on the twist): the multiples
+    of the point's order that are r (mod t), an ascending progression
+    that holds the curve's order.  The other lanes list none.
     """
     N = np.zeros(len(p), dtype=np.int64)
     idx = np.flatnonzero((p >= _MIN_BSGS_P) & (p < LANE_CAP))
     if not len(idx):
         return N, idx, idx
     q = p[idx]
-    lane, n, refused, twist = _window_annihilators(q, a[idx], b[idx])
+    lane, n, refused, twist = _window_annihilators(q, a[idx], b[idx], roots[idx])
     lane, n = lane[~refused[lane]], n[~refused[lane]]
     orders = np.where(twist[lane], 2 * q[lane] + 2 - n, n)
     single = (np.bincount(lane, minlength=len(q)) == 1)[lane]
@@ -319,100 +369,127 @@ def order_lanes(p, a, b) -> tuple:
     return N, idx[lane], orders
 
 
-def _window_annihilators(p, a, b):
-    """order_lanes' search, 229 <= p < 2^30: every n in the window with
-    n*P = infinity, proved, as arrays (lane, n), and per lane whether it is
-    refused (its n then prove nothing) and whether P lies on the twist."""
+def _window_annihilators(p, a, b, roots):
+    """order_lanes' search, 229 <= p < 2^30: every n = r (mod t) in the
+    window with n*P = infinity, proved, as arrays (lane, n), and per lane
+    whether it is refused (its n then prove nothing) and whether P lies on
+    the twist.  Rows live in one (rows x lanes) buffer per coordinate,
+    made affine in place."""
     b4, b8 = 4 * b % p, 8 * b % p
+    odd = roots == 0  # N is odd: the n are the odd numbers
+    t = np.where(roots == 3, 4, 2)
     B = _isqrt(4 * p)
-    m = _isqrt(B) + 1
-    s = 2 * m - 1
+    m = _isqrt(B // t) + 1
+    nb = np.where(odd, m, m - 1)  # baby rows j = 1 .. nb are used
+    w = np.where(odd, 2 * m - 1, t * (m - 1))  # v_nb
+    S = 2 * w + t  # giant stride: the tiles k*S - w .. k*S + w meet end to end
     lo, hi = p + 1 - B, p + 1 + B
-    k0 = (lo + m - 1) // s  # the giant rows k0 .. k1 tile the window
-    rows_k = (hi + m - 1) // s - k0 + 1
+    k0 = (lo - w + S - 1) // S  # the giant rows k0 .. k1 tile the window
+    rows_k = (hi + w) // S - k0 + 1
     L, M, K = len(p), int(m.max()), int(rows_k.max())
     lane = np.arange(L)
+    one = np.ones_like(p)
 
-    x0 = np.ones_like(p)
+    x0 = one
     c = (x0 + a + b) % p
     while not c.all():  # at most three roots, so x0 <= 4
         x0 = np.where(c == 0, x0 + 1, x0)
         c = (x0 * x0 * x0 + a * x0 + b) % p
     twist = _powmod(c, (p - 1) // 2, p) == p - 1
 
-    # baby rows j*P, 0 <= j <= M: (j+1)*P = j*P + P, difference (j-1)*P
-    BX, BZ = np.empty((M + 1, L), np.int64), np.empty((M + 1, L), np.int64)
-    BX[0], BZ[0] = 1, 0
-    BX[1], BZ[1] = x0, 1
-    BX[2], BZ[2] = _xdbl(x0, np.ones_like(p), a, b, b8, p)
-    for j in range(2, M):
-        BX[j + 1], BZ[j + 1] = _xadd(BX[j], BZ[j], x0, None, BX[j - 1], BZ[j - 1], a, b4, p)
-    j_row = np.arange(M + 1)[:, None]
-    refused = ((BZ == 0) & (j_row >= 1) & (j_row <= m)).any(axis=0)  # ord(P) <= m
+    # the reference point R = t*P, made affine by one inversion per lane
+    X2, Z2 = _xdbl(x0, one, a, b, b8, p)
+    X4, Z4 = _xdbl(X2, Z2, a, b, b8, p)
+    RX, RZ = np.where(t == 4, X4, X2), np.where(t == 4, Z4, Z2)
+    refused = RZ == 0
+    xR = RX * _powmod(np.where(refused, 1, RZ), p - 2, p) % p
 
-    # s*P = m*P + (m-1)*P, difference P; k0*s*P and (k0+1)*s*P by one ladder
-    SX, SZ = _xadd(BX[m, lane], BZ[m, lane], BX[m - 1, lane], BZ[m - 1, lane],
-                   x0, np.ones_like(p), a, b4, p)
-    TX, TZ = _xdbl(BX[m, lane], BZ[m, lane], a, b, b8, p)  # s*P + P, for y of s*P
+    # rows: baby 0 .. M+1, giant 0 .. K, then S*P and S*P + R
+    X, Z = np.empty((M + K + 5, L), np.int64), np.empty((M + K + 5, L), np.int64)
+    BX, BZ, GX, GZ = X[:M + 2], Z[:M + 2], X[M + 2:-2], Z[M + 2:-2]
+    # baby row j is v_j*P, so row j + 1 = row j + R with difference row j - 1;
+    # row 0 is v_0*P = infinity, or -P where r = 1, and row 2 doubles R where r = 0
+    BX[0], BZ[0] = np.where(odd, x0, 1), odd
+    BX[1], BZ[1] = np.where(odd, x0, xR), 1
+    DX, DZ = _xdbl(xR, one, a, b, b8, p)
+    AX, AZ = _xadd(BX[1], BZ[1], xR, None, BX[0], BZ[0], a, b4, p)
+    BX[2], BZ[2] = np.where(odd, AX, DX), np.where(odd, AZ, DZ)
+    for j in range(2, M + 1):
+        BX[j + 1], BZ[j + 1] = _xadd(BX[j], BZ[j], xR, None, BX[j - 1], BZ[j - 1], a, b4, p)
+    j_row = np.arange(M + 2)[:, None]
+    refused |= ((BZ == 0) & (j_row >= 1) & (j_row <= nb + 1)).any(axis=0)  # ord(P) small
+
+    # S*P = row nb+1 + row nb, difference R; S*P + R = 2 * row nb+1;
+    # k0*S*P and (k0+1)*S*P by one ladder
+    UX, UZ, VX, VZ = BX[nb + 1, lane], BZ[nb + 1, lane], BX[nb, lane], BZ[nb, lane]
+    SX, SZ = _xadd(UX, UZ, VX, VZ, xR, one, a, b4, p)
+    X[-1], Z[-1] = _xdbl(UX, UZ, a, b, b8, p)
+    X[-2], Z[-2] = SX, SZ
     refused |= SZ == 0
     DX, DZ = _xdbl(SX, SZ, a, b, b8, p)
-    GX, GZ = np.empty((K + 1, L), np.int64), np.empty((K + 1, L), np.int64)
     GX[0], GZ[0], GX[1], GZ[1] = _ladder(k0, SX, SZ, a, b, b4, b8, p)
     for r in range(2, K + 1):
-        # G_r = G_(r-1) + s*P, difference G_(r-2); after a row at infinity
-        # the chain restarts: the next two rows are s*P and 2*s*P
-        X, Z = _xadd(GX[r - 1], GZ[r - 1], SX, SZ, GX[r - 2], GZ[r - 2], a, b4, p)
+        # G_r = G_(r-1) + S*P, difference G_(r-2); after a row at infinity
+        # the chain restarts: the next two rows are S*P and 2*S*P
+        GXr, GZr = _xadd(GX[r - 1], GZ[r - 1], SX, SZ, GX[r - 2], GZ[r - 2], a, b4, p)
         restart = GZ[r - 2] == 0
-        GX[r], GZ[r] = np.where(restart, DX, X), np.where(restart, DZ, Z)
+        GX[r], GZ[r] = np.where(restart, DX, GXr), np.where(restart, DZ, GZr)
     k_row = np.arange(K + 1)[:, None]
     g_live = k_row < rows_k  # rows k0 .. k1; the row after each recovers its y
     refused |= ((k_row <= rows_k) & (GX == 0) & (GZ == 0)).any(axis=0)
+    g_inf, t_inf = GZ == 0, Z[-1] == 0
 
-    xs = _affine(np.vstack((BX[1:], GX, SX, TX)), np.vstack((BZ[1:], GZ, SZ, TZ)), p)
-    bx, gx, (sx, tx) = xs[:M], xs[M:M + K + 1], xs[M + K + 1:]
+    _affine(X, Z, p)
+    del Z, BZ, GZ  # the matching needs x alone
+    bx, gx, sx, tx = BX, GX, X[-2], X[-1]
 
     # match giant x against baby x through sorted keys lane * 2^30 + x,
     # each carrying its row below (rows < 2^9); taken lane by lane, so
     # the sorts only order x within each lane
     lane_hi = (lane << 30)[:, None]
-    b_keys = np.sort((((lane_hi + bx[:M - 1].T) << 9) + j_row[1:M].T)[(j_row[1:M] < m).T])
+    used = (j_row[1:M + 1] <= nb).T
+    b_keys = np.sort((((lane_hi + bx[1:M + 1].T) << 9) + j_row[1:M + 1].T)[used])
     b_x, b_j = b_keys >> 9, b_keys & 511
     refused[b_x[1:][b_x[1:] == b_x[:-1]] >> 30] = True  # two baby rows share an x
-    g_keys = np.sort((((lane_hi + gx.T) << 9) + k_row.T)[(g_live & (GZ != 0)).T])
+    g_keys = np.sort((((lane_hi + gx.T) << 9) + k_row.T)[(g_live & ~g_inf).T])
     g_x = g_keys >> 9
     pos = np.minimum(np.searchsorted(b_x, g_x), len(b_x) - 1)
     match = b_x[pos] == g_x
     ml, j, r = g_x[match] >> 30, b_j[pos[match]], g_keys[match] & 511
-    ks = (k0[ml] + r) * s[ml]
+    ks = (k0[ml] + r) * S[ml]
+    v = np.where(odd[ml], 2 * j - 1, t[ml] * j)
 
-    # nS, nJ, nG = 2c*y*y_Q of (P, s*P), (P, j*P), (s*P, G), for P = (x0, 1) on
-    # c*y^2 = x^3 + a*x + b, the model of E_c with x scaled back by c:
-    # G = +-j*P iff 2c*nG = +-nS*nJ, so a j*P of order 2 passes both, and nS = 0 anything
-    nS = _recover(x0, sx, tx, TZ == 0, a, b, p)
+    # nS, nJ, nG = 2c*y*y_Q of (R, S*P), (R, v_j*P), (S*P, G), for P = (x0, 1)
+    # on c*y^2 = x^3 + a*x + b, the model of E_c with x scaled back by c:
+    # with f(x_R) = c*y_R^2, G = +-v_j*P iff 2f(x_R)*nG = +-nS*nJ, so a v_j*P
+    # of order 2 passes both, and nS = 0 (R or S*P of order 2) anything
+    nS = _recover(xR, sx, tx, t_inf, a, b, p)
     refused |= nS == 0
+    f2 = 2 * ((xR * xR % p + a) * xR % p + b) % p
     pl = p[ml]
-    nJ = _recover(x0[ml], bx[j - 1, ml], bx[j, ml], False, a[ml], b[ml], pl)
-    nG = _recover(sx[ml], gx[r, ml], gx[r + 1, ml], GZ[r + 1, ml] == 0, a[ml], b[ml], pl)
-    lhs, rhs = 2 * c[ml] * nG % pl, nS[ml] * nJ % pl
+    nJ = _recover(xR[ml], bx[j, ml], bx[j + 1, ml], False, a[ml], b[ml], pl)
+    nG = _recover(sx[ml], gx[r, ml], gx[r + 1, ml], g_inf[r + 1, ml], a[ml], b[ml], pl)
+    lhs, rhs = f2[ml] * nG % pl, nS[ml] * nJ % pl
     plus, minus = lhs == rhs, lhs == (pl - rhs) % pl
-    o_row, o_lane = np.nonzero(g_live & (GZ == 0))
+    o_row, o_lane = np.nonzero(g_live & g_inf & ~odd)  # k*S is even: not odd N's class
     cand_lane = np.concatenate([ml[plus], ml[minus], o_lane])
-    cand = np.concatenate([ks[plus] - j[plus], ks[minus] + j[minus],
-                           (k0[o_lane] + o_row) * s[o_lane]])
+    cand = np.concatenate([ks[plus] - v[plus], ks[minus] + v[minus],
+                           (k0[o_lane] + o_row) * S[o_lane]])
     keep = (cand >= lo[cand_lane]) & (cand <= hi[cand_lane])
     return cand_lane[keep], cand[keep], refused, twist
 
 
-def trace_block(p, a, b, threshold: int = DEFAULT_TRACE_THRESHOLD) -> tuple:
+def trace_block(p, a, b, roots, threshold: int = DEFAULT_TRACE_THRESHOLD) -> tuple:
     """Group orders N of y^2 = x^3 + a*x + b over F_p, lane by lane, and
     the path each took, an index into PATHS: the character sum below the
     threshold (and below p = 229), the lanes of order_lanes at and above
     it, and order_bsgs for every lane they refuse.  A lane refused only
-    because its window holds several proved annihilators hands them to
-    order_bsgs as its candidates.  p, a and b are as for order_lanes; a
-    ReducedCurve is built only for the two scalar paths."""
+    because its window holds several proved annihilators of its class
+    hands them to order_bsgs as its candidates.  p, a, b and roots are as
+    for order_lanes; a ReducedCurve is built only for the two scalar
+    paths."""
     naive = p < max(threshold, _MIN_BSGS_P)
-    N, lane, orders = order_lanes(np.where(naive, 0, p), a, b)  # p = 0: no lane
+    N, lane, orders = order_lanes(np.where(naive, 0, p), a, b, roots)  # p = 0: no lane
     path = np.where(naive, 0, np.where(N == 0, 2, 1))
     for i in np.flatnonzero(path != 1).tolist():
         C = ReducedCurve(int(p[i]), int(a[i]), int(b[i]))

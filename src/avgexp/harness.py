@@ -2,12 +2,13 @@
 comparing the running average against the model constant, and diagnostics.
 
 Work is split into blocks of consecutive good primes, one pool task per
-block.  A block is columnar from the primes to the records: it counts
-points for all its primes at once (trace_block), settles every d_p that
-the divisibility constraints force (settle), and proves the structure
-prime by prime only where points must be drawn (compute_record).  Every
-record is proved, and the points behind it depend on p alone, so records
-are identical for any worker count and block layout.
+block, the same number for every worker and of equal size.  A block is
+columnar from the primes to the records: it counts points for all its
+primes at once (trace_block), settles every d_p that the divisibility
+constraints force (settle), and proves the structure prime by prime only
+where points must be drawn (compute_record).  Every record is proved,
+and the points behind it depend on p alone, so records are identical for
+any worker count and block layout.
 
 Records are one numpy recarray of dtype RECORD, sorted by p.  The
 identities every true record obeys are written once, in
@@ -32,7 +33,8 @@ import numpy as np
 from .constants import (ConstantEstimate, DegreeModel, constant_series,
                         degree, estimate_degrees, li)
 from .curve import GlobalCurve, ReducedCurve
-from .counting import DEFAULT_TRACE_THRESHOLD, PATHS, TraceResult, trace_block
+from .counting import (DEFAULT_TRACE_THRESHOLD, PATHS, TraceResult, cubic_roots,
+                       trace_block)
 from .modarith import is_prime, residues, sieve_primes
 from .structure import GroupStructure, group_structure, settle
 
@@ -45,9 +47,14 @@ RECORD = np.dtype([("p", "<i8"), ("a_p", "<i8"), ("d_p", "<i8"), ("e_p", "<i8")]
 _CACHE_DTYPE = np.dtype([("p", "<u8"), ("a_p", "<i8"), ("d_p", "<u4"), ("e_p", "<u8")])
 
 DEFAULT_SERIES_Y = 1000
-# Good primes per lane block and pool task: numpy's per-call cost is
-# spread over a few hundred lanes, and the row arrays stay small.
-LANE_BLOCK = 512
+# The most good primes in a lane block and pool task.  A lane call costs
+# about 3 ms however few its lanes, so larger blocks spread that cost;
+# 1024 primes keep nearly all of the gain of larger ones, while the two
+# (rows x lanes) row arrays stay near 3 MB each at p near 2^30.
+LANE_BLOCK = 1024
+# The largest x_max: the character sum, which --trace-threshold may pick
+# for any prime, needs p < 2^31, and a sweep holds every record in memory.
+X_MAX_CAP = 1 << 31
 # Levels k of the pi_e.csv table and of the empirical degree table.
 K_MAX_DIAG = 12
 
@@ -93,8 +100,8 @@ class ExperimentConfig:
     cache_path: str = None
 
     def __post_init__(self):
-        if self.x_max < 100:
-            raise ValueError("x_max must be >= 100")
+        if not 100 <= self.x_max <= X_MAX_CAP:
+            raise ValueError(f"x_max must be >= 100 and <= {X_MAX_CAP}")
         if self.checkpoints is None:
             self.checkpoints = default_checkpoints(self.x_max)
         if not self.checkpoints:
@@ -177,13 +184,14 @@ def compute_record(C: ReducedCurve, T: TraceResult) -> GroupStructure:
 def compute_block(E: GlobalCurve, ps, threshold: int) -> tuple:
     """Records of the good primes ps, and how many took each path of
     PATHS.  Point counting and the forced structures run for the whole
-    block at once; only the primes settle leaves open go through
-    compute_record.  A record that breaks an identity raises
-    ArithmeticError."""
+    block at once, both from one count of the cubic's roots; only the
+    primes settle leaves open go through compute_record.  A record that
+    breaks an identity raises ArithmeticError."""
     p = np.asarray(ps, dtype=np.int64)
     a, b = residues(E.a4, p), residues(E.a6, p)
-    N, path = trace_block(p, a, b, threshold)
-    d = settle(p, a, b, N)
+    roots = cubic_roots(p, a, b)
+    N, path = trace_block(p, a, b, roots, threshold)
+    d = settle(p, N, roots)
     for i in np.flatnonzero(d == 0).tolist():
         q, n = int(p[i]), int(N[i])
         S = compute_record(ReducedCurve(q, int(a[i]), int(b[i])), TraceResult(q, q + 1 - n, n))
@@ -199,13 +207,18 @@ def compute_block(E: GlobalCurve, ps, threshold: int) -> tuple:
 
 def compute_records(E: GlobalCurve, primes, threshold: int,
                     workers: int = 1) -> tuple:
-    """compute_block over blocks of LANE_BLOCK primes, on a process pool
-    of at most one worker per block and per CPU; records in the order of
-    primes, paths summed."""
-    blocks = [primes[i:i + LANE_BLOCK] for i in range(0, len(primes), LANE_BLOCK)]
+    """compute_block over blocks of consecutive primes, on a process pool
+    of w = min(workers, ceil(n / LANE_BLOCK), CPUs) workers; records in
+    the order of primes, paths summed.  The n primes are cut into the
+    least multiple of w blocks that holds at most LANE_BLOCK primes each,
+    and the blocks differ in size by at most one prime, so every worker
+    gets the same share."""
+    k = -(-len(primes) // LANE_BLOCK)
+    workers = max(1, min(workers, k, os.cpu_count() or 1))
+    k = -(-k // workers) * workers
+    blocks = np.array_split(np.asarray(primes, dtype=np.int64), k) if k else []
     work = partial(compute_block, E, threshold=threshold)
-    workers = min(workers, len(blocks), os.cpu_count() or 1)
-    if workers <= 1:
+    if workers == 1:
         parts = list(map(work, blocks))
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:

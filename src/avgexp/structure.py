@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .counting import LANE_CAP, _powmod
+from .counting import LANE_CAP
 from .curve import INFINITY, ReducedCurve, add, neg, random_point, scalar_mul
 from .modarith import NotASquare, _simple_sieve, factorize, legendre, sqrt_mod
 
@@ -211,11 +211,12 @@ def exponent_sampling(C: ReducedCurve, N: int) -> int:
     return N // d
 
 
-def settle(p, a, b, N) -> np.ndarray:
-    """d for the curves y^2 = x^3 + a*x + b of order N over F_p, lane by
-    lane, wherever exponent_sampling's admissible a is forced for every
-    l | g = gcd(p-1, a_p-2), and 0 at every other lane.  p, a, b and N
-    are int64 arrays, 0 <= a, b < p; lanes with p >= 2^30 are left at 0.
+def settle(p, N, roots) -> np.ndarray:
+    """d for the curves of order N over F_p whose cubics have the root
+    counts roots (counting.cubic_roots), lane by lane, wherever
+    exponent_sampling's admissible a is forced for every l | g =
+    gcd(p-1, a_p-2), and 0 at every other lane.  p, N and roots are
+    int64 arrays; lanes with p >= 2^30 are left at 0.
 
     An odd l | g allows only a = 0 exactly when v_l(N) = 1; with h the
     odd part of g (h | N), that holds for every odd l | g when h is
@@ -224,16 +225,11 @@ def settle(p, a, b, N) -> np.ndarray:
     left to the scalar path (h <= g <= |a_p - 2| < 2^16 + 3 unless
     a_p = 2).  At l = 2 one a is left when the cubic does not split
     (a = 0), or when it splits and min(v_2(g), v_2(N)/2) = 1 (a = 1).
-    It splits when N is even and the discriminant -4a^3 - 27b^2 is a
-    square, so the forced d is 2 where it splits and 1 elsewhere.
+    It splits when it has three roots, so the forced d is 2 there and 1
+    elsewhere.
     """
     settled = np.zeros_like(p)
-    if not len(p):
-        return settled
-    q = np.where(p < LANE_CAP, p, 5)  # keeps the products below inside int64
-    ar, br = a % q, b % q
-    disc = (-4 * (ar * ar % q * ar % q) - 27 * (br * br % q)) % q
-    split = (N % 2 == 0) & (_powmod(disc, (q - 1) // 2, q) == 1)
+    split = roots == 3
     g = np.gcd(p - 1, p - 1 - N)
     two = g & -g  # 2^v_2(g)
     h = g // two

@@ -10,11 +10,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from avgexp import counting, curve
-from avgexp.counting import (LANE_CAP, PATHS, _annihilators, _recover,
-                             _window_annihilators, order_bsgs, order_lanes,
-                             quadratic_twist, trace_block, trace_naive)
+from avgexp.counting import (LANE_CAP, PATHS, _annihilators, _fixes_x, _recover,
+                             _window_annihilators, cubic_roots, order_bsgs,
+                             order_lanes, quadratic_twist, trace_block, trace_naive)
 from avgexp.curve import (GlobalCurve, INFINITY, ReducedCurve, add, neg,
                           random_point, reduce_curve, scalar_mul)
+from avgexp.harness import PRESETS
 from avgexp.modarith import is_prime, legendre, residues, sieve_primes
 
 
@@ -42,26 +43,42 @@ CM3 = GlobalCurve(0, 16)
 PRIMES_229_TO_20000 = [p for p in sieve_primes(20000) if p >= 229]
 
 
+def count_roots(p, a, b):
+    """The roots of x^3 + a*x + b in F_p, by trying every x."""
+    x = np.arange(p, dtype=np.int64)
+    return int(((x * x % p * x + a * x + b) % p == 0).sum())
+
+
+def lane_class(C):
+    """(t, r) with N = r (mod t) for C and each twist, from its roots."""
+    return {3: (4, 0), 1: (2, 0), 0: (2, 1)}[count_roots(C.p, C.a, C.b)]
+
+
 def lane_annihilators(C):
     """The annihilators in the Hasse window of the point a lane takes for
-    C, from the scalar search, and whether that point is on the twist.
+    C that lie in the class of N mod t, from the scalar search, and
+    whether that point is on the twist.
 
     The lane's point has x0 = the first x >= 1 with c = x^3 + a*x + b != 0.
     (x0*c, c^2) lies on y^2 = X^3 + a*c^2*X + b*c^3, which is C when c is
     a square and its quadratic twist otherwise, and whose x-only law is
-    C's scaled by c; so its annihilators are the lane point's.
+    C's scaled by c; so its annihilators are the lane point's.  Its
+    cubic's roots are c times C's, so its order is in C's class.
     """
     p, a, b = C.p, C.a, C.b
     x0 = next(x for x in range(1, 5) if (x ** 3 + a * x + b) % p)
     c = (x0 ** 3 + a * x0 + b) % p
     side = ReducedCurve(p, a * c * c % p, b * c ** 3 % p)
-    return _annihilators((x0 * c % p, c * c % p), side, *hasse_window(p)), legendre(c, p) == -1
+    t, r = lane_class(C)
+    anns = _annihilators((x0 * c % p, c * c % p), side, *hasse_window(p))
+    return [n for n in anns if n % t == r], legendre(c, p) == -1
 
 
 def columns(curves):
-    """The int64 columns p, a, b of order_lanes and trace_block."""
-    return tuple(np.array([getattr(C, f) for C in curves], dtype=np.int64)
-                 for f in ("p", "a", "b"))
+    """The int64 columns p, a, b and roots of order_lanes and trace_block."""
+    p, a, b = (np.array([getattr(C, f) for C in curves], dtype=np.int64)
+               for f in ("p", "a", "b"))
+    return p, a, b, cubic_roots(p, a, b)
 
 
 def lanes(curves):
@@ -79,8 +96,8 @@ def lane_proofs(curves):
 
 def lane_oracle(C):
     """What order_lanes must return for C: the lane is accepted exactly
-    when the Hasse window holds one annihilator of its point, and 0
-    marks a refused lane."""
+    when the Hasse window holds one annihilator of its point in the class
+    of N mod t, and 0 marks a refused lane."""
     anns, on_twist = lane_annihilators(C)
     if len(anns) > 1:
         return 0
@@ -289,13 +306,14 @@ class TestCandidateFilter:
         assert sum(got) == total
         assert got == [lcm_rule_draws(C) for C in curves]
 
-    @pytest.mark.parametrize("E, seeded, twisted", [(GENERIC, 208, 106), (CM, 883, 188),
-                                                    (CM3, 584, 90)],
+    @pytest.mark.parametrize("E, seeded, twisted", [(GENERIC, 132, 66), (CM, 459, 92),
+                                                    (CM3, 351, 57)],
                              ids=["generic1", "cm-i", "cm-3"])
     def test_lane_annihilators_hold_the_order(self, E, seeded, twisted):
         # every lane of [229, 2e5] the search does not refuse but whose
-        # window holds several annihilators: read as curve orders, they
-        # hold the curve's order, and order_bsgs seeded with them finds it
+        # window holds several annihilators of the class of N mod t: read
+        # as curve orders, they hold the curve's order, and order_bsgs
+        # seeded with them finds it
         curves = [reduce_curve(E, p) for p in sieve_primes(200_000)
                   if p >= 229 and p not in E.bad_primes]
         count = on_twist = 0
@@ -314,10 +332,11 @@ class TestCandidateFilter:
         assert (count, on_twist) == (seeded, twisted)
 
     def test_trace_block_hands_over_the_lane_annihilators(self, monkeypatch):
-        # generic1 at 283: x = 1 lies on the twist, with annihilators 266,
-        # 285, 304, so the curve orders 302, 283, 264; cm-i at 4057: 4002,
-        # 4089, 4176 on the curve; generic1 at 337: the search refuses the
-        # lane, so order_bsgs finds its own; generic1 at 4027: accepted
+        # generic1 at 941 (one root, N even): x = 1 lies on the twist, with
+        # even annihilators 912, 950, 988, so the curve orders 972, 934,
+        # 896; cm-i at 1013 (three roots, 4 | N): 968, 1012, 1056 on the
+        # curve; generic1 at 337: the search refuses the lane, so
+        # order_bsgs finds its own; generic1 at 4027: accepted
         seen = []
         real = counting.order_bsgs
 
@@ -325,10 +344,10 @@ class TestCandidateFilter:
             seen.append(candidates and sorted(candidates))
             return real(C, candidates)
         monkeypatch.setattr(counting, "order_bsgs", spy)
-        curves = [reduce_curve(GENERIC, 283), reduce_curve(CM, 4057),
+        curves = [reduce_curve(GENERIC, 941), reduce_curve(CM, 1013),
                   reduce_curve(GENERIC, 337), reduce_curve(GENERIC, 4027)]
         N, path = trace_block(*columns(curves), threshold=229)
-        assert seen == [[264, 283, 302], [4002, 4089, 4176], None]
+        assert seen == [[896, 934, 972], [968, 1012, 1056], None]
         assert [PATHS[i] for i in path] == ["fallback"] * 3 + ["lanes"]
         assert N.tolist() == [trace_naive(C).N for C in curves]
 
@@ -399,37 +418,47 @@ class TestOrderLanes:
 
     def test_fallback_share_generic1(self):
         # the lanes refuse a prime only when its point's window holds
-        # several annihilators: 85 of the 4583 good primes in [4000, 5e4]
+        # several annihilators of the class of N mod t: 52 of the 4583
+        # good primes in [4000, 5e4]
         curves = [reduce_curve(GENERIC, p) for p in sieve_primes(50_000)
                   if p >= 4000 and p not in GENERIC.bad_primes]
         refused = lanes(curves).count(0)
-        assert refused == 85 and len(curves) == 4583
+        assert refused == 52 and len(curves) == 4583
 
     def test_twist_point_accepted_through_restart(self):
-        # generic1 at 4027: x = 1 lies on the twist (c = 3 is a nonresidue),
-        # m = 12, s = 23, and 4117 = 179*23 annihilates it, so the giant row
-        # k = 179 is at infinity and the chain must restart there
-        C = reduce_curve(GENERIC, 4027)
-        assert lane_annihilators(C) == ([4117], True)
-        assert lanes([C]) == [3939] == [trace_naive(C).N]
+        # generic1 at 571: x = 1 lies on the twist (c = 3 is a nonresidue),
+        # the cubic has one root, so t = 2, m = 5 and S = 18, and 576 =
+        # 32*18 annihilates it, so the giant row k = 32, the fourth of six,
+        # is at infinity and the chain must restart there
+        C = reduce_curve(GENERIC, 571)
+        assert lane_annihilators(C) == ([576], True)
+        assert lanes([C]) == [568] == [trace_naive(C).N]
 
     def test_several_annihilators_fall_back(self):
         # cm-i at 4057: x = 1 is a root, and x = 2 has annihilators 4002,
-        # 4089 and 4176 in the window
+        # 4089 and 4176 in the window, but the cubic splits, so 4 | N, and
+        # only 4176 is in that class: the lane is accepted.  At 4993 seven
+        # multiples of 40 are left, and the lane falls back.
         C = reduce_curve(CM, 4057)
-        assert lane_annihilators(C) == ([4002, 4089, 4176], False)
+        assert _annihilators((12, 36), ReducedCurve(4057, 4021, 0), *hasse_window(4057)) == [
+            4002, 4089, 4176]
+        assert lane_annihilators(C) == ([4176], False)
+        assert lanes([C]) == [4176] == [trace_naive(C).N]
+        C = reduce_curve(CM, 4993)
+        assert lane_annihilators(C) == (list(range(4880, 5121, 40)), False)
         assert lanes([C]) == [0]
         N, path = trace_block(*columns([C]), threshold=229)
-        assert (PATHS[path[0]], N[0]) == ("fallback", trace_naive(C).N) == ("fallback", 4176)
+        assert (PATHS[path[0]], N[0]) == ("fallback", trace_naive(C).N) == ("fallback", 5120)
 
     @pytest.mark.parametrize("E, p", [
-        (CM, 239), (CM, 577), (CM, 941), (CM3, 2287), (GENERIC, 18797), (GENERIC, 63611),
-    ], ids=["cm-i-239", "cm-i-577", "cm-i-941", "cm-3-2287", "generic1-18797",
+        (CM, 2113), (CM, 4993), (CM3, 11953), (CM, 1039), (GENERIC, 1451), (GENERIC, 63611),
+    ], ids=["cm-i-2113", "cm-i-4993", "cm-3-11953", "cm-i-1039", "generic1-1451",
             "generic1-63611"])
     def test_rare_sign_branches(self, E, p):
-        # a match here has a baby row of order 2 (both signs hold) or a
-        # giant row whose next row is at infinity (so it is -s*P); each
-        # window holds several annihilators, and each must be proved
+        # a match here has a baby row of order 2 (both signs hold: the
+        # first three) or a giant row whose next row is at infinity (so it
+        # is -S*P: the last three); each window holds several annihilators
+        # of the class, and each must be proved
         C = reduce_curve(E, p)
         assert lanes([C]) == [lane_oracle(C)] == [0]
         assert lane_proofs([C]) == [lane_annihilators(C)[0]]
@@ -452,7 +481,7 @@ class TestOrderLanes:
         a = np.concatenate([residues(1 + 4027 * k, p[:1]), residues(1 - 4027 * k, p[1:])])
         b = np.concatenate([residues(1 - 4027 * k, p[:1]), residues(1 + 4027 * 3, p[1:])])
         assert a.tolist() == b.tolist() == [1, 1]
-        assert order_lanes(p, a, b)[0].tolist() == [3939, 3939]
+        assert order_lanes(p, a, b, cubic_roots(p, a, b))[0].tolist() == [3939, 3939]
 
     def test_large_prime_refused(self):
         big = ReducedCurve(1073741827, 1, 1)  # the least prime above 2^30
@@ -497,10 +526,132 @@ class TestOrderLanes:
                 assert N == trace_naive(C).N
 
 
+def poly_powx(p, a, b, e):
+    """x^e modulo x^3 + a*x + b over F_p as [c0, c1, c2], right-to-left
+    square-and-multiply on Python ints."""
+    def mul(u, v):
+        w = [0] * 5
+        for i in range(3):
+            for j in range(3):
+                w[i + j] += u[i] * v[j]
+        for k in (4, 3):  # x^k = x^(k-3) * (-a*x - b)
+            w[k - 2] -= a * w[k]
+            w[k - 3] -= b * w[k]
+        return [c % p for c in w[:3]]
+    result, base = [1, 0, 0], [0, 1, 0]
+    while e:
+        if e & 1:
+            result = mul(result, base)
+        base = mul(base, base)
+        e >>= 1
+    return result
+
+
+def poly_roots(p, a, b):
+    """The roots of a squarefree x^3 + a*x + b in F_p: the degree of
+    gcd(x^p - x, f), by Euclid on Python-int coefficient lists."""
+    def trim(u):
+        while u and u[-1] == 0:
+            u = u[:-1]
+        return u
+    r = poly_powx(p, a, b, p)
+    u, v = [b % p, a % p, 0, 1], trim([r[0], (r[1] - 1) % p, r[2]])
+    while v:
+        inv = pow(v[-1], -1, p)
+        while len(u) >= len(v):
+            q, shift = u[-1] * inv % p, len(u) - len(v)
+            u = trim([(c - q * v[i - shift]) % p if i >= shift else c
+                      for i, c in enumerate(u)])
+        u, v = v, u
+    return len(u) - 1
+
+
+def primes_from(start, count):
+    """The first count primes at or above start."""
+    ps, q = [], start
+    while len(ps) < count:
+        if is_prime(q):
+            ps.append(q)
+        q += 1
+    return ps
+
+
+class TestCubicRoots:
+    @pytest.mark.parametrize("preset", ["generic1", "cm-i", "cm-3"])
+    def test_matches_enumeration_below_3000(self, preset):
+        # every good prime p < 3000: the kernel's x^p = x against the
+        # Python-int power, and the root count against trying every x
+        E = PRESETS[preset]
+        p = np.array([q for q in sieve_primes(3000) if q >= 5 and E.disc % q], dtype=np.int64)
+        a, b = residues(E.a4, p), residues(E.a6, p)
+        want = [count_roots(*v) for v in zip(p.tolist(), a.tolist(), b.tolist())]
+        assert cubic_roots(p, a, b).tolist() == want
+        assert _fixes_x(p, a, b).tolist() == [
+            poly_powx(*v, v[0]) == [0, 1, 0] for v in zip(p.tolist(), a.tolist(), b.tolist())]
+        assert set(want) == ({0, 1, 3} if preset != "cm-i" else {3})
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(st.data())
+    def test_built_cubics_below_2_to_30(self, data):
+        # cubics with three roots, one root times an irreducible quadratic,
+        # or no root, at p < 2^30, against the Python-int oracle
+        p = data.draw(st.integers(5, LANE_CAP - 1))
+        while not is_prime(p):
+            p -= 1
+        rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
+        kind = data.draw(st.sampled_from([3, 1, 0]))
+        while True:
+            e1, e2 = rng.randrange(p), rng.randrange(p)
+            if kind == 3:  # roots e1, e2, -e1 - e2
+                a, b = (e1 * e2 - (e1 + e2) ** 2) % p, e1 * e2 * (e1 + e2) % p
+            elif kind == 1:  # (x - e1)(x^2 + e1*x + e2), e1^2 - 4*e2 a nonresidue
+                if legendre(e1 * e1 - 4 * e2, p) != -1:
+                    continue
+                a, b = (e2 - e1 * e1) % p, -e1 * e2 % p
+            else:
+                a, b = e1, e2
+            if (4 * a ** 3 + 27 * b ** 2) % p and (kind != 0 or poly_roots(p, a, b) == 0):
+                break
+        cols = tuple(np.array([v], dtype=np.int64) for v in (p, a, b))
+        assert poly_roots(p, a, b) == kind
+        assert cubic_roots(*cols).tolist() == [kind]
+        assert _fixes_x(*cols).tolist() == [poly_powx(p, a, b, p) == [0, 1, 0]]
+
+    def test_int64_bound_near_2_to_30(self):
+        # the largest lane primes with a and b just below p, where every
+        # product in the kernel is largest
+        top = [q for q in range(LANE_CAP - 1, LANE_CAP - 1000, -2) if is_prime(q)][:8]
+        rows = [(p, p - 1 - i, p - 1 - j) for p in top for i in range(4) for j in range(4)
+                if (4 * (p - 1 - i) ** 3 + 27 * (p - 1 - j) ** 2) % p]
+        p, a, b = (np.array(col, dtype=np.int64) for col in zip(*rows))
+        assert p.max() < LANE_CAP
+        assert _fixes_x(p, a, b).tolist() == [poly_powx(*v, v[0]) == [0, 1, 0] for v in rows]
+        assert cubic_roots(p, a, b).tolist() == [poly_roots(*v) for v in rows]
+
+    def test_outside_the_lanes(self):
+        p = np.array([3, 5, 1073741827], dtype=np.int64)  # the least prime above 2^30
+        assert cubic_roots(p, np.ones_like(p), np.ones_like(p)).tolist() == [-1, 0, -1]
+
+
+class TestRestrictedLanes:
+    @pytest.mark.parametrize("start", [10 ** 6, 10 ** 7, 10 ** 8, 2 ** 30 - 300_000])
+    @pytest.mark.parametrize("preset", ["generic1", "cm-i", "cm-3"])
+    def test_orders_match_unrestricted_bsgs(self, preset, start):
+        # 256 consecutive primes: every order of trace_block, lanes and
+        # fallback, is the one order_bsgs finds from a point of its own
+        E = PRESETS[preset]
+        p = np.array(primes_from(start, 256), dtype=np.int64)
+        a, b = residues(E.a4, p), residues(E.a6, p)
+        N, path = trace_block(p, a, b, cubic_roots(p, a, b), threshold=229)
+        assert (path == 1).sum() > 200
+        assert N.tolist() == [order_bsgs(ReducedCurve(*v)).N
+                              for v in zip(p.tolist(), a.tolist(), b.tolist())]
+
+
 class TestTraceBlock:
     def test_methods_and_orders(self):
         curves = [reduce_curve(E, p) for E, p in
-                  ((GENERIC, 1009), (CM, 4057), (GENERIC, 4027), (CM, 101))]
+                  ((GENERIC, 1009), (CM, 4993), (GENERIC, 4027), (CM, 101))]
         N, path = trace_block(*columns(curves), threshold=1000)
         assert [PATHS[i] for i in path] == ["lanes", "fallback", "lanes", "naive"]
         assert N.tolist() == [trace_naive(C).N for C in curves]

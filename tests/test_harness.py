@@ -11,9 +11,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from avgexp import cli, harness, structure
+from avgexp import cli, constants, harness, structure
 from avgexp.constants import DegreeModel
-from avgexp.counting import DEFAULT_TRACE_THRESHOLD, trace_naive
+from avgexp.counting import DEFAULT_TRACE_THRESHOLD, PATHS, trace_naive
 from avgexp.curve import GlobalCurve, ReducedCurve, reduce_curve
 from avgexp.harness import (CacheMismatch, CheckpointRow, CorruptCache,
                             ExperimentConfig, InsufficientCheckpoints,
@@ -208,8 +208,8 @@ class TestRecordViolations:
         # every prime of a block passes settle; a planted d = 3 at p = 17
         real = harness.settle
 
-        def planted(p, a, b, N):
-            d = real(p, a, b, N)
+        def planted(p, N, roots):
+            d = real(p, N, roots)
             d[p == 17] = 3
             return d
         monkeypatch.setattr(harness, "settle", planted)
@@ -424,14 +424,90 @@ class TestPipeline:
         good = [p for p in sieve_primes(2000) if p not in E.bad_primes]
         whole = harness.compute_records(E, good, 229)
         monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
-        monkeypatch.setattr(harness, "LANE_BLOCK", 60)  # 300 primes: 5 blocks
-        for cpus, workers, want in ((4, 5000, 4), (64, 5000, 5), (None, 5000, None),
-                                    (64, 3, 3), (64, 1, None)):
+        monkeypatch.setattr(harness, "LANE_BLOCK", 60)  # 300 primes: at least 5 blocks
+        sizes = []
+        real = harness.compute_block
+        monkeypatch.setattr(harness, "compute_block",
+                            lambda E, ps, **kw: sizes.append(len(ps)) or real(E, ps, **kw))
+        # the pool: min(workers, 5, CPUs); the blocks: the least multiple of it
+        # that is at least 5, all of one size or within one prime
+        for cpus, workers, want, blocks in ((4, 5000, 4, [38] * 4 + [37] * 4),
+                                            (64, 5000, 5, [60] * 5),
+                                            (None, 5000, None, [60] * 5),
+                                            (64, 3, 3, [50] * 6), (64, 1, None, [60] * 5)):
             monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
             pools.clear()
+            sizes.clear()
             recs, paths = harness.compute_records(E, good, 229, workers)
             assert pools == ([want] if want else [])
+            assert sizes == blocks
             assert np.array_equal(recs, whole[0]) and paths == whole[1]
+
+    @pytest.mark.parametrize("n, block, workers, cpus", [
+        (0, 1300, 2, 2), (1, 1300, 2, 2), (1300, 1300, 1, 2), (1301, 1300, 1, 2),
+        (5130, 1300, 2, 2), (5130, 1024, 2, 2), (2262, 1300, 3, 8), (78495, 1300, 2, 2),
+        (999, 7, 3, 2), (12, 5, 8, 64)])
+    def test_block_layout(self, n, block, workers, cpus, monkeypatch):
+        # the blocks differ in size by at most one prime, none exceeds
+        # LANE_BLOCK, their count is a multiple of the pool size, and no
+        # smaller multiple would do; checked on the layout alone
+        pools, sizes = [], []
+
+        class Layout:  # records max_workers; starts no process
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        def block_stub(E, ps, threshold):
+            sizes.append(len(ps))
+            return np.empty(0, RECORD), dict.fromkeys(PATHS, 0)
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", Layout)
+        monkeypatch.setattr(harness, "compute_block", block_stub)
+        monkeypatch.setattr(harness, "LANE_BLOCK", block)
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
+        harness.compute_records(GENERIC, list(range(5, 5 + n)), 229, workers)
+        assert sum(sizes) == n
+        if n:
+            pool = pools[0] if pools else 1
+            assert pool == min(workers, -(-n // block), cpus)
+            assert max(sizes) - min(sizes) <= 1 and max(sizes) <= block
+            assert len(sizes) % pool == 0 and (len(sizes) - pool) * block < n
+
+    def test_records_identical_for_pool_and_block_sizes(self, monkeypatch):
+        # the block layouts of 1, 2 and 3 workers (four CPUs assumed; a
+        # serial stand-in runs the pool's tasks in this process), at the
+        # default and a small LANE_BLOCK: the same records and paths
+        class SerialPool:
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        E = PRESETS["cm-i"]
+        good = good_primes(E, 30_000)[0]
+        whole, paths = harness.compute_records(E, good, DEFAULT_TRACE_THRESHOLD)
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 4)
+        for block in (harness.LANE_BLOCK, 97):
+            monkeypatch.setattr(harness, "LANE_BLOCK", block)
+            for workers in (1, 2, 3):
+                recs, got = harness.compute_records(E, good, DEFAULT_TRACE_THRESHOLD, workers)
+                assert np.array_equal(recs, whole) and got == paths, (block, workers)
 
     def test_objects_only_on_the_scalar_paths(self, monkeypatch):
         # a reduction of generic1 (a = b = 1; order_bsgs's quadratic
@@ -544,6 +620,37 @@ class TestCli:
         assert rc == cli.EXIT_USAGE == 4
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "x_max must be >= 100" in err
+
+    def test_cap_sizes_are_usage_errors(self, tmp_path, capsys, monkeypatch):
+        # one past each cap exits 4 with one stderr line before anything is
+        # allocated; at the cap the value is accepted, and the stubbed work
+        # behind it is reached
+        class Reached(Exception):
+            pass
+
+        def reached(real):
+            def stub(n):
+                if isinstance(n, int) and n <= 1000:
+                    return real(n)
+                raise Reached
+            return stub
+        monkeypatch.setattr(cli, "run_experiment", reached(None))
+        monkeypatch.setattr(constants, "_level_table", reached(constants._level_table))
+        monkeypatch.setattr(constants, "sieve_primes", reached(constants.sieve_primes))
+        run = ["run", "--preset", "generic1", "--outfile", str(tmp_path), "--xmax"]
+        cap = constants.TRUNCATION_CAP
+        for argv in (run + [str(harness.X_MAX_CAP + 1)], run + ["10" * 10],
+                     ["constant", "--series-y", str(cap + 1), "--euler-pmax", "10"],
+                     ["constant", "--series-y", "100000000000", "--euler-pmax", "10"],
+                     ["constant", "--series-y", "10", "--euler-pmax", str(cap + 1)]):
+            assert cli.main(argv) == cli.EXIT_USAGE, argv
+            err = capsys.readouterr().err
+            assert err.startswith("usage error: ") and err.count("\n") == 1, argv
+        for argv in (run + [str(harness.X_MAX_CAP)],
+                     ["constant", "--series-y", str(cap), "--euler-pmax", "10"],
+                     ["constant", "--series-y", "10", "--euler-pmax", str(cap)]):
+            with pytest.raises(Reached):
+                cli.main(argv)
 
     def test_oversized_curve_runs(self, tmp_path):
         # |disc| ~ 2^86 is beyond factorize; its bad primes are the p | disc

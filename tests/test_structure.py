@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from avgexp import curve, structure
-from avgexp.counting import order_bsgs, trace_block, trace_naive
+from avgexp.counting import cubic_roots, order_bsgs, trace_block, trace_naive
 from avgexp.curve import (INFINITY, GlobalCurve, ReducedCurve, add, random_point,
                           reduce_curve)
 from avgexp.harness import PRESETS, RECORD, good_primes, record_violations
@@ -302,7 +302,8 @@ def sampled(C, N):
 
 
 def settle_one(C, N):
-    return settle(*(np.array([v], dtype=np.int64) for v in (C.p, C.a, C.b, N))).item()
+    p, a, b, N = (np.array([v], dtype=np.int64) for v in (C.p, C.a, C.b, N))
+    return settle(p, N, cubic_roots(p, a, b)).item()
 
 
 def group_order(C):
@@ -331,8 +332,9 @@ class TestSettle:
         E = PRESETS[preset]
         p = good_primes(E, 100_000)[0]
         a, b = residues(E.a4, p), residues(E.a6, p)
-        N = trace_block(p, a, b)[0]
-        got = settle(p, a, b, N)
+        roots = cubic_roots(p, a, b)
+        N = trace_block(p, a, b, roots)[0]
+        got = settle(p, N, roots)
         drew = set()
         real = structure._sylow_exponent
         monkeypatch.setattr(structure, "_sylow_exponent",
@@ -409,7 +411,7 @@ class TestSettle:
         big = ReducedCurve(1073741827, 1, 1)  # the least prime above 2^30
         assert settle_one(big, big.p + 1) == 0
         empty = np.zeros(0, dtype=np.int64)
-        assert settle(empty, empty, empty, empty).tolist() == []
+        assert settle(empty, empty, cubic_roots(empty, empty, empty)).tolist() == []
 
 
 class TestGroupStructure:
