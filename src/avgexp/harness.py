@@ -5,8 +5,9 @@ Work is split into blocks of consecutive good primes, one pool task per
 block, the same number for every worker and of equal size.  A block is
 columnar from the primes to the records: it counts points for all its
 primes at once (trace_block), settles every d_p that the divisibility
-constraints force (settle), and proves the structure prime by prime only
-where points must be drawn (compute_record).  Every record is proved,
+constraints and the lane tests of E[4] and E[3] in E(F_p) decide (settle),
+and proves the structure prime by prime only where points must be drawn
+(compute_record).  Every record is proved,
 and the points behind it depend on p alone, so records are identical for
 any worker count and block layout.
 
@@ -191,7 +192,7 @@ def compute_block(E: GlobalCurve, ps, threshold: int) -> tuple:
     a, b = residues(E.a4, p), residues(E.a6, p)
     roots = cubic_roots(p, a, b)
     N, path = trace_block(p, a, b, roots, threshold)
-    d = settle(p, N, roots)
+    d = settle(p, a, b, N, roots)
     for i in np.flatnonzero(d == 0).tolist():
         q, n = int(p[i]), int(N[i])
         S = compute_record(ReducedCurve(q, int(a[i]), int(b[i])), TraceResult(q, q + 1 - n, n))

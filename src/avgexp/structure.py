@@ -7,7 +7,12 @@ and N is never factored.  With k = v_l(N) and a = v_l(d), the l-Sylow
 subgroup is Z/l^a x Z/l^(k-a), a <= k/2 and a <= v_l(g); at l = 2 the
 discriminant of the cubic fixes whether a >= 1.  Usually that leaves one
 admissible a and costs no group operation; settle finds those primes for
-a whole block of lanes at once.  Otherwise the l-Sylow subgroup,
+a whole block of lanes at once.  settle also decides the two commonest
+open cases there, since l^(a+1) | d iff E[l^(a+1)] lies in E(F_p): at l = 2
+with 1 <= a, whether E[4] does, from the quartic character of the
+discriminant and the squares f'(ei) (f'^((p-1)/2) modulo the cubic), and
+at l = 3 with 3 | g, where Frobenius is unipotent on E[3], whether E[3]
+does, from x^p = x modulo psi_3.  Otherwise the l-Sylow subgroup,
 which is tiny, is resolved directly (after Sutherland, "Structure
 computation and discrete logarithms in finite abelian p-groups", Math. Comp.
 2011): a point Q1 of order l^b1 and a point R whose multiple l^j*R first
@@ -30,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .counting import LANE_CAP
+from .counting import LANE_CAP, _cubic_power, _power, _powmod
 from .curve import INFINITY, ReducedCurve, add, neg, random_point, scalar_mul
 from .modarith import NotASquare, _simple_sieve, factorize, legendre, sqrt_mod
 
@@ -211,34 +216,111 @@ def exponent_sampling(C: ReducedCurve, N: int) -> int:
     return N // d
 
 
-def settle(p, N, roots) -> np.ndarray:
-    """d for the curves of order N over F_p whose cubics have the root
-    counts roots (counting.cubic_roots), lane by lane, wherever
-    exponent_sampling's admissible a is forced for every l | g =
-    gcd(p-1, a_p-2), and 0 at every other lane.  p, N and roots are
-    int64 arrays; lanes with p >= 2^30 are left at 0.
+def _psi3_mul(u, v, p, s2, s1, s0):
+    """u*v modulo x^4 + s2*x^2 + s1*x + s0, lane by lane, for residues
+    (c0, c1, c2, c3) with 0 <= c_i, s_j < p < 2^30: the product's x^6,
+    x^5 and x^4 terms are reduced in turn by x^4 = -s2*x^2 - s1*x - s0.
+    Every intermediate lies below 2^62 in absolute value."""
+    u0, u1, u2, u3 = u
+    v0, v1, v2, v3 = v
+    w6 = u3 * v3 % p
+    w5 = (u2 * v3 + u3 * v2) % p
+    w4 = (u1 * v3 + u2 * v2 + u3 * v1 - s2 * w6) % p
+    return ((u0 * v0 - s0 * w4) % p,
+            (u0 * v1 + u1 * v0 - s0 * w5 - s1 * w4) % p,
+            (u0 * v2 + u1 * v1 + u2 * v0 - s0 * w6 - s1 * w5 - s2 * w4) % p,
+            (u0 * v3 + u1 * v2 + u2 * v1 + u3 * v0 - s1 * w6 - s2 * w5) % p)
+
+
+def _full_three_torsion(p, a, b):
+    """Whether E[3] lies in E(F_p), lane by lane, where p = 1 (mod 3) and
+    a_p = 2 (mod 3), i.e. 3 | g; 0 <= a, b < p < 2^30.
+
+    Frobenius then has characteristic polynomial (X - 1)^2 on E[3], so it
+    is unipotent: the identity, or a transvection that fixes one line of
+    E[3] and moves the other three.  It fixes the x of a point of order 3
+    exactly when it fixes the point's line, so E[3] lies in E(F_p) iff it
+    fixes all four x, the roots of psi_3 = 3x^4 + 6a*x^2 + 12b*x - a^2,
+    i.e. iff x^p = x modulo psi_3 / 3 (1/3 = (2p + 1)/3 mod p).  One
+    power decides, with no square test at the roots (compare Miret,
+    Moreno, Rio and Valls, "Computing the l-power torsion of an elliptic
+    curve over a finite field", Math. Comp. 78, 2009).
+    """
+    psi = 2 * a % p, 4 * b % p, -(a * a % p) * ((2 * p + 1) // 3) % p
+    zero, one = np.zeros_like(p), np.ones_like(p)
+    c = _power((zero, one, zero, zero), p, lambda u, v: _psi3_mul(u, v, p, *psi))
+    return (c[0] == 0) & (c[1] == 1) & (c[2] == 0) & (c[3] == 0)
+
+
+def _full_four_torsion(p, a, b):
+    """Whether E[4] lies in E(F_p), lane by lane, for f = x^3 + a*x + b
+    with three roots e1, e2, e3 in F_p at p = 1 (mod 4); 0 <= a, b < p <
+    2^30.
+
+    (ei, 0) is halved in E(F_p) iff ei - ej and ei - ek are squares, so,
+    as -1 is a square, E[4] lies in E(F_p) iff the three differences are
+    (Miret, Moreno, Rio and Valls, 2005).  The roots themselves are never
+    found.  f'(ei) = (ei - ej)(ei - ek) is a square at every root iff
+    f'^((p-1)/2) = 1 modulo f, and that leaves the differences all
+    squares or all nonsquares; their product is a square iff
+    Delta^((p-1)/4) = 1 for the discriminant Delta = -4a^3 - 27b^2, its
+    square, which rules out the second.  The polynomial power runs only
+    where the discriminant passes.
+    """
+    disc = (-4 * (a * a % p * a % p) - 27 * (b * b % p)) % p
+    full = _powmod(disc, (p - 1) // 4, p) == 1
+    i = np.flatnonzero(full)
+    zero = np.zeros(len(i), dtype=p.dtype)
+    c = _cubic_power((a[i], zero, zero + 3), (p[i] - 1) // 2, p[i], a[i], b[i])
+    full[i] = (c[0] == 1) & (c[1] == 0) & (c[2] == 0)
+    return full
+
+
+def settle(p, a, b, N, roots) -> np.ndarray:
+    """d for the curves y^2 = x^3 + a*x + b of order N over F_p whose
+    cubics have the root counts roots (counting.cubic_roots), lane by lane,
+    wherever exponent_sampling's a = v_l(d) is decided without drawing a
+    point for every l | g = gcd(p-1, a_p-2), and 0 at every other lane.
+    p, a, b, N and roots are int64 arrays with 0 <= a, b < p; lanes with
+    p >= 2^30 are left at 0.
 
     An odd l | g allows only a = 0 exactly when v_l(N) = 1; with h the
-    odd part of g (h | N), that holds for every odd l | g when h is
-    squarefree and prime to N/h.  The square test tries l^2 for odd
-    primes l <= 255, which is exact only for h < 2^16, so larger h are
-    left to the scalar path (h <= g <= |a_p - 2| < 2^16 + 3 unless
-    a_p = 2).  At l = 2 one a is left when the cubic does not split
-    (a = 0), or when it splits and min(v_2(g), v_2(N)/2) = 1 (a = 1).
-    It splits when it has three roots, so the forced d is 2 there and 1
-    elsewhere.
+    part of g prime to 6 (h | N), that holds for every such l when h is
+    squarefree and prime to N/h.  The square test tries l^2 for primes 5
+    <= l <= 255, which is exact only for h < 2^16, so larger h are left
+    to the scalar path (h <= g <= |a_p - 2| < 2^16 + 3 unless a_p = 2).
+
+    At l = 2, a = 0 when the cubic does not split; it splits when it has
+    three roots, and then 1 <= a <= a_max = min(v_2(g), v_2(N)/2).  Where
+    a_max >= 2, E[4] lies in E(F_p) or not (_full_four_torsion): a = 1
+    if not, and a = 2 if so and a_max = 2.
+
+    At l = 3 with a_max = min(v_3(g), v_3(N)/2) >= 1, Frobenius is
+    unipotent on E[3] (_full_three_torsion): a = 0 unless E[3] lies in
+    E(F_p), and a = 1 if it does and a_max = 1.
+
+    Each test runs only on the lanes that the cheaper rules leave open, and
+    a lane where some a stays open is left at 0.
     """
-    settled = np.zeros_like(p)
     split = roots == 3
     g = np.gcd(p - 1, p - 1 - N)
-    two = g & -g  # 2^v_2(g)
-    h = g // two
+    # the 2- and 3-parts of g and N (3^20 exceeds both)
+    two, three, two_N, three_N = g & -g, np.gcd(g, 3 ** 20), N & -N, np.gcd(N, 3 ** 20)
+    h = g // (two * three)
     ok = (p < LANE_CAP) & (h < 1 << 16) & (np.gcd(h, N // h) == 1)
-    for l in _simple_sieve(math.isqrt(int(h[ok].max(initial=1))))[1:]:
+    for l in _simple_sieve(math.isqrt(int(h[ok].max(initial=1))))[2:]:
         ok &= h % (l * l) != 0
-    ok &= ~split | ((N % 4 == 0) & ((two == 2) | ((N & -N) <= 8)))
-    settled[ok] = np.where(split, 2, 1)[ok]
-    return settled
+    ok &= ~split | (N % 4 == 0)
+    d = np.where(split, 2, 1)
+    i = np.flatnonzero(ok & split & (two >= 4) & (two_N >= 16))
+    full = _full_four_torsion(p[i], a[i], b[i])
+    d[i[full]] = 4
+    ok[i[full & (two[i] >= 8) & (two_N[i] >= 64)]] = False
+    i = np.flatnonzero(ok & (three >= 3) & (three_N >= 9))
+    full = _full_three_torsion(p[i], a[i], b[i])
+    d[i[full]] *= 3
+    ok[i[full & (three[i] >= 9) & (three_N[i] >= 81)]] = False
+    return np.where(ok, d, 0)
 
 
 def group_structure(C: ReducedCurve, T) -> GroupStructure:

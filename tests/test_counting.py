@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from avgexp import counting, curve
-from avgexp.counting import (LANE_CAP, PATHS, _annihilators, _fixes_x, _recover,
+from avgexp.counting import (LANE_CAP, PATHS, _annihilators, _cubic_power, _recover,
                              _window_annihilators, cubic_roots, order_bsgs,
                              order_lanes, quadratic_twist, trace_block, trace_naive)
 from avgexp.curve import (GlobalCurve, INFINITY, ReducedCurve, add, neg,
@@ -526,9 +526,9 @@ class TestOrderLanes:
                 assert N == trace_naive(C).N
 
 
-def poly_powx(p, a, b, e):
-    """x^e modulo x^3 + a*x + b over F_p as [c0, c1, c2], right-to-left
-    square-and-multiply on Python ints."""
+def poly_pow(p, a, b, e, base=(0, 1, 0)):
+    """base^e modulo x^3 + a*x + b over F_p as [c0, c1, c2], x^e by
+    default, right-to-left square-and-multiply on Python ints."""
     def mul(u, v):
         w = [0] * 5
         for i in range(3):
@@ -538,13 +538,28 @@ def poly_powx(p, a, b, e):
             w[k - 2] -= a * w[k]
             w[k - 3] -= b * w[k]
         return [c % p for c in w[:3]]
-    result, base = [1, 0, 0], [0, 1, 0]
+    result, base = [1, 0, 0], list(base)
     while e:
         if e & 1:
             result = mul(result, base)
         base = mul(base, base)
         e >>= 1
     return result
+
+
+def lane_powers(p, a, b):
+    """x^p and f'^((p-1)/2) = (3x^2 + a)^((p-1)/2) modulo f = x^3 + a*x + b,
+    lane by lane from the shared kernel, as lists of [c0, c1, c2]."""
+    zero = np.zeros_like(p)
+    return [np.stack(c).T.tolist() for c in
+            (_cubic_power((zero, zero + 1, zero), p, p, a, b),
+             _cubic_power((a, zero, zero + 3), (p - 1) // 2, p, a, b))]
+
+
+def python_powers(rows):
+    """lane_powers by poly_pow, for rows (p, a, b)."""
+    return [[poly_pow(p, a, b, p) for p, a, b in rows],
+            [poly_pow(p, a, b, (p - 1) // 2, (a, 0, 3)) for p, a, b in rows]]
 
 
 def poly_roots(p, a, b):
@@ -554,7 +569,7 @@ def poly_roots(p, a, b):
         while u and u[-1] == 0:
             u = u[:-1]
         return u
-    r = poly_powx(p, a, b, p)
+    r = poly_pow(p, a, b, p)
     u, v = [b % p, a % p, 0, 1], trim([r[0], (r[1] - 1) % p, r[2]])
     while v:
         inv = pow(v[-1], -1, p)
@@ -579,15 +594,16 @@ def primes_from(start, count):
 class TestCubicRoots:
     @pytest.mark.parametrize("preset", ["generic1", "cm-i", "cm-3"])
     def test_matches_enumeration_below_3000(self, preset):
-        # every good prime p < 3000: the kernel's x^p = x against the
-        # Python-int power, and the root count against trying every x
+        # every good prime p < 3000: the kernel's x^p and f'^((p-1)/2)
+        # against the Python-int powers, and the root count against
+        # trying every x
         E = PRESETS[preset]
         p = np.array([q for q in sieve_primes(3000) if q >= 5 and E.disc % q], dtype=np.int64)
         a, b = residues(E.a4, p), residues(E.a6, p)
-        want = [count_roots(*v) for v in zip(p.tolist(), a.tolist(), b.tolist())]
+        rows = list(zip(p.tolist(), a.tolist(), b.tolist()))
+        want = [count_roots(*v) for v in rows]
         assert cubic_roots(p, a, b).tolist() == want
-        assert _fixes_x(p, a, b).tolist() == [
-            poly_powx(*v, v[0]) == [0, 1, 0] for v in zip(p.tolist(), a.tolist(), b.tolist())]
+        assert lane_powers(p, a, b) == python_powers(rows)
         assert set(want) == ({0, 1, 3} if preset != "cm-i" else {3})
 
     @settings(max_examples=60, deadline=None, database=None)
@@ -615,7 +631,7 @@ class TestCubicRoots:
         cols = tuple(np.array([v], dtype=np.int64) for v in (p, a, b))
         assert poly_roots(p, a, b) == kind
         assert cubic_roots(*cols).tolist() == [kind]
-        assert _fixes_x(*cols).tolist() == [poly_powx(p, a, b, p) == [0, 1, 0]]
+        assert lane_powers(*cols) == python_powers([(p, a, b)])
 
     def test_int64_bound_near_2_to_30(self):
         # the largest lane primes with a and b just below p, where every
@@ -625,7 +641,7 @@ class TestCubicRoots:
                 if (4 * (p - 1 - i) ** 3 + 27 * (p - 1 - j) ** 2) % p]
         p, a, b = (np.array(col, dtype=np.int64) for col in zip(*rows))
         assert p.max() < LANE_CAP
-        assert _fixes_x(p, a, b).tolist() == [poly_powx(*v, v[0]) == [0, 1, 0] for v in rows]
+        assert lane_powers(p, a, b) == python_powers(rows)
         assert cubic_roots(p, a, b).tolist() == [poly_roots(*v) for v in rows]
 
     def test_outside_the_lanes(self):

@@ -208,8 +208,8 @@ class TestRecordViolations:
         # every prime of a block passes settle; a planted d = 3 at p = 17
         real = harness.settle
 
-        def planted(p, N, roots):
-            d = real(p, N, roots)
+        def planted(p, a, b, N, roots):
+            d = real(p, a, b, N, roots)
             d[p == 17] = 3
             return d
         monkeypatch.setattr(harness, "settle", planted)
@@ -512,7 +512,7 @@ class TestPipeline:
     def test_objects_only_on_the_scalar_paths(self, monkeypatch):
         # a reduction of generic1 (a = b = 1; order_bsgs's quadratic
         # twists aside) is built per naive prime, per fallback prime and
-        # per prime whose structure needs draws; the 4557 settled primes
+        # per prime whose structure needs draws; the 5041 settled primes
         # build none
         built, unsettled = [], []
         real_init = ReducedCurve.__post_init__
@@ -528,11 +528,11 @@ class TestPipeline:
         E = PRESETS["generic1"]
         good = good_primes(E, 50_000)[0].tolist()
         _, paths = harness.compute_records(E, good, DEFAULT_TRACE_THRESHOLD)
-        assert (len(good), len(unsettled)) == (5130, 573)
+        assert (len(good), len(unsettled)) == (5130, 89)
         assert len(built) == paths["naive"] + paths["fallback"] + len(unsettled)
 
     @pytest.mark.parametrize("preset, x_max, draws", [
-        ("generic1", 50_000, 907), ("cm-i", 20_000, 1327), ("cm-3", 20_000, 3045)])
+        ("generic1", 50_000, 137), ("cm-i", 20_000, 722), ("cm-3", 20_000, 648)])
     def test_structure_draws(self, preset, x_max, draws, monkeypatch):
         # the points the structure step draws, over every prime of a sweep
         seen = [0]

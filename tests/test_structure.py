@@ -10,7 +10,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from avgexp import curve, structure
-from avgexp.counting import cubic_roots, order_bsgs, trace_block, trace_naive
+from avgexp.counting import (LANE_CAP, _cubic_power, _power, _powmod, cubic_roots,
+                             order_bsgs, trace_block, trace_naive)
 from avgexp.curve import (INFINITY, GlobalCurve, ReducedCurve, add, random_point,
                           reduce_curve)
 from avgexp.harness import PRESETS, RECORD, good_primes, record_violations
@@ -292,18 +293,47 @@ class TestTwoDescent:
 
 
 def sampled(C, N):
-    """exponent_sampling's d for C of order N, and whether it drew points."""
+    """exponent_sampling's d for C of order N, and (l, a_min, a_max, a)
+    for every l-Sylow subgroup it drew points for."""
     drew = []
     real = structure._sylow_exponent
+
+    def spy(C, N, l, k, a_min, a_max, *rest):
+        b = real(C, N, l, k, a_min, a_max, *rest)
+        drew.append((l, a_min, a_max, k - b))
+        return b
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(structure, "_sylow_exponent", lambda *args: drew.append(1) or real(*args))
+        mp.setattr(structure, "_sylow_exponent", spy)
         e = exponent_sampling(C, N)
-    return N // e, bool(drew)
+    return N // e, drew
+
+
+def lane_decided(l, a_min, a_max, a):
+    """Whether settle's torsion tests decide a class exponent_sampling
+    draws for: E[4] tells a = 1 from a >= 2 at (2, 1, a_max), and E[3]
+    a = 0 from a >= 1 at (3, 0, a_max), so (2, 1, 2) and (3, 0, 1) are
+    always decided, and the others when a is the least."""
+    return (l, a_min) in ((2, 1), (3, 0)) and (a == a_min or a_max == a_min + 1)
+
+
+def settle_rule(C, N):
+    """What settle must return for C of order N: exponent_sampling's d
+    where it draws no point or the torsion tests decide every class it
+    draws for, and 0 elsewhere; and the classes it draws for.  Parts of g
+    prime to 6 from 2^16 on are beyond the square test and left open
+    (only at a_p = 2)."""
+    d, drew = sampled(C, N)
+    g = math.gcd(C.p - 1, C.p - 1 - N)
+    while g % 2 == 0:
+        g //= 2
+    while g % 3 == 0:
+        g //= 3
+    return (d if g < 1 << 16 and all(lane_decided(*c) for c in drew) else 0), drew
 
 
 def settle_one(C, N):
     p, a, b, N = (np.array([v], dtype=np.int64) for v in (C.p, C.a, C.b, N))
-    return settle(p, N, cubic_roots(p, a, b)).item()
+    return settle(p, a, b, N, cubic_roots(p, a, b)).item()
 
 
 def group_order(C):
@@ -322,28 +352,50 @@ def apex_two_curve(p, family):
     raise AssertionError(f"no twist with a_p = 2 at p = {p}")
 
 
+def primes_from(start, count):
+    """The first count primes at or above start."""
+    ps, q = [], start
+    while len(ps) < count:
+        if is_prime(q):
+            ps.append(q)
+        q += 1
+    return ps
+
+
 class TestSettle:
     """The vectorized settle step against exponent_sampling, its reference."""
 
-    @pytest.mark.parametrize("preset", ["generic1", "cm-i", "cm-3"])
-    def test_matches_exponent_sampling_to_1e5(self, preset, monkeypatch):
-        # a prime is settled exactly when exponent_sampling draws no point,
-        # and then with exponent_sampling's d
-        E = PRESETS[preset]
-        p = good_primes(E, 100_000)[0]
+    @staticmethod
+    def check_block(E, p):
+        # settle's d on a block of good primes of E is settle_rule's; the
+        # classes (2, 1, 2) and (3, 0, 1) are met and settled, and some
+        # prime is left to the draws
         a, b = residues(E.a4, p), residues(E.a6, p)
         roots = cubic_roots(p, a, b)
         N = trace_block(p, a, b, roots)[0]
-        got = settle(p, N, roots)
-        drew = set()
-        real = structure._sylow_exponent
-        monkeypatch.setattr(structure, "_sylow_exponent",
-                            lambda C, *args: drew.add(C.p) or real(C, *args))
-        want = [n // exponent_sampling(ReducedCurve(q, x, y), n)
-                for q, x, y, n in zip(p.tolist(), a.tolist(), b.tolist(), N.tolist())]
-        want = [0 if q in drew else d for q, d in zip(p.tolist(), want)]
-        assert got.tolist() == want
-        assert 0 < len(drew) < len(p) // 2
+        got = settle(p, a, b, N, roots)
+        want, drew = zip(*(settle_rule(ReducedCurve(*v[:3]), v[3]) for v in
+                           zip(p.tolist(), a.tolist(), b.tolist(), N.tolist())))
+        assert got.tolist() == list(want)
+        tested = [i for i, c in enumerate(drew)
+                  if c and all(x[:3] in ((2, 1, 2), (3, 0, 1)) for x in c)]
+        assert tested and got[tested].all()
+        return (got == 0).sum()
+
+    @pytest.mark.parametrize("preset", ["generic1", "cm-i", "cm-3"])
+    def test_matches_exponent_sampling_to_1e5(self, preset):
+        E = PRESETS[preset]
+        p = good_primes(E, 100_000)[0]
+        assert 0 < self.check_block(E, p) < len(p) // 8
+
+    @pytest.mark.parametrize("start", [10 ** 7, 10 ** 8, 2 ** 30 - 300_000])
+    @pytest.mark.parametrize("preset", ["generic1", "cm-i", "cm-3"])
+    def test_bands_match_exponent_sampling(self, preset, start):
+        # 256 consecutive primes, where the lanes' int64 bound is tight
+        # at 2^30; exponent_sampling proves its d from drawn points
+        E = PRESETS[preset]
+        p = np.array(primes_from(start, 256), dtype=np.int64)
+        self.check_block(E, p)
 
     @settings(max_examples=120, deadline=None, database=None)
     @given(st.data())
@@ -361,7 +413,8 @@ class TestSettle:
         b = data.draw(st.integers(0, p - 1))
         assume((4 * a ** 3 + 27 * b ** 2) % p)
         C = ReducedCurve(p, a, b)
-        self.check(C, group_order(C))
+        N = group_order(C)
+        assert settle_one(C, N) == settle_rule(C, N)[0]
 
     @settings(max_examples=40, deadline=None, database=None)
     @given(st.data())
@@ -375,28 +428,23 @@ class TestSettle:
         else:
             ws = [w for w in range(2, 1024, 2) if is_prime(w * w + 1)]
             p = data.draw(st.sampled_from(ws)) ** 2 + 1
-        self.check(apex_two_curve(p, family), p - 1)
-
-    @staticmethod
-    def check(C, N):
-        d, drew = sampled(C, N)
-        g = math.gcd(C.p - 1, C.p - 1 - N)
-        odd = g // (g & -g)
-        # the square test is exact for odd parts below 2^16; a larger one
-        # (only at a_p = 2) is left to the scalar path, never guessed
-        assert settle_one(C, N) == (0 if drew or odd >= 1 << 16 else d)
+        C = apex_two_curve(p, family)
+        assert settle_one(C, p - 1) == settle_rule(C, p - 1)[0]
 
     def test_large_odd_part_left_open(self):
-        # generic1 at 163363: a_p = 2, so g = p - 1 = 2 * 81681, and
-        # 81681 = 3 * 19 * 1433 is squarefree but beyond the square test
-        C = reduce_curve(GENERIC, 163363)
-        N = group_order(C)
-        assert N == C.p - 1
-        assert sampled(C, N) == (1, False)
-        assert settle_one(C, N) == 0
+        # generic1 at 422923: a_p = 2, so g = p - 1 = 2 * 3 * 70487, whose
+        # part prime to 6 is squarefree but beyond the square test; at
+        # 163363, g = 2 * 3 * 19 * 1433 leaves 27227, within it
+        for p, d in ((422923, 0), (163363, 1)):
+            C = reduce_curve(GENERIC, p)
+            N = group_order(C)
+            assert N == C.p - 1
+            assert sampled(C, N) == (1, [])
+            assert settle_one(C, N) == d
 
     def test_splits_as_has_full_two_torsion(self):
-        # a prime with N even is settled with d = 2 exactly when the cubic splits
+        # a prime with N even is settled with an even d exactly when the
+        # cubic splits
         for E in (GENERIC, CM, THIRD):
             for q in PRIMES_TO_5000[:300]:
                 if E.disc % q == 0:
@@ -405,13 +453,114 @@ class TestSettle:
                 N = trace_naive(C).N
                 d = settle_one(C, N)
                 if d:
-                    assert (d == 2) == has_full_two_torsion(C, N), (E, q)
+                    assert (d % 2 == 0) == has_full_two_torsion(C, N), (E, q)
 
     def test_unsettled_beyond_lanes_and_empty_block(self):
         big = ReducedCurve(1073741827, 1, 1)  # the least prime above 2^30
         assert settle_one(big, big.p + 1) == 0
         empty = np.zeros(0, dtype=np.int64)
-        assert settle(empty, empty, cubic_roots(empty, empty, empty)).tolist() == []
+        assert settle(empty, empty, empty, empty, cubic_roots(empty, empty, empty)).tolist() == []
+
+
+def torsion_counts(p, a, b):
+    """(N, roots, #{P : 3P = O}, #{P : 4P = O}) for y^2 = x^3 + a*x + b
+    over F_p, with roots the points (e, 0), by enumerating every point and
+    doubling it: with lambda = n/m, n = 3x^2 + a and m = 2y != 0, 3P = O
+    iff x(2P) = x iff n^2 = 3x*m^2, and 4P = O iff 2P is some (e, 0),
+    i.e. f(X/Z) = 0 for x(2P) = X/Z = (n^2 - 2x*m^2)/m^2."""
+    x = np.arange(p, dtype=np.int64)
+    fx = (x * x % p * x + a * x + b) % p
+    sq = x * x % p
+    by_square = np.argsort(sq, kind="stable")
+    lo = np.searchsorted(sq[by_square], fx, "left")
+    count = np.searchsorted(sq[by_square], fx, "right") - lo
+    X = np.repeat(x, count)  # the points (X, Y), one per root y of y^2 = f(X)
+    first = np.repeat(np.cumsum(count) - count, count)
+    Y = by_square[np.repeat(lo, count) + np.arange(len(X)) - first]
+    on = Y != 0
+    n, m2 = (3 * X * X + a) % p, 4 * Y * Y % p
+    three = on & (n * n % p == 3 * X * m2 % p)
+    X2 = (n * n - 2 * X * m2) % p
+    four = on & ((X2 * X2 % p * X2 + a * X2 % p * m2 % p * m2 + b * m2 % p * m2 % p * m2) % p == 0)
+    roots = int((~on).sum())
+    return len(X) + 1, roots, 1 + int(three.sum()), 1 + roots + int(four.sum())
+
+
+class TestTorsionTests:
+    """settle's E[4] and E[3] tests against point enumeration and against
+    exponent_sampling, and their int64 lanes against exact integers."""
+
+    @pytest.mark.parametrize("E", [GENERIC, CM, PRESETS["cm-3"], THIRD],
+                             ids=["generic1", "cm-i", "cm-3", "x3+6"])
+    def test_against_enumeration_below_3000(self, E):
+        # every good p < 3000 where a test applies: E[4] on a split cubic
+        # at p = 1 (mod 4), E[3] where 3 | gcd(p-1, a_p-2)
+        four, three = [], []
+        for p in PRIMES_TO_5000:
+            if p >= 3000 or E.disc % p == 0:
+                continue
+            a, b = E.a4 % p, E.a6 % p
+            N, roots, n3, n4 = torsion_counts(p, a, b)
+            assert N == trace_naive(ReducedCurve(p, a, b)).N
+            if p % 4 == 1 and roots == 3:
+                four.append((p, a, b, n4 == 16))
+            if math.gcd(p - 1, p - 1 - N) % 3 == 0:
+                three.append((p, a, b, n3 == 9))
+        for test, rows in ((structure._full_four_torsion, four),
+                           (structure._full_three_torsion, three)):
+            if rows:
+                p, a, b, want = (np.array(c) for c in zip(*rows))
+                assert test(p, a, b).tolist() == want.tolist()
+        verdicts = {w for *_, w in four + three}
+        assert verdicts == {True, False}
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(st.data())
+    def test_against_exponent_sampling(self, data):
+        # p = 1 (mod 12) below 2^20, a split cubic half the time: 4 | d iff
+        # E[4] lies in E(F_p), and 3 | d iff E[3] does
+        p = 12 * data.draw(st.integers(1, 2 ** 20 // 12 - 2)) + 1
+        while not is_prime(p):
+            p += 12
+        e1, e2 = data.draw(st.integers(0, p - 1)), data.draw(st.integers(0, p - 1))
+        if data.draw(st.booleans()):  # the roots e1, e2, -e1 - e2
+            a, b = (e1 * e2 - (e1 + e2) ** 2) % p, e1 * e2 * (e1 + e2) % p
+        else:
+            a, b = e1, e2
+        assume((4 * a ** 3 + 27 * b ** 2) % p)
+        C = ReducedCurve(p, a, b)
+        N = group_order(C)
+        d = N // exponent_sampling(C, N)
+        p_, a, b = (np.array([v], dtype=np.int64) for v in (p, C.a, C.b))
+        if has_full_two_torsion(C, N):
+            assert structure._full_four_torsion(p_, a, b).item() == (d % 4 == 0)
+        if math.gcd(p - 1, p - 1 - N) % 3 == 0:
+            assert structure._full_three_torsion(p_, a, b).item() == (d % 3 == 0)
+
+    def test_int64_lanes_match_exact_integers(self):
+        # the 64 largest primes below 2^30, a and b within 4 of p: every
+        # kernel on int64 lanes against the same code on dtype=object
+        # lanes, whose Python ints cannot overflow
+        top = [q for q in range(LANE_CAP - 1, LANE_CAP - 5000, -2) if is_prime(q)][:64]
+        rows = [(p, p - 1 - i % 4, p - 1 - i // 4 % 4) for i, p in enumerate(top)]
+        lanes = [np.array(c, dtype=np.int64) for c in zip(*rows)]
+        exact = [np.array(c, dtype=object) for c in zip(*rows)]
+
+        def kernels(p, a, b):
+            zero = np.zeros_like(p)
+            s = (2 * a % p, 4 * b % p, -(a * a % p) * ((2 * p + 1) // 3) % p)
+            powers = [_cubic_power((zero, zero + 1, zero), p, p, a, b),
+                      _cubic_power((a, zero, zero + 3), (p - 1) // 2, p, a, b),
+                      _power((zero, zero + 1, zero, zero), p,
+                             lambda u, v: structure._psi3_mul(u, v, p, *s)),
+                      (_powmod((a + b) % p, (p - 1) // 4, p),)]
+            return ([np.stack(c).tolist() for c in powers],
+                    structure._full_four_torsion(p, a, b).tolist(),
+                    structure._full_three_torsion(p, a, b).tolist())
+        assert max(top) < LANE_CAP and len(top) == 64
+        got = kernels(*lanes)
+        assert got == kernels(*exact)
+        assert max(max(row) for power in got[0] for row in power) > 1 << 29
 
 
 class TestGroupStructure:
