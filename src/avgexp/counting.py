@@ -396,12 +396,23 @@ def order_lanes(p, a, b, roots) -> tuple:
     return N, idx[lane], orders
 
 
+def lane_rows(p: int) -> int:
+    """The rows per coordinate that _window_annihilators allocates for a
+    block whose largest prime is p: baby rows 0 .. m+1, giant rows 0 .. K
+    and the rows S*P and S*P + R.  A lane's m = isqrt(B // t) + 1, B =
+    isqrt(4p), is largest at t = 2, and its rows_k <= m + 2 in all three
+    classes (2B + 2w < (m + 1.5) * S), so a block uses at most 2m + 7 rows
+    for t = 2's m at its largest p, a bound that grows with p."""
+    return 2 * math.isqrt(math.isqrt(4 * p) // 2) + 9
+
+
 def _window_annihilators(p, a, b, roots):
     """order_lanes' search, 229 <= p < 2^30: every n = r (mod t) in the
     window with n*P = infinity, proved, as arrays (lane, n), and per lane
     whether it is refused (its n then prove nothing) and whether P lies on
-    the twist.  Rows live in one (rows x lanes) buffer per coordinate,
-    made affine in place."""
+    the twist.  Rows live in one (lane_rows x lanes) buffer per
+    coordinate, of which the first M + K + 5 are used, made affine in
+    place."""
     b4, b8 = 4 * b % p, 8 * b % p
     odd = roots == 0  # N is odd: the n are the odd numbers
     t = np.where(roots == 3, 4, 2)
@@ -432,7 +443,9 @@ def _window_annihilators(p, a, b, roots):
     xR = RX * _powmod(np.where(refused, 1, RZ), p - 2, p) % p
 
     # rows: baby 0 .. M+1, giant 0 .. K, then S*P and S*P + R
-    X, Z = np.empty((M + K + 5, L), np.int64), np.empty((M + K + 5, L), np.int64)
+    rows = lane_rows(int(p.max()))
+    X = np.empty((rows, L), np.int64)[:M + K + 5]
+    Z = np.empty((rows, L), np.int64)[:M + K + 5]
     BX, BZ, GX, GZ = X[:M + 2], Z[:M + 2], X[M + 2:-2], Z[M + 2:-2]
     # baby row j is v_j*P, so row j + 1 = row j + R with difference row j - 1;
     # row 0 is v_0*P = infinity, or -P where r = 1, and row 2 doubles R where r = 0

@@ -2,14 +2,17 @@
 comparing the running average against the model constant, and diagnostics.
 
 Work is split into blocks of consecutive good primes, one pool task per
-block, the same number for every worker and of equal size.  A block is
-columnar from the primes to the records: it counts points for all its
-primes at once (trace_block), settles every d_p that the divisibility
-constraints and the lane tests of E[4] and E[3] in E(F_p) decide (settle),
-and proves the structure prime by prime only where points must be drawn
-(compute_record).  Every record is proved,
-and the points behind it depend on p alone, so records are identical for
-any worker count and block layout.
+block, the same number for every worker and of equal size.  A block's
+size is capped by the row cells its lanes need, not by a prime count, so
+blocks of small primes are larger and pay a lane call's fixed cost less
+often.  A block is columnar from the primes to the records: it counts
+points for all its primes at once (trace_block), settles every d_p that
+the divisibility constraints and the lane tests of E[4] and E[3] in
+E(F_p) decide (settle), and proves the structure prime by prime only
+where points must be drawn (compute_record), starting from the bounds on
+d_p that settle proved.  Every record is proved, and the points behind it
+depend on p alone, so records are identical for any worker count and
+block layout.
 
 Records are one numpy recarray of dtype RECORD, sorted by p.  The
 identities every true record obeys are written once, in
@@ -34,8 +37,8 @@ import numpy as np
 from .constants import (ConstantEstimate, DegreeModel, constant_series,
                         degree, estimate_degrees, li)
 from .curve import GlobalCurve, ReducedCurve
-from .counting import (DEFAULT_TRACE_THRESHOLD, PATHS, TraceResult, cubic_roots,
-                       trace_block)
+from .counting import (DEFAULT_TRACE_THRESHOLD, LANE_CAP, PATHS, TraceResult,
+                       cubic_roots, lane_rows, trace_block)
 from .modarith import is_prime, residues, sieve_primes
 from .structure import GroupStructure, group_structure, settle
 
@@ -48,10 +51,12 @@ RECORD = np.dtype([("p", "<i8"), ("a_p", "<i8"), ("d_p", "<i8"), ("e_p", "<i8")]
 _CACHE_DTYPE = np.dtype([("p", "<u8"), ("a_p", "<i8"), ("d_p", "<u4"), ("e_p", "<u8")])
 
 DEFAULT_SERIES_Y = 1000
-# The most good primes in a lane block and pool task.  A lane call costs
-# about 3 ms however few its lanes, so larger blocks spread that cost;
-# 1024 primes keep nearly all of the gain of larger ones, while the two
-# (rows x lanes) row arrays stay near 3 MB each at p near 2^30.
+# The good primes in a lane block at p near 2^30, and the least share of
+# a sweep worth a pool worker.  Blocks are capped by row cells: a block
+# may hold as many (rows x lanes) cells as LANE_BLOCK lanes at 2^30,
+# LANE_BLOCK * lane_rows(2^30 - 1), 3.0 MB per int64 row array, so
+# blocks of smaller primes hold more of them (5350 at 1e6), and the fixed
+# cost of a lane call, a few ms, is paid less often.
 LANE_BLOCK = 1024
 # The largest x_max: the character sum, which --trace-threshold may pick
 # for any prime, needs p < 2^31, and a sweep holds every record in memory.
@@ -177,25 +182,29 @@ def record_violations(records) -> np.ndarray:
             | (e % m != 0) | ((p - 1) % m != 0) | ((a - 2) % m != 0))
 
 
-def compute_record(C: ReducedCurve, T: TraceResult) -> GroupStructure:
-    """The record of C.p from its trace result T: the structure step."""
-    return group_structure(C, T)
+def compute_record(C: ReducedCurve, T: TraceResult, lo: int = 1,
+                   hi: int = 0) -> GroupStructure:
+    """The record of C.p from its trace result T, given lo | d | hi (hi = 0
+    for none): the structure step."""
+    return group_structure(C, T, lo, hi)
 
 
 def compute_block(E: GlobalCurve, ps, threshold: int) -> tuple:
     """Records of the good primes ps, and how many took each path of
     PATHS.  Point counting and the forced structures run for the whole
     block at once, both from one count of the cubic's roots; only the
-    primes settle leaves open go through compute_record.  A record that
-    breaks an identity raises ArithmeticError."""
+    primes settle leaves open go through compute_record, with the bounds
+    on d that settle proved.  A record that breaks an identity raises
+    ArithmeticError."""
     p = np.asarray(ps, dtype=np.int64)
     a, b = residues(E.a4, p), residues(E.a6, p)
     roots = cubic_roots(p, a, b)
     N, path = trace_block(p, a, b, roots, threshold)
-    d = settle(p, a, b, N, roots)
-    for i in np.flatnonzero(d == 0).tolist():
+    d, hi = settle(p, a, b, N, roots)  # d = d_p where d = hi, else a divisor of it
+    for i in np.flatnonzero(d != hi).tolist():
         q, n = int(p[i]), int(N[i])
-        S = compute_record(ReducedCurve(q, int(a[i]), int(b[i])), TraceResult(q, q + 1 - n, n))
+        S = compute_record(ReducedCurve(q, int(a[i]), int(b[i])), TraceResult(q, q + 1 - n, n),
+                           int(d[i]), int(hi[i]))
         d[i] = S.d_p
     records = np.empty(len(p), RECORD)
     for name, column in zip(RECORD.names, (p, p + 1 - N, d, N // d)):
@@ -211,13 +220,19 @@ def compute_records(E: GlobalCurve, primes, threshold: int,
     """compute_block over blocks of consecutive primes, on a process pool
     of w = min(workers, ceil(n / LANE_BLOCK), CPUs) workers; records in
     the order of primes, paths summed.  The n primes are cut into the
-    least multiple of w blocks that holds at most LANE_BLOCK primes each,
-    and the blocks differ in size by at most one prime, so every worker
-    gets the same share."""
+    least multiple of w blocks whose lane buffers fit the row cells of a
+    LANE_BLOCK-prime block at 2^30: at most LANE_BLOCK * lane_rows(2^30 -
+    1) // lane_rows(q) primes each, q the largest prime (at most 2^30 -
+    1, as larger ones take no lane).  The blocks differ in size by at most
+    one prime, so every worker gets the same share."""
+    primes = np.asarray(primes, dtype=np.int64)
     k = -(-len(primes) // LANE_BLOCK)
     workers = max(1, min(workers, k, os.cpu_count() or 1))
+    if k:
+        q = min(int(primes.max()), LANE_CAP - 1)
+        k = -(-len(primes) // (LANE_BLOCK * lane_rows(LANE_CAP - 1) // lane_rows(q)))
     k = -(-k // workers) * workers
-    blocks = np.array_split(np.asarray(primes, dtype=np.int64), k) if k else []
+    blocks = np.array_split(primes, k) if k else []
     work = partial(compute_block, E, threshold=threshold)
     if workers == 1:
         parts = list(map(work, blocks))

@@ -12,10 +12,11 @@ open cases there, since l^(a+1) | d iff E[l^(a+1)] lies in E(F_p): at l = 2
 with 1 <= a, whether E[4] does, from the quartic character of the
 discriminant and the squares f'(ei) (f'^((p-1)/2) modulo the cubic), and
 at l = 3 with 3 | g, where Frobenius is unipotent on E[3], whether E[3]
-does, from x^p = x modulo psi_3.  Otherwise the l-Sylow subgroup,
-which is tiny, is resolved directly (after Sutherland, "Structure
-computation and discrete logarithms in finite abelian p-groups", Math. Comp.
-2011): a point Q1 of order l^b1 and a point R whose multiple l^j*R first
+does, from x^p = x modulo psi_3; where a stays open, its verdicts, as
+bounds lo | d | hi, are where the scalar step starts.  Otherwise the
+l-Sylow subgroup, which is tiny, is resolved directly (after Sutherland,
+"Structure computation and discrete logarithms in finite abelian p-groups",
+Math. Comp. 2011): a point Q1 of order l^b1 and a point R whose multiple l^j*R first
 lies in <Q1> at j = k - b1 generate the whole subgroup, which proves that
 its exponent is l^b1.  At l = 2 on a split cubic, the 2-torsion point
 (e1, 0) that Q1 ends in gives the other two roots, and E[4] lies in E(F_p)
@@ -173,7 +174,7 @@ def _sylow_exponent(C: ReducedCurve, N: int, l: int, k: int, a_min: int, a_max: 
         if top is None or len(chain) > len(top):
             top, chain = chain, top
         b1 = len(top)
-        if a_min == 1 and top:
+        if l == 2 and a_min == 1 and top:
             if not _has_four_torsion(C, top[-1]):
                 return k - 1
             a_min = 2
@@ -185,24 +186,27 @@ def _sylow_exponent(C: ReducedCurve, N: int, l: int, k: int, a_min: int, a_max: 
         f"{l}-Sylow subgroup unresolved after {_MAX_DRAWS} draws at p = {C.p}")
 
 
-def exponent_sampling(C: ReducedCurve, N: int) -> int:
+def exponent_sampling(C: ReducedCurve, N: int, lo: int = 1, hi: int = 0) -> int:
     """The exponent e = N/d of E(F_p), given the group order N, proved
     one prime l | g = gcd(p-1, a_p-2) at a time.
 
     v_l(d) is an admissible a: a <= v_l(N)/2, a <= v_l(g), and at l = 2,
-    a >= 1 iff the 2-torsion is rational.  A single admissible a needs
-    no draws; otherwise the l-Sylow subgroup decides, from points of
-    the one stream random.Random(p) that every l shares.
+    a >= 1 iff the 2-torsion is rational.  Divisibilities lo | d | hi
+    proved elsewhere (settle's bounds; hi = 0 for none) narrow it to
+    v_l(lo) <= a <= v_l(hi).  A single admissible a needs no draws;
+    otherwise the l-Sylow subgroup decides, from points of the one stream
+    random.Random(p) that every l shares.
     """
     p = C.p
     g = math.gcd(p - 1, p - 1 - N)  # a_p - 2 = p - 1 - N
+    hi = math.gcd(g, hi)
     rng, points = random.Random(p), []
     d = 1
-    for l, v in factorize(g):
+    for l, _ in factorize(g):
         k = _valuation(N, l)
-        a_min = 0
-        a_max = min(v, k // 2)
-        if l == 2:
+        a_min = _valuation(lo, l)
+        a_max = min(_valuation(hi, l), k // 2)
+        if l == 2 and not a_min:
             if has_full_two_torsion(C, N):
                 a_min = 1
             else:
@@ -276,13 +280,15 @@ def _full_four_torsion(p, a, b):
     return full
 
 
-def settle(p, a, b, N, roots) -> np.ndarray:
-    """d for the curves y^2 = x^3 + a*x + b of order N over F_p whose
-    cubics have the root counts roots (counting.cubic_roots), lane by lane,
-    wherever exponent_sampling's a = v_l(d) is decided without drawing a
-    point for every l | g = gcd(p-1, a_p-2), and 0 at every other lane.
-    p, a, b, N and roots are int64 arrays with 0 <= a, b < p; lanes with
-    p >= 2^30 are left at 0.
+def settle(p, a, b, N, roots) -> tuple:
+    """Bounds (lo, hi), lo | d | hi, on d for the curves y^2 = x^3 + a*x
+    + b of order N over F_p whose cubics have the root counts roots
+    (counting.cubic_roots), lane by lane: lo = hi = d wherever
+    exponent_sampling's a = v_l(d) is decided without drawing a point for
+    every l | g = gcd(p-1, a_p-2), and elsewhere what the lane tests below
+    proved: lo is the 2- and 3-parts of d they found, and hi is g less
+    the parts they excluded.  p, a, b, N and roots are int64 arrays with
+    0 <= a, b < p; lanes with p >= 2^30 get (1, g).
 
     An odd l | g allows only a = 0 exactly when v_l(N) = 1; with h the
     part of g prime to 6 (h | N), that holds for every such l when h is
@@ -293,39 +299,42 @@ def settle(p, a, b, N, roots) -> np.ndarray:
     At l = 2, a = 0 when the cubic does not split; it splits when it has
     three roots, and then 1 <= a <= a_max = min(v_2(g), v_2(N)/2).  Where
     a_max >= 2, E[4] lies in E(F_p) or not (_full_four_torsion): a = 1
-    if not, and a = 2 if so and a_max = 2.
+    if not, and a >= 2 if so, which decides a_max = 2.
 
     At l = 3 with a_max = min(v_3(g), v_3(N)/2) >= 1, Frobenius is
     unipotent on E[3] (_full_three_torsion): a = 0 unless E[3] lies in
-    E(F_p), and a = 1 if it does and a_max = 1.
+    E(F_p), and a >= 1 if it does, which decides a_max = 1.
 
-    Each test runs only on the lanes that the cheaper rules leave open, and
-    a lane where some a stays open is left at 0.
+    Each test runs on every lane where its class is open, also where the
+    odd part leaves the lane to the scalar path, which then starts from
+    the verdict.
     """
-    split = roots == 3
+    split, lanes = roots == 3, p < LANE_CAP
     g = np.gcd(p - 1, p - 1 - N)
     # the 2- and 3-parts of g and N (3^20 exceeds both)
     two, three, two_N, three_N = g & -g, np.gcd(g, 3 ** 20), N & -N, np.gcd(N, 3 ** 20)
     h = g // (two * three)
-    ok = (p < LANE_CAP) & (h < 1 << 16) & (np.gcd(h, N // h) == 1)
+    ok = lanes & (h < 1 << 16) & (np.gcd(h, N // h) == 1)
     for l in _simple_sieve(math.isqrt(int(h[ok].max(initial=1))))[2:]:
         ok &= h % (l * l) != 0
     ok &= ~split | (N % 4 == 0)
-    d = np.where(split, 2, 1)
-    i = np.flatnonzero(ok & split & (two >= 4) & (two_N >= 16))
+    lo, hi = np.where(split, 2, 1), np.where(split | ~lanes, g, g // two)
+    i = np.flatnonzero(split & (two >= 4) & (two_N >= 16))
     full = _full_four_torsion(p[i], a[i], b[i])
-    d[i[full]] = 4
+    lo[i[full]] = 4
+    hi[i[~full]] //= two[i[~full]] // 2
     ok[i[full & (two[i] >= 8) & (two_N[i] >= 64)]] = False
-    i = np.flatnonzero(ok & (three >= 3) & (three_N >= 9))
+    i = np.flatnonzero(lanes & (three >= 3) & (three_N >= 9))
     full = _full_three_torsion(p[i], a[i], b[i])
-    d[i[full]] *= 3
+    lo[i[full]] *= 3
+    hi[i[~full]] //= three[i[~full]]
     ok[i[full & (three[i] >= 9) & (three_N[i] >= 81)]] = False
-    return np.where(ok, d, 0)
+    return lo, np.where(ok, lo, hi)
 
 
-def group_structure(C: ReducedCurve, T) -> GroupStructure:
-    """(d, e) for the trace result T."""
-    e = exponent_sampling(C, T.N)
+def group_structure(C: ReducedCurve, T, lo: int = 1, hi: int = 0) -> GroupStructure:
+    """(d, e) for the trace result T, given lo | d | hi (exponent_sampling)."""
+    e = exponent_sampling(C, T.N, lo, hi)
     return GroupStructure(C.p, T.a_p, T.N, T.N // e, e)
 
 

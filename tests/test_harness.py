@@ -6,14 +6,16 @@ import os
 import struct
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from avgexp import cli, constants, harness, structure
+from avgexp import cli, constants, counting, harness, structure
 from avgexp.constants import DegreeModel
-from avgexp.counting import DEFAULT_TRACE_THRESHOLD, PATHS, trace_naive
+from avgexp.counting import (DEFAULT_TRACE_THRESHOLD, LANE_CAP, PATHS, cubic_roots,
+                             lane_rows, trace_naive)
 from avgexp.curve import GlobalCurve, ReducedCurve, reduce_curve
 from avgexp.harness import (CacheMismatch, CheckpointRow, CorruptCache,
                             ExperimentConfig, InsufficientCheckpoints,
@@ -21,7 +23,7 @@ from avgexp.harness import (CacheMismatch, CheckpointRow, CorruptCache,
                             compute_record, default_checkpoints, error_trend,
                             good_primes, pi_E_table, record_violations,
                             run_experiment, write_csv)
-from avgexp.modarith import is_prime, sieve_primes
+from avgexp.modarith import is_prime, residues, sieve_primes
 from avgexp.structure import structure_bruteforce
 
 GENERIC = GlobalCurve(1, 1)
@@ -209,9 +211,9 @@ class TestRecordViolations:
         real = harness.settle
 
         def planted(p, a, b, N, roots):
-            d = real(p, a, b, N, roots)
-            d[p == 17] = 3
-            return d
+            lo, hi = real(p, a, b, N, roots)
+            lo[p == 17] = hi[p == 17] = 3
+            return lo, hi
         monkeypatch.setattr(harness, "settle", planted)
         with pytest.raises(ArithmeticError, match="p = 17"):
             harness.compute_block(GENERIC, [13, 17, 19], 229)
@@ -424,17 +426,21 @@ class TestPipeline:
         good = [p for p in sieve_primes(2000) if p not in E.bad_primes]
         whole = harness.compute_records(E, good, 229)
         monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
-        monkeypatch.setattr(harness, "LANE_BLOCK", 60)  # 300 primes: at least 5 blocks
         sizes = []
         real = harness.compute_block
         monkeypatch.setattr(harness, "compute_block",
                             lambda E, ps, **kw: sizes.append(len(ps)) or real(E, ps, **kw))
-        # the pool: min(workers, 5, CPUs); the blocks: the least multiple of it
-        # that is at least 5, all of one size or within one prime
-        for cpus, workers, want, blocks in ((4, 5000, 4, [38] * 4 + [37] * 4),
-                                            (64, 5000, 5, [60] * 5),
-                                            (None, 5000, None, [60] * 5),
-                                            (64, 3, 3, [50] * 6), (64, 1, None, [60] * 5)):
+        # the pool: min(workers, ceil(300 / LANE_BLOCK), CPUs); the blocks: the
+        # least multiple of it whose blocks hold the row cells of at most
+        # LANE_BLOCK lanes at 2^30, LANE_BLOCK * 371 // lane_rows(1999) =
+        # LANE_BLOCK * 371 // 21 primes (1060 or 70), all of one size or
+        # within one prime
+        for block, cpus, workers, want, blocks in (
+                (60, 4, 5000, 4, [75] * 4), (60, 64, 5000, 5, [60] * 5),
+                (60, None, 5000, None, [300]), (60, 64, 3, 3, [100] * 3),
+                (60, 64, 1, None, [300]), (4, 4, 5000, 4, [38] * 4 + [37] * 4),
+                (4, 64, 1, None, [60] * 5)):
+            monkeypatch.setattr(harness, "LANE_BLOCK", block)
             monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
             pools.clear()
             sizes.clear()
@@ -446,11 +452,22 @@ class TestPipeline:
     @pytest.mark.parametrize("n, block, workers, cpus", [
         (0, 1300, 2, 2), (1, 1300, 2, 2), (1300, 1300, 1, 2), (1301, 1300, 1, 2),
         (5130, 1300, 2, 2), (5130, 1024, 2, 2), (2262, 1300, 3, 8), (78495, 1300, 2, 2),
-        (999, 7, 3, 2), (12, 5, 8, 64)])
+        (78495, 1024, 1, 2), (999, 7, 3, 2), (12, 5, 8, 64)])
     def test_block_layout(self, n, block, workers, cpus, monkeypatch):
-        # the blocks differ in size by at most one prime, none exceeds
-        # LANE_BLOCK, their count is a multiple of the pool size, and no
-        # smaller multiple would do; checked on the layout alone
+        self.check_layout(n, block, workers, cpus, 5, monkeypatch)
+
+    @pytest.mark.parametrize("n, workers, start", [
+        (30000, 2, 10 ** 8), (5000, 2, 2 ** 30 - 3000), (3000, 1, 2 ** 31 - 4000)])
+    def test_block_layout_at_large_p(self, n, workers, start, monkeypatch):
+        self.check_layout(n, 1024, workers, 2, start, monkeypatch)
+
+    @staticmethod
+    def check_layout(n, block, workers, cpus, start, monkeypatch):
+        # the pool is min(workers, ceil(n / LANE_BLOCK), CPUs); the blocks
+        # differ in size by at most one prime, none holds more lanes than
+        # LANE_BLOCK lanes' row cells at 2^30 allow at the largest p, their
+        # count is a multiple of the pool size, and no smaller multiple
+        # would do; checked on the layout of the n numbers from start
         pools, sizes = [], []
 
         class Layout:  # records max_workers; starts no process
@@ -473,13 +490,59 @@ class TestPipeline:
         monkeypatch.setattr(harness, "compute_block", block_stub)
         monkeypatch.setattr(harness, "LANE_BLOCK", block)
         monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
-        harness.compute_records(GENERIC, list(range(5, 5 + n)), 229, workers)
+        harness.compute_records(GENERIC, list(range(start, start + n)), 229, workers)
         assert sum(sizes) == n
         if n:
             pool = pools[0] if pools else 1
             assert pool == min(workers, -(-n // block), cpus)
-            assert max(sizes) - min(sizes) <= 1 and max(sizes) <= block
-            assert len(sizes) % pool == 0 and (len(sizes) - pool) * block < n
+            cap = block * lane_rows(LANE_CAP - 1) // lane_rows(min(start + n - 1, LANE_CAP - 1))
+            assert max(sizes) - min(sizes) <= 1 and max(sizes) <= cap
+            assert len(sizes) % pool == 0 and (len(sizes) - pool) * cap < n
+            if start + n > LANE_CAP:
+                assert cap == block
+
+    @pytest.mark.parametrize("top, size", [
+        (19_997, 12254), (49_999, 10267), (999_983, 5350), (9_999_991, 3139),
+        (99_999_989, 1835), (LANE_CAP - 1, 1024), (harness.X_MAX_CAP, 1024)])
+    def test_block_size_from_the_largest_prime(self, top, size, monkeypatch):
+        # one worker: `size` numbers up to top (the largest prime below 2e4,
+        # ..., 1e8, then 2^30 - 1 and 2^31) make one block and one more make
+        # two, so a block holds at most `size` primes, the most whose
+        # lane rows fit the row cells of LANE_BLOCK = 1024 lanes at 2^30,
+        # 1024 * lane_rows(2^30 - 1) = 1024 * 371
+        sizes = []
+
+        def block_stub(E, ps, threshold):
+            sizes.append(len(ps))
+            return np.empty(0, RECORD), dict.fromkeys(PATHS, 0)
+        monkeypatch.setattr(harness, "compute_block", block_stub)
+        for n in (size, size + 1):
+            harness.compute_records(GENERIC, list(range(top - n + 1, top + 1)), 229)
+        assert sizes == [size, -(-(size + 1) // 2), (size + 1) // 2]
+        assert lane_rows(LANE_CAP - 1) == 371 and harness.LANE_BLOCK == 1024
+        assert size * lane_rows(min(top, LANE_CAP - 1)) <= 1024 * 371
+
+    @pytest.mark.parametrize("top", [20_000, 10 ** 6, 10 ** 8, 2 ** 30 - 300_000])
+    def test_lane_buffers_within_the_budget(self, top, monkeypatch):
+        # a block of the sweep to top, as large as its row cells allow:
+        # the row buffers _window_annihilators allocates hold at most
+        # LANE_BLOCK * lane_rows(2^30 - 1) cells, and it uses at most
+        # lane_rows(largest p) of their rows
+        budget = harness.LANE_BLOCK * lane_rows(LANE_CAP - 1)
+        cap = budget // lane_rows(top)
+        if top < 10 ** 7:
+            p = good_primes(GENERIC, top)[0][-cap:]
+        else:
+            p = np.array([q for q in range(top, top - 40 * cap, -1) if is_prime(q)][:cap])
+        buffers = []
+        real = counting._affine
+        monkeypatch.setattr(counting, "_affine",
+                            lambda X, Z, p: buffers.append((X.shape, X.base.shape)) or real(X, Z, p))
+        a = b = residues(1, p)
+        counting.order_lanes(p, a, b, cubic_roots(p, a, b))
+        (used, (rows, lanes)), = buffers
+        assert lanes <= len(p) <= cap and rows == lane_rows(int(p.max()))
+        assert used[0] <= rows and rows * lanes <= budget
 
     def test_records_identical_for_pool_and_block_sizes(self, monkeypatch):
         # the block layouts of 1, 2 and 3 workers (four CPUs assumed; a
@@ -524,15 +587,39 @@ class TestPipeline:
         monkeypatch.setattr(ReducedCurve, "__post_init__", spy)
         real_record = harness.compute_record
         monkeypatch.setattr(harness, "compute_record",
-                            lambda C, T: unsettled.append(C.p) or real_record(C, T))
+                            lambda C, *args: unsettled.append(C.p) or real_record(C, *args))
         E = PRESETS["generic1"]
         good = good_primes(E, 50_000)[0].tolist()
         _, paths = harness.compute_records(E, good, DEFAULT_TRACE_THRESHOLD)
         assert (len(good), len(unsettled)) == (5130, 89)
         assert len(built) == paths["naive"] + paths["fallback"] + len(unsettled)
 
+    def test_budgeted_block_memory(self, monkeypatch):
+        # tracemalloc's peak over compute_block: the last block of the
+        # sweep to 1e6 at one worker (15 blocks of 5233 primes, within the
+        # 5350 its row cells allow) takes at most 1.1 times what a
+        # LANE_BLOCK-prime block at 2^30 - 3e5 takes, so no block outgrows
+        # the largest lane block
+        E = PRESETS["generic1"]
+        layout = []
+        with monkeypatch.context() as mp:
+            mp.setattr(harness, "compute_block", lambda E, ps, threshold: layout.append(ps)
+                       or (np.empty(0, RECORD), dict.fromkeys(PATHS, 0)))
+            harness.compute_records(E, good_primes(E, 10 ** 6)[0], DEFAULT_TRACE_THRESHOLD)
+        assert len(layout) == 15 and len(layout[-1]) == 5233
+        top = 2 ** 30 - 300_000
+        blocks = (layout[-1],
+                  [q for q in range(top, top + 40 * 1024) if is_prime(q)][:harness.LANE_BLOCK])
+        peaks = []
+        for ps in blocks:
+            tracemalloc.start()
+            harness.compute_block(E, ps, DEFAULT_TRACE_THRESHOLD)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+        assert peaks[0] <= 1.1 * peaks[1]
+
     @pytest.mark.parametrize("preset, x_max, draws", [
-        ("generic1", 50_000, 137), ("cm-i", 20_000, 722), ("cm-3", 20_000, 648)])
+        ("generic1", 50_000, 133), ("cm-i", 20_000, 703), ("cm-3", 20_000, 582)])
     def test_structure_draws(self, preset, x_max, draws, monkeypatch):
         # the points the structure step draws, over every prime of a sweep
         seen = [0]

@@ -209,6 +209,20 @@ class TestSylowPath:
         want = structure_bruteforce(C)
         assert (got.N, got.d_p, got.e_p) == (want.N, want.d_p, want.e_p)
 
+    def test_three_sylow_from_a_lane_verdict(self, monkeypatch):
+        # generic1 at 2539: N = 2^5 * 3^4, g = 2 * 3^3 and d = 2 * 3^2.
+        # The lanes find E[3] in E(F_p) and leave a = 1 or 2 open, so the
+        # 3-Sylow step starts at a_min = 1, where it once ran a 2-descent
+        # on a point of order 3 and raised StructureUnverified
+        C = reduce_curve(GENERIC, 2539)
+        N = trace_naive(C).N
+        p, a, b, n = (np.array([v], dtype=np.int64) for v in (C.p, C.a, C.b, N))
+        assert [v.tolist() for v in settle(p, a, b, n, cubic_roots(p, a, b))] == [[6], [54]]
+        monkeypatch.setattr(structure, "_has_four_torsion", None)  # never called
+        assert structure._sylow_exponent(C, N, 3, 4, 1, 2, [], random.Random(C.p)) == 2
+        assert sampled(C, N, 6, 54) == (18, [(3, 1, 2, 2)])
+        assert structure_bruteforce(C).d_p == 18
+
 
 def split_cubic(p, e1, e2):
     """y^2 = (x - e1)(x - e2)(x - e3) over F_p, e3 = -e1 - e2."""
@@ -292,9 +306,10 @@ class TestTwoDescent:
             structure._has_four_torsion(C, (12, 0))
 
 
-def sampled(C, N):
-    """exponent_sampling's d for C of order N, and (l, a_min, a_max, a)
-    for every l-Sylow subgroup it drew points for."""
+def sampled(C, N, *bounds):
+    """exponent_sampling's d for C of order N (and the bounds lo | d | hi
+    if given), and (l, a_min, a_max, a) for every l-Sylow subgroup it drew
+    points for."""
     drew = []
     real = structure._sylow_exponent
 
@@ -304,7 +319,7 @@ def sampled(C, N):
         return b
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(structure, "_sylow_exponent", spy)
-        e = exponent_sampling(C, N)
+        e = exponent_sampling(C, N, *bounds)
     return N // e, drew
 
 
@@ -332,8 +347,10 @@ def settle_rule(C, N):
 
 
 def settle_one(C, N):
+    """settle's d for C of order N where its bounds meet, lo = hi, else 0."""
     p, a, b, N = (np.array([v], dtype=np.int64) for v in (C.p, C.a, C.b, N))
-    return settle(p, a, b, N, cubic_roots(p, a, b)).item()
+    lo, hi = settle(p, a, b, N, cubic_roots(p, a, b))
+    return lo.item() if lo == hi else 0
 
 
 def group_order(C):
@@ -362,6 +379,9 @@ def primes_from(start, count):
     return ps
 
 
+real_descent = structure._has_four_torsion
+
+
 class TestSettle:
     """The vectorized settle step against exponent_sampling, its reference."""
 
@@ -369,17 +389,35 @@ class TestSettle:
     def check_block(E, p):
         # settle's d on a block of good primes of E is settle_rule's; the
         # classes (2, 1, 2) and (3, 0, 1) are met and settled, and some
-        # prime is left to the draws
+        # prime is left to the draws.  Every open prime obeys lo | d | hi,
+        # and exponent_sampling started from the bounds (the handover)
+        # proves standalone exponent_sampling's d there, and neither draws
+        # for a class the lane tests decide nor runs a 2-descent: the lanes
+        # decide every (2, 1, >= 2)
         a, b = residues(E.a4, p), residues(E.a6, p)
         roots = cubic_roots(p, a, b)
         N = trace_block(p, a, b, roots)[0]
-        got = settle(p, a, b, N, roots)
-        want, drew = zip(*(settle_rule(ReducedCurve(*v[:3]), v[3]) for v in
-                           zip(p.tolist(), a.tolist(), b.tolist(), N.tolist())))
+        lo, hi = settle(p, a, b, N, roots)
+        got = np.where(lo == hi, lo, 0)
+        curves = [ReducedCurve(*v) for v in zip(p.tolist(), a.tolist(), b.tolist())]
+        want, drew = zip(*(settle_rule(C, n) for C, n in zip(curves, N.tolist())))
         assert got.tolist() == list(want)
         tested = [i for i, c in enumerate(drew)
                   if c and all(x[:3] in ((2, 1, 2), (3, 0, 1)) for x in c)]
         assert tested and got[tested].all()
+        descents = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(structure, "_has_four_torsion",
+                       lambda C, T: descents.append(C.p) or real_descent(C, T))
+            for i in np.flatnonzero(lo != hi).tolist():
+                C, n, bounds = curves[i], int(N[i]), (int(lo[i]), int(hi[i]))
+                d = sampled(C, n)[0]
+                assert d % bounds[0] == 0 and bounds[1] % d == 0, C.p
+                descents.clear()
+                handed, handed_drew = sampled(C, n, *bounds)
+                assert handed == d, C.p
+                assert not [c for c in handed_drew if c[:2] in ((2, 1), (3, 0))], C.p
+                assert not descents, C.p
         return (got == 0).sum()
 
     @pytest.mark.parametrize("preset", ["generic1", "cm-i", "cm-3"])
@@ -459,7 +497,8 @@ class TestSettle:
         big = ReducedCurve(1073741827, 1, 1)  # the least prime above 2^30
         assert settle_one(big, big.p + 1) == 0
         empty = np.zeros(0, dtype=np.int64)
-        assert settle(empty, empty, empty, empty, cubic_roots(empty, empty, empty)).tolist() == []
+        lo, hi = settle(empty, empty, empty, empty, cubic_roots(empty, empty, empty))
+        assert lo.tolist() == hi.tolist() == []
 
 
 def torsion_counts(p, a, b):
