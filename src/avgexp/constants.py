@@ -129,7 +129,6 @@ class ConstantEstimate:
     value: object  # mpmath mpf
     truncation: int
     tail_bound: float
-    method: str
     tail_formula: str
 
     def __post_init__(self):
@@ -184,7 +183,7 @@ def constant_series(model: DegreeModel, y: int, dps: int = DEFAULT_DPS) -> Const
         else:
             tail = 2 / math.sqrt(y)
             formula = "2/sqrt(y), assuming degree(k) >= phi(k)^2"
-        return ConstantEstimate(total, y, tail, "series", formula)
+        return ConstantEstimate(total, y, tail, formula)
 
 
 def _local_factor(model: DegreeModel, q: int) -> Fraction:
@@ -225,7 +224,7 @@ def constant_euler(model: DegreeModel, p_max: int, dps: int = DEFAULT_DPS) -> Co
             f = _local_factor(model, q)
             prod = prod * f.numerator / f.denominator
         tail = 2 / (3 * p_max ** 3)
-        return ConstantEstimate(prod, p_max, tail, "euler",
+        return ConstantEstimate(prod, p_max, tail,
                                 "2/(3*p_max^3), generic factors are 1 - O(q^-4)")
 
 

@@ -188,13 +188,36 @@ def order_bsgs(C: ReducedCurve, candidates=None) -> TraceResult:
 
 def _powmod(base, exp, p):
     """base^exp mod p, lane by lane."""
-    return _power((base,), exp, lambda u, v: (u[0] * v[0] % p,))[0]
+    return _power((base,), exp, p)[0]
 
 
-def _power(base, exp, mul):
-    """base^exp lane by lane, for exp >= 0 and a residue base given as a
-    tuple of coefficient arrays (one array for a residue mod p), under the
-    product mul of two such tuples, with the constant term first.
+def _mul(u, v, p, f=()):
+    """u*v modulo p and the monic f = x^n + sum_i c_i*x^i, lane by lane, for
+    residues given as tuples of n coefficient arrays, constant term first;
+    f comes as its nonzero low terms (i, c_i), and f = () means residues
+    mod p.  The product's x^k, k >= n, are reduced from the top by x^k =
+    -x^(k-n) * sum_i c_i*x^i: for coefficients and c_i in [0, p), p < 2^30,
+    and n <= 4, no coefficient sums more than 6 products below 2^60 before
+    its reduction mod p, so int64 lanes hold it.
+    """
+    if not f:
+        return (u[0] * v[0] % p,)
+    n = len(u)
+    # rows u[0]*v and u[n-1]*v[1:] start every w[k], fresh arrays the rest add to
+    w = [u[0] * c for c in v] + [u[-1] * c for c in v[1:]]
+    for i in range(1, n):
+        for j in range(n if i < n - 1 else 1):
+            w[i + j] += u[i] * v[j]
+    for k in range(2 * n - 2, n - 1, -1):
+        top = w[k] % p
+        for i, c in f:
+            w[k - n + i] -= c * top
+    return tuple([c % p for c in w[:n]])
+
+
+def _power(base, exp, p, f=()):
+    """base^exp lane by lane, for exp >= 0, in _mul's residues modulo p
+    and f.
 
     Left to right in 2-bit windows: two squarings, then one product by
     base^w, w = 0 .. 3, taken lane by lane from a table of those powers:
@@ -202,8 +225,8 @@ def _power(base, exp, mul):
     """
     n = len(exp)
     one = (np.ones_like(base[0]),) + tuple(np.zeros_like(c) for c in base[1:])
-    square = mul(base, base)
-    table = [np.concatenate(c) for c in zip(one, base, square, mul(square, base))]
+    square = _mul(base, base, p, f)
+    table = [np.concatenate(c) for c in zip(one, base, square, _mul(square, base, p, f))]
     lane = np.arange(n)
     result = one
     top = int(exp.max(initial=0)).bit_length()
@@ -213,8 +236,8 @@ def _power(base, exp, mul):
         if bit + 2 >= top:  # the leading window
             result = entry
         else:
-            result = mul(result, result)
-            result = mul(mul(result, result), entry)
+            result = _mul(result, result, p, f)
+            result = _mul(_mul(result, result, p, f), entry, p, f)
     return result
 
 
@@ -308,7 +331,7 @@ def cubic_roots(p, a, b):
     Frobenius permutes the three roots, as a transposition exactly when
     the discriminant -4a^3 - 27b^2 is a nonsquare: then one is rational.
     A square discriminant leaves 0 or 3, and 3 exactly when x^p = x
-    modulo the cubic (_cubic_power).  E(F_p)[2] is the identity and the
+    modulo the cubic (_power).  E(F_p)[2] is the identity and the
     points (e, 0), so 4 | N with three roots, N is even with one and odd
     with none, for the curve and its twist alike.
     """
@@ -320,28 +343,9 @@ def cubic_roots(p, a, b):
     roots = np.where(ok, np.where(square, 0, 1), -1)
     sq = np.flatnonzero(square)
     qs, zero = q[sq], np.zeros(len(sq), dtype=np.int64)
-    c0, c1, c2 = _cubic_power((zero, zero + 1, zero), qs, qs, ar[sq], br[sq])
+    c0, c1, c2 = _power((zero, zero + 1, zero), qs, qs, ((1, ar[sq]), (0, br[sq])))
     roots[sq[(c0 == 0) & (c1 == 1) & (c2 == 0)]] = 3
     return roots
-
-
-def _cubic_mul(u, v, p, a, b):
-    """u*v modulo f = x^3 + a*x + b, lane by lane, for residues (c0, c1, c2)
-    = c0 + c1*x + c2*x^2 with 0 <= c_i, a, b < p < 2^30: the product's
-    x^3 and x^4 terms w3, w4 are reduced by x^3 = -a*x - b and x^4 =
-    -a*x^2 - b*x.  Every intermediate lies below 2^62 in absolute value."""
-    u0, u1, u2 = u
-    v0, v1, v2 = v
-    w3 = (u1 * v2 + u2 * v1) % p
-    w4 = u2 * v2 % p
-    return ((u0 * v0 - b * w3) % p,
-            (u0 * v1 + u1 * v0 - a * w3 - b * w4) % p,
-            (u0 * v2 + u1 * v1 + u2 * v0 - a * w4) % p)
-
-
-def _cubic_power(base, exp, p, a, b):
-    """base^exp modulo x^3 + a*x + b, lane by lane (_power, _cubic_mul)."""
-    return _power(base, exp, lambda u, v: _cubic_mul(u, v, p, a, b))
 
 
 def order_lanes(p, a, b, roots) -> tuple:

@@ -333,7 +333,7 @@ def aggregate_checkpoints(records, checkpoints, c_model: float) -> list:
     return rows
 
 
-def pi_E_table(records, x: int, k_max: int, model: DegreeModel = None) -> list:
+def pi_E_table(records, x: int, k_max: int, model: DegreeModel) -> list:
     """Rows (k, count of p <= x with k | d_p, model prediction li(x)/deg).
 
     The prediction column is None where the model has no degree.
@@ -344,7 +344,7 @@ def pi_E_table(records, x: int, k_max: int, model: DegreeModel = None) -> list:
     for k in range(1, k_max + 1):
         count = int((ds % k == 0).sum())
         try:
-            pred = li_x / float(degree(model, k)) if model is not None else None
+            pred = li_x / float(degree(model, k))
         except KeyError:
             pred = None
         out.append((k, count, pred))
@@ -354,7 +354,6 @@ def pi_E_table(records, x: int, k_max: int, model: DegreeModel = None) -> list:
 @dataclass(frozen=True)
 class TrendFit:
     slope: float
-    intercept: float
     note: str = "diagnostic fit; not a verification of the error-term exponent"
 
 
@@ -368,9 +367,9 @@ def error_trend(rows) -> TrendFit:
     devs = [row.main_term_dev for row in rows]
     if any(d <= 0 for d in devs):
         raise ValueError("zero deviation rows cannot enter a log-log fit")
-    slope, intercept = np.polyfit(np.log(np.asarray(xs, dtype=float)),
-                                  np.log(np.asarray(devs, dtype=float)), 1)
-    return TrendFit(float(slope), float(intercept))
+    slope = np.polyfit(np.log(np.asarray(xs, dtype=float)),
+                       np.log(np.asarray(devs, dtype=float)), 1)[0]
+    return TrendFit(float(slope))
 
 
 def cache_store(path, curve: GlobalCurve, records) -> None:

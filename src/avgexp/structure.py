@@ -10,23 +10,20 @@ admissible a and costs no group operation; settle finds those primes for
 a whole block of lanes at once.  settle also decides the two commonest
 open cases there, since l^(a+1) | d iff E[l^(a+1)] lies in E(F_p): at l = 2
 with 1 <= a, whether E[4] does, from the quartic character of the
-discriminant and the squares f'(ei) (f'^((p-1)/2) modulo the cubic), and
-at l = 3 with 3 | g, where Frobenius is unipotent on E[3], whether E[3]
-does, from x^p = x modulo psi_3; where a stays open, its verdicts, as
-bounds lo | d | hi, are where the scalar step starts.  Otherwise the
-l-Sylow subgroup, which is tiny, is resolved directly (after Sutherland,
-"Structure computation and discrete logarithms in finite abelian p-groups",
-Math. Comp. 2011): a point Q1 of order l^b1 and a point R whose multiple l^j*R first
-lies in <Q1> at j = k - b1 generate the whole subgroup, which proves that
-its exponent is l^b1.  At l = 2 on a split cubic, the 2-torsion point
-(e1, 0) that Q1 ends in gives the other two roots, and E[4] lies in E(F_p)
-exactly when the three differences of the roots are squares (Miret, Moreno,
-Rio and Valls, "Determining the 2-Sylow subgroup of an elliptic curve over
-a finite field", Math. Comp. 2005): that decides a = 1 or a >= 2 with no
-second generator.  Points come from one stream random.Random(p) per prime,
-shared by every l, and affect only the cost, never the answer (Las Vegas).
-A full-enumeration oracle (structure_bruteforce) provides an independent
-answer at small p.
+discriminant and the squares f'(ei) (f'^((p-1)/2) modulo the cubic; Miret,
+Moreno, Rio and Valls, "Determining the 2-Sylow subgroup of an elliptic
+curve over a finite field", Math. Comp. 2005), and at l = 3 with 3 | g,
+where Frobenius is unipotent on E[3], whether E[3] does, from x^p = x
+modulo psi_3; where a stays open, its verdicts, as bounds lo | d | hi, are
+where the scalar step starts.  Otherwise the l-Sylow subgroup, which is
+tiny, is resolved directly (after Sutherland, "Structure computation and
+discrete logarithms in finite abelian p-groups", Math. Comp. 2011): a
+point Q1 of order l^b1 and a point R whose multiple l^j*R first lies in
+<Q1> at j = k - b1 generate the whole subgroup, which proves that its
+exponent is l^b1.  Points come from one stream random.Random(p) per
+prime, shared by every l, and affect only the cost, never the answer (Las
+Vegas).  A full-enumeration oracle (structure_bruteforce) provides an
+independent answer at small p.
 """
 
 import math
@@ -36,9 +33,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .counting import LANE_CAP, _cubic_power, _power, _powmod
+from .counting import LANE_CAP, _power, _powmod
 from .curve import INFINITY, ReducedCurve, add, neg, random_point, scalar_mul
-from .modarith import NotASquare, _simple_sieve, factorize, legendre, sqrt_mod
+from .modarith import _simple_sieve, factorize, legendre
 
 _MAX_DRAWS = 100  # per l-Sylow subgroup; a handful are expected
 _BRUTEFORCE_CAP = 5000
@@ -130,40 +127,18 @@ def _index_outside(R_chain: list, Q_chain: list, l: int, C: ReducedCurve) -> int
     return 0
 
 
-def _has_four_torsion(C: ReducedCurve, T) -> bool:
-    """True iff E[4] lies in E(F_p), given T = (e1, 0) of order 2 on a
-    split cubic at p = 1 (mod 4).  With the other roots e2,3 =
-    (-e1 +- sqrt(-3e1^2 - 4a))/2, (ei, 0) is halved in E(F_p) iff ei - ej
-    and ei - ek are squares, so, as -1 is a square, all of E[2] is halved
-    iff the three differences are (Miret, Moreno, Rio and Valls, 2005).
-    """
-    p = C.p
-    e1, y = T
-    if y or (e1 * e1 * e1 + C.a * e1 + C.b) % p:
-        raise StructureUnverified(f"p = {p}: {T} is not a root of the cubic")
-    try:
-        r = sqrt_mod(-3 * e1 * e1 - 4 * C.a, p)
-    except NotASquare:
-        raise StructureUnverified(f"p = {p}: the cubic does not split") from None
-    half = (p + 1) // 2
-    e2, e3 = (r - e1) * half % p, (-r - e1) * half % p
-    return all(legendre(u, p) == 1 for u in (e1 - e2, e1 - e3, e2 - e3))
-
-
-def _sylow_exponent(C: ReducedCurve, N: int, l: int, k: int, a_min: int, a_max: int,
+def _sylow_exponent(C: ReducedCurve, N: int, l: int, k: int, a_min: int,
                     points: list, rng) -> int:
     """b with exp(S) = l^b for the l-Sylow subgroup S of order l^k,
-    given that S is Z/l^a x Z/l^(k-a) with a_min <= a <= a_max.
+    given that S is Z/l^a x Z/l^(k-a) with a >= a_min.
 
     points[i] is the i-th point from rng, drawn on first use and kept,
     so every l walks the same points.  Q1 is the point of largest order
     l^b1 projected so far, so b1 <= k - a.  Equality is proved when
     b1 = k - a_min, or when a point R of order at most l^b1 has l^j*R
     outside <Q1> for every j < k - b1: then #<Q1, R> = l^k, so Q1 and R
-    generate S and exp(S) = l^b1.  At l = 2 on a split cubic (a_min = 1,
-    so 4 | p-1), the first Q1 ends in a 2-torsion point, and 2-descent
-    from it (Miret, Moreno, Rio and Valls) decides whether a >= 2
-    without a further draw.
+    generate S and exp(S) = l^b1.  Both proofs are exact, so an unlucky
+    stream costs draws, never a wrong b.
     """
     cofactor = N // l ** k
     top = None
@@ -174,13 +149,7 @@ def _sylow_exponent(C: ReducedCurve, N: int, l: int, k: int, a_min: int, a_max: 
         if top is None or len(chain) > len(top):
             top, chain = chain, top
         b1 = len(top)
-        if l == 2 and a_min == 1 and top:
-            if not _has_four_torsion(C, top[-1]):
-                return k - 1
-            a_min = 2
-        if b1 == k - a_min or a_min == a_max:
-            return k - a_min
-        if chain and b1 + _index_outside(chain, top, l, C) == k:
+        if b1 == k - a_min or (chain and b1 + _index_outside(chain, top, l, C) == k):
             return b1
     raise StructureUnverified(
         f"{l}-Sylow subgroup unresolved after {_MAX_DRAWS} draws at p = {C.p}")
@@ -216,24 +185,8 @@ def exponent_sampling(C: ReducedCurve, N: int, lo: int = 1, hi: int = 0) -> int:
         if a_min == a_max:
             d *= l ** a_max
         else:
-            d *= l ** (k - _sylow_exponent(C, N, l, k, a_min, a_max, points, rng))
+            d *= l ** (k - _sylow_exponent(C, N, l, k, a_min, points, rng))
     return N // d
-
-
-def _psi3_mul(u, v, p, s2, s1, s0):
-    """u*v modulo x^4 + s2*x^2 + s1*x + s0, lane by lane, for residues
-    (c0, c1, c2, c3) with 0 <= c_i, s_j < p < 2^30: the product's x^6,
-    x^5 and x^4 terms are reduced in turn by x^4 = -s2*x^2 - s1*x - s0.
-    Every intermediate lies below 2^62 in absolute value."""
-    u0, u1, u2, u3 = u
-    v0, v1, v2, v3 = v
-    w6 = u3 * v3 % p
-    w5 = (u2 * v3 + u3 * v2) % p
-    w4 = (u1 * v3 + u2 * v2 + u3 * v1 - s2 * w6) % p
-    return ((u0 * v0 - s0 * w4) % p,
-            (u0 * v1 + u1 * v0 - s0 * w5 - s1 * w4) % p,
-            (u0 * v2 + u1 * v1 + u2 * v0 - s0 * w6 - s1 * w5 - s2 * w4) % p,
-            (u0 * v3 + u1 * v2 + u2 * v1 + u3 * v0 - s1 * w6 - s2 * w5) % p)
 
 
 def _full_three_torsion(p, a, b):
@@ -250,9 +203,9 @@ def _full_three_torsion(p, a, b):
     Moreno, Rio and Valls, "Computing the l-power torsion of an elliptic
     curve over a finite field", Math. Comp. 78, 2009).
     """
-    psi = 2 * a % p, 4 * b % p, -(a * a % p) * ((2 * p + 1) // 3) % p
+    psi = (2, 2 * a % p), (1, 4 * b % p), (0, -(a * a % p) * ((2 * p + 1) // 3) % p)
     zero, one = np.zeros_like(p), np.ones_like(p)
-    c = _power((zero, one, zero, zero), p, lambda u, v: _psi3_mul(u, v, p, *psi))
+    c = _power((zero, one, zero, zero), p, p, psi)
     return (c[0] == 0) & (c[1] == 1) & (c[2] == 0) & (c[3] == 0)
 
 
@@ -275,7 +228,7 @@ def _full_four_torsion(p, a, b):
     full = _powmod(disc, (p - 1) // 4, p) == 1
     i = np.flatnonzero(full)
     zero = np.zeros(len(i), dtype=p.dtype)
-    c = _cubic_power((a[i], zero, zero + 3), (p[i] - 1) // 2, p[i], a[i], b[i])
+    c = _power((a[i], zero, zero + 3), (p[i] - 1) // 2, p[i], ((1, a[i]), (0, b[i])))
     full[i] = (c[0] == 1) & (c[1] == 0) & (c[2] == 0)
     return full
 

@@ -239,9 +239,9 @@ class TestConstantEuler:
 
     def test_estimate_validation(self):
         with pytest.raises(ValueError):
-            ConstantEstimate(mp.mpf(1.5), 10, 0.0, "series", "test")
+            ConstantEstimate(mp.mpf(1.5), 10, 0.0, "test")
         with pytest.raises(ValueError):
-            ConstantEstimate(mp.mpf(0.5), 10, -1.0, "series", "test")
+            ConstantEstimate(mp.mpf(0.5), 10, -1.0, "test")
 
 
 class TestLi:

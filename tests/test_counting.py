@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from avgexp import counting, curve
-from avgexp.counting import (LANE_CAP, PATHS, _annihilators, _cubic_power, _recover,
+from avgexp.counting import (LANE_CAP, PATHS, _annihilators, _power, _recover,
                              _window_annihilators, cubic_roots, order_bsgs,
                              order_lanes, quadratic_twist, trace_block, trace_naive)
 from avgexp.curve import (GlobalCurve, INFINITY, ReducedCurve, add, neg,
@@ -550,10 +550,10 @@ def poly_pow(p, a, b, e, base=(0, 1, 0)):
 def lane_powers(p, a, b):
     """x^p and f'^((p-1)/2) = (3x^2 + a)^((p-1)/2) modulo f = x^3 + a*x + b,
     lane by lane from the shared kernel, as lists of [c0, c1, c2]."""
-    zero = np.zeros_like(p)
+    zero, f = np.zeros_like(p), ((1, a), (0, b))
     return [np.stack(c).T.tolist() for c in
-            (_cubic_power((zero, zero + 1, zero), p, p, a, b),
-             _cubic_power((a, zero, zero + 3), (p - 1) // 2, p, a, b))]
+            (_power((zero, zero + 1, zero), p, p, f),
+             _power((a, zero, zero + 3), (p - 1) // 2, p, f))]
 
 
 def python_powers(rows):

@@ -9,9 +9,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from avgexp import curve, structure
-from avgexp.counting import (LANE_CAP, _cubic_power, _power, _powmod, cubic_roots,
-                             order_bsgs, trace_block, trace_naive)
+from avgexp import curve, harness, structure
+from avgexp.counting import (DEFAULT_TRACE_THRESHOLD, LANE_CAP, _power, _powmod,
+                             cubic_roots, order_bsgs, trace_block, trace_naive)
 from avgexp.curve import (INFINITY, GlobalCurve, ReducedCurve, add, random_point,
                           reduce_curve)
 from avgexp.harness import PRESETS, RECORD, good_primes, record_violations
@@ -114,8 +114,8 @@ class TestExponentSampling:
         walked, drawn = [], []
         real = structure._sylow_exponent
 
-        def spy(C, N, l, k, a_min, a_max, points, rng):
-            b = real(C, N, l, k, a_min, a_max, points, rng)
+        def spy(C, N, l, k, a_min, points, rng):
+            b = real(C, N, l, k, a_min, points, rng)
             walked.append((l, len(points)))
             return b
         monkeypatch.setattr(structure, "_sylow_exponent", spy)
@@ -124,7 +124,7 @@ class TestExponentSampling:
         C = reduce_curve(CM, 313)
         exponent_sampling(C, trace_naive(C).N)
         rng = random.Random(313)
-        assert walked == [(2, 1), (3, 3)]
+        assert walked == [(2, 2), (3, 3)]
         assert drawn == [random_point(C, rng) for _ in range(3)]
 
     def test_split_cubic_with_odd_two_part_raises(self):
@@ -209,17 +209,15 @@ class TestSylowPath:
         want = structure_bruteforce(C)
         assert (got.N, got.d_p, got.e_p) == (want.N, want.d_p, want.e_p)
 
-    def test_three_sylow_from_a_lane_verdict(self, monkeypatch):
+    def test_three_sylow_from_a_lane_verdict(self):
         # generic1 at 2539: N = 2^5 * 3^4, g = 2 * 3^3 and d = 2 * 3^2.
         # The lanes find E[3] in E(F_p) and leave a = 1 or 2 open, so the
-        # 3-Sylow step starts at a_min = 1, where it once ran a 2-descent
-        # on a point of order 3 and raised StructureUnverified
+        # 3-Sylow step starts at a_min = 1
         C = reduce_curve(GENERIC, 2539)
         N = trace_naive(C).N
         p, a, b, n = (np.array([v], dtype=np.int64) for v in (C.p, C.a, C.b, N))
         assert [v.tolist() for v in settle(p, a, b, n, cubic_roots(p, a, b))] == [[6], [54]]
-        monkeypatch.setattr(structure, "_has_four_torsion", None)  # never called
-        assert structure._sylow_exponent(C, N, 3, 4, 1, 2, [], random.Random(C.p)) == 2
+        assert structure._sylow_exponent(C, N, 3, 4, 1, [], random.Random(C.p)) == 2
         assert sampled(C, N, 6, 54) == (18, [(3, 1, 2, 2)])
         assert structure_bruteforce(C).d_p == 18
 
@@ -247,8 +245,8 @@ def four_torsion_count(C):
 
 
 class TestTwoDescent:
-    """At l = 2 on a split cubic, 2-descent from one 2-torsion point
-    decides whether E[4] lies in E(F_p)."""
+    """At l = 2 on a split cubic, E[4] lies in E(F_p) exactly when 4 | d,
+    which the Sylow draws decide."""
 
     @settings(max_examples=80, deadline=None, database=None)
     @given(st.data())
@@ -259,67 +257,29 @@ class TestTwoDescent:
         assume(len({e1, e2, e3}) == 3)
         C = split_cubic(p, e1, e2)
         full = four_torsion_count(C) == 16
-        for e in (e1, e2, e3):
-            assert structure._has_four_torsion(C, (e, 0)) == full
         got = group_structure(C, trace_naive(C))
         want = structure_bruteforce(C)
         assert (got.d_p, got.e_p) == (want.d_p, want.e_p)
         assert (want.d_p % 4 == 0) == full
 
-    @pytest.mark.parametrize("E, p, a_max, a, verdict, drawn", [
-        (GENERIC, 349, 2, 1, False, 1),   # a = 1 from the first point
-        (GENERIC, 1993, 2, 2, True, 1),   # a = 2 = a_max from the first point
-        (CM, 257, 4, 4, True, 2),         # a >= 2, then a second generator
-    ])
-    def test_named_cases(self, monkeypatch, E, p, a_max, a, verdict, drawn):
-        sylow, verdicts, points = [], [], []
-        real_sylow, real_descent = structure._sylow_exponent, structure._has_four_torsion
 
-        def spy(C, N, l, k, a_min, a_max, *rest):
-            b = real_sylow(C, N, l, k, a_min, a_max, *rest)
-            sylow.append((l, a_min, a_max, k - b))
-            return b
-        monkeypatch.setattr(structure, "_sylow_exponent", spy)
-        monkeypatch.setattr(structure, "_has_four_torsion",
-                            lambda *args: verdicts.append(real_descent(*args)) or verdicts[-1])
-        monkeypatch.setattr(structure, "random_point",
-                            lambda C, rng: points.append(1) or curve.random_point(C, rng))
-        C = reduce_curve(E, p)
-        got = group_structure(C, trace_naive(C))
-        want = structure_bruteforce(C)
-        assert (got.d_p, got.e_p) == (want.d_p, want.e_p)
-        assert sylow == [(2, 1, a_max, a)]
-        assert verdicts == [verdict]
-        assert len(points) == drawn
-
-    def test_not_a_root_raises(self):
-        C = split_cubic(13, 1, 3)  # roots 1, 3, 9
-        with pytest.raises(StructureUnverified):
-            structure._has_four_torsion(C, (2, 0))
-        with pytest.raises(StructureUnverified):
-            structure._has_four_torsion(C, (1, 5))
-
-    def test_cubic_without_other_roots_raises(self):
-        # x^3 - 2x - 1 = (x + 1)(x^2 - x - 1) over F_13, and 5 is no square
-        C = ReducedCurve(13, 11, 12)
-        with pytest.raises(StructureUnverified):
-            structure._has_four_torsion(C, (12, 0))
-
-
-def sampled(C, N, *bounds):
+def sampled(C, N, lo=1, hi=0):
     """exponent_sampling's d for C of order N (and the bounds lo | d | hi
     if given), and (l, a_min, a_max, a) for every l-Sylow subgroup it drew
-    points for."""
+    points for, a_max being the bound min(v_l(gcd(g, hi)), v_l(N)/2), with
+    hi = 0 for none."""
     drew = []
     real = structure._sylow_exponent
+    top = math.gcd(C.p - 1, C.p - 1 - N, hi)
 
-    def spy(C, N, l, k, a_min, a_max, *rest):
-        b = real(C, N, l, k, a_min, a_max, *rest)
+    def spy(C, N, l, k, a_min, *rest):
+        b = real(C, N, l, k, a_min, *rest)
+        a_max = min(structure._valuation(top, l), k // 2)
         drew.append((l, a_min, a_max, k - b))
         return b
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(structure, "_sylow_exponent", spy)
-        e = exponent_sampling(C, N, *bounds)
+        e = exponent_sampling(C, N, lo, hi)
     return N // e, drew
 
 
@@ -379,9 +339,6 @@ def primes_from(start, count):
     return ps
 
 
-real_descent = structure._has_four_torsion
-
-
 class TestSettle:
     """The vectorized settle step against exponent_sampling, its reference."""
 
@@ -391,9 +348,9 @@ class TestSettle:
         # classes (2, 1, 2) and (3, 0, 1) are met and settled, and some
         # prime is left to the draws.  Every open prime obeys lo | d | hi,
         # and exponent_sampling started from the bounds (the handover)
-        # proves standalone exponent_sampling's d there, and neither draws
-        # for a class the lane tests decide nor runs a 2-descent: the lanes
-        # decide every (2, 1, >= 2)
+        # proves standalone exponent_sampling's d there, and never draws
+        # for a class the lane tests decide: the lanes decide every
+        # (2, 1, >= 2) and (3, 0, >= 1)
         a, b = residues(E.a4, p), residues(E.a6, p)
         roots = cubic_roots(p, a, b)
         N = trace_block(p, a, b, roots)[0]
@@ -405,19 +362,13 @@ class TestSettle:
         tested = [i for i, c in enumerate(drew)
                   if c and all(x[:3] in ((2, 1, 2), (3, 0, 1)) for x in c)]
         assert tested and got[tested].all()
-        descents = []
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(structure, "_has_four_torsion",
-                       lambda C, T: descents.append(C.p) or real_descent(C, T))
-            for i in np.flatnonzero(lo != hi).tolist():
-                C, n, bounds = curves[i], int(N[i]), (int(lo[i]), int(hi[i]))
-                d = sampled(C, n)[0]
-                assert d % bounds[0] == 0 and bounds[1] % d == 0, C.p
-                descents.clear()
-                handed, handed_drew = sampled(C, n, *bounds)
-                assert handed == d, C.p
-                assert not [c for c in handed_drew if c[:2] in ((2, 1), (3, 0))], C.p
-                assert not descents, C.p
+        for i in np.flatnonzero(lo != hi).tolist():
+            C, n, bounds = curves[i], int(N[i]), (int(lo[i]), int(hi[i]))
+            d = sampled(C, n)[0]
+            assert d % bounds[0] == 0 and bounds[1] % d == 0, C.p
+            handed, handed_drew = sampled(C, n, *bounds)
+            assert handed == d, C.p
+            assert not [c for c in handed_drew if c[:2] in ((2, 1), (3, 0))], C.p
         return (got == 0).sum()
 
     @pytest.mark.parametrize("preset", ["generic1", "cm-i", "cm-3"])
@@ -525,6 +476,28 @@ def torsion_counts(p, a, b):
     return len(X) + 1, roots, 1 + int(three.sum()), 1 + roots + int(four.sum())
 
 
+def long_power(base, e, p, f):
+    """base^e modulo p and the monic f, coefficient lists with the constant
+    term first, by square-and-multiply and long division on Python ints."""
+    def mul(u, v):
+        w = [0] * (len(u) + len(v) - 1)
+        for i, c in enumerate(u):
+            for j, d in enumerate(v):
+                w[i + j] += c * d
+        while len(w) >= len(f):  # subtract the leading term times f
+            lead = w.pop()
+            for i, c in enumerate(f[:-1]):
+                w[len(w) - len(f) + 1 + i] -= lead * c
+        return [c % p for c in w]
+    result = [1]
+    while e:
+        if e & 1:
+            result = mul(result, base)
+        base = mul(base, base)
+        e >>= 1
+    return result + [0] * (len(f) - 1 - len(result))
+
+
 class TestTorsionTests:
     """settle's E[4] and E[3] tests against point enumeration and against
     exponent_sampling, and their int64 lanes against exact integers."""
@@ -576,10 +549,33 @@ class TestTorsionTests:
         if math.gcd(p - 1, p - 1 - N) % 3 == 0:
             assert structure._full_three_torsion(p_, a, b).item() == (d % 3 == 0)
 
+    @pytest.mark.parametrize("preset", ["cm-i", "cm-3"])
+    def test_records_above_the_lanes(self, preset):
+        # beyond 2^30 settle decides nothing, and the Sylow draws alone
+        # tell a = 1 from a >= 2 on a split cubic: every record of 150
+        # good primes against the torsion tests on dtype=object lanes
+        E = PRESETS[preset]
+        ps = [q for q in primes_from(LANE_CAP, 150) if E.disc % q]
+        records, _ = harness.compute_records(E, ps, DEFAULT_TRACE_THRESHOLD)
+        four, three = [], []
+        for p, a_p, d in records[["p", "a_p", "d_p"]].tolist():
+            C, N = reduce_curve(E, p), p + 1 - a_p
+            if p % 4 == 1 and has_full_two_torsion(C, N):
+                four.append((p, C.a, C.b, d % 4 == 0))
+            if math.gcd(p - 1, a_p - 2) % 3 == 0:
+                three.append((p, C.a, C.b, d % 3 == 0))
+        for test, rows in ((structure._full_four_torsion, four),
+                           (structure._full_three_torsion, three)):
+            p, a, b, want = (np.array(c, dtype=object) for c in zip(*rows))
+            assert test(p, a, b).tolist() == want.tolist()
+        # every 3 | g here also brings E[3]; E[4] meets both verdicts
+        assert {w for *_, w in four} == {True, False} and three
+
     def test_int64_lanes_match_exact_integers(self):
         # the 64 largest primes below 2^30, a and b within 4 of p: every
         # kernel on int64 lanes against the same code on dtype=object
-        # lanes, whose Python ints cannot overflow
+        # lanes, whose Python ints cannot overflow, and the polynomial
+        # powers against long division on Python ints
         top = [q for q in range(LANE_CAP - 1, LANE_CAP - 5000, -2) if is_prime(q)][:64]
         rows = [(p, p - 1 - i % 4, p - 1 - i // 4 % 4) for i, p in enumerate(top)]
         lanes = [np.array(c, dtype=np.int64) for c in zip(*rows)]
@@ -587,11 +583,11 @@ class TestTorsionTests:
 
         def kernels(p, a, b):
             zero = np.zeros_like(p)
-            s = (2 * a % p, 4 * b % p, -(a * a % p) * ((2 * p + 1) // 3) % p)
-            powers = [_cubic_power((zero, zero + 1, zero), p, p, a, b),
-                      _cubic_power((a, zero, zero + 3), (p - 1) // 2, p, a, b),
-                      _power((zero, zero + 1, zero, zero), p,
-                             lambda u, v: structure._psi3_mul(u, v, p, *s)),
+            cubic = (1, a), (0, b)
+            psi = (2, 2 * a % p), (1, 4 * b % p), (0, -(a * a % p) * ((2 * p + 1) // 3) % p)
+            powers = [_power((zero, zero + 1, zero), p, p, cubic),
+                      _power((a, zero, zero + 3), (p - 1) // 2, p, cubic),
+                      _power((zero, zero + 1, zero, zero), p, p, psi),
                       (_powmod((a + b) % p, (p - 1) // 4, p),)]
             return ([np.stack(c).tolist() for c in powers],
                     structure._full_four_torsion(p, a, b).tolist(),
@@ -600,6 +596,12 @@ class TestTorsionTests:
         got = kernels(*lanes)
         assert got == kernels(*exact)
         assert max(max(row) for power in got[0] for row in power) > 1 << 29
+        # psi_3 / 3 where p = 1 (mod 3), as in the kernel
+        want = [[long_power([0, 1], p, p, [b, a, 0, 1]),
+                 long_power([a, 0, 3], (p - 1) // 2, p, [b, a, 0, 1]),
+                 long_power([0, 1], p, p, [-a * a * ((2 * p + 1) // 3), 4 * b, 2 * a, 0, 1])]
+                for p, a, b in rows]
+        assert got[0][:3] == [[list(c) for c in zip(*power)] for power in zip(*want)]
 
 
 class TestGroupStructure:
