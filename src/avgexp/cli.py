@@ -16,13 +16,11 @@ import mpmath as mp
 
 from .constants import (DegreeModel, constant_euler, constant_series,
                         load_overrides)
-from .counting import _MIN_BSGS_P, DEFAULT_TRACE_THRESHOLD
 from .curve import GlobalCurve, reduce_curve
 from .harness import (CacheMismatch, CheckpointRow, CorruptCache,
-                      ExperimentConfig, InsufficientCheckpoints, K_MAX_DIAG,
-                      PI_E_HEADER, PRESETS, RECORD, compute_records,
-                      error_trend, good_primes, pi_E_table, run_experiment,
-                      write_csv, write_json)
+                      ExperimentConfig, PI_E_HEADER, PRESETS, RECORD,
+                      compute_records, error_trend, good_primes,
+                      run_experiment, write_csv, write_json)
 from .structure import structure_bruteforce
 
 EXIT_OK = 0
@@ -72,16 +70,15 @@ def _build_model(args) -> DegreeModel:
 
 def _prepare_output(args) -> None:
     """Refuse an unusable --outfile or --cache before the sweep; make the csv directory."""
-    cache = args.cache
-    if cache and (os.path.isdir(cache) or not os.path.isdir(os.path.dirname(cache) or ".")):
-        raise ValueError(f"--cache: {cache} is a directory or lies in no directory")
-    try:
-        if args.out == "csv":
+    json_file = args.out == "json" and (args.outfile or "avgexp.json")
+    for flag, path in (("--cache", args.cache), ("--outfile", json_file)):
+        if path and (os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or ".")):
+            raise ValueError(f"{flag}: {path} is a directory or lies in no directory")
+    if args.out == "csv":
+        try:
             os.makedirs(args.outfile or ".", exist_ok=True)
-        elif not os.path.isdir(os.path.dirname(args.outfile or "") or "."):
-            raise NotADirectoryError(f"no directory to hold {args.outfile}")
-    except OSError as err:
-        raise ValueError(f"--outfile: {err}") from None
+        except OSError as err:
+            raise ValueError(f"--outfile: {err}") from None
 
 
 def cmd_run(args) -> int:
@@ -99,18 +96,17 @@ def cmd_run(args) -> int:
     except ValueError as err:
         return _usage_error(str(err))
     result = run_experiment(cfg)
-    table = pi_E_table(result.records, cfg.x_max, K_MAX_DIAG, result.model)
     try:  # before any print, so that a closed stdout cannot cost the files
         if args.out == "json":
             written = args.outfile or "avgexp.json"
-            write_json(written, result, table)
+            write_json(written, result)
         else:
             outdir = args.outfile or "."
             write_csv(os.path.join(outdir, "records.csv"), RECORD.names, result.records)
             write_csv(os.path.join(outdir, "checkpoints.csv"),
                       [f.name for f in fields(CheckpointRow)],
                       map(astuple, result.checkpoints))
-            write_csv(os.path.join(outdir, "pi_e.csv"), PI_E_HEADER, table)
+            write_csv(os.path.join(outdir, "pi_e.csv"), PI_E_HEADER, result.pi_e)
             written = f"{outdir}/records.csv, checkpoints.csv, pi_e.csv"
     except OSError as err:
         return _usage_error(f"--outfile: {err}")
@@ -128,7 +124,7 @@ def cmd_run(args) -> int:
     try:
         fit = error_trend(result.checkpoints)
         print(f"deviation trend: slope {fit.slope:.3f} ({fit.note})")
-    except (InsufficientCheckpoints, ValueError):
+    except ValueError:
         pass
     print(f"wrote {written}")
     return EXIT_OK
@@ -161,7 +157,7 @@ def cmd_verify(args) -> int:
     failures = 0
     for E in VERIFY_CURVES:
         good, _ = good_primes(E, args.xmax)
-        records, paths = compute_records(E, good, _MIN_BSGS_P)
+        records, paths = compute_records(E, good, ExperimentConfig.trace_threshold)
         curve_failures = 0
         for got in records.tolist():
             want = structure_bruteforce(reduce_curve(E, got[0]))
@@ -194,7 +190,9 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--checkpoints", help="comma-separated cut points")
     run.add_argument("--workers", type=int, default=1)
     run.add_argument("--trace-threshold", type=int,
-                     default=DEFAULT_TRACE_THRESHOLD)
+                     default=ExperimentConfig.trace_threshold,
+                     help="count points by the O(p) character sum below this p "
+                          "(it always does below 229, where the BSGS lanes start)")
     run.add_argument("--model", choices=("gl2", "empirical"), default="gl2")
     run.add_argument("--overrides", help="file of 'k degree' pairs")
     run.add_argument("--cache", help="binary record cache path")

@@ -235,17 +235,12 @@ def li(x: float) -> float:
     return float(mp.li(x, offset=True))
 
 
-def estimate_degrees(records, x, k_max: int) -> DegreeModel:
-    """Empirical degree table: degree(k) is estimated by li(x) divided by
-    the count of recorded primes p <= x with k | d_p.
+def estimate_degrees(counts, li_x: float) -> DegreeModel:
+    """Empirical degree table from counts[k - 1] = pi_E(x; k), the primes p
+    <= x with k | d_p, and li_x = li(x): degree(k) is estimated by li(x)
+    divided by that count.
 
     Levels never hit stay absent (MissingDegree on use).
     """
-    li_x = Fraction(li(x))
-    ds = records["d_p"][records["p"] <= x]
-    table = {}
-    for k in range(1, k_max + 1):
-        count = int((ds % k == 0).sum())
-        if count > 0:
-            table[k] = li_x / count
-    return DegreeModel("empirical", table)
+    return DegreeModel("empirical", {k: Fraction(li_x) / count
+                                     for k, count in enumerate(counts, 1) if count})

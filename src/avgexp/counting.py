@@ -29,13 +29,8 @@ _CHUNK = 1 << 22
 # sum of a few such products still fits in int64, and order_lanes can
 # sort x by lane as lane * 2^30 + x.
 LANE_CAP = 1 << 30
+# The least p of the lanes and of order_bsgs; below it the character sum.
 _MIN_BSGS_P = 229
-# Below this p the O(p) character sum is used, at and above it the lanes
-# (with order_bsgs for the lanes they refuse).  Inside a lane block that
-# runs anyway, a lane costs no more than the sum from p = 229 on, fallback
-# included, and a sweep's point counting costs the same for any threshold
-# from 229 to about 1000, on generic and CM curves alike.
-DEFAULT_TRACE_THRESHOLD = 400
 
 
 # The point-counting paths of trace_block, by index.
@@ -523,11 +518,11 @@ def _window_annihilators(p, a, b, roots):
     return cand_lane[keep], cand[keep], refused, twist
 
 
-def trace_block(p, a, b, roots, threshold: int = DEFAULT_TRACE_THRESHOLD) -> tuple:
+def trace_block(p, a, b, roots, threshold: int = 0) -> tuple:
     """Group orders N of y^2 = x^3 + a*x + b over F_p, lane by lane, and
-    the path each took, an index into PATHS: the character sum below the
-    threshold (and below p = 229), the lanes of order_lanes at and above
-    it, and order_bsgs for every lane they refuse.  A lane refused only
+    the path each took, an index into PATHS: the character sum below p =
+    229, or below a larger threshold, the lanes of order_lanes from there
+    on, and order_bsgs for every lane they refuse.  A lane refused only
     because its window holds several proved annihilators of its class
     hands them to order_bsgs as its candidates.  p, a, b and roots are as
     for order_lanes; a ReducedCurve is built only for the two scalar

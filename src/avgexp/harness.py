@@ -37,8 +37,7 @@ import numpy as np
 from .constants import (ConstantEstimate, DegreeModel, constant_series,
                         degree, estimate_degrees, li)
 from .curve import GlobalCurve, ReducedCurve
-from .counting import (DEFAULT_TRACE_THRESHOLD, LANE_CAP, PATHS, TraceResult,
-                       cubic_roots, lane_rows, trace_block)
+from .counting import LANE_CAP, PATHS, TraceResult, cubic_roots, lane_rows, trace_block
 from .modarith import is_prime, residues, sieve_primes
 from .structure import GroupStructure, group_structure, settle
 
@@ -101,7 +100,7 @@ class ExperimentConfig:
     x_max: int
     checkpoints: list = None
     workers: int = 1
-    trace_threshold: int = DEFAULT_TRACE_THRESHOLD
+    trace_threshold: int = 0
     model: DegreeModel = None
     cache_path: str = None
 
@@ -158,6 +157,7 @@ class ExperimentResult:
     constant: ConstantEstimate
     constant_provenance: str
     paths: dict  # primes computed in this run, by point-counting path
+    pi_e: list  # pi_E_table's rows at x_max
 
     @property
     def c_model(self) -> float:
@@ -283,13 +283,14 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
             cache_store(cfg.cache_path, cfg.curve, records)
     records = records[records["p"] <= cfg.x_max].view(np.recarray)
 
+    counts, li_x = pi_E_counts(records, K_MAX_DIAG), li(cfg.x_max)
     model = cfg.model
     if model.kind == "empirical" and not model.overrides:
-        model = estimate_degrees(records, cfg.x_max, K_MAX_DIAG)
+        model = estimate_degrees(counts, li_x)
     estimate, provenance = model_constant(model)
     rows = aggregate_checkpoints(records, cfg.checkpoints, float(estimate.value))
     return ExperimentResult(cfg, records, rows, skipped.tolist(), model, estimate,
-                            provenance, paths)
+                            provenance, paths, pi_E_table(counts, li_x, model))
 
 
 def model_constant(model: DegreeModel):
@@ -333,16 +334,18 @@ def aggregate_checkpoints(records, checkpoints, c_model: float) -> list:
     return rows
 
 
-def pi_E_table(records, x: int, k_max: int, model: DegreeModel) -> list:
-    """Rows (k, count of p <= x with k | d_p, model prediction li(x)/deg).
+def pi_E_counts(records, k_max: int) -> list:
+    """pi_E(x; k) for k = 1, ..., k_max: how many records have k | d_p."""
+    ds = records["d_p"]
+    return [int((ds % k == 0).sum()) for k in range(1, k_max + 1)]
 
-    The prediction column is None where the model has no degree.
-    """
-    ds = records["d_p"][records["p"] <= x]
-    li_x = li(float(x))
+
+def pi_E_table(counts, li_x: float, model: DegreeModel) -> list:
+    """Rows (k, pi_E(x; k), model prediction li(x)/degree(k)) from
+    pi_E_counts, k from 1; the prediction is None where the model has no
+    degree."""
     out = []
-    for k in range(1, k_max + 1):
-        count = int((ds % k == 0).sum())
+    for k, count in enumerate(counts, 1):
         try:
             pred = li_x / float(degree(model, k))
         except KeyError:
@@ -430,7 +433,7 @@ def write_csv(path, header, rows) -> None:
                          for c in row] for row in rows)
 
 
-def result_to_json(result: ExperimentResult, pi_table) -> dict:
+def result_to_json(result: ExperimentResult) -> dict:
     cfg = result.config
     return {
         "curve": {"a4": cfg.curve.a4, "a6": cfg.curve.a6, "label": cfg.curve.label},
@@ -444,12 +447,12 @@ def result_to_json(result: ExperimentResult, pi_table) -> dict:
             **asdict(r),
             "sum_p_over_d": [r.sum_p_over_d.numerator, r.sum_p_over_d.denominator],
         } for r in result.checkpoints],
-        "pi_e": [dict(zip(PI_E_HEADER, row)) for row in pi_table],
+        "pi_e": [dict(zip(PI_E_HEADER, row)) for row in result.pi_e],
         "records": result.records.tolist(),
     }
 
 
-def write_json(path, result: ExperimentResult, pi_table) -> None:
+def write_json(path, result: ExperimentResult) -> None:
     with open(path, "w") as fh:
-        json.dump(result_to_json(result, pi_table), fh, indent=1)
+        json.dump(result_to_json(result), fh, indent=1)
         fh.write("\n")

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .counting import LANE_CAP, _power, _powmod
+from .counting import _power, _powmod
 from .curve import INFINITY, ReducedCurve, add, neg, random_point, scalar_mul
 from .modarith import _simple_sieve, factorize, legendre
 
@@ -241,7 +241,8 @@ def settle(p, a, b, N, roots) -> tuple:
     every l | g = gcd(p-1, a_p-2), and elsewhere what the lane tests below
     proved: lo is the 2- and 3-parts of d they found, and hi is g less
     the parts they excluded.  p, a, b, N and roots are int64 arrays with
-    0 <= a, b < p; lanes with p >= 2^30 get (1, g).
+    0 <= a, b < p; lanes whose roots are -1, which cubic_roots gives
+    outside its lane range, get (1, g).
 
     An odd l | g allows only a = 0 exactly when v_l(N) = 1; with h the
     part of g prime to 6 (h | N), that holds for every such l when h is
@@ -262,7 +263,7 @@ def settle(p, a, b, N, roots) -> tuple:
     odd part leaves the lane to the scalar path, which then starts from
     the verdict.
     """
-    split, lanes = roots == 3, p < LANE_CAP
+    split, lanes = roots == 3, roots >= 0
     g = np.gcd(p - 1, p - 1 - N)
     # the 2- and 3-parts of g and N (3^20 exceeds both)
     two, three, two_N, three_N = g & -g, np.gcd(g, 3 ** 20), N & -N, np.gcd(N, 3 ** 20)

@@ -19,7 +19,7 @@ from avgexp.constants import (DegreeModel, constant_euler, constant_series,
 from avgexp.counting import order_bsgs, trace_naive
 from avgexp.curve import GlobalCurve, reduce_curve
 from avgexp.harness import (RECORD, CheckpointRow, ExperimentConfig, error_trend,
-                            pi_E_table, run_experiment, write_csv)
+                            pi_E_counts, run_experiment, write_csv)
 from avgexp.modarith import sieve_primes
 from avgexp.structure import group_structure, structure_bruteforce
 
@@ -134,8 +134,7 @@ def test_criterion_6_main_asymptotic(big_run):
 
 def test_criterion_7_chebotarev_counts(big_run):
     lx = li(10 ** 6)
-    table = dict((k, count) for k, count, _ in
-                 pi_E_table(big_run.records, 10 ** 6, 3, big_run.model))
+    table = dict((k, count) for k, count, _ in big_run.pi_e)
     r2 = table[2] * 6 / lx
     r3 = table[3] * 48 / lx
     report(7, f"pi_E(1e6;2)*6/li = {r2:.4f} in [0.85, 1.15]; "
@@ -179,7 +178,7 @@ def test_criterion_10_planted_error_exponent():
 # --- corollary checks that ride on the same 1e6 run -----------------------
 
 def test_empirical_degree_estimate_k2_band(big_run):
-    model = estimate_degrees(big_run.records, 10 ** 6, 4)
+    model = estimate_degrees(pi_E_counts(big_run.records, 4), li(10 ** 6))
     n2 = float(degree(model, 2))
     print(f"\n  estimated degree at k=2: {n2:.3f} (gl2 value 6)")
     assert abs(n2 - 6) / 6 < 0.15

@@ -12,7 +12,7 @@ from avgexp.constants import (ConstantEstimate, DegreeModel, MissingDegree,
                               constant_series, degree, estimate_degrees,
                               euler_phi, gl2_order, li, load_overrides,
                               mobius_coeff)
-from avgexp.harness import RECORD
+from avgexp.harness import RECORD, pi_E_counts
 
 GL2 = DegreeModel("gl2_generic")
 # prime-power overrides for q = 2, 3, 5 and 97, each at or above phi(k)
@@ -298,12 +298,12 @@ class TestEstimateDegrees:
 
     def test_k1_close_to_one(self):
         recs = self._records()
-        model = estimate_degrees(recs, 10_000, 4)
+        model = estimate_degrees(pi_E_counts(recs, 4), li(10_000))
         n1 = float(degree(model, 1))
         assert abs(n1 - 1) < 0.05
 
     def test_counts_invert_li(self):
         recs = self._records()
-        model = estimate_degrees(recs, 10_000, 4)
+        model = estimate_degrees(pi_E_counts(recs, 4), li(10_000))
         twos = sum(1 for r in recs if r.d_p % 2 == 0)
         assert degree(model, 2) == Fraction(li(10_000)) / twos

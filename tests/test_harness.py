@@ -13,20 +13,20 @@ import numpy as np
 import pytest
 
 from avgexp import cli, constants, counting, harness, structure
-from avgexp.constants import DegreeModel
-from avgexp.counting import (DEFAULT_TRACE_THRESHOLD, LANE_CAP, PATHS, cubic_roots,
-                             lane_rows, trace_naive)
+from avgexp.constants import DegreeModel, li
+from avgexp.counting import LANE_CAP, PATHS, cubic_roots, lane_rows, trace_naive
 from avgexp.curve import GlobalCurve, ReducedCurve, reduce_curve
 from avgexp.harness import (CacheMismatch, CheckpointRow, CorruptCache,
                             ExperimentConfig, InsufficientCheckpoints,
                             PRESETS, RECORD, cache_load, cache_store,
                             compute_record, default_checkpoints, error_trend,
-                            good_primes, pi_E_table, record_violations,
-                            run_experiment, write_csv)
+                            good_primes, pi_E_counts, pi_E_table,
+                            record_violations, run_experiment, write_csv)
 from avgexp.modarith import is_prime, residues, sieve_primes
 from avgexp.structure import structure_bruteforce
 
 GENERIC = GlobalCurve(1, 1)
+THRESHOLD = ExperimentConfig.trace_threshold  # run's default
 
 
 def small_run(x_max=2000, **kw):
@@ -155,8 +155,7 @@ class TestGoodPrimes:
 
     @pytest.mark.parametrize("E", BIG_CURVES)
     def test_records_match_bruteforce_to_3000(self, E):
-        result = run_experiment(ExperimentConfig(curve=E, x_max=3000, checkpoints=[3000],
-                                                 trace_threshold=229))
+        result = run_experiment(ExperimentConfig(curve=E, x_max=3000, checkpoints=[3000]))
         assert result.skipped == [q for q in sieve_primes(3000) if q < 5 or E.disc % q == 0]
         assert result.paths["lanes"] and result.paths["fallback"]
         for p, a, d, e in result.records.tolist():
@@ -222,14 +221,13 @@ class TestRecordViolations:
 class TestPiETable:
     def test_k1_counts_good_primes(self):
         result = small_run()
-        table = pi_E_table(result.records, 2000, 8, result.model)
-        k1 = table[0]
+        k1 = result.pi_e[0]
         assert k1[0] == 1 and k1[1] == len(result.records)
 
     def test_zero_beyond_hasse_range(self):
         result = small_run(x_max=400, checkpoints=[400])
         kmax = 2 * math.isqrt(400) + 5
-        table = pi_E_table(result.records, 400, kmax + 10, result.model)
+        table = pi_E_table(pi_E_counts(result.records, kmax + 10), li(400), result.model)
         for k, count, _ in table:
             if k > kmax:
                 assert count == 0
@@ -237,8 +235,7 @@ class TestPiETable:
     def test_bounded_by_residue_class_count(self):
         result = small_run()
         primes = [p for p in sieve_primes(2000) if p not in GENERIC.bad_primes]
-        table = pi_E_table(result.records, 2000, 10, result.model)
-        for k, count, _ in table:
+        for k, count, _ in result.pi_e:
             if k == 1:
                 continue
             residue = sum(1 for p in primes if p % k == 1)
@@ -247,7 +244,7 @@ class TestPiETable:
     def test_prediction_none_when_uncovered(self):
         result = small_run()
         model = DegreeModel("empirical", {1: 1})
-        table = pi_E_table(result.records, 2000, 3, model)
+        table = pi_E_table(pi_E_counts(result.records, 3), li(2000), model)
         assert table[0][2] is not None
         assert table[1][2] is None
 
@@ -563,13 +560,13 @@ class TestPipeline:
 
         E = PRESETS["cm-i"]
         good = good_primes(E, 30_000)[0]
-        whole, paths = harness.compute_records(E, good, DEFAULT_TRACE_THRESHOLD)
+        whole, paths = harness.compute_records(E, good, THRESHOLD)
         monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
         monkeypatch.setattr(harness.os, "cpu_count", lambda: 4)
         for block in (harness.LANE_BLOCK, 97):
             monkeypatch.setattr(harness, "LANE_BLOCK", block)
             for workers in (1, 2, 3):
-                recs, got = harness.compute_records(E, good, DEFAULT_TRACE_THRESHOLD, workers)
+                recs, got = harness.compute_records(E, good, THRESHOLD, workers)
                 assert np.array_equal(recs, whole) and got == paths, (block, workers)
 
     def test_objects_only_on_the_scalar_paths(self, monkeypatch):
@@ -590,7 +587,7 @@ class TestPipeline:
                             lambda C, *args: unsettled.append(C.p) or real_record(C, *args))
         E = PRESETS["generic1"]
         good = good_primes(E, 50_000)[0].tolist()
-        _, paths = harness.compute_records(E, good, DEFAULT_TRACE_THRESHOLD)
+        _, paths = harness.compute_records(E, good, THRESHOLD)
         assert (len(good), len(unsettled)) == (5130, 89)
         assert len(built) == paths["naive"] + paths["fallback"] + len(unsettled)
 
@@ -605,7 +602,7 @@ class TestPipeline:
         with monkeypatch.context() as mp:
             mp.setattr(harness, "compute_block", lambda E, ps, threshold: layout.append(ps)
                        or (np.empty(0, RECORD), dict.fromkeys(PATHS, 0)))
-            harness.compute_records(E, good_primes(E, 10 ** 6)[0], DEFAULT_TRACE_THRESHOLD)
+            harness.compute_records(E, good_primes(E, 10 ** 6)[0], THRESHOLD)
         assert len(layout) == 15 and len(layout[-1]) == 5233
         top = 2 ** 30 - 300_000
         blocks = (layout[-1],
@@ -613,7 +610,7 @@ class TestPipeline:
         peaks = []
         for ps in blocks:
             tracemalloc.start()
-            harness.compute_block(E, ps, DEFAULT_TRACE_THRESHOLD)
+            harness.compute_block(E, ps, THRESHOLD)
             peaks.append(tracemalloc.get_traced_memory()[1])
             tracemalloc.stop()
         assert peaks[0] <= 1.1 * peaks[1]
@@ -627,7 +624,7 @@ class TestPipeline:
         monkeypatch.setattr(structure, "random_point",
                             lambda C, rng: seen.__setitem__(0, seen[0] + 1) or real(C, rng))
         E = PRESETS[preset]
-        harness.compute_records(E, good_primes(E, x_max)[0].tolist(), DEFAULT_TRACE_THRESHOLD)
+        harness.compute_records(E, good_primes(E, x_max)[0].tolist(), THRESHOLD)
         assert seen[0] == draws
 
     def test_paths_count_the_computed_primes(self, tmp_path):
@@ -641,6 +638,29 @@ class TestPipeline:
         assert sum(paths.values()) == 667 and paths["lanes"] > 0 and paths["fallback"] > 0
         assert cli.main(argv) == 0  # every record now comes from the cache
         assert json.loads(out.read_text())["paths"] == dict.fromkeys(paths, 0)
+
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_threshold_moves_only_the_paths(self, preset):
+        # the character sum and the lanes agree from 229 to 400, and at
+        # run's default the character sum counts only the primes below 229
+        E = PRESETS[preset]
+        good = good_primes(E, 20_000)[0]
+        records, paths = harness.compute_records(E, good, THRESHOLD)
+        old, old_paths = harness.compute_records(E, good, 400)
+        assert np.array_equal(records, old)
+        assert paths["naive"] == int((good < 229).sum()) < old_paths["naive"]
+
+    def test_verify_checks_the_threshold_run_uses(self, tmp_path, monkeypatch):
+        real = harness.trace_block
+
+        def thresholds(argv):
+            seen = set()
+            monkeypatch.setattr(harness, "trace_block", lambda p, a, b, roots, threshold:
+                                seen.add(threshold) or real(p, a, b, roots, threshold))
+            assert cli.main(argv) == 0
+            return seen
+        run = thresholds(["run", "--preset", "cm-i", "--xmax", "300", "--outfile", str(tmp_path)])
+        assert thresholds(["verify", "--xmax", "300"]) == run == {THRESHOLD}
 
     def test_verify_checks_the_lanes(self, capsys):
         assert cli.main(["verify", "--xmax", "1000"]) == 0
@@ -821,7 +841,7 @@ class TestCli:
         blocker = tmp_path / "file"
         blocker.write_text("")
         for out, outfile in (("json", tmp_path / "missing" / "x.json"),
-                             ("csv", blocker / "sub")):
+                             ("csv", blocker / "sub"), ("json", tmp_path)):
             rc = cli.main(["run", "--preset", "generic1", "--xmax", "1000",
                            "--out", out, "--outfile", str(outfile)])
             assert rc == cli.EXIT_USAGE

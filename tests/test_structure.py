@@ -10,8 +10,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from avgexp import curve, harness, structure
-from avgexp.counting import (DEFAULT_TRACE_THRESHOLD, LANE_CAP, _power, _powmod,
-                             cubic_roots, order_bsgs, trace_block, trace_naive)
+from avgexp.counting import (LANE_CAP, _power, _powmod, cubic_roots, order_bsgs,
+                             trace_block, trace_naive)
 from avgexp.curve import (INFINITY, GlobalCurve, ReducedCurve, add, random_point,
                           reduce_curve)
 from avgexp.harness import PRESETS, RECORD, good_primes, record_violations
@@ -556,7 +556,7 @@ class TestTorsionTests:
         # good primes against the torsion tests on dtype=object lanes
         E = PRESETS[preset]
         ps = [q for q in primes_from(LANE_CAP, 150) if E.disc % q]
-        records, _ = harness.compute_records(E, ps, DEFAULT_TRACE_THRESHOLD)
+        records, _ = harness.compute_records(E, ps, harness.ExperimentConfig.trace_threshold)
         four, three = [], []
         for p, a_p, d in records[["p", "a_p", "d_p"]].tolist():
             C, N = reduce_curve(E, p), p + 1 - a_p

@@ -1,20 +1,21 @@
-"""The package defines no top-level function or class that its own code never uses."""
+"""The package defines no top-level function, class or constant that its own
+code never uses."""
 
 import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "avgexp"
 USED_OUTSIDE_SRC = {"mobius_coeff": "read by perfbench/test_references.py"}
+TREES = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
 
 
 def unreferenced() -> list:
     """module:name for every top-level function or class of src/avgexp/
     that nothing in src/ refers to, bar USED_OUTSIDE_SRC."""
-    trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
     referenced = {node.id if isinstance(node, ast.Name) else node.attr
-                  for tree in trees.values() for node in ast.walk(tree)
+                  for tree in TREES.values() for node in ast.walk(tree)
                   if isinstance(node, (ast.Name, ast.Attribute))}
-    return [f"{module}:{node.name}" for module, tree in trees.items()
+    return [f"{module}:{node.name}" for module, tree in TREES.items()
             if module != "__init__.py" for node in tree.body
             if isinstance(node, (ast.FunctionDef, ast.ClassDef))
             and node.name not in referenced | USED_OUTSIDE_SRC.keys()]
@@ -29,3 +30,17 @@ def test_every_private_name_is_referenced_in_src():
     # a helper that a deletion left behind, which only tests may still call
     unused = [name for name in unreferenced() if ":_" in name]
     assert not unused, f"private names that nothing in src/ refers to: {unused}"
+
+
+def test_every_constant_is_read_in_src():
+    # a module-level assignment that nothing loads, bar dunders like __version__
+    read = {node.id if isinstance(node, ast.Name) else node.attr
+            for tree in TREES.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            or isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    assigned = {name.id for tree in TREES.values() for node in tree.body
+                if isinstance(node, (ast.Assign, ast.AnnAssign))
+                for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+                for name in ast.walk(target) if isinstance(name, ast.Name)}
+    unread = sorted(name for name in assigned - read if not name.startswith("__"))
+    assert not unread, f"constants that nothing in src/ reads: {unread}"
