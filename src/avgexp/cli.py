@@ -28,6 +28,8 @@ EXIT_INVARIANT = 2
 EXIT_CACHE = 3
 EXIT_USAGE = 4
 EXIT_PIPE = 141
+# the files of --out csv, in its --outfile directory
+CSV_NAMES = ("records.csv", "checkpoints.csv", "pi_e.csv")
 
 VERIFY_CURVES = [
     GlobalCurve(1, 1, label="y^2 = x^3 + x + 1"),
@@ -69,16 +71,21 @@ def _build_model(args) -> DegreeModel:
 
 
 def _prepare_output(args) -> None:
-    """Refuse an unusable --outfile or --cache before the sweep; make the csv directory."""
+    """Refuse an unusable --outfile or --cache before the sweep; make the
+    csv directory, and refuse it if one of its files is a directory."""
     json_file = args.out == "json" and (args.outfile or "avgexp.json")
     for flag, path in (("--cache", args.cache), ("--outfile", json_file)):
         if path and (os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or ".")):
             raise ValueError(f"{flag}: {path} is a directory or lies in no directory")
     if args.out == "csv":
+        outdir = args.outfile or "."
         try:
-            os.makedirs(args.outfile or ".", exist_ok=True)
+            os.makedirs(outdir, exist_ok=True)
         except OSError as err:
             raise ValueError(f"--outfile: {err}") from None
+        for path in (os.path.join(outdir, name) for name in CSV_NAMES):
+            if os.path.isdir(path):
+                raise ValueError(f"--outfile: {path} is a directory")
 
 
 def cmd_run(args) -> int:
@@ -102,12 +109,12 @@ def cmd_run(args) -> int:
             write_json(written, result)
         else:
             outdir = args.outfile or "."
-            write_csv(os.path.join(outdir, "records.csv"), RECORD.names, result.records)
-            write_csv(os.path.join(outdir, "checkpoints.csv"),
-                      [f.name for f in fields(CheckpointRow)],
+            records, checkpoints, pi_e = (os.path.join(outdir, name) for name in CSV_NAMES)
+            write_csv(records, RECORD.names, result.records)
+            write_csv(checkpoints, [f.name for f in fields(CheckpointRow)],
                       map(astuple, result.checkpoints))
-            write_csv(os.path.join(outdir, "pi_e.csv"), PI_E_HEADER, result.pi_e)
-            written = f"{outdir}/records.csv, checkpoints.csv, pi_e.csv"
+            write_csv(pi_e, PI_E_HEADER, result.pi_e)
+            written = f"{outdir}/{', '.join(CSV_NAMES)}"
     except OSError as err:
         return _usage_error(f"--outfile: {err}")
 

@@ -343,6 +343,11 @@ def cubic_roots(p, a, b):
     return roots
 
 
+def on_lanes(p):
+    """Which of the int64 primes p the lanes serve: 229 <= p < 2^30."""
+    return (p >= _MIN_BSGS_P) & (p < LANE_CAP)
+
+
 def order_lanes(p, a, b, roots) -> tuple:
     """Group orders N of y^2 = x^3 + a*x + b over F_p, lane by lane,
     proved on int64 lanes, or 0 where the lane is refused, and the
@@ -383,7 +388,7 @@ def order_lanes(p, a, b, roots) -> tuple:
     that holds the curve's order.  The other lanes list none.
     """
     N = np.zeros(len(p), dtype=np.int64)
-    idx = np.flatnonzero((p >= _MIN_BSGS_P) & (p < LANE_CAP))
+    idx = np.flatnonzero(on_lanes(p))
     if not len(idx):
         return N, idx, idx
     q = p[idx]

@@ -8,11 +8,12 @@ blocks of small primes are larger and pay a lane call's fixed cost less
 often.  A block is columnar from the primes to the records: it counts
 points for all its primes at once (trace_block), settles every d_p that
 the divisibility constraints and the lane tests of E[4] and E[3] in
-E(F_p) decide (settle), and proves the structure prime by prime only
-where points must be drawn (compute_record), starting from the bounds on
-d_p that settle proved.  Every record is proved, and the points behind it
-depend on p alone, so records are identical for any worker count and
-block layout.
+E(F_p) decide (settle), proves the l-Sylow exponents of the primes left
+open on the lanes, starting from the bounds on d_p that settle proved
+(sylow_lanes), and proves the structure prime by prime only where the
+lanes leave it open (compute_record), starting from the bounds narrowed
+so far.  Every record is proved, and the points behind it depend on p
+alone, so records are identical for any worker count and block layout.
 
 Records are one numpy recarray of dtype RECORD, sorted by p.  The
 identities every true record obeys are written once, in
@@ -39,7 +40,7 @@ from .constants import (ConstantEstimate, DegreeModel, constant_series,
 from .curve import GlobalCurve, ReducedCurve
 from .counting import LANE_CAP, PATHS, TraceResult, cubic_roots, lane_rows, trace_block
 from .modarith import is_prime, residues, sieve_primes
-from .structure import GroupStructure, group_structure, settle
+from .structure import GroupStructure, group_structure, settle, sylow_lanes
 
 CACHE_MAGIC = b"AVGEXP1\0"
 _CACHE_HEADER = struct.Struct("<8sqqQI")  # a4 and a6 are int64
@@ -185,22 +186,23 @@ def record_violations(records) -> np.ndarray:
 def compute_record(C: ReducedCurve, T: TraceResult, lo: int = 1,
                    hi: int = 0) -> GroupStructure:
     """The record of C.p from its trace result T, given lo | d | hi (hi = 0
-    for none): the structure step."""
+    for none): the scalar structure step."""
     return group_structure(C, T, lo, hi)
 
 
 def compute_block(E: GlobalCurve, ps, threshold: int) -> tuple:
     """Records of the good primes ps, and how many took each path of
-    PATHS.  Point counting and the forced structures run for the whole
-    block at once, both from one count of the cubic's roots; only the
-    primes settle leaves open go through compute_record, with the bounds
-    on d that settle proved.  A record that breaks an identity raises
-    ArithmeticError."""
+    PATHS.  Point counting, the forced structures and the lane Sylow step
+    run for the whole block at once, from one count of the cubic's roots;
+    only the primes that settle and sylow_lanes leave open go through
+    compute_record, with the bounds on d proved so far.  A record that
+    breaks an identity raises ArithmeticError."""
     p = np.asarray(ps, dtype=np.int64)
     a, b = residues(E.a4, p), residues(E.a6, p)
     roots = cubic_roots(p, a, b)
     N, path = trace_block(p, a, b, roots, threshold)
     d, hi = settle(p, a, b, N, roots)  # d = d_p where d = hi, else a divisor of it
+    d, hi = sylow_lanes(p, a, b, N, d, hi)  # the same, with fewer open
     for i in np.flatnonzero(d != hi).tolist():
         q, n = int(p[i]), int(N[i])
         S = compute_record(ReducedCurve(q, int(a[i]), int(b[i])), TraceResult(q, q + 1 - n, n),

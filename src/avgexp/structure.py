@@ -15,15 +15,20 @@ Moreno, Rio and Valls, "Determining the 2-Sylow subgroup of an elliptic
 curve over a finite field", Math. Comp. 2005), and at l = 3 with 3 | g,
 where Frobenius is unipotent on E[3], whether E[3] does, from x^p = x
 modulo psi_3; where a stays open, its verdicts, as bounds lo | d | hi, are
-where the scalar step starts.  Otherwise the l-Sylow subgroup, which is
-tiny, is resolved directly (after Sutherland, "Structure computation and
+where the Sylow step starts.  There the l-Sylow subgroup, which is tiny,
+is resolved directly (after Sutherland, "Structure computation and
 discrete logarithms in finite abelian p-groups", Math. Comp. 2011): a
 point Q1 of order l^b1 and a point R whose multiple l^j*R first lies in
 <Q1> at j = k - b1 generate the whole subgroup, which proves that its
-exponent is l^b1.  Points come from one stream random.Random(p) per
-prime, shared by every l, and affect only the cost, never the answer (Las
-Vegas).  A full-enumeration oracle (structure_bruteforce) provides an
-independent answer at small p.
+exponent is l^b1.  sylow_lanes runs that proof for every open (lane, l)
+pair of a block at once, on x alone, in a few rounds of lane calls: x(l^j
+*R) at j = k - b1 - 1 against the x of the multiples of Q1 of its order,
+with points whose x depends on p and the draw index alone.  The pairs it
+leaves open, and the primes outside the lanes' range, go to
+exponent_sampling, whose points come from one stream random.Random(p)
+per prime, shared by every l.  Points affect only the cost, never the
+answer (Las Vegas).  A full-enumeration oracle (structure_bruteforce)
+provides an independent answer at small p.
 """
 
 import math
@@ -33,12 +38,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .counting import _power, _powmod
+from .counting import _ladder, _power, _powmod, _xadd, _xdbl, lane_rows, on_lanes
 from .curve import INFINITY, ReducedCurve, add, neg, random_point, scalar_mul
 from .modarith import _simple_sieve, factorize, legendre
 
 _MAX_DRAWS = 100  # per l-Sylow subgroup; a handful are expected
 _BRUTEFORCE_CAP = 5000
+# The lane Sylow step draws _LANE_DRAWS points per open (lane, l) pair in
+# each of at most _LANE_ROUNDS rounds and compares x(T) with at most
+# _LANE_ROWS multiples of Q1.  A round runs for at least _LANE_MIN_PAIRS
+# pairs: its fixed cost, ~2 ms, is what the scalar path takes for ~35
+# open primes of generic1 near 5e4.  A pair it leaves open goes to the
+# scalar path.
+_LANE_DRAWS = 3
+_LANE_ROUNDS = 3
+_LANE_ROWS = 32
+_LANE_MIN_PAIRS = 32
+# splitmix64's multipliers, which spread (p, draw index) over the x of F_p
+_MIX = tuple(np.uint64(c) for c in (0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB))
 
 
 class NotAnnihilated(ArithmeticError):
@@ -284,6 +301,192 @@ def settle(p, a, b, N, roots) -> tuple:
     hi[i[~full]] //= three[i[~full]]
     ok[i[full & (three[i] >= 9) & (three_N[i] >= 81)]] = False
     return lo, np.where(ok, lo, hi)
+
+
+def _open_pairs(N, lo, hi) -> tuple:
+    """The (lane, l) pairs that the bounds lo | d | hi leave open, as
+    arrays (lane, l, k, a_min, v_l(hi)) in ascending l, k = v_l(N), and
+    the lanes that the lane step cannot take: hi/lo has a prime factor l
+    with more than _LANE_ROWS x(u*G) for G of order l, or some l has
+    a_min > a_max (exponent_sampling then raises).  v_l(n) is read off
+    gcd(n, l^e), l^e the largest power of l below 2^62."""
+    small = np.array(_simple_sieve(2 * _LANE_ROWS + 1))
+    rest = hi // lo
+    lane, which = np.nonzero(rest[:, None] % small == 0)
+    by_l = np.argsort(which, kind="stable")
+    lane, l = lane[by_l], small[which[by_l]]
+    top = l ** (62 / np.log2(l)).astype(np.int64)
+    k, a_min, h = (np.rint(np.log(np.gcd(v[lane], top)) / np.log(l)).astype(np.int64)
+                   for v in (N, lo, hi))
+    a_max = np.minimum(h, k // 2)
+    np.floor_divide.at(rest, lane, l ** (h - a_min))
+    scalar = rest > 1
+    scalar[lane[a_min > a_max]] = True
+    o = (a_min < a_max) & ~scalar[lane]
+    return lane[o], l[o], k[o], a_min[o], h[o], scalar
+
+
+def _draw_points(p, a, b, first):
+    """x of up to _LANE_DRAWS points of E(F_p) a lane, as arrays (lane,
+    x): among the candidates x = mix(p, c) mod p, c = first .. first +
+    4*_LANE_DRAWS - 1, the first _LANE_DRAWS whose x^3 + a*x + b is a
+    nonzero square, by one Legendre symbol each, so a point depends on p
+    and c alone.  No square root is taken: the x-only law needs none."""
+    c = first + np.arange(4 * _LANE_DRAWS)[:, None]
+    p, a, b = (np.broadcast_to(v, (len(c), len(p))) for v in (p, a, b))
+    h = p.astype(np.uint64) * _MIX[0] + c.astype(np.uint64) * _MIX[1]
+    h ^= h >> np.uint64(31)
+    h *= _MIX[2]
+    h ^= h >> np.uint64(29)
+    x = (h % p.astype(np.uint64)).astype(np.int64)
+    f = ((x * x % p + a) * x + b) % p
+    ok = (_powmod(f.ravel(), (p.ravel() - 1) // 2, p.ravel()) == 1).reshape(x.shape)
+    ok &= np.cumsum(ok, axis=0) <= _LANE_DRAWS
+    return np.nonzero(ok.T)[0], x.T[ok.T]
+
+
+def _l_chains(X, Z, l, steps, a, b, b4, b8, p):
+    """Rows x(l^i*Q), i = 0 .. max(steps), from x(Q) = (X : Z), lane by
+    lane, as (rows x lanes) arrays whose rows past a lane's steps are
+    unset, and b with ord(Q) = l^b, or -1 where a row is (0 : 0), a
+    degenerate ladder, which proves nothing.  The lanes come in ascending
+    l; l^i*Q takes one _xdbl at l = 2, _xdbl and _xadd at l = 3, and a
+    ladder otherwise, and a row at infinity stays there.  Raises
+    NotAnnihilated where l^steps*Q is not infinity."""
+    K, L = int(steps.max()), len(p)
+    CX, CZ = np.empty((K + 1, L), np.int64), np.empty((K + 1, L), np.int64)
+    CX[0], CZ[0] = X, Z
+    n2, n3 = np.searchsorted(l, [3, 5]).tolist()
+    tops = [int(steps[g].max(initial=0)) for g in (slice(0, n2), slice(n2, n3))]
+    for i in range(K):
+        X, Z = CX[i].copy(), CZ[i].copy()
+        if i < tops[0]:
+            g = slice(0, n2)
+            X[g], Z[g] = _xdbl(X[g], Z[g], a[g], b[g], b8[g], p[g])
+        if i < tops[1]:
+            g = slice(n2, n3)
+            DX, DZ = _xdbl(X[g], Z[g], a[g], b[g], b8[g], p[g])
+            X[g], Z[g] = _xadd(DX, DZ, X[g], Z[g], X[g], Z[g], a[g], b4[g], p[g])
+        # beyond l = 3, a ladder over the bits of the largest l whose chain goes on
+        g = n3 + np.flatnonzero((steps[n3:] > i) & (CZ[i, n3:] != 0))
+        if len(g):
+            X[g], Z[g] = _ladder(l[g], X[g], Z[g], a[g], b[g], b4[g], b8[g], p[g])[:2]
+        inf = CZ[i] == 0
+        CX[i + 1], CZ[i + 1] = np.where(inf, CX[i], X), np.where(inf, 0, Z)
+    live = np.arange(K + 1)[:, None] <= steps
+    zero = (CZ == 0) & live
+    bad = (zero & (CX == 0)).any(axis=0)
+    wrong = ~bad & ~zero[steps, np.arange(L)]
+    if wrong.any():
+        i = wrong.argmax()
+        raise NotAnnihilated(f"{l[i]}^{steps[i]} does not annihilate the {l[i]}-part "
+                             f"of a point at p = {p[i]}, against N and settle's bounds")
+    return CX, CZ, np.where(bad, -1, zero.argmax(axis=0))
+
+
+def _outside(GX, GZ, n, TX, TZ, pos, a, b, b4, b8, p):
+    """Whether x(T) differs from x(u*G) for every 0 < u <= n, for points
+    G of order l^s > 2n, lane by lane, and points T on the lanes pos of
+    G; a, b, b4, b8 and p are G's.  u*G = (u-1)*G + G with difference
+    (u-2)*G, and x is compared as X_T*Z_u = X_u*Z_T."""
+    out = np.ones(len(TX), dtype=bool)
+    VX, VZ, WX, WZ = GX, GZ, GX, GZ
+    for u in range(1, int(n.max(initial=0)) + 1):
+        if u == 2:
+            VX, VZ = _xdbl(GX, GZ, a, b, b8, p)
+        elif u > 2:
+            VX, VZ, WX, WZ = (*_xadd(VX, VZ, GX, GZ, WX, WZ, a, b4, p), VX, VZ)
+        out &= (n[pos] < u) | ((VX[pos] * TZ - TX * VZ[pos]) % p[pos] != 0)
+    return out
+
+
+def _lane_sylow(p, a, b, N, l, k, a_min):
+    """a = v_l(d) for (lane, l) pairs with a >= a_min, or -1 where the
+    rounds leave it open: _sylow_exponent's proof, x-only, for every pair
+    at once.
+
+    Each round draws up to _LANE_DRAWS points P per open pair
+    (_draw_points, from the candidates after the last round's).  Q =
+    (N/l^k)*P comes from one ladder and the chain l^i*Q from _l_chains,
+    up to l^(k - a_min), which bounds the exponent.  Q1, the point of
+    largest order l^b1 so far, is carried to the next round.  b1 = k -
+    a_min proves a = a_min.
+    Otherwise, with A = k - b1, a point R of the round of order at least
+    l^A proves a = A when T = l^(A-1)*R lies outside <Q1>: then no l^j*R
+    with j < A lies in <Q1>, so #<Q1, R> = l^k.  T has order l^s, s =
+    ord_l(R) - A + 1, and lies in <Q1> iff it is a multiple u*G of G =
+    l^(b1-s)*Q1, 0 < u < l^s, i.e. iff x(T) is one of the x(u*G), u <=
+    n = floor(l^s/2) (_outside).  Each pair tests its Rs of least s; a
+    pair whose n would exceed _LANE_ROWS is left open, and so is every
+    pair once a round would have fewer than _LANE_MIN_PAIRS."""
+    b4, b8 = 4 * b % p, 8 * b % p
+    m, steps, unset = N // l ** k, k - a_min, int(k.max()) + 1  # s <= steps < unset
+    found, closed = np.full(len(p), -1), np.zeros(len(p), dtype=bool)
+    QX, QZ, qb = np.zeros_like(p), np.zeros_like(p), np.full(len(p), -1)
+    todo = np.arange(len(p))
+    for r in range(_LANE_ROUNDS):
+        if len(todo) < _LANE_MIN_PAIRS:
+            break
+        new, x = _draw_points(p[todo], a[todo], b[todo], 4 * _LANE_DRAWS * r)
+        new = todo[new]
+        X, Z = _ladder(m[new], x, np.ones_like(x), a[new], b[new], b4[new], b8[new], p[new])[:2]
+        held = todo[qb[todo] >= 0]
+        pair = np.concatenate([held, new])
+        by_pair = np.argsort(pair, kind="stable")  # ascending l, a held Q1 first in its pair
+        pair = pair[by_pair]
+        X, Z = np.concatenate([QX[held], X])[by_pair], np.concatenate([QZ[held], Z])[by_pair]
+        CX, CZ, order = _l_chains(X, Z, *(v[pair] for v in (l, steps, a, b, b4, b8, p)))
+        # Q1, the first lane of largest order l^b1 in each pair
+        srt = np.lexsort((-order, pair))
+        q1 = srt[np.flatnonzero(np.r_[True, pair[srt][1:] != pair[srt][:-1]])]
+        ids, b1 = pair[q1], order[q1]
+        QX[ids], QZ[ids], qb[ids] = CX[0, q1], CZ[0, q1], b1
+        direct = b1 == steps[ids]
+        found[ids[direct]] = a_min[ids[direct]]
+        # the Rs, the other lanes of order >= l^A in the pairs left, and their least s
+        at = ids.searchsorted(pair)
+        A = k[pair] - b1[at]
+        s = np.where((order >= A) & ~direct[at] & (b1[at] >= 0), order - A + 1, unset)
+        s[q1] = unset
+        least = np.full(len(ids), unset)
+        np.minimum.at(least, at, s)
+        n = l[ids] ** np.minimum(least, 7) // 2  # l^7 / 2 > _LANE_ROWS
+        closed[ids[(least < unset) & (n > _LANE_ROWS)]] = True
+        R = np.flatnonzero((s == least[at]) & (n[at] <= _LANE_ROWS))
+        t = np.unique(at[R])  # the pairs tested
+        row, G, e = b1[t] - least[t], q1[t], ids[t]
+        out = _outside(CX[row, G], CZ[row, G], n[t], CX[A[R] - 1, R], CZ[A[R] - 1, R],
+                       t.searchsorted(at[R]), a[e], b[e], b4[e], b8[e], p[e])
+        proved = ids[np.unique(at[R[out]])]
+        found[proved] = k[proved] - qb[proved]
+        todo = todo[(found[todo] < 0) & ~closed[todo]]
+    return found
+
+
+def sylow_lanes(p, a, b, N, lo, hi) -> tuple:
+    """settle's bounds lo | d | hi narrowed by the lane Sylow step on
+    every open (lane, l) pair of the lanes that counting.on_lanes serves,
+    229 <= p < 2^30, as new arrays (lo, hi): each a = v_l(d) that
+    _lane_sylow proves sets the l-parts of both to l^a, and lo = hi = d
+    on a lane whose every l is then decided.  The pairs go in chunks
+    whose chain rows fit the row cells of the block's order_lanes
+    buffers, len(p) * lane_rows(max p)."""
+    lo, hi = lo.copy(), hi.copy()
+    i = np.flatnonzero((lo != hi) & on_lanes(p))
+    lane, l, k, a_min, h, scalar = _open_pairs(N[i], lo[i], hi[i])
+    if len(l) < _LANE_MIN_PAIRS:
+        return lo, hi
+    j, found = i[lane], np.full(len(l), -1)
+    rows = (_LANE_DRAWS + 1) * (int((k - a_min).max()) + 1)  # the chain rows of a pair
+    cells = len(p) * lane_rows(int(p[i].max()))
+    for c in np.array_split(np.arange(len(l)), -(-len(l) * rows // cells)):
+        found[c] = _lane_sylow(p[j[c]], a[j[c]], b[j[c]], N[j[c]], l[c], k[c], a_min[c])
+    done = found >= 0
+    np.multiply.at(lo, j[done], l[done] ** (found[done] - a_min[done]))
+    np.floor_divide.at(hi, j[done], l[done] ** (h[done] - found[done]))
+    scalar[lane[~done]] = True
+    hi[i[~scalar]] = lo[i[~scalar]]
+    return lo, hi
 
 
 def group_structure(C: ReducedCurve, T, lo: int = 1, hi: int = 0) -> GroupStructure:

@@ -572,9 +572,11 @@ class TestPipeline:
     def test_objects_only_on_the_scalar_paths(self, monkeypatch):
         # a reduction of generic1 (a = b = 1; order_bsgs's quadratic
         # twists aside) is built per naive prime, per fallback prime and
-        # per prime whose structure needs draws; the 5041 settled primes
-        # build none
-        built, unsettled = [], []
+        # per prime whose structure needs scalar draws: settle leaves 89
+        # of the 5130 primes open, the lane Sylow step decides 86 of them,
+        # and the other 3 (p = 61 below the lanes among them) go through
+        # compute_record
+        built, unsettled, lanes = [], [], []
         real_init = ReducedCurve.__post_init__
 
         def spy(C):
@@ -582,50 +584,65 @@ class TestPipeline:
                 built.append(C.p)
             real_init(C)
         monkeypatch.setattr(ReducedCurve, "__post_init__", spy)
-        real_record = harness.compute_record
+        real_record, real_lanes = harness.compute_record, harness.sylow_lanes
         monkeypatch.setattr(harness, "compute_record",
                             lambda C, *args: unsettled.append(C.p) or real_record(C, *args))
+
+        def lane_spy(p, a, b, N, lo, hi):
+            out = real_lanes(p, a, b, N, lo, hi)
+            lanes.append((int((lo != hi).sum()), int((out[0] != out[1]).sum())))
+            return out
+        monkeypatch.setattr(harness, "sylow_lanes", lane_spy)
         E = PRESETS["generic1"]
         good = good_primes(E, 50_000)[0].tolist()
         _, paths = harness.compute_records(E, good, THRESHOLD)
-        assert (len(good), len(unsettled)) == (5130, 89)
+        assert (len(good), lanes, len(unsettled)) == (5130, [(89, 3)], 3)
+        assert 61 in unsettled
         assert len(built) == paths["naive"] + paths["fallback"] + len(unsettled)
 
     def test_budgeted_block_memory(self, monkeypatch):
         # tracemalloc's peak over compute_block: the last block of the
-        # sweep to 1e6 at one worker (15 blocks of 5233 primes, within the
-        # 5350 its row cells allow) takes at most 1.1 times what a
-        # LANE_BLOCK-prime block at 2^30 - 3e5 takes, so no block outgrows
-        # the largest lane block
-        E = PRESETS["generic1"]
-        layout = []
-        with monkeypatch.context() as mp:
-            mp.setattr(harness, "compute_block", lambda E, ps, threshold: layout.append(ps)
-                       or (np.empty(0, RECORD), dict.fromkeys(PATHS, 0)))
-            harness.compute_records(E, good_primes(E, 10 ** 6)[0], THRESHOLD)
-        assert len(layout) == 15 and len(layout[-1]) == 5233
+        # sweep to 1e6 at one worker (15 blocks of about 5233 primes,
+        # within the 5350 its row cells allow) takes at most 1.1 times
+        # what a LANE_BLOCK-prime block at 2^30 - 3e5 takes, so no block
+        # outgrows the largest lane block; on generic1, and on cm-i, which
+        # leaves the most primes to the lane Sylow step
         top = 2 ** 30 - 300_000
-        blocks = (layout[-1],
-                  [q for q in range(top, top + 40 * 1024) if is_prime(q)][:harness.LANE_BLOCK])
-        peaks = []
-        for ps in blocks:
-            tracemalloc.start()
-            harness.compute_block(E, ps, THRESHOLD)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-            tracemalloc.stop()
-        assert peaks[0] <= 1.1 * peaks[1]
+        band = [q for q in range(top, top + 40 * 1024) if is_prime(q)][:harness.LANE_BLOCK]
+        for E in (PRESETS["generic1"], PRESETS["cm-i"]):
+            layout = []
+            with monkeypatch.context() as mp:
+                mp.setattr(harness, "compute_block", lambda E, ps, threshold: layout.append(ps)
+                           or (np.empty(0, RECORD), dict.fromkeys(PATHS, 0)))
+                harness.compute_records(E, good_primes(E, 10 ** 6)[0], THRESHOLD)
+            assert len(layout) == 15 and len(layout[-1]) == 5233
+            peaks = []
+            for ps in (layout[-1], band):
+                tracemalloc.start()
+                harness.compute_block(E, ps, THRESHOLD)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+                tracemalloc.stop()
+            assert peaks[0] <= 1.1 * peaks[1], E
 
-    @pytest.mark.parametrize("preset, x_max, draws", [
-        ("generic1", 50_000, 133), ("cm-i", 20_000, 703), ("cm-3", 20_000, 582)])
-    def test_structure_draws(self, preset, x_max, draws, monkeypatch):
-        # the points the structure step draws, over every prime of a sweep
-        seen = [0]
-        real = structure.random_point
+    @pytest.mark.parametrize("preset, x_max, lane_draws, scalar_draws", [
+        ("generic1", 50_000, 260, 4), ("cm-i", 20_000, 921, 35), ("cm-3", 20_000, 808, 9)])
+    def test_structure_draws(self, preset, x_max, lane_draws, scalar_draws, monkeypatch):
+        # the points the structure step draws over every prime of a sweep:
+        # on the lanes (the x of structure._draw_points) and on the scalar
+        # path (structure.random_point), counted apart
+        lanes, scalar = [0], [0]
+        real_lanes, real = structure._draw_points, structure.random_point
+
+        def lane_spy(*args):
+            drawn = real_lanes(*args)
+            lanes[0] += len(drawn[1])
+            return drawn
+        monkeypatch.setattr(structure, "_draw_points", lane_spy)
         monkeypatch.setattr(structure, "random_point",
-                            lambda C, rng: seen.__setitem__(0, seen[0] + 1) or real(C, rng))
+                            lambda C, rng: scalar.__setitem__(0, scalar[0] + 1) or real(C, rng))
         E = PRESETS[preset]
         harness.compute_records(E, good_primes(E, x_max)[0].tolist(), THRESHOLD)
-        assert seen[0] == draws
+        assert (lanes[0], scalar[0]) == (lane_draws, scalar_draws)
 
     def test_paths_count_the_computed_primes(self, tmp_path):
         out, cache = tmp_path / "res.json", str(tmp_path / "c.bin")
@@ -727,6 +744,18 @@ class TestCli:
         assert rc == cli.EXIT_USAGE == 4
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "x_max must be >= 100" in err
+
+    @pytest.mark.parametrize("name", cli.CSV_NAMES)
+    def test_csv_name_taken_by_a_directory_is_a_usage_error(self, name, tmp_path, capsys,
+                                                             monkeypatch):
+        # a directory where a csv file goes is refused before the sweep
+        (tmp_path / name).mkdir()
+        monkeypatch.setattr(cli, "run_experiment", lambda cfg: pytest.fail("the sweep ran"))
+        rc = cli.main(["run", "--preset", "generic1", "--xmax", "1000",
+                       "--outfile", str(tmp_path)])
+        assert rc == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"{tmp_path / name} is a directory" in err
 
     def test_cap_sizes_are_usage_errors(self, tmp_path, capsys, monkeypatch):
         # one past each cap exits 4 with one stderr line before anything is

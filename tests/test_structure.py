@@ -1,5 +1,6 @@
 """Invariant factors: the certified step against the enumeration oracle."""
 
+import functools
 import math
 import random
 from contextlib import contextmanager
@@ -19,7 +20,7 @@ from avgexp.modarith import factorize, is_prime, legendre, residues, sieve_prime
 from avgexp.structure import (NotAnnihilated, StructureUnverified,
                               exponent_sampling, group_structure,
                               has_full_two_torsion, settle,
-                              structure_bruteforce)
+                              structure_bruteforce, sylow_lanes)
 
 GENERIC = GlobalCurve(1, 1)
 CM = GlobalCurve(-1, 0)
@@ -329,6 +330,19 @@ def apex_two_curve(p, family):
     raise AssertionError(f"no twist with a_p = 2 at p = {p}")
 
 
+@functools.lru_cache(maxsize=None)
+def band(start, count):
+    """The first count primes at or above start > 2^16, by a sieve of
+    [start, start + 40 * count), as an int64 array."""
+    stop = start + 40 * count
+    alive = np.ones(stop - start, dtype=bool)
+    for q in sieve_primes(math.isqrt(stop)):
+        alive[-start % q::q] = False
+    p = start + np.flatnonzero(alive)[:count]
+    assert len(p) == count
+    return p
+
+
 def primes_from(start, count):
     """The first count primes at or above start."""
     ps, q = [], start
@@ -381,10 +395,25 @@ class TestSettle:
     @pytest.mark.parametrize("preset", ["generic1", "cm-i", "cm-3"])
     def test_bands_match_exponent_sampling(self, preset, start):
         # 256 consecutive primes, where the lanes' int64 bound is tight
-        # at 2^30; exponent_sampling proves its d from drawn points
+        # at 2^30; exponent_sampling proves its d from drawn points.  Then
+        # the lane Sylow step on 4096 primes from start: every d it
+        # decides is standalone exponent_sampling's, and it decides most
+        # of the primes settle leaves open
         E = PRESETS[preset]
         p = np.array(primes_from(start, 256), dtype=np.int64)
         self.check_block(E, p)
+        p = band(start, 4096)
+        p = p[E.disc % p != 0]
+        a, b = residues(E.a4, p), residues(E.a6, p)
+        roots = cubic_roots(p, a, b)
+        N = trace_block(p, a, b, roots)[0]
+        lo, hi = settle(p, a, b, N, roots)
+        d, top = sylow_lanes(p, a, b, N, lo, hi)
+        lanes = np.flatnonzero((lo != hi) & (d == top))
+        assert len(lanes) > 0.8 * (lo != hi).sum()
+        for i in lanes.tolist():
+            C, n = ReducedCurve(int(p[i]), int(a[i]), int(b[i])), int(N[i])
+            assert n // exponent_sampling(C, n) == d[i], C
 
     @settings(max_examples=120, deadline=None, database=None)
     @given(st.data())
@@ -450,6 +479,124 @@ class TestSettle:
         empty = np.zeros(0, dtype=np.int64)
         lo, hi = settle(empty, empty, empty, empty, cubic_roots(empty, empty, empty))
         assert lo.tolist() == hi.tolist() == []
+
+
+LANE_PRIMES_TO_5000 = [p for p in PRIMES_TO_5000 if p >= 229]
+
+
+def open_block(p, a, b):
+    """(p, a, b, N, lo, hi) for the curves y^2 = x^3 + a*x + b over F_p:
+    point counts by trace_block and settle's bounds."""
+    p, a, b = (np.asarray(v, dtype=np.int64) for v in (p, a, b))
+    roots = cubic_roots(p, a, b)
+    N = trace_block(p, a, b, roots)[0]
+    return (p, a, b, N) + settle(p, a, b, N, roots)
+
+
+class TestLaneSylow:
+    """sylow_lanes, the lane Sylow step, against full enumeration and
+    against exponent_sampling, with its refusals.  Below, a round runs
+    for any number of open pairs."""
+
+    @pytest.fixture(autouse=True)
+    def every_round(self, monkeypatch):
+        monkeypatch.setattr(structure, "_LANE_MIN_PAIRS", 1)
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(st.data())
+    def test_differential_against_bruteforce(self, data):
+        # 64 curves at each of up to 3 primes 229 <= p <= 5000, a third
+        # of them CM (b = 0, j = 1728, or a = 0, j = 0): every d the lane
+        # step decides where settle left it open is the enumerated one
+        primes = data.draw(st.lists(st.sampled_from(LANE_PRIMES_TO_5000), min_size=1,
+                                    max_size=3))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32)))
+        curves = []
+        for p in primes:
+            for kind in rng.integers(0, 3, 64).tolist():
+                a, b = rng.integers(0, p, 2).tolist()
+                a, b = (a, 0) if kind == 1 else (0, b) if kind == 2 else (a, b)
+                if (4 * a ** 3 + 27 * b ** 2) % p:
+                    curves.append((p, a, b))
+        p, a, b, N, lo, hi = open_block(*zip(*curves))
+        d, top = sylow_lanes(p, a, b, N, lo, hi)
+        for i in np.flatnonzero((lo != hi) & (d == top)).tolist():
+            want = structure_bruteforce(ReducedCurve(int(p[i]), int(a[i]), int(b[i])))
+            assert (N[i], d[i]) == (want.N, want.d_p), curves[i]
+
+    def test_serves_the_lanes_range_only(self):
+        # open primes below 229 (generic1 at 61) and above 2^30 are left
+        # as settle left them; the same open primes inside the range are
+        # decided
+        E = PRESETS["generic1"]
+        inside = good_primes(E, 50_000)[0][-400:]
+        outside = np.array([61] + primes_from(LANE_CAP, 400), dtype=np.int64)
+        p = np.concatenate([outside, inside])
+        p, a, b, N, lo, hi = open_block(p, residues(E.a4, p), residues(E.a6, p))
+        d, top = sylow_lanes(p, a, b, N, lo, hi)
+        out = np.arange(len(p)) < len(outside)
+        assert (lo != hi)[0] and (lo != hi)[out].sum() > 1 and (lo != hi)[~out].any()
+        assert (d == lo)[out].all() and (top == hi)[out].all()
+        assert (d == top)[~out].all()
+
+    def test_wrong_order_raises_not_annihilated(self):
+        # as for exponent_sampling: N = 640 at p = 617, and 637 = 7^2 * 13
+        # leaves a = v_7(d) open in 0 .. 1 and kills no point
+        p, a, b, N = (np.array([v]) for v in (617, 169, 170, 637))
+        assert trace_naive(ReducedCurve(617, 169, 170)).N == 640
+        with pytest.raises(NotAnnihilated):
+            sylow_lanes(p, a, b, N, np.array([1]), np.array([7]))
+
+    @pytest.mark.parametrize("p, l", [(401, 5), (421, 7)])
+    def test_outside_compares_every_multiple(self, p, l):
+        # cm-i at p has E[l] in E(F_p): for G of order l, every u*G,
+        # 0 < u < l, is inside <G> by the x of one of the l // 2 rows, and
+        # H + u*G, for H of order l outside <G>, is outside
+        C = reduce_curve(CM, p)
+        cofactor = trace_naive(C).N // l ** 2
+        rng, order_l = random.Random(p), []
+        while len(order_l) < 2:
+            Q = curve.scalar_mul(cofactor, random_point(C, rng), C)
+            multiples = [curve.scalar_mul(u, order_l[0], C) for u in range(l)] if order_l else []
+            if Q is not INFINITY and Q not in multiples:
+                order_l.append(Q)
+        G, H = order_l
+        T = [curve.scalar_mul(u, G, C) for u in range(1, l)]
+        T += [add(H, curve.scalar_mul(u, G, C), C) for u in range(l)]
+        lane = np.zeros(len(T), dtype=np.int64)
+        one = np.ones(1, dtype=np.int64)
+        a, b = one * C.a, one * C.b
+        out = structure._outside(one * G[0], one, one * (l // 2), np.array([x for x, _ in T]),
+                                 lane + 1, lane, a, b, 4 * b % p, 8 * b % p, one * p)
+        assert out.tolist() == [False] * (l - 1) + [True] * l
+
+    def test_degenerate_ladder_is_redrawn(self, monkeypatch):
+        # the first step of the chains at l >= 5 comes out (0 : 0) on every
+        # lane: those draws prove nothing, the next round draws again, and
+        # the d are the same.  Read as infinity, the planted rows would
+        # give each point of generic1's l-Sylow subgroups Z/l^2 the order
+        # l, and a = 1 would be proved wherever two points differ
+        E = PRESETS["generic1"]
+        p = good_primes(E, 10 ** 6)[0][-5233:]
+        block = open_block(p, residues(E.a4, p), residues(E.a6, p))
+        want = sylow_lanes(*block)
+        planted, rounds = [], []
+        real, real_draw = structure._ladder, structure._draw_points
+
+        def ladder(k, *args):
+            out = real(k, *args)
+            if not planted and k.max() < 64:  # a chain step, not a cofactor
+                planted.append(len(k))
+                return tuple(np.zeros_like(v) for v in out)
+            return out
+        monkeypatch.setattr(structure, "_ladder", ladder)
+        monkeypatch.setattr(structure, "_draw_points",
+                            lambda p, *args: rounds.append(len(p)) or real_draw(p, *args))
+        got = sylow_lanes(*block)
+        decided = (got[0] == got[1]) & (want[0] == want[1])
+        assert planted[0] > 20 and rounds[1] >= planted[0] // structure._LANE_DRAWS
+        assert (got[0] == want[0])[decided].all()
+        assert decided.sum() >= (want[0] == want[1]).sum() - 5
 
 
 def torsion_counts(p, a, b):
