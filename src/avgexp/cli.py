@@ -19,8 +19,8 @@ from .constants import (DegreeModel, constant_euler, constant_series,
 from .curve import GlobalCurve, reduce_curve
 from .harness import (CacheMismatch, CheckpointRow, CorruptCache,
                       ExperimentConfig, PI_E_HEADER, PRESETS, RECORD,
-                      compute_records, error_trend, good_primes,
-                      run_experiment, write_csv, write_json)
+                      UnwritableCache, compute_records, error_trend,
+                      good_primes, run_experiment, write_csv, write_json)
 from .structure import structure_bruteforce
 
 EXIT_OK = 0
@@ -229,7 +229,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
         return args.func(args)
-    except (CacheMismatch, CorruptCache) as err:
+    except (CacheMismatch, CorruptCache, UnwritableCache) as err:
         print(f"cache error: {err}", file=sys.stderr)
         return EXIT_CACHE
     except ArithmeticError as err:

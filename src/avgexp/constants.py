@@ -8,19 +8,20 @@ overrides for non-surjective levels) or from an empirical table fitted to
 per-prime data.
 """
 
+import bisect
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import mpmath as mp
-import numpy as np
 
 from .modarith import factorize, sieve_primes
 
 DEFAULT_DPS = 50
 MIN_DPS = 20  # below this, rounding can exceed the tail bounds the cross-check budgets
-# The largest series level y and Euler prime p_max: either takes 8-13 s
-# and 1 GB there, and leaves a tail below 1e-21.
+# The largest series level y and Euler prime p_max.  There, on one core of
+# a 2-core Xeon with Python 3.11, the series takes 3.5-4 s and 100 MB, the
+# Euler product 0.7-1 s and 60 MB, and either leaves a tail below 1e-21.
 TRUNCATION_CAP = 10 ** 7
 
 
@@ -138,20 +139,35 @@ class ConstantEstimate:
             raise ValueError("negative tail bound")
 
 
-def _level_table(y: int) -> tuple:
-    """Lists with coeff[k] = k * mobius_coeff(k) and order[k] = |GL2(Z/kZ)|
-    for k <= y, built from k/q with q the smallest prime factor of k."""
-    spf = np.arange(y + 1)
-    for q in range(math.isqrt(y), 1, -1):  # descending: the smallest q writes last
-        spf[q * q::q] = q
-    coeff, order = [1] * (y + 1), [1] * (y + 1)
-    for k, q in enumerate(spf[2:].tolist(), 2):
-        j = k // q
-        if j % q:  # q exactly divides k
-            coeff[k], order[k] = coeff[j] * (1 - q), order[j] * q * (q - 1) * (q * q - 1)
-        else:  # |GL2(Z/q^(m+1))| = q^4 * |GL2(Z/q^m)|
-            coeff[k], order[k] = coeff[j], order[j] * q ** 4
-    return coeff, order
+def _level_table(y: int):
+    """Walk the levels k <= y, each reached from a smaller level by a prime
+    power above that level's largest prime, and yield (den, leaves) once
+    per level reached.
+
+    den = (-1)^omega(k) prod_{q^m || k} q^(5m-3) (q^2-1), so that the
+    generic term mobius_coeff(k) / |GL2(Z/kZ)| is 1/den.  leaves holds
+    q^2 (q^2-1) for the primes q above k's largest with q^2 > y/k: every
+    level k*q <= y among them has the term -1/(den q^2 (q^2-1)) and no
+    multiple in the walk, so it is never reached itself.
+    """
+    qs = sieve_primes(y) if y > 1 else []
+    width = [q * q * (q * q - 1) for q in qs]
+    stack = [(1, 1, 0)]  # (k, den, index in qs of the least prime k may gain)
+    while stack:
+        k, den, i = stack.pop()
+        inner = bisect.bisect_right(qs, math.isqrt(y // k), i)
+        yield den, width[inner:bisect.bisect_right(qs, y // k, inner)]
+        for l in range(i, inner):
+            q = qs[l]
+            kq, dq = k * q, -den * width[l]
+            while kq <= y:  # k q^m: den gains q^5 with each further power of q
+                stack.append((kq, dq, l + 1))
+                kq, dq = kq * q, dq * q ** 5
+
+
+def _units(term: Fraction, shift: int) -> int:
+    """floor(term * 2^shift)."""
+    return (term.numerator << shift) // term.denominator
 
 
 def constant_series(model: DegreeModel, y: int, dps: int = DEFAULT_DPS) -> ConstantEstimate:
@@ -166,14 +182,21 @@ def constant_series(model: DegreeModel, y: int, dps: int = DEFAULT_DPS) -> Const
     if not 1 <= y <= TRUNCATION_CAP or dps < MIN_DPS:
         raise ValueError(f"need 1 <= y <= {TRUNCATION_CAP} and dps >= {MIN_DPS}, "
                          f"got y = {y}, dps = {dps}")
-    coeff, order = _level_table(y)
     generic = model.kind == "gl2_generic"
     with mp.workdps(dps):
         shift = mp.mp.prec + 64  # the y floor divisions err by < y * 2^-shift in all
-        acc = 0
-        for k in range(1, y + 1):
-            n = order[k] if generic and k not in model.overrides else degree(model, k)
-            acc += (coeff[k] * n.denominator << shift) // (k * n.numerator)
+        if generic:
+            # a leaf's floor(one / (-den w)) is floor(floor(-one / den) / w), as w > 0
+            one = 1 << shift
+            acc = sum(one // den + sum(map((-one // den).__floordiv__, leaves))
+                      for den, leaves in _level_table(y))
+            for k in model.overrides:
+                if k <= y:  # swap the generic term's floor for the override's
+                    c = mobius_coeff(k).value
+                    acc += _units(c / degree(model, k), shift) - _units(c / gl2_order(k), shift)
+        else:
+            acc = sum(_units(mobius_coeff(k).value / degree(model, k), shift)
+                      for k in range(1, y + 1))
         total = mp.ldexp(mp.mpf(acc), -shift)
         if generic:
             late = [k for k in model.overrides if k > y]
@@ -204,6 +227,8 @@ def constant_euler(model: DegreeModel, p_max: int, dps: int = DEFAULT_DPS) -> Co
     not a prime power breaks the product form.  Local factors of overridden
     primes beyond p_max are included exactly, so the recorded tail bound
     2/(3*p_max^3) (from generic factors being 1 - O(q^-4)) stays valid.
+    The product is kept as one integer in units of 2^-(prec + 64), like the
+    series, and multiplied by each factor num/den with one floor division.
     """
     if not 2 <= p_max <= TRUNCATION_CAP or dps < MIN_DPS:
         raise ValueError(f"need 2 <= p_max <= {TRUNCATION_CAP} and dps >= {MIN_DPS}, "
@@ -216,15 +241,22 @@ def constant_euler(model: DegreeModel, p_max: int, dps: int = DEFAULT_DPS) -> Co
         override_primes.add(fac[0][0])
     if model.kind != "gl2_generic":
         raise MissingDegree(f"a finite {model.kind} table lacks most prime powers")
+    local = {q: _local_factor(model, q) for q in override_primes}
     qs = sieve_primes(p_max)
     qs += sorted(q for q in override_primes if q > p_max)
     with mp.workdps(dps):
-        prod = mp.mpf(1)
+        # no factor exceeds 1 (an override is a smaller image), so the
+        # len(qs) floors err by < len(qs) * 2^-shift in all
+        shift = mp.mp.prec + 64
+        acc = 1 << shift
         for q in qs:
-            f = _local_factor(model, q)
-            prod = prod * f.numerator / f.denominator
+            if q in local:
+                acc = acc * local[q].numerator // local[q].denominator
+            else:
+                den = (q * q - 1) * (q ** 5 - 1)
+                acc = acc * (den - q ** 3) // den
         tail = 2 / (3 * p_max ** 3)
-        return ConstantEstimate(prod, p_max, tail,
+        return ConstantEstimate(mp.ldexp(mp.mpf(acc), -shift), p_max, tail,
                                 "2/(3*p_max^3), generic factors are 1 - O(q^-4)")
 
 

@@ -22,6 +22,7 @@ they are computed, and when a cache is loaded.  Accumulators stay exact
 (integers and rationals); floats appear only in reported columns.
 """
 
+import contextlib
 import csv
 import json
 import os
@@ -77,6 +78,10 @@ class CacheMismatch(RuntimeError):
 
 class CorruptCache(RuntimeError):
     """Cache file is truncated or fails its checksum."""
+
+
+class UnwritableCache(RuntimeError):
+    """The cache file could not be written."""
 
 
 class InsufficientCheckpoints(ValueError):
@@ -383,10 +388,15 @@ def cache_store(path, curve: GlobalCurve, records) -> None:
     header = _CACHE_HEADER.pack(CACHE_MAGIC, curve.a4, curve.a6,
                                 len(records), zlib.crc32(body))
     tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "wb") as fh:
-        fh.write(header)
-        fh.write(body)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(header)
+            fh.write(body)
+        os.replace(tmp, path)
+    except OSError as err:  # a full disk or a file size limit: leave no partial file
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise UnwritableCache(f"{path}: {err.strerror or err}") from err
 
 
 def cache_load(path, curve: GlobalCurve) -> np.recarray:

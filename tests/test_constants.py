@@ -7,12 +7,14 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from avgexp import constants
 from avgexp.constants import (ConstantEstimate, DegreeModel, MissingDegree,
                               NotMultiplicative, constant_euler,
                               constant_series, degree, estimate_degrees,
                               euler_phi, gl2_order, li, load_overrides,
                               mobius_coeff)
 from avgexp.harness import RECORD, pi_E_counts
+from avgexp.modarith import sieve_primes
 
 GL2 = DegreeModel("gl2_generic")
 # prime-power overrides for q = 2, 3, 5 and 97, each at or above phi(k)
@@ -199,6 +201,31 @@ class TestConstantEuler:
             # generic terms beyond nu_max sum to less than q^(-5 nu_max)
             assert 0 < rest < Fraction(1, q ** (5 * nu_max))
 
+    @pytest.mark.parametrize("dps", [50, 100])
+    @pytest.mark.parametrize("overrides", [{}, PRIME_POWER_OVERRIDES], ids=["generic", "prime-powers"])
+    def test_matches_exact_product(self, overrides, dps):
+        # each factor in (0, 1] floors the product once in units of 2^-shift,
+        # so it lies in (exact - len(qs) 2^-shift, exact] before the value
+        # is rounded to the working precision
+        model = DegreeModel("gl2_generic", overrides)
+        qs = sieve_primes(200)
+        exact = math.prod((constants._local_factor(model, q) for q in qs), start=Fraction(1))
+        got = constant_euler(model, 200, dps).value
+        with mp.workdps(dps):
+            below = exact - Fraction(len(qs), 1 << (mp.mp.prec + 64))
+            assert (mp.fdiv(below.numerator, below.denominator) <= got
+                    <= mp.fdiv(exact.numerator, exact.denominator))
+
+    @pytest.mark.parametrize("overrides, primes", [({}, []), (PRIME_POWER_OVERRIDES, [2, 3, 5, 97])],
+                             ids=["generic", "prime-powers"])
+    def test_exact_factors_only_at_override_primes(self, overrides, primes, monkeypatch):
+        seen = []
+        real = constants._local_factor
+        monkeypatch.setattr(constants, "_local_factor",
+                            lambda model, q: seen.append(q) or real(model, q))
+        constant_euler(DegreeModel("gl2_generic", overrides), 3000)
+        assert sorted(seen) == primes
+
     def test_high_precision(self):
         e = constant_euler(GL2, 100, dps=100)
         s = constant_series(GL2, 100, dps=100)
@@ -289,7 +316,6 @@ class TestEstimateDegrees:
     def _records(self):
         # synthetic: d = 2 at roughly every third prime with 4 | p-1,
         # else d = 1; a_p = 2 keeps every record invariant satisfied
-        from avgexp.modarith import sieve_primes
         recs = []
         for i, p in enumerate(q for q in sieve_primes(10_000) if q >= 5):
             d = 2 if (i % 3 == 0 and (p - 1) % 4 == 0) else 1

@@ -738,6 +738,36 @@ class TestCli:
                        "--outfile", str(tmp_path)])
         assert rc == 3
 
+    @pytest.mark.parametrize("fails", ["write", "replace"])
+    def test_failed_cache_write_is_a_cache_error(self, fails, tmp_path, capsys, monkeypatch):
+        # a full disk or a file size limit, after the whole sweep: one line,
+        # exit 3, and no partial cache file left behind
+        def refuse(*args):
+            raise OSError(27, "File too large")
+
+        class Full:  # makes the file, then refuses every write to it
+            def __init__(self, path, mode):
+                self.fh = open(path, mode)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            write = refuse
+        if fails == "write":
+            monkeypatch.setattr(harness, "open", Full, raising=False)
+        else:
+            monkeypatch.setattr(os, "replace", refuse)
+        rc = cli.main(["run", "--preset", "generic1", "--xmax", "300", "--checkpoints", "300",
+                       "--cache", str(tmp_path / "c.bin"), "--outfile", str(tmp_path)])
+        assert rc == cli.EXIT_CACHE
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("cache error: ")
+        assert "File too large" in err
+        assert not list(tmp_path.glob("c.bin*"))
+
     def test_xmax_too_small_is_a_usage_error(self, tmp_path, capsys):
         rc = cli.main(["run", "--preset", "generic1", "--xmax", "50",
                        "--outfile", str(tmp_path)])
