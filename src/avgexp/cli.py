@@ -193,7 +193,9 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="sweep primes and emit checkpoint tables")
     run.add_argument("--curve", help="global model as 'a4,a6'")
     run.add_argument("--preset", help=f"named curve: {', '.join(sorted(PRESETS))}")
-    run.add_argument("--xmax", type=int, required=True)
+    run.add_argument("--xmax", type=int, required=True,
+                     help="sweep the good primes up to this, 100 .. 2^30 - 1 "
+                          "(the int64 lanes' range)")
     run.add_argument("--checkpoints", help="comma-separated cut points")
     run.add_argument("--workers", type=int, default=1)
     run.add_argument("--trace-threshold", type=int,

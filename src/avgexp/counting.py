@@ -22,12 +22,12 @@ import numpy as np
 from .curve import INFINITY, ReducedCurve, add, random_point, scalar_mul
 from .modarith import legendre
 
-_NAIVE_CAP = 1 << 31  # int64 intermediates in the vectorized sum
 _MAX_SAMPLES = 64
 _CHUNK = 1 << 22
 # Lane residues stay below 2^30, so a product of two fits in 2^60 and a
 # sum of a few such products still fits in int64, and order_lanes can
-# sort x by lane as lane * 2^30 + x.
+# sort x by lane as lane * 2^30 + x.  harness.X_MAX_CAP keeps every prime
+# of a sweep below it, and no kernel checks the range again.
 LANE_CAP = 1 << 30
 # The least p of the lanes and of order_bsgs; below it the character sum.
 _MIN_BSGS_P = 229
@@ -49,10 +49,9 @@ class TraceResult:
 
 
 def trace_naive(C: ReducedCurve) -> TraceResult:
-    """Exact a_p = -sum_x chi(x^3 + a*x + b) by full character sum, O(p)."""
+    """Exact a_p = -sum_x chi(x^3 + a*x + b) by full character sum, O(p),
+    on int64 products: p < 2^31."""
     p = C.p
-    if p >= _NAIVE_CAP:
-        raise ValueError(f"p = {p} too large for the vectorized character sum")
     chi = np.full(p, -1, dtype=np.int8)
     for lo in range(0, (p + 1) // 2, _CHUNK):
         half = np.arange(lo, min(lo + _CHUNK, (p + 1) // 2), dtype=np.int64)
@@ -320,8 +319,8 @@ def _isqrt(n):
 
 def cubic_roots(p, a, b):
     """The number of roots of x^3 + a*x + b in F_p, 0, 1 or 3, lane by
-    lane, for int64 arrays p, a and b with 0 <= a, b < p and a cubic of
-    nonzero discriminant; lanes need 5 <= p < 2^30, and the others get -1.
+    lane, for int64 arrays p, a and b with 5 <= p < 2^30, 0 <= a, b < p
+    and a cubic of nonzero discriminant.
 
     Frobenius permutes the three roots, as a transposition exactly when
     the discriminant -4a^3 - 27b^2 is a nonsquare: then one is rational.
@@ -330,30 +329,28 @@ def cubic_roots(p, a, b):
     points (e, 0), so 4 | N with three roots, N is even with one and odd
     with none, for the curve and its twist alike.
     """
-    ok = (p >= 5) & (p < LANE_CAP)
-    q = np.where(ok, p, 5)  # keeps the products below inside int64
-    ar, br = a % q, b % q
-    disc = (-4 * (ar * ar % q * ar % q) - 27 * (br * br % q)) % q
-    square = ok & (_powmod(disc, (q - 1) // 2, q) == 1)
-    roots = np.where(ok, np.where(square, 0, 1), -1)
+    disc = (-4 * (a * a % p * a % p) - 27 * (b * b % p)) % p
+    square = _powmod(disc, (p - 1) // 2, p) == 1
+    roots = np.where(square, 0, 1)
     sq = np.flatnonzero(square)
-    qs, zero = q[sq], np.zeros(len(sq), dtype=np.int64)
-    c0, c1, c2 = _power((zero, zero + 1, zero), qs, qs, ((1, ar[sq]), (0, br[sq])))
+    ps, zero = p[sq], np.zeros(len(sq), dtype=np.int64)
+    c0, c1, c2 = _power((zero, zero + 1, zero), ps, ps, ((1, a[sq]), (0, b[sq])))
     roots[sq[(c0 == 0) & (c1 == 1) & (c2 == 0)]] = 3
     return roots
 
 
 def on_lanes(p):
-    """Which of the int64 primes p the lanes serve: 229 <= p < 2^30."""
-    return (p >= _MIN_BSGS_P) & (p < LANE_CAP)
+    """Which of the int64 primes p < 2^30 the lanes serve: p >= 229."""
+    return p >= _MIN_BSGS_P
 
 
 def order_lanes(p, a, b, roots) -> tuple:
     """Group orders N of y^2 = x^3 + a*x + b over F_p, lane by lane,
     proved on int64 lanes, or 0 where the lane is refused, and the
     annihilators the lanes proved, as arrays (N, lane, orders).  p, a and
-    b are int64 arrays with 0 <= a, b < p, and roots is cubic_roots(p, a,
-    b); lanes need 229 <= p < 2^30, and the others are refused.
+    b are int64 arrays with p < 2^30 and 0 <= a, b < p, and roots is
+    cubic_roots(p, a, b); lanes need p >= 229 (on_lanes), and the others
+    are refused.
 
     Lane i takes the first x0 = 1, 2, ... with c = x0^3 + a*x0 + b != 0
     and the point P = (x0*c, c^2) of E_c: y^2 = x^3 + a*c^2*x + b*c^3,

@@ -59,9 +59,9 @@ DEFAULT_SERIES_Y = 1000
 # blocks of smaller primes hold more of them (5350 at 1e6), and the fixed
 # cost of a lane call, a few ms, is paid less often.
 LANE_BLOCK = 1024
-# The largest x_max: the character sum, which --trace-threshold may pick
-# for any prime, needs p < 2^31, and a sweep holds every record in memory.
-X_MAX_CAP = 1 << 31
+# The largest x_max: the lanes' int64 residues need p < 2^30, and a sweep
+# holds every record in memory.
+X_MAX_CAP = LANE_CAP - 1
 # Levels k of the pi_e.csv table and of the empirical degree table.
 K_MAX_DIAG = 12
 
@@ -229,15 +229,15 @@ def compute_records(E: GlobalCurve, primes, threshold: int,
     the order of primes, paths summed.  The n primes are cut into the
     least multiple of w blocks whose lane buffers fit the row cells of a
     LANE_BLOCK-prime block at 2^30: at most LANE_BLOCK * lane_rows(2^30 -
-    1) // lane_rows(q) primes each, q the largest prime (at most 2^30 -
-    1, as larger ones take no lane).  The blocks differ in size by at most
-    one prime, so every worker gets the same share."""
+    1) // lane_rows(q) primes each, q the largest prime.  The blocks
+    differ in size by at most one prime, so every worker gets the same
+    share."""
     primes = np.asarray(primes, dtype=np.int64)
     k = -(-len(primes) // LANE_BLOCK)
     workers = max(1, min(workers, k, os.cpu_count() or 1))
     if k:
-        q = min(int(primes.max()), LANE_CAP - 1)
-        k = -(-len(primes) // (LANE_BLOCK * lane_rows(LANE_CAP - 1) // lane_rows(q)))
+        cap = LANE_BLOCK * lane_rows(LANE_CAP - 1) // lane_rows(int(primes.max()))
+        k = -(-len(primes) // cap)
     k = -(-k // workers) * workers
     blocks = np.array_split(primes, k) if k else []
     work = partial(compute_block, E, threshold=threshold)

@@ -24,7 +24,7 @@ exponent is l^b1.  sylow_lanes runs that proof for every open (lane, l)
 pair of a block at once, on x alone, in a few rounds of lane calls: x(l^j
 *R) at j = k - b1 - 1 against the x of the multiples of Q1 of its order,
 with points whose x depends on p and the draw index alone.  The pairs it
-leaves open, and the primes outside the lanes' range, go to
+leaves open, and the open primes below the lanes' floor, 229, go to
 exponent_sampling, whose points come from one stream random.Random(p)
 per prime, shared by every l.  Points affect only the cost, never the
 answer (Las Vegas).  A full-enumeration oracle (structure_bruteforce)
@@ -258,8 +258,7 @@ def settle(p, a, b, N, roots) -> tuple:
     every l | g = gcd(p-1, a_p-2), and elsewhere what the lane tests below
     proved: lo is the 2- and 3-parts of d they found, and hi is g less
     the parts they excluded.  p, a, b, N and roots are int64 arrays with
-    0 <= a, b < p; lanes whose roots are -1, which cubic_roots gives
-    outside its lane range, get (1, g).
+    5 <= p < 2^30 and 0 <= a, b < p.
 
     An odd l | g allows only a = 0 exactly when v_l(N) = 1; with h the
     part of g prime to 6 (h | N), that holds for every such l when h is
@@ -280,22 +279,22 @@ def settle(p, a, b, N, roots) -> tuple:
     odd part leaves the lane to the scalar path, which then starts from
     the verdict.
     """
-    split, lanes = roots == 3, roots >= 0
+    split = roots == 3
     g = np.gcd(p - 1, p - 1 - N)
     # the 2- and 3-parts of g and N (3^20 exceeds both)
     two, three, two_N, three_N = g & -g, np.gcd(g, 3 ** 20), N & -N, np.gcd(N, 3 ** 20)
     h = g // (two * three)
-    ok = lanes & (h < 1 << 16) & (np.gcd(h, N // h) == 1)
+    ok = (h < 1 << 16) & (np.gcd(h, N // h) == 1)
     for l in _simple_sieve(math.isqrt(int(h[ok].max(initial=1))))[2:]:
         ok &= h % (l * l) != 0
     ok &= ~split | (N % 4 == 0)
-    lo, hi = np.where(split, 2, 1), np.where(split | ~lanes, g, g // two)
+    lo, hi = np.where(split, 2, 1), np.where(split, g, g // two)
     i = np.flatnonzero(split & (two >= 4) & (two_N >= 16))
     full = _full_four_torsion(p[i], a[i], b[i])
     lo[i[full]] = 4
     hi[i[~full]] //= two[i[~full]] // 2
     ok[i[full & (two[i] >= 8) & (two_N[i] >= 64)]] = False
-    i = np.flatnonzero(lanes & (three >= 3) & (three_N >= 9))
+    i = np.flatnonzero((three >= 3) & (three_N >= 9))
     full = _full_three_torsion(p[i], a[i], b[i])
     lo[i[full]] *= 3
     hi[i[~full]] //= three[i[~full]]
@@ -466,11 +465,11 @@ def _lane_sylow(p, a, b, N, l, k, a_min):
 def sylow_lanes(p, a, b, N, lo, hi) -> tuple:
     """settle's bounds lo | d | hi narrowed by the lane Sylow step on
     every open (lane, l) pair of the lanes that counting.on_lanes serves,
-    229 <= p < 2^30, as new arrays (lo, hi): each a = v_l(d) that
-    _lane_sylow proves sets the l-parts of both to l^a, and lo = hi = d
-    on a lane whose every l is then decided.  The pairs go in chunks
-    whose chain rows fit the row cells of the block's order_lanes
-    buffers, len(p) * lane_rows(max p)."""
+    p >= 229, as new arrays (lo, hi): each a = v_l(d) that _lane_sylow
+    proves sets the l-parts of both to l^a, and lo = hi = d on a lane
+    whose every l is then decided.  The pairs go in chunks whose chain
+    rows fit the row cells of the block's order_lanes buffers, len(p) *
+    lane_rows(max p)."""
     lo, hi = lo.copy(), hi.copy()
     i = np.flatnonzero((lo != hi) & on_lanes(p))
     lane, l, k, a_min, h, scalar = _open_pairs(N[i], lo[i], hi[i])

@@ -454,7 +454,7 @@ class TestPipeline:
         self.check_layout(n, block, workers, cpus, 5, monkeypatch)
 
     @pytest.mark.parametrize("n, workers, start", [
-        (30000, 2, 10 ** 8), (5000, 2, 2 ** 30 - 3000), (3000, 1, 2 ** 31 - 4000)])
+        (30000, 2, 10 ** 8), (5000, 2, 2 ** 30 - 3000)])
     def test_block_layout_at_large_p(self, n, workers, start, monkeypatch):
         self.check_layout(n, 1024, workers, 2, start, monkeypatch)
 
@@ -492,18 +492,16 @@ class TestPipeline:
         if n:
             pool = pools[0] if pools else 1
             assert pool == min(workers, -(-n // block), cpus)
-            cap = block * lane_rows(LANE_CAP - 1) // lane_rows(min(start + n - 1, LANE_CAP - 1))
+            cap = block * lane_rows(LANE_CAP - 1) // lane_rows(start + n - 1)
             assert max(sizes) - min(sizes) <= 1 and max(sizes) <= cap
             assert len(sizes) % pool == 0 and (len(sizes) - pool) * cap < n
-            if start + n > LANE_CAP:
-                assert cap == block
 
     @pytest.mark.parametrize("top, size", [
         (19_997, 12254), (49_999, 10267), (999_983, 5350), (9_999_991, 3139),
-        (99_999_989, 1835), (LANE_CAP - 1, 1024), (harness.X_MAX_CAP, 1024)])
+        (99_999_989, 1835), (LANE_CAP - 1, 1024)])
     def test_block_size_from_the_largest_prime(self, top, size, monkeypatch):
         # one worker: `size` numbers up to top (the largest prime below 2e4,
-        # ..., 1e8, then 2^30 - 1 and 2^31) make one block and one more make
+        # ..., 1e8, then 2^30 - 1) make one block and one more make
         # two, so a block holds at most `size` primes, the most whose
         # lane rows fit the row cells of LANE_BLOCK = 1024 lanes at 2^30,
         # 1024 * lane_rows(2^30 - 1) = 1024 * 371
@@ -517,7 +515,7 @@ class TestPipeline:
             harness.compute_records(GENERIC, list(range(top - n + 1, top + 1)), 229)
         assert sizes == [size, -(-(size + 1) // 2), (size + 1) // 2]
         assert lane_rows(LANE_CAP - 1) == 371 and harness.LANE_BLOCK == 1024
-        assert size * lane_rows(min(top, LANE_CAP - 1)) <= 1024 * 371
+        assert size * lane_rows(top) <= 1024 * 371
 
     @pytest.mark.parametrize("top", [20_000, 10 ** 6, 10 ** 8, 2 ** 30 - 300_000])
     def test_lane_buffers_within_the_budget(self, top, monkeypatch):
@@ -805,6 +803,7 @@ class TestCli:
         monkeypatch.setattr(constants, "sieve_primes", reached(constants.sieve_primes))
         run = ["run", "--preset", "generic1", "--outfile", str(tmp_path), "--xmax"]
         cap = constants.TRUNCATION_CAP
+        assert harness.X_MAX_CAP == 2 ** 30 - 1
         for argv in (run + [str(harness.X_MAX_CAP + 1)], run + ["10" * 10],
                      ["constant", "--series-y", str(cap + 1), "--euler-pmax", "10"],
                      ["constant", "--series-y", "100000000000", "--euler-pmax", "10"],

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from avgexp import curve, harness, structure
+from avgexp import curve, structure
 from avgexp.counting import (LANE_CAP, _power, _powmod, cubic_roots, order_bsgs,
                              trace_block, trace_naive)
 from avgexp.curve import (INFINITY, GlobalCurve, ReducedCurve, add, random_point,
@@ -473,9 +473,7 @@ class TestSettle:
                 if d:
                     assert (d % 2 == 0) == has_full_two_torsion(C, N), (E, q)
 
-    def test_unsettled_beyond_lanes_and_empty_block(self):
-        big = ReducedCurve(1073741827, 1, 1)  # the least prime above 2^30
-        assert settle_one(big, big.p + 1) == 0
+    def test_empty_block(self):
         empty = np.zeros(0, dtype=np.int64)
         lo, hi = settle(empty, empty, empty, empty, cubic_roots(empty, empty, empty))
         assert lo.tolist() == hi.tolist() == []
@@ -525,17 +523,19 @@ class TestLaneSylow:
             assert (N[i], d[i]) == (want.N, want.d_p), curves[i]
 
     def test_serves_the_lanes_range_only(self):
-        # open primes below 229 (generic1 at 61) and above 2^30 are left
-        # as settle left them; the same open primes inside the range are
-        # decided
+        # the open primes below 229 (generic1 at 61, cm-i at 113 and 181,
+        # cm-3 at 73 and 211) are left as settle left them; open primes of
+        # generic1 near 5e4 are decided
+        blocks = [(E, good_primes(E, 228)[0]) for E in PRESETS.values()]
         E = PRESETS["generic1"]
-        inside = good_primes(E, 50_000)[0][-400:]
-        outside = np.array([61] + primes_from(LANE_CAP, 400), dtype=np.int64)
-        p = np.concatenate([outside, inside])
-        p, a, b, N, lo, hi = open_block(p, residues(E.a4, p), residues(E.a6, p))
+        blocks.append((E, good_primes(E, 50_000)[0][-400:]))
+        p = np.concatenate([q for _, q in blocks])
+        a = np.concatenate([residues(E.a4, q) for E, q in blocks])
+        b = np.concatenate([residues(E.a6, q) for E, q in blocks])
+        p, a, b, N, lo, hi = open_block(p, a, b)
         d, top = sylow_lanes(p, a, b, N, lo, hi)
-        out = np.arange(len(p)) < len(outside)
-        assert (lo != hi)[0] and (lo != hi)[out].sum() > 1 and (lo != hi)[~out].any()
+        out = p < 229
+        assert (lo != hi)[out].sum() == 5 and (lo != hi)[~out].any()
         assert (d == lo)[out].all() and (top == hi)[out].all()
         assert (d == top)[~out].all()
 
@@ -698,18 +698,21 @@ class TestTorsionTests:
 
     @pytest.mark.parametrize("preset", ["cm-i", "cm-3"])
     def test_records_above_the_lanes(self, preset):
-        # beyond 2^30 settle decides nothing, and the Sylow draws alone
-        # tell a = 1 from a >= 2 on a split cubic: every record of 150
-        # good primes against the torsion tests on dtype=object lanes
+        # exponent_sampling with no bounds, the scalar path that primes
+        # above the lanes took: there the Sylow draws alone tell a = 1
+        # from a >= 2 on a split cubic.  Its d at the good primes among
+        # 150 from 2^30 - 3e5 against the torsion tests on dtype=object lanes
         E = PRESETS[preset]
-        ps = [q for q in primes_from(LANE_CAP, 150) if E.disc % q]
-        records, _ = harness.compute_records(E, ps, harness.ExperimentConfig.trace_threshold)
+        ps = np.array([q for q in primes_from(2 ** 30 - 300_000, 150) if E.disc % q])
+        a4, a6 = residues(E.a4, ps), residues(E.a6, ps)
+        orders = trace_block(ps, a4, a6, cubic_roots(ps, a4, a6))[0]
         four, three = [], []
-        for p, a_p, d in records[["p", "a_p", "d_p"]].tolist():
-            C, N = reduce_curve(E, p), p + 1 - a_p
+        for p, N in zip(ps.tolist(), orders.tolist()):
+            C = reduce_curve(E, p)
+            d = N // exponent_sampling(C, N)
             if p % 4 == 1 and has_full_two_torsion(C, N):
                 four.append((p, C.a, C.b, d % 4 == 0))
-            if math.gcd(p - 1, a_p - 2) % 3 == 0:
+            if math.gcd(p - 1, p - 1 - N) % 3 == 0:
                 three.append((p, C.a, C.b, d % 3 == 0))
         for test, rows in ((structure._full_four_torsion, four),
                            (structure._full_three_torsion, three)):

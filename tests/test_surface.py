@@ -43,3 +43,18 @@ def test_every_constant_is_read_in_src():
                 for name in ast.walk(target) if isinstance(name, ast.Name)}
     unread = sorted(name for name in assigned - read if not name.startswith("__"))
     assert not unread, f"constants that nothing in src/ reads: {unread}"
+
+
+def test_every_import_is_used():
+    # a name that a module imports and never reads, such as one that a
+    # deletion elsewhere in the module left behind
+    unused = []
+    for module, tree in TREES.items():
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        unused += [f"{module}:{name}" for node in ast.walk(tree)
+                   if isinstance(node, (ast.Import, ast.ImportFrom))
+                   for alias in node.names
+                   for name in [(alias.asname or alias.name).split(".")[0]]
+                   if name not in read]
+    assert not unused, f"imports that their module never reads: {unused}"
