@@ -43,6 +43,21 @@ def _usage_error(message: str) -> int:
     return EXIT_USAGE
 
 
+def _paths_text(paths: dict) -> str:
+    """'naive N, lanes N, fallback N': the primes by point-counting path."""
+    return ", ".join(f"{k} {n}" for k, n in paths.items())
+
+
+def _fold_curve(argv) -> list:
+    """argv with every '--curve V' joined into '--curve=V', so that
+    argparse takes a value such as '-1,1' as the curve, not as an option."""
+    folded, tokens = [], iter(argv)
+    for token in tokens:
+        value = next(tokens, None) if token == "--curve" else None
+        folded.append(token if value is None else f"--curve={value}")
+    return folded
+
+
 def _parse_curve(args) -> GlobalCurve:
     if args.preset:
         if args.preset not in PRESETS:
@@ -121,6 +136,7 @@ def cmd_run(args) -> int:
     print(f"curve: {cfg.curve.label or (cfg.curve.a4, cfg.curve.a6)}   "
           f"x_max = {cfg.x_max}   good primes = {len(result.records)}   "
           f"skipped bad primes: {result.skipped}")
+    print(f"paths: {_paths_text(result.paths)}")
     print(f"constant = {result.c_model:.12f}  "
           f"(+/- {result.constant.tail_bound:.2e} truncation; "
           f"{result.constant_provenance})")
@@ -175,7 +191,7 @@ def cmd_verify(args) -> int:
         failures += curve_failures
         status = "ok" if curve_failures == 0 else "FAIL"
         print(f"{E.label}: {len(records)} good primes <= {args.xmax} cross-checked "
-              f"({', '.join(f'{k} {n}' for k, n in paths.items())}) [{status}]")
+              f"({_paths_text(paths)}) [{status}]")
     if failures:
         print(f"{failures} mismatches")
         return EXIT_INVARIANT
@@ -226,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser().parse_args(_fold_curve(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:  # argparse: 0 after --help, 2 on a bad command line
         return EXIT_USAGE if exc.code else EXIT_OK
     try:

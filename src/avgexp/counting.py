@@ -5,12 +5,16 @@ order_lanes runs baby-step giant-step on x coordinates alone for a whole
 block of primes at once, one prime per int64 numpy lane, over the class
 of N mod 2 or 4 that the cubic's roots fix (cubic_roots), proves each
 annihilator of its point in that class and the Hasse window by recovered
-y, and takes the order where the window holds one.  order_bsgs pins the
-order for one prime: its candidates are the annihilators of a point, the
-ones a lane proved or those of its own first point, and points drawn
-from random.Random(p), on the twist and the curve in turn, weed them out
-until one is left.  trace_block sends the lanes order_lanes refuses to
-order_bsgs, with their annihilators where they proved them.
+y, and takes the order where the window holds one.  Where it holds
+several, weed_orders keeps those that annihilate one point of the curve
+and one of its twist, by one ladder over all such lanes, and a lone
+survivor is the order.  order_bsgs pins the order for one prime: its
+candidates are the annihilators of a point, the ones a lane left or
+those of its own first point, and points drawn from random.Random(p), on
+the twist and the curve in turn, weed them out until one is left.
+trace_block sends order_lanes' several-annihilator lanes to weed_orders
+and what is still open to order_bsgs, with the candidates left where the
+lanes proved them.
 """
 
 import math
@@ -31,6 +35,8 @@ _CHUNK = 1 << 22
 LANE_CAP = 1 << 30
 # The least p of the lanes and of order_bsgs; below it the character sum.
 _MIN_BSGS_P = 229
+# The x that weed_orders tries for its points, above every lane's own x0 <= 4.
+_WEED_X = np.arange(5, 21)
 
 
 # The point-counting paths of trace_block, by index.
@@ -382,7 +388,8 @@ def order_lanes(p, a, b, roots) -> tuple:
     annihilator of its class in its window in orders, read as a curve
     order (2p + 2 - n where its point lies on the twist): the multiples
     of the point's order that are r (mod t), an ascending progression
-    that holds the curve's order.  The other lanes list none.
+    that holds the curve's order, and weed_orders' input.  The other
+    lanes list none.
     """
     N = np.zeros(len(p), dtype=np.int64)
     idx = np.flatnonzero(on_lanes(p))
@@ -520,17 +527,63 @@ def _window_annihilators(p, a, b, roots):
     return cand_lane[keep], cand[keep], refused, twist
 
 
+def weed_orders(p, a, b, lane, orders) -> tuple:
+    """The candidate orders of the lanes order_lanes refuses for several
+    annihilators that one point of the curve and one of its quadratic
+    twist leave, as arrays (lane, orders) in the order given.  lane
+    indexes p, a and b, and orders lists each lane's candidates, read as
+    curve orders: a progression that holds N.
+
+    Each lane's curve point is the first x of _WEED_X with x^3 + a*x + b
+    a nonzero square, and its twist point the first with it a nonsquare,
+    by one Legendre symbol each: the points of c*y^2 = x^3 + a*x + b,
+    whose x-only law is the curve's for every c, so no square root is
+    taken.  A candidate n is kept when n annihilates the curve point and
+    2p + 2 - n the twist point, by one _ladder call over every (candidate,
+    point) pair.  N annihilates every curve point and 2p + 2 - N every
+    twist point, so N is always kept and a lane left with one candidate
+    has its order; what is kept is again a progression.  A side with no
+    point among _WEED_X keeps everything.  Raises AmbiguityExhausted
+    where a lane keeps nothing, so N was not among its candidates.
+    """
+    ids, pos = np.unique(lane, return_inverse=True)
+    q, x = p[ids], _WEED_X[:, None]
+    f = ((x * x % q + a[ids]) * x + b[ids]) % q
+    rows = len(_WEED_X)
+    chi = _powmod(f.ravel(), np.tile((q - 1) // 2, rows), np.tile(q, rows)).reshape(f.shape)
+    pairs, xs, ks = [], [], []
+    for hit, k in ((chi == 1, orders), (chi == q - 1, 2 * p[lane] + 2 - orders)):
+        i = np.flatnonzero(hit.any(axis=0)[pos])
+        pairs.append(i)
+        xs.append(_WEED_X[hit.argmax(axis=0)][pos[i]])
+        ks.append(k[i])
+    i, x, k = (np.concatenate(v) for v in (pairs, xs, ks))
+    pl, al, bl = p[lane[i]], a[lane[i]], b[lane[i]]
+    Z = _ladder(k, x, np.ones_like(x), al, bl, 4 * bl % pl, 8 * bl % pl, pl)[1]
+    keep = np.ones(len(lane), dtype=bool)
+    keep[i[Z != 0]] = False
+    lost = np.setdiff1d(ids, lane[keep])
+    if len(lost):
+        raise AmbiguityExhausted(f"no candidate order is left at p = {p[lost[0]]}")
+    return lane[keep], orders[keep]
+
+
 def trace_block(p, a, b, roots, threshold: int = 0) -> tuple:
     """Group orders N of y^2 = x^3 + a*x + b over F_p, lane by lane, and
     the path each took, an index into PATHS: the character sum below p =
-    229, or below a larger threshold, the lanes of order_lanes from there
-    on, and order_bsgs for every lane they refuse.  A lane refused only
-    because its window holds several proved annihilators of its class
-    hands them to order_bsgs as its candidates.  p, a, b and roots are as
-    for order_lanes; a ReducedCurve is built only for the two scalar
-    paths."""
+    229, or below a larger threshold, the lanes from there on, and
+    order_bsgs for every lane they leave.  The lanes are order_lanes, and
+    weed_orders for those it refuses only because the window holds
+    several proved annihilators of their class; a lane weed_orders leaves
+    with several candidates hands them to order_bsgs.  p, a, b and roots
+    are as for order_lanes; a ReducedCurve is built only for the two
+    scalar paths."""
     naive = p < max(threshold, _MIN_BSGS_P)
     N, lane, orders = order_lanes(np.where(naive, 0, p), a, b, roots)  # p = 0: no lane
+    several = N[lane] == 0
+    lane, orders = weed_orders(p, a, b, lane[several], orders[several])
+    single = (np.bincount(lane, minlength=len(p)) == 1)[lane]
+    N[lane[single]] = orders[single]
     path = np.where(naive, 0, np.where(N == 0, 2, 1))
     for i in np.flatnonzero(path != 1).tolist():
         C = ReducedCurve(int(p[i]), int(a[i]), int(b[i]))

@@ -3,6 +3,7 @@
 import math
 import random
 from contextlib import contextmanager
+from functools import cache
 
 import numpy as np
 import pytest
@@ -10,12 +11,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from avgexp import counting, curve
-from avgexp.counting import (LANE_CAP, PATHS, _annihilators, _power, _recover,
-                             _window_annihilators, cubic_roots, order_bsgs,
-                             order_lanes, quadratic_twist, trace_block, trace_naive)
+from avgexp.counting import (LANE_CAP, PATHS, AmbiguityExhausted, _annihilators, _power,
+                             _recover, _window_annihilators, cubic_roots, order_bsgs,
+                             order_lanes, quadratic_twist, trace_block, trace_naive,
+                             weed_orders)
 from avgexp.curve import (GlobalCurve, INFINITY, ReducedCurve, add, neg,
                           random_point, reduce_curve, scalar_mul)
-from avgexp.harness import PRESETS
+from avgexp.harness import PRESETS, good_primes
 from avgexp.modarith import is_prime, legendre, residues, sieve_primes
 
 
@@ -283,6 +285,26 @@ def lcm_rule_draws(C):
     raise AssertionError(f"lcm rule undecided at p = {p}")
 
 
+@cache
+def ambiguous_lanes(E):
+    """Every lane of [229, 2e5] the search does not refuse but whose
+    window holds several annihilators of the class of N mod t, as (C, its
+    annihilators read as curve orders, whether its point lies on the
+    twist, N from order_bsgs with a point of its own)."""
+    curves = [reduce_curve(E, p) for p in sieve_primes(200_000)
+              if p >= 229 and p not in E.bad_primes]
+    found = []
+    for i in range(0, len(curves), 512):
+        block = curves[i:i + 512]
+        lane, n, refused, twist = _window_annihilators(*columns(block))
+        several = (np.bincount(lane, minlength=len(block)) >= 2) & ~refused
+        for j in np.flatnonzero(several).tolist():
+            C = block[j]
+            orders = [2 * C.p + 2 - x if twist[j] else x for x in n[lane == j].tolist()]
+            found.append((C, orders, bool(twist[j]), order_bsgs(C).N))
+    return found
+
+
 class TestCandidateFilter:
     @pytest.mark.parametrize("E, total", [(GENERIC, 2299), (CM, 2492), (CM3, 2446)],
                              ids=["generic1", "cm-i", "cm-3"])
@@ -310,45 +332,43 @@ class TestCandidateFilter:
                                                     (CM3, 351, 57)],
                              ids=["generic1", "cm-i", "cm-3"])
     def test_lane_annihilators_hold_the_order(self, E, seeded, twisted):
-        # every lane of [229, 2e5] the search does not refuse but whose
-        # window holds several annihilators of the class of N mod t: read
-        # as curve orders, they hold the curve's order, and order_bsgs
-        # seeded with them finds it
-        curves = [reduce_curve(E, p) for p in sieve_primes(200_000)
-                  if p >= 229 and p not in E.bad_primes]
-        count = on_twist = 0
-        for i in range(0, len(curves), 512):
-            block = curves[i:i + 512]
-            lane, n, refused, twist = _window_annihilators(*columns(block))
-            several = (np.bincount(lane, minlength=len(block)) >= 2) & ~refused
-            for j in np.flatnonzero(several).tolist():
-                C = block[j]
-                orders = [2 * C.p + 2 - x if twist[j] else x for x in n[lane == j].tolist()]
-                N = order_bsgs(C).N
-                assert N in orders, C.p
-                assert order_bsgs(C, orders).N == N, C.p
-                count += 1
-                on_twist += bool(twist[j])
-        assert (count, on_twist) == (seeded, twisted)
+        # every lane of ambiguous_lanes: read as curve orders, its
+        # annihilators hold the curve's order, and order_bsgs seeded with
+        # them finds it
+        rows = ambiguous_lanes(E)
+        for C, orders, _, N in rows:
+            assert N in orders, C.p
+            assert order_bsgs(C, orders).N == N, C.p
+        assert (len(rows), sum(twist for _, _, twist, _ in rows)) == (seeded, twisted)
 
     def test_trace_block_hands_over_the_lane_annihilators(self, monkeypatch):
         # generic1 at 941 (one root, N even): x = 1 lies on the twist, with
         # even annihilators 912, 950, 988, so the curve orders 972, 934,
         # 896; cm-i at 1013 (three roots, 4 | N): 968, 1012, 1056 on the
-        # curve; generic1 at 337: the search refuses the lane, so
-        # order_bsgs finds its own; generic1 at 4027: accepted
-        seen = []
-        real = counting.order_bsgs
+        # curve.  weed_orders gets both lists and keeps N alone, so these
+        # lanes never reach order_bsgs.  generic1 at 337: the search
+        # refuses the lane, so order_bsgs finds its own; generic1 at
+        # 4027: accepted
+        weeded, seen = [], []
+        real_weed, real_bsgs = counting.weed_orders, counting.order_bsgs
+
+        def weed(p, a, b, lane, orders):
+            kept = real_weed(p, a, b, lane, orders)
+            for i, n in (lane, orders), kept:
+                weeded.append([sorted(n[i == j].tolist()) for j in np.unique(lane)])
+            return kept
 
         def spy(C, candidates=None):
             seen.append(candidates and sorted(candidates))
-            return real(C, candidates)
+            return real_bsgs(C, candidates)
+        monkeypatch.setattr(counting, "weed_orders", weed)
         monkeypatch.setattr(counting, "order_bsgs", spy)
         curves = [reduce_curve(GENERIC, 941), reduce_curve(CM, 1013),
                   reduce_curve(GENERIC, 337), reduce_curve(GENERIC, 4027)]
         N, path = trace_block(*columns(curves), threshold=229)
-        assert seen == [[896, 934, 972], [968, 1012, 1056], None]
-        assert [PATHS[i] for i in path] == ["fallback"] * 3 + ["lanes"]
+        assert weeded == [[[896, 934, 972], [968, 1012, 1056]], [[972], [968]]]
+        assert seen == [None]
+        assert [PATHS[i] for i in path] == ["lanes", "lanes", "fallback", "lanes"]
         assert N.tolist() == [trace_naive(C).N for C in curves]
 
     def test_seeded_candidates_in_any_order(self):
@@ -359,6 +379,67 @@ class TestCandidateFilter:
         orders = list(range(-(-lo // 124) * 124, hi + 1, 124))
         assert len(orders) >= 2 and 124 * 124 in orders
         assert order_bsgs(C, orders[::-1]).N == 124 * 124
+
+
+class TestWeedOrders:
+    @pytest.mark.parametrize("E, left", [(GENERIC, []), (CM, [769, 176401]), (CM3, [])],
+                             ids=["generic1", "cm-i", "cm-3"])
+    def test_orders_match_unseeded_bsgs(self, E, left):
+        # the 132, 459 and 351 lanes of ambiguous_lanes: trace_block's N,
+        # from weed_orders and from order_bsgs for the lanes it leaves with
+        # several candidates, is the order order_bsgs finds from a point
+        # of its own; weed_orders leaves two lanes of the 942
+        rows = ambiguous_lanes(E)
+        p, a, b, roots = columns([C for C, *_ in rows])
+        N, path = trace_block(p, a, b, roots, threshold=229)
+        assert N.tolist() == [n for *_, n in rows]
+        assert p[path == 2].tolist() == left
+        lane = np.concatenate([np.full(len(orders), i) for i, (_, orders, *_) in enumerate(rows)])
+        lane, kept = weed_orders(p, a, b, lane, np.concatenate([orders for _, orders, *_ in rows]))
+        for i, (C, orders, _, n) in enumerate(rows):
+            assert n in kept[lane == i] and set(kept[lane == i].tolist()) <= set(orders), C.p
+
+    def test_several_left_reach_order_bsgs(self, monkeypatch):
+        # cm-i at 769: the window holds the curve orders 720 = N and 780,
+        # and both annihilate weed_orders's curve point, and 1540 - 720
+        # and 1540 - 780 its twist point, so both are left, and
+        # order_bsgs gets exactly those two
+        weeded, seen = [], []
+        real_weed, real_bsgs = counting.weed_orders, counting.order_bsgs
+
+        def weed(*args):
+            kept = real_weed(*args)
+            weeded.append(sorted(kept[1].tolist()))
+            return kept
+
+        def spy(C, candidates=None):
+            seen.append(sorted(candidates))
+            return real_bsgs(C, candidates)
+        monkeypatch.setattr(counting, "weed_orders", weed)
+        monkeypatch.setattr(counting, "order_bsgs", spy)
+        C = reduce_curve(CM, 769)
+        N, path = trace_block(*columns([C]), threshold=229)
+        assert weeded == seen == [[720, 780]]
+        assert (PATHS[path[0]], N[0]) == ("fallback", trace_naive(C).N) == ("fallback", 720)
+
+    def test_planted_list_without_the_order_raises(self, monkeypatch):
+        # every lane of ambiguous_lanes on generic1 and cm-3, its
+        # annihilators given without N: no candidate is left, and
+        # weed_orders raises rather than return an order
+        for E in (GENERIC, CM3):
+            for C, orders, _, N in ambiguous_lanes(E):
+                wrong = np.array([n for n in orders if n != N])
+                with pytest.raises(AmbiguityExhausted):
+                    weed_orders(*columns([C])[:3], np.zeros(len(wrong), dtype=np.int64), wrong)
+        # cm-i at 4993: order_lanes' seven multiples of 40 without N = 5120
+        real = counting.order_lanes
+
+        def planted(*args):
+            N, lane, orders = real(*args)
+            return N, lane[orders != 5120], orders[orders != 5120]
+        monkeypatch.setattr(counting, "order_lanes", planted)
+        with pytest.raises(ArithmeticError, match="p = 4993"):
+            trace_block(*columns([reduce_curve(CM, 4993)]), threshold=229)
 
 
 class TestRecover:
@@ -438,7 +519,8 @@ class TestOrderLanes:
         # cm-i at 4057: x = 1 is a root, and x = 2 has annihilators 4002,
         # 4089 and 4176 in the window, but the cubic splits, so 4 | N, and
         # only 4176 is in that class: the lane is accepted.  At 4993 seven
-        # multiples of 40 are left, and the lane falls back.
+        # multiples of 40 are left, so order_lanes refuses the lane, and
+        # weed_orders's two points leave 5120 alone on the lanes.
         C = reduce_curve(CM, 4057)
         assert _annihilators((12, 36), ReducedCurve(4057, 4021, 0), *hasse_window(4057)) == [
             4002, 4089, 4176]
@@ -448,7 +530,7 @@ class TestOrderLanes:
         assert lane_annihilators(C) == (list(range(4880, 5121, 40)), False)
         assert lanes([C]) == [0]
         N, path = trace_block(*columns([C]), threshold=229)
-        assert (PATHS[path[0]], N[0]) == ("fallback", trace_naive(C).N) == ("fallback", 5120)
+        assert (PATHS[path[0]], N[0]) == ("lanes", trace_naive(C).N) == ("lanes", 5120)
 
     @pytest.mark.parametrize("E, p", [
         (CM, 2113), (CM, 4993), (CM3, 11953), (CM, 1039), (GENERIC, 1451), (GENERIC, 63611),
@@ -656,11 +738,28 @@ class TestRestrictedLanes:
 
 class TestTraceBlock:
     def test_methods_and_orders(self):
+        # cm-i at 4993 is refused by order_lanes and settled by
+        # weed_orders; generic1 at 2393 has no candidates and falls back
         curves = [reduce_curve(E, p) for E, p in
-                  ((GENERIC, 1009), (CM, 4993), (GENERIC, 4027), (CM, 101))]
+                  ((GENERIC, 1009), (CM, 4993), (GENERIC, 4027), (CM, 101), (GENERIC, 2393))]
         N, path = trace_block(*columns(curves), threshold=1000)
-        assert [PATHS[i] for i in path] == ["lanes", "fallback", "lanes", "naive"]
+        assert [PATHS[i] for i in path] == ["lanes", "lanes", "lanes", "naive", "fallback"]
         assert N.tolist() == [trace_naive(C).N for C in curves]
+
+    @pytest.mark.parametrize("preset, calls", [("generic1", 6), ("cm-i", 36), ("cm-3", 23)])
+    def test_order_bsgs_calls_to_2e4(self, preset, calls, monkeypatch):
+        # how many lanes of the good primes to 2e4 trace_block leaves to
+        # the scalar order_bsgs (47, 161 and 124 before weed_orders), a
+        # count that is the same on every machine
+        seen = []
+        real = counting.order_bsgs
+        monkeypatch.setattr(counting, "order_bsgs",
+                            lambda C, candidates=None: seen.append(C.p) or real(C, candidates))
+        E = PRESETS[preset]
+        p = good_primes(E, 20_000)[0]
+        a, b = residues(E.a4, p), residues(E.a6, p)
+        N, path = trace_block(p, a, b, cubic_roots(p, a, b), threshold=229)
+        assert len(seen) == (path == 2).sum() == calls
 
     def test_threshold_floor(self):
         C = reduce_curve(GENERIC, 227)

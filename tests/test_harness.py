@@ -685,6 +685,18 @@ class TestPipeline:
 
 
 class TestCli:
+    def test_negative_a4_curve_matches_its_preset(self, tmp_path, capsys):
+        # '--curve -1,0' is y^2 = x^3 - x, not an option: the same files
+        # as --preset cm-i, and the same paths line
+        outs = []
+        for flags in (["--curve", "-1,0"], ["--preset", "cm-i"]):
+            out = tmp_path / flags[0][2:]
+            assert cli.main(["run", *flags, "--xmax", "3000", "--outfile", str(out)]) == 0
+            outs.append([(out / name).read_bytes() for name in cli.CSV_NAMES])
+        assert outs[0] == outs[1]
+        lines = capsys.readouterr().out.splitlines()
+        assert lines.count("paths: naive 47, lanes 363, fallback 18") == 2
+
     def test_run_csv_and_verify(self, tmp_path, capsys):
         out = tmp_path / "out"
         rc = cli.main(["run", "--preset", "generic1", "--xmax", "1000",
