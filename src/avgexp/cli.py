@@ -20,7 +20,8 @@ from .curve import GlobalCurve, reduce_curve
 from .harness import (CacheMismatch, CheckpointRow, CorruptCache,
                       ExperimentConfig, PI_E_HEADER, PRESETS, RECORD,
                       UnwritableCache, compute_records, error_trend,
-                      good_primes, run_experiment, write_csv, write_json)
+                      good_primes, model_constant, run_experiment, write_csv,
+                      write_json)
 from .structure import structure_bruteforce
 
 EXIT_OK = 0
@@ -114,10 +115,11 @@ def cmd_run(args) -> int:
             model=_build_model(args),
             cache_path=args.cache,
         )
+        constant = model_constant(cfg.model)  # None for a table fitted to the records
         _prepare_output(args)
     except ValueError as err:
         return _usage_error(str(err))
-    result = run_experiment(cfg)
+    result = run_experiment(cfg, constant)
     try:  # before any print, so that a closed stdout cannot cost the files
         if args.out == "json":
             written = args.outfile or "avgexp.json"
@@ -175,8 +177,8 @@ def cmd_constant(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if not 2 <= args.xmax <= 5000:
-        return _usage_error("verify is exhaustive and needs 2 <= --xmax <= 5000")
+    if not 5 <= args.xmax <= 5000:  # 5: the least prime that can be good
+        return _usage_error("verify is exhaustive and needs 5 <= --xmax <= 5000")
     failures = 0
     for E in VERIFY_CURVES:
         good, _ = good_primes(E, args.xmax)

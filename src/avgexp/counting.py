@@ -9,12 +9,10 @@ y, and takes the order where the window holds one.  Where it holds
 several, weed_orders keeps those that annihilate one point of the curve
 and one of its twist, by one ladder over all such lanes, and a lone
 survivor is the order.  order_bsgs pins the order for one prime: its
-candidates are the annihilators of a point, the ones a lane left or
-those of its own first point, and points drawn from random.Random(p), on
-the twist and the curve in turn, weed them out until one is left.
-trace_block sends order_lanes' several-annihilator lanes to weed_orders
-and what is still open to order_bsgs, with the candidates left where the
-lanes proved them.
+candidates are the annihilators of its own first point, and points drawn
+from random.Random(p), on the twist and the curve in turn, weed them out
+until one is left.  trace_block sends order_lanes' several-annihilator
+lanes to weed_orders and what is still open to order_bsgs.
 """
 
 import math
@@ -143,31 +141,26 @@ def _annihilating(P, C, orders) -> list:
     return kept
 
 
-def order_bsgs(C: ReducedCurve, candidates=None) -> TraceResult:
+def order_bsgs(C: ReducedCurve) -> TraceResult:
     """Exact group order N from point annihilators.
 
     N annihilates every point of the curve, 2p + 2 - N every point of its
     quadratic twist, and both lie in the Hasse window.  The candidates
-    for N are given, in any order, as the orders a lane proved to
-    annihilate its point (every annihilator in its window, read as a
-    curve order), or are the annihilators of a first point of the curve,
-    found by baby-step giant-step in O(p^{1/4}) additions.  Either way N
-    is among them, and they are all the multiples of the point's order in
-    the window, an arithmetic progression.  A single one is N.  Otherwise
-    each further point, from the twist and the curve in turn, keeps only
-    the candidates whose order on its side annihilates it, again a
+    for N are the annihilators of a first point of the curve, found by
+    baby-step giant-step in O(p^{1/4}) additions: N is among them, and
+    they are all the multiples of the point's order in the window, an
+    arithmetic progression.  A single one is N.  Otherwise each further
+    point, from the twist and the curve in turn, keeps only the
+    candidates whose order on its side annihilates it, again a
     progression, until one is left.  Points come from the stream
-    random.Random(p), so the result and its cost depend on p and the
-    candidates alone.
+    random.Random(p), so the result and its cost depend on p alone.
     """
     p = C.p
     if p < _MIN_BSGS_P:
         raise ValueError(f"order_bsgs needs p >= {_MIN_BSGS_P}; use trace_naive")
     rng = random.Random(p)
-    if candidates is None:
-        B = math.isqrt(4 * p)
-        candidates = _annihilators(random_point(C, rng), C, p + 1 - B, p + 1 + B)
-    cands = sorted(candidates)
+    B = math.isqrt(4 * p)
+    cands = _annihilators(random_point(C, rng), C, p + 1 - B, p + 1 + B)
     twist = None
     for attempt in range(1, _MAX_SAMPLES):
         if len(cands) < 2:
@@ -575,7 +568,7 @@ def trace_block(p, a, b, roots, threshold: int = 0) -> tuple:
     order_bsgs for every lane they leave.  The lanes are order_lanes, and
     weed_orders for those it refuses only because the window holds
     several proved annihilators of their class; a lane weed_orders leaves
-    with several candidates hands them to order_bsgs.  p, a, b and roots
+    with several candidates goes to order_bsgs too.  p, a, b and roots
     are as for order_lanes; a ReducedCurve is built only for the two
     scalar paths."""
     naive = p < max(threshold, _MIN_BSGS_P)
@@ -587,8 +580,5 @@ def trace_block(p, a, b, roots, threshold: int = 0) -> tuple:
     path = np.where(naive, 0, np.where(N == 0, 2, 1))
     for i in np.flatnonzero(path != 1).tolist():
         C = ReducedCurve(int(p[i]), int(a[i]), int(b[i]))
-        if naive[i]:
-            N[i] = trace_naive(C).N
-        else:
-            N[i] = order_bsgs(C, orders[lane == i].tolist() or None).N
+        N[i] = (trace_naive(C) if naive[i] else order_bsgs(C)).N
     return N, path

@@ -41,7 +41,7 @@ class GlobalCurve:
     @cached_property
     def bad_primes(self) -> frozenset:
         """{2, 3} and every prime dividing disc, by factoring it, so only
-        for |disc| < 2^63; a sweep tests p | disc directly instead."""
+        for |disc| < 2^40; a sweep tests p | disc directly instead."""
         return frozenset({2, 3} | {q for q, _ in factorize(abs(self.disc))})
 
 

@@ -40,7 +40,7 @@ from .constants import (ConstantEstimate, DegreeModel, constant_series,
                         degree, estimate_degrees, li)
 from .curve import GlobalCurve, ReducedCurve
 from .counting import LANE_CAP, PATHS, TraceResult, cubic_roots, lane_rows, trace_block
-from .modarith import is_prime, residues, sieve_primes
+from .modarith import factorize, residues, sieve_primes
 from .structure import GroupStructure, group_structure, settle, sylow_lanes
 
 CACHE_MAGIC = b"AVGEXP1\0"
@@ -121,7 +121,7 @@ class ExperimentConfig:
             raise ValueError("checkpoints must be strictly ascending")
         if self.checkpoints[-1] > self.x_max:
             raise ValueError("checkpoints must not exceed x_max")
-        least = next(q for q in count(5) if is_prime(q) and self.curve.disc % q)
+        least = next(q for q in count(5) if factorize(q) == [(q, 1)] and self.curve.disc % q)
         if self.checkpoints[0] < least:
             raise ValueError(f"checkpoints must be >= {least}, the least good prime")
         if self.model is None:
@@ -265,13 +265,18 @@ def good_primes(E: GlobalCurve, limit: int) -> tuple:
     return primes[~bad], primes[bad]
 
 
-def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
+def run_experiment(cfg: ExperimentConfig, constant=None) -> ExperimentResult:
     """Process every good prime p <= x_max exactly once and aggregate.
 
     Only the good primes the cache lacks are computed; the cache is then
     rewritten with its old records and the new ones.  A cached p <= x_max
-    that is not a good prime makes the cache corrupt.
+    that is not a good prime makes the cache corrupt.  The model's
+    constant, model_constant(cfg.model), is evaluated before the sweep, so
+    a model it refuses costs no prime; a caller that has evaluated it
+    passes it as constant.  An empirical model with no table is fitted to
+    the records after the sweep.
     """
+    constant = constant or model_constant(cfg.model)
     good, skipped = good_primes(cfg.curve, cfg.x_max)
     records = np.empty(0, RECORD)
     if cfg.cache_path and os.path.exists(cfg.cache_path):
@@ -291,20 +296,21 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     records = records[records["p"] <= cfg.x_max].view(np.recarray)
 
     counts, li_x = pi_E_counts(records, K_MAX_DIAG), li(cfg.x_max)
-    model = cfg.model
-    if model.kind == "empirical" and not model.overrides:
-        model = estimate_degrees(counts, li_x)
-    estimate, provenance = model_constant(model)
+    model = cfg.model if constant else estimate_degrees(counts, li_x)
+    estimate, provenance = constant or model_constant(model)
     rows = aggregate_checkpoints(records, cfg.checkpoints, float(estimate.value))
     return ExperimentResult(cfg, records, rows, skipped.tolist(), model, estimate,
                             provenance, paths, pi_E_table(counts, li_x, model))
 
 
 def model_constant(model: DegreeModel):
-    """Series value of the constant under the model, with provenance."""
+    """Series value of the constant under the model, with provenance; None
+    for an empirical model with no table, which is to be fitted."""
     if model.kind == "gl2_generic":
         est = constant_series(model, DEFAULT_SERIES_Y)
         return est, f"gl2_generic series, y = {DEFAULT_SERIES_Y}"
+    if not model.overrides:
+        return None
     covered = 0
     while (covered + 1) in model.overrides:
         covered += 1

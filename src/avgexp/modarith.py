@@ -7,40 +7,9 @@ import math
 
 import numpy as np
 
-# Deterministic Miller-Rabin witness set, valid for all n < 3.3e24.
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
-                 53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
-
 
 class NotASquare(ValueError):
     """Raised by sqrt_mod when the argument is a quadratic nonresidue."""
-
-
-def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin for 64-bit range integers."""
-    if n < 2:
-        return False
-    for p in _SMALL_PRIMES:
-        if n % p == 0:
-            return n == p
-    d = n - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for a in _MR_WITNESSES:
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
 
 
 def legendre(a: int, p: int) -> int:
@@ -139,70 +108,21 @@ def _simple_sieve(limit: int) -> list:
     return np.flatnonzero(flags).tolist()
 
 
-def _pollard_rho(n: int, seed: int) -> int:
-    """One nontrivial factor of composite n (Brent's cycle variant).
-
-    The polynomial increment is derived deterministically from (n, seed)
-    so repeated calls on the same n reproduce the same factor.
-    """
-    if n % 2 == 0:
-        return 2
-    c = (seed * 2654435761 + 1) % n
-    if c == 0:
-        c = 1
-    y, r, q = seed % n, 1, 1
-    g = 1
-    x = ys = y
-    m = 128
-    while g == 1:
-        x = y
-        for _ in range(r):
-            y = (y * y + c) % n
-        k = 0
-        while k < r and g == 1:
-            ys = y
-            for _ in range(min(m, r - k)):
-                y = (y * y + c) % n
-                q = q * abs(x - y) % n
-            g = math.gcd(q, n)
-            k += m
-        r *= 2
-    if g == n:
-        g = 1
-        while g == 1:
-            ys = (ys * ys + c) % n
-            g = math.gcd(abs(x - ys), n)
-    return g
-
-
 def factorize(n: int) -> list:
-    """Complete prime factorization as ascending (prime, multiplicity) pairs.
-
-    Trial division over a small prime table, then Pollard rho with
-    deterministic seeding and Miller-Rabin certification of every cofactor.
-    factorize(1) == [].
-    """
-    if n < 1 or n >= 1 << 63:
-        raise ValueError(f"n = {n} outside [1, 2**63)")
-    factors = {}
-    for p in _SMALL_PRIMES:
-        while n % p == 0:
-            factors[p] = factors.get(p, 0) + 1
-            n //= p
-    stack = [n] if n > 1 else []
-    while stack:
-        m = stack.pop()
-        if m == 1:
-            continue
-        if is_prime(m):
-            factors[m] = factors.get(m, 0) + 1
-            continue
-        seed = 2
-        d = _pollard_rho(m, seed)
-        while d == m:
-            seed += 1
-            d = _pollard_rho(m, seed)
-        stack.append(d)
-        stack.append(m // d)
-    return sorted(factors.items())
-
+    """Complete prime factorization of 1 <= n < 2^40 as ascending (prime,
+    multiplicity) pairs, by trial division: by 2, then by odd q while
+    q^2 <= n, so at most 2^19 divisions.  factorize(1) == []."""
+    if not 1 <= n < 1 << 40:
+        raise ValueError(f"n = {n} outside [1, 2**40)")
+    factors, q = [], 2
+    while q * q <= n:
+        m = 0
+        while n % q == 0:
+            n //= q
+            m += 1
+        if m:
+            factors.append((q, m))
+        q += 2 if q > 2 else 1
+    if n > 1:
+        factors.append((n, 1))
+    return factors

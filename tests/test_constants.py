@@ -193,7 +193,7 @@ class TestConstantEuler:
     @pytest.mark.parametrize("model", [GL2, DegreeModel("gl2_generic", PRIME_POWER_OVERRIDES)])
     def test_local_factor_matches_truncated_nu_sum(self, model):
         from avgexp.constants import _local_factor
-        nu_max = 6  # 97^6 < 2^63, the range of factorize
+        nu_max = 6  # 97^6 < 2^40, the range of factorize
         for q in (2, 3, 5, 97):
             partial = sum(Fraction(q - 1, q ** nu) / degree(model, q ** nu)
                           for nu in range(1, nu_max + 1))

@@ -18,7 +18,8 @@ from avgexp.counting import (LANE_CAP, PATHS, AmbiguityExhausted, _annihilators,
 from avgexp.curve import (GlobalCurve, INFINITY, ReducedCurve, add, neg,
                           random_point, reduce_curve, scalar_mul)
 from avgexp.harness import PRESETS, good_primes
-from avgexp.modarith import is_prime, legendre, residues, sieve_primes
+from avgexp.modarith import legendre, residues, sieve_primes
+from primality import is_prime
 
 
 @contextmanager
@@ -328,18 +329,16 @@ class TestCandidateFilter:
         assert sum(got) == total
         assert got == [lcm_rule_draws(C) for C in curves]
 
-    @pytest.mark.parametrize("E, seeded, twisted", [(GENERIC, 132, 66), (CM, 459, 92),
-                                                    (CM3, 351, 57)],
+    @pytest.mark.parametrize("E, lanes, twisted", [(GENERIC, 132, 66), (CM, 459, 92),
+                                                   (CM3, 351, 57)],
                              ids=["generic1", "cm-i", "cm-3"])
-    def test_lane_annihilators_hold_the_order(self, E, seeded, twisted):
+    def test_lane_annihilators_hold_the_order(self, E, lanes, twisted):
         # every lane of ambiguous_lanes: read as curve orders, its
-        # annihilators hold the curve's order, and order_bsgs seeded with
-        # them finds it
+        # annihilators hold the curve's order
         rows = ambiguous_lanes(E)
         for C, orders, _, N in rows:
             assert N in orders, C.p
-            assert order_bsgs(C, orders).N == N, C.p
-        assert (len(rows), sum(twist for _, _, twist, _ in rows)) == (seeded, twisted)
+        assert (len(rows), sum(twist for _, _, twist, _ in rows)) == (lanes, twisted)
 
     def test_trace_block_hands_over_the_lane_annihilators(self, monkeypatch):
         # generic1 at 941 (one root, N even): x = 1 lies on the twist, with
@@ -358,27 +357,18 @@ class TestCandidateFilter:
                 weeded.append([sorted(n[i == j].tolist()) for j in np.unique(lane)])
             return kept
 
-        def spy(C, candidates=None):
-            seen.append(candidates and sorted(candidates))
-            return real_bsgs(C, candidates)
+        def spy(C):
+            seen.append(C.p)
+            return real_bsgs(C)
         monkeypatch.setattr(counting, "weed_orders", weed)
         monkeypatch.setattr(counting, "order_bsgs", spy)
         curves = [reduce_curve(GENERIC, 941), reduce_curve(CM, 1013),
                   reduce_curve(GENERIC, 337), reduce_curve(GENERIC, 4027)]
         N, path = trace_block(*columns(curves), threshold=229)
         assert weeded == [[[896, 934, 972], [968, 1012, 1056]], [[972], [968]]]
-        assert seen == [None]
+        assert seen == [337]
         assert [PATHS[i] for i in path] == ["lanes", "lanes", "fallback", "lanes"]
         assert N.tolist() == [trace_naive(C).N for C in curves]
-
-    def test_seeded_candidates_in_any_order(self):
-        # cm-i at 15377, E = Z/124 x Z/124: the multiples of 124 in the
-        # window, in any order, leave only 124^2 once a twist point is drawn
-        C = reduce_curve(CM, 15377)
-        lo, hi = hasse_window(15377)
-        orders = list(range(-(-lo // 124) * 124, hi + 1, 124))
-        assert len(orders) >= 2 and 124 * 124 in orders
-        assert order_bsgs(C, orders[::-1]).N == 124 * 124
 
 
 class TestWeedOrders:
@@ -402,8 +392,8 @@ class TestWeedOrders:
     def test_several_left_reach_order_bsgs(self, monkeypatch):
         # cm-i at 769: the window holds the curve orders 720 = N and 780,
         # and both annihilate weed_orders's curve point, and 1540 - 720
-        # and 1540 - 780 its twist point, so both are left, and
-        # order_bsgs gets exactly those two
+        # and 1540 - 780 its twist point, so both are left, and the lane
+        # goes to order_bsgs, which finds N from a point of its own
         weeded, seen = [], []
         real_weed, real_bsgs = counting.weed_orders, counting.order_bsgs
 
@@ -412,14 +402,14 @@ class TestWeedOrders:
             weeded.append(sorted(kept[1].tolist()))
             return kept
 
-        def spy(C, candidates=None):
-            seen.append(sorted(candidates))
-            return real_bsgs(C, candidates)
+        def spy(C):
+            seen.append(C.p)
+            return real_bsgs(C)
         monkeypatch.setattr(counting, "weed_orders", weed)
         monkeypatch.setattr(counting, "order_bsgs", spy)
         C = reduce_curve(CM, 769)
         N, path = trace_block(*columns([C]), threshold=229)
-        assert weeded == seen == [[720, 780]]
+        assert weeded == [[720, 780]] and seen == [769]
         assert (PATHS[path[0]], N[0]) == ("fallback", trace_naive(C).N) == ("fallback", 720)
 
     def test_planted_list_without_the_order_raises(self, monkeypatch):
@@ -754,7 +744,7 @@ class TestTraceBlock:
         seen = []
         real = counting.order_bsgs
         monkeypatch.setattr(counting, "order_bsgs",
-                            lambda C, candidates=None: seen.append(C.p) or real(C, candidates))
+                            lambda C: seen.append(C.p) or real(C))
         E = PRESETS[preset]
         p = good_primes(E, 20_000)[0]
         a, b = residues(E.a4, p), residues(E.a6, p)

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from avgexp import curve
 from avgexp.curve import (BadReduction, GlobalCurve, INFINITY, ReducedCurve, add,
                           neg, random_point, reduce_curve, scalar_mul)
-from avgexp.modarith import is_prime, legendre
+from avgexp.modarith import legendre
+from primality import is_prime
 
 
 def is_on_curve(P, C):

@@ -22,8 +22,9 @@ from avgexp.harness import (CacheMismatch, CheckpointRow, CorruptCache,
                             compute_record, default_checkpoints, error_trend,
                             good_primes, pi_E_counts, pi_E_table,
                             record_violations, run_experiment, write_csv)
-from avgexp.modarith import is_prime, residues, sieve_primes
+from avgexp.modarith import residues, sieve_primes
 from avgexp.structure import structure_bruteforce
+from primality import is_prime
 
 GENERIC = GlobalCurve(1, 1)
 THRESHOLD = ExperimentConfig.trace_threshold  # run's default
@@ -130,7 +131,7 @@ class TestRunExperiment:
         assert default_checkpoints(500) == [500]
 
 
-# |disc| >= 2^63, beyond factorize: 86 and 220 bits; the second curve's
+# |disc| >= 2^40, beyond factorize: 86 and 220 bits; the second curve's
 # bad primes are 2, 3, 5, 653 and 2273
 BIG_CURVES = [GlobalCurve(10 ** 8, 1), GlobalCurve(3 ** 45, -7 ** 30)]
 
@@ -790,7 +791,7 @@ class TestCli:
                                                              monkeypatch):
         # a directory where a csv file goes is refused before the sweep
         (tmp_path / name).mkdir()
-        monkeypatch.setattr(cli, "run_experiment", lambda cfg: pytest.fail("the sweep ran"))
+        monkeypatch.setattr(cli, "run_experiment", lambda *_: pytest.fail("the sweep ran"))
         rc = cli.main(["run", "--preset", "generic1", "--xmax", "1000",
                        "--outfile", str(tmp_path)])
         assert rc == cli.EXIT_USAGE
@@ -805,7 +806,7 @@ class TestCli:
             pass
 
         def reached(real):
-            def stub(n):
+            def stub(n, *_):
                 if isinstance(n, int) and n <= 1000:
                     return real(n)
                 raise Reached
@@ -877,8 +878,11 @@ class TestCli:
         ("constant", "two 3\n"),
         ("run", "2 1/0\n"),
         ("run", "2\n"),
+        ("constant", f"{2 ** 40} 1e30\n"),  # beyond factorize, which euler_phi calls
+        ("run", f"{2 ** 40} 1e30\n"),
     ], ids=["constant-composite", "constant-three-fields", "constant-zero-denominator",
-            "constant-bad-level", "run-zero-denominator", "run-one-field"])
+            "constant-bad-level", "run-zero-denominator", "run-one-field",
+            "constant-level-2^40", "run-level-2^40"])
     def test_bad_overrides_are_usage_errors(self, command, text, tmp_path, capsys):
         path = tmp_path / "ov.txt"
         path.write_text(text)
@@ -887,6 +891,36 @@ class TestCli:
         assert cli.main(argv + ["--overrides", str(path)]) == cli.EXIT_USAGE
         err = capsys.readouterr().err
         assert err.startswith("usage error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv, text", [
+        (["run", "--preset", "generic1", "--xmax", "1000"], "2 1\n3 2\n4 2\n5 4\n7 6\n"),
+        (["constant", "--series-y", "100", "--euler-pmax", "100"], "2 1\n3 2\n4 2\n5 4\n7 6\n"),
+        (["run", "--preset", "generic1", "--xmax", "1000", "--model", "empirical"], "4 0.5\n"),
+        (["verify", "--xmax", "4"], None),
+    ], ids=["run-negative-constant", "constant-negative-constant", "run-empirical-without-level-1",
+            "verify-below-5"])
+    def test_refused_before_any_prime(self, argv, text, tmp_path, capsys, monkeypatch):
+        # the gl2 series of the first file is -0.30, the empirical table of
+        # the second lacks level 1, and no prime below 5 is good: each
+        # exits 4 with one stderr line before a prime is computed or an
+        # output directory is made
+        monkeypatch.setattr(harness, "compute_block", lambda *_, **__: pytest.fail("a prime ran"))
+        if text:
+            (tmp_path / "ov").write_text(text)
+            argv = argv + ["--overrides", str(tmp_path / "ov")]
+        if argv[0] == "run":
+            argv = argv + ["--outfile", str(tmp_path / "out")]
+        assert cli.main(argv) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    def test_verify_from_the_least_good_prime(self, capsys):
+        # 5 is good on every curve verify checks, so each checks p = 5
+        assert cli.main(["verify", "--xmax", "5"]) == cli.EXIT_OK
+        out = capsys.readouterr().out
+        assert out.count(": 1 good primes <= 5 cross-checked (naive 1, ") == 3
+        assert "match full enumeration" in out
 
     @pytest.mark.parametrize("precision", ["20", "100"])
     def test_constant_at_and_above_precision_floor(self, precision, capsys):

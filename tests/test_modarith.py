@@ -6,8 +6,8 @@ import random
 import numpy as np
 import pytest
 
-from avgexp.modarith import (NotASquare, factorize, is_prime, legendre,
-                             sieve_primes, sqrt_mod)
+from avgexp.modarith import NotASquare, factorize, legendre, sieve_primes, sqrt_mod
+from primality import is_prime
 
 
 def naive_primes(limit):
@@ -168,7 +168,7 @@ class TestFactorize:
     def test_factors_are_prime_ascending(self):
         rng = random.Random(23)
         for _ in range(300):
-            n = rng.randrange(2, 1 << 50)
+            n = rng.randrange(2, 1 << 40)
             fac = factorize(n)
             qs = [q for q, _ in fac]
             assert qs == sorted(qs) and len(set(qs)) == len(qs)
@@ -184,8 +184,19 @@ class TestFactorize:
         n = 1_000_003 * 999_983
         assert factorize(n) == factorize(n) == [(999_983, 1), (1_000_003, 1)]
 
+    def test_largest_prime_in_range(self):
+        # 2^40 - 87, the largest prime below 2^40: every odd q up to 2^20
+        assert is_prime(2 ** 40 - 87)
+        assert factorize(2 ** 40 - 87) == [(2 ** 40 - 87, 1)]
+
+    def test_prime_power_near_the_bound(self):
+        assert factorize(97 ** 6) == [(97, 6)]
+        assert factorize(2 ** 39 * 3 // 2) == [(2, 38), (3, 1)]
+
     def test_range_check(self):
         with pytest.raises(ValueError):
             factorize(0)
         with pytest.raises(ValueError):
-            factorize(1 << 63)
+            factorize(1 << 40)
+        assert factorize((1 << 40) - 1) == [(3, 1), (5, 2), (11, 1), (17, 1), (31, 1),
+                                           (41, 1), (61681, 1)]

@@ -16,11 +16,12 @@ from avgexp.counting import (LANE_CAP, _power, _powmod, cubic_roots, order_bsgs,
 from avgexp.curve import (INFINITY, GlobalCurve, ReducedCurve, add, random_point,
                           reduce_curve)
 from avgexp.harness import PRESETS, RECORD, good_primes, record_violations
-from avgexp.modarith import factorize, is_prime, legendre, residues, sieve_primes, sqrt_mod
+from avgexp.modarith import factorize, legendre, residues, sieve_primes, sqrt_mod
 from avgexp.structure import (NotAnnihilated, StructureUnverified,
                               exponent_sampling, group_structure,
                               has_full_two_torsion, settle,
                               structure_bruteforce, sylow_lanes)
+from primality import is_prime
 
 GENERIC = GlobalCurve(1, 1)
 CM = GlobalCurve(-1, 0)
