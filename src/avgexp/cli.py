@@ -12,10 +12,8 @@ import os
 import sys
 from dataclasses import astuple, fields
 
-import mpmath as mp
-
 from .constants import (DegreeModel, constant_euler, constant_series,
-                        load_overrides)
+                        load_overrides, nstr)
 from .curve import GlobalCurve, reduce_curve
 from .harness import (CacheMismatch, CheckpointRow, CorruptCache,
                       ExperimentConfig, PI_E_HEADER, PRESETS, RECORD,
@@ -77,13 +75,11 @@ def _parse_curve(args) -> GlobalCurve:
 
 
 def _build_model(args) -> DegreeModel:
-    try:
+    try:  # with no file there is no override to refuse
         overrides = load_overrides(args.overrides) if args.overrides else {}
-    except OSError as err:
+        return DegreeModel("gl2_generic" if args.model == "gl2" else "empirical", overrides)
+    except (OSError, ValueError) as err:
         raise ValueError(f"--overrides: {err}") from None
-    if args.model == "gl2":
-        return DegreeModel("gl2_generic", overrides)
-    return DegreeModel("empirical", overrides)
 
 
 def _prepare_output(args) -> None:
@@ -165,9 +161,9 @@ def cmd_constant(args) -> int:
         e = constant_euler(model, args.euler_pmax, args.precision)
     except ValueError as err:
         return _usage_error(str(err))
-    print(f"series (y = {s.truncation}):     {mp.nstr(s.value, args.precision)}")
+    print(f"series (y = {s.truncation}):     {nstr(s.value, args.precision)}")
     print(f"  tail <= {s.tail_bound:.3e}   [{s.tail_formula}]")
-    print(f"euler  (p_max = {e.truncation}): {mp.nstr(e.value, args.precision)}")
+    print(f"euler  (p_max = {e.truncation}): {nstr(e.value, args.precision)}")
     print(f"  tail <= {e.tail_bound:.3e}   [{e.tail_formula}]")
     gap = abs(s.value - e.value)
     budget = s.tail_bound + e.tail_bound

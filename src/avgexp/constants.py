@@ -2,18 +2,18 @@
 
 The constant is the sum over k of mobius_coeff(k) / degree(k), equally an
 Euler product of local factors; both evaluators carry explicit truncation
-tail bounds so their agreement is a real check, not a float coincidence.
+tail bounds so their agreement is a real check, not a float coincidence,
+and each sums in integer units of 2^-(prec + 64) to an exact Fraction.
 Degrees come either from the generic GL2 group-order formula (with user
 overrides for non-surjective levels) or from an empirical table fitted to
 per-prime data.
 """
 
 import bisect
+import decimal
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-
-import mpmath as mp
 
 from .modarith import factorize, sieve_primes
 
@@ -85,8 +85,8 @@ class DegreeModel:
         if self.kind not in ("gl2_generic", "empirical"):
             raise ValueError(f"unknown model kind {self.kind!r}")
         for k, n in self.overrides.items():
-            if k < 1 or n <= 0:
-                raise ValueError(f"bad override {k} -> {n}")
+            if not 1 <= k < 1 << 40 or n <= 0:  # levels in factorize's range
+                raise ValueError(f"bad override {k} -> {n}: need 1 <= level < 2**40, degree > 0")
             # phi(k) always divides the true degree; estimates are exempt
             # because a finite sample can fluctuate below it
             if self.kind == "gl2_generic" and n < euler_phi(k):
@@ -127,7 +127,7 @@ class ConstantEstimate:
     produced tail_bound.
     """
 
-    value: object  # mpmath mpf
+    value: Fraction  # dyadic: floor-summed units of 2^-shift
     truncation: int
     tail_bound: float
     tail_formula: str
@@ -165,6 +165,22 @@ def _level_table(y: int):
                 kq, dq = kq * q, dq * q ** 5
 
 
+def _shift(dps: int) -> int:
+    """prec + 64, prec = round((dps + 1) log2(10)) being the bits of dps digits."""
+    return max(1, round((dps + 1) * 3.3219280948873626)) + 64
+
+
+def nstr(value: Fraction, n: int) -> str:
+    """value in (0, 1] to n significant digits, correctly rounded, trailing
+    zeros stripped, and as 1.23e-7 is once its exponent is <= min(-5, -(n // 3))."""
+    context = decimal.Context(prec=n)
+    d = context.divide(value.numerator, value.denominator)
+    e = d.adjusted()
+    fixed = e > min(-(n // 3), -5)
+    text = f"{context.normalize(d if fixed else context.scaleb(d, -e)):f}"
+    return (text if "." in text else text + ".0") + ("" if fixed else f"e{e}")
+
+
 def _units(term: Fraction, shift: int) -> int:
     """floor(term * 2^shift)."""
     return (term.numerator << shift) // term.denominator
@@ -182,31 +198,26 @@ def constant_series(model: DegreeModel, y: int, dps: int = DEFAULT_DPS) -> Const
     if not 1 <= y <= TRUNCATION_CAP or dps < MIN_DPS:
         raise ValueError(f"need 1 <= y <= {TRUNCATION_CAP} and dps >= {MIN_DPS}, "
                          f"got y = {y}, dps = {dps}")
-    generic = model.kind == "gl2_generic"
-    with mp.workdps(dps):
-        shift = mp.mp.prec + 64  # the y floor divisions err by < y * 2^-shift in all
-        if generic:
-            # a leaf's floor(one / (-den w)) is floor(floor(-one / den) / w), as w > 0
-            one = 1 << shift
-            acc = sum(one // den + sum(map((-one // den).__floordiv__, leaves))
-                      for den, leaves in _level_table(y))
-            for k in model.overrides:
-                if k <= y:  # swap the generic term's floor for the override's
-                    c = mobius_coeff(k).value
-                    acc += _units(c / degree(model, k), shift) - _units(c / gl2_order(k), shift)
-        else:
-            acc = sum(_units(mobius_coeff(k).value / degree(model, k), shift)
-                      for k in range(1, y + 1))
-        total = mp.ldexp(mp.mpf(acc), -shift)
-        if generic:
-            late = [k for k in model.overrides if k > y]
-            tail = math.pi ** 2 / (18 * y ** 3) + sum(
-                euler_phi(k) / k / float(degree(model, k)) for k in late)
-            formula = "pi^2/(18*y^3)" + (" + explicit override terms beyond y" if late else "")
-        else:
-            tail = 2 / math.sqrt(y)
-            formula = "2/sqrt(y), assuming degree(k) >= phi(k)^2"
-        return ConstantEstimate(total, y, tail, formula)
+    shift = _shift(dps)  # the y floor divisions err by < y * 2^-shift in all
+    if model.kind == "gl2_generic":
+        # a leaf's floor(one / (-den w)) is floor(floor(-one / den) / w), as w > 0
+        one = 1 << shift
+        acc = sum(one // den + sum(map((-one // den).__floordiv__, leaves))
+                  for den, leaves in _level_table(y))
+        for k in model.overrides:
+            if k <= y:  # swap the generic term's floor for the override's
+                c = mobius_coeff(k).value
+                acc += _units(c / degree(model, k), shift) - _units(c / gl2_order(k), shift)
+        late = [k for k in model.overrides if k > y]
+        tail = math.pi ** 2 / (18 * y ** 3) + sum(
+            euler_phi(k) / k / float(degree(model, k)) for k in late)
+        formula = "pi^2/(18*y^3)" + (" + explicit override terms beyond y" if late else "")
+    else:
+        acc = sum(_units(mobius_coeff(k).value / degree(model, k), shift)
+                  for k in range(1, y + 1))
+        tail = 2 / math.sqrt(y)
+        formula = "2/sqrt(y), assuming degree(k) >= phi(k)^2"
+    return ConstantEstimate(Fraction(acc, 1 << shift), y, tail, formula)
 
 
 def _local_factor(model: DegreeModel, q: int) -> Fraction:
@@ -244,27 +255,47 @@ def constant_euler(model: DegreeModel, p_max: int, dps: int = DEFAULT_DPS) -> Co
     local = {q: _local_factor(model, q) for q in override_primes}
     qs = sieve_primes(p_max)
     qs += sorted(q for q in override_primes if q > p_max)
-    with mp.workdps(dps):
-        # no factor exceeds 1 (an override is a smaller image), so the
-        # len(qs) floors err by < len(qs) * 2^-shift in all
-        shift = mp.mp.prec + 64
-        acc = 1 << shift
-        for q in qs:
-            if q in local:
-                acc = acc * local[q].numerator // local[q].denominator
-            else:
-                den = (q * q - 1) * (q ** 5 - 1)
-                acc = acc * (den - q ** 3) // den
-        tail = 2 / (3 * p_max ** 3)
-        return ConstantEstimate(mp.ldexp(mp.mpf(acc), -shift), p_max, tail,
-                                "2/(3*p_max^3), generic factors are 1 - O(q^-4)")
+    # no factor exceeds 1 (an override is a smaller image), so the
+    # len(qs) floors err by < len(qs) * 2^-shift in all
+    shift = _shift(dps)
+    acc = 1 << shift
+    for q in qs:
+        if q in local:
+            acc = acc * local[q].numerator // local[q].denominator
+        else:
+            den = (q * q - 1) * (q ** 5 - 1)
+            acc = acc * (den - q ** 3) // den
+    return ConstantEstimate(Fraction(acc, 1 << shift), p_max, 2 / (3 * p_max ** 3),
+                            "2/(3*p_max^3), generic factors are 1 - O(q^-4)")
+
+
+_LN = decimal.Context(prec=45)  # 2^-128 is 2.9e-39, and ln x < 47 for x <= 1e20
+
+
+def _ei_less_gamma(x) -> int:
+    """Ei(ln x) - gamma = ln ln x + sum_{n >= 1} (ln x)^n / (n n!) in units
+    of 2^-128; each of the few hundred floors errs by one unit at most."""
+    ln = _LN.ln(decimal.Decimal(x))
+    l, total = (int(_LN.multiply(v, 1 << 128)) for v in (ln, _LN.ln(ln)))
+    term, n = 1 << 128, 0
+    while term:  # term = l^n / n!
+        n += 1
+        term = (term * l >> 128) // n
+        total += term // n
+    return total
+
+
+_EI_LN2 = _ei_less_gamma(2)
 
 
 def li(x: float) -> float:
-    """Offset logarithmic integral: the integral of 1/log t from 2 to x."""
+    """Offset logarithmic integral: the integral of 1/log t from 2 to x.
+
+    It is Ei(ln x) - Ei(ln 2), where gamma cancels, rounded to a float
+    once from its value in units of 2^-128."""
     if x < 2:
         raise ValueError("li is defined here for x >= 2")
-    return float(mp.li(x, offset=True))
+    return (_ei_less_gamma(x) - _EI_LN2) / (1 << 128)
 
 
 def estimate_degrees(counts, li_x: float) -> DegreeModel:

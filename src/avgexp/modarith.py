@@ -75,7 +75,8 @@ def residues(n: int, moduli: np.ndarray) -> np.ndarray:
 def sieve_primes(limit: int) -> list:
     """All primes <= limit, ascending, by a segmented sieve.
 
-    Memory stays O(sqrt(limit) + segment) regardless of limit.
+    The sieve works in O(sqrt(limit) + segment) memory, but the list holds
+    every prime as a Python int: 5.76 M for limit = 1e8, ~250 MB at peak.
     """
     if limit < 2:
         raise ValueError("limit must be >= 2")

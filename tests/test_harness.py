@@ -891,6 +891,8 @@ class TestCli:
         assert cli.main(argv + ["--overrides", str(path)]) == cli.EXIT_USAGE
         err = capsys.readouterr().err
         assert err.startswith("usage error: ") and err.count("\n") == 1
+        if text.startswith(f"{2 ** 40} "):  # the flag and the level, not factorize's range
+            assert err.startswith(f"usage error: --overrides: bad override {2 ** 40} -> ")
 
     @pytest.mark.parametrize("argv, text", [
         (["run", "--preset", "generic1", "--xmax", "1000"], "2 1\n3 2\n4 2\n5 4\n7 6\n"),

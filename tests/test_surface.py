@@ -1,7 +1,10 @@
 """The package defines no top-level function, class or constant that its own
-code never uses."""
+code never uses, and its entry point loads no mpmath."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "avgexp"
@@ -58,3 +61,11 @@ def test_every_import_is_used():
                    for name in [(alias.asname or alias.name).split(".")[0]]
                    if name not in read]
     assert not unused, f"imports that their module never reads: {unused}"
+
+
+def test_cli_imports_no_mpmath():
+    # mpmath is a test-side oracle; the program itself needs numpy alone
+    probe = "import sys, avgexp.cli; print('mpmath' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": str(SRC.parent)})
+    assert out.stdout.strip() == "False"
