@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curve import INFINITY, ReducedCurve, add, random_point, scalar_mul
+from .curve import INFINITY, ReducedCurve, add, neg, random_point, scalar_mul
 from .modarith import legendre
 
 _MAX_SAMPLES = 64
@@ -80,65 +80,28 @@ def quadratic_twist(C: ReducedCurve) -> ReducedCurve:
 
 
 def _annihilators(P, C, lo, hi) -> list:
-    """Every n in [lo, hi] with n*P = infinity, ascending, each once:
-    the multiples of ord(P) in the window, so two or more are spaced by
-    ord(P).
-
-    Baby-step giant-step over the window; it always holds a multiple of
-    ord(P), because the group order lies in it.
-    """
-    p = C.p
-    m = math.isqrt(p + 1 - lo) + 1
-    # baby steps j*P for 0 < j < m, every j kept per x-coordinate: j*P and
-    # -j*P share one, and so do j*P and j'*P = -j*P when j + j' = ord(P)
-    baby = {}
+    """Every n in [lo, hi] with n*P = infinity, ascending: the multiples
+    of ord(P) in the window, by baby-step giant-step keyed by whole
+    points."""
+    m = math.isqrt(hi - lo) + 1
+    # baby points j*P, 0 <= j < m, distinct unless ord(P) < m
+    baby = {INFINITY: 0}
     jP = P
     for j in range(1, m):
-        baby.setdefault(jP[0], []).append((j, jP[1]))
-        nextP = add(jP, P, C)
-        if nextP is INFINITY:
-            # ord(P) = j + 1 <= m: the annihilators are its multiples
-            o = j + 1
-            return list(range(-(-lo // o) * o, hi + 1, o))
-        jP, prevP = nextP, jP
-    # The baby steps recognise G = t*P for every t in [-(m-1), m-1], so the
-    # giant point G = k*s*P finds each annihilator n = k*s - t in
-    # [k*s - (m-1), k*s + (m-1)].  With stride s = 2m - 1 these intervals
-    # tile the integers, and k0..k1 are the tiles that meet [lo, hi].
-    s = 2 * m - 1
-    sP = add(jP, prevP, C)  # m*P + (m-1)*P
-    k0 = (lo + m - 1) // s  # least k with k*s + (m-1) >= lo
-    k1 = (hi + m - 1) // s
-    G = scalar_mul(k0, sP, C)
-    found = []
-    for k in range(k0, k1 + 1):
-        if G is INFINITY:
-            found.append(k * s)
-        else:
-            for j, y in baby.get(G[0], ()):
-                if y == G[1]:
-                    found.append(k * s - j)
-                if (y + G[1]) % p == 0:
-                    found.append(k * s + j)
-        if k < k1:
-            G = add(G, sP, C)
-    anns = sorted(n for n in found if lo <= n <= hi)
-    if not anns:
-        raise AmbiguityExhausted(f"no annihilator in Hasse window at p = {p}")
-    return anns
-
-
-def _annihilating(P, C, orders) -> list:
-    """The n of orders, an ascending arithmetic progression of at least
-    two positive terms, with n*P = infinity: two scalar multiples, for the
-    first term and the step, and one addition per further term."""
-    R, D = scalar_mul(orders[0], P, C), scalar_mul(orders[1] - orders[0], P, C)
-    kept = [orders[0]] if R is INFINITY else []
-    for n in orders[1:]:
-        R = add(R, D, C)
-        if R is INFINITY:
-            kept.append(n)
-    return kept
+        if jP is INFINITY:
+            # ord(P) = j < m: the annihilators are its multiples
+            return list(range(-(-lo // j) * j, hi + 1, j))
+        baby[jP] = j
+        jP = add(jP, P, C)
+    # giant points G = -g*P, g = lo, lo + m, ...: g + j annihilates P exactly
+    # when baby point j is G, and the tiles g .. g + m - 1 cover the window
+    G, step, found = scalar_mul(lo, neg(P, C), C), neg(jP, C), []  # jP = m*P
+    for g in range(lo, hi + 1, m):
+        j = baby.get(G)
+        if j is not None and g + j <= hi:
+            found.append(g + j)
+        G = add(G, step, C)
+    return found
 
 
 def order_bsgs(C: ReducedCurve) -> TraceResult:
@@ -146,13 +109,11 @@ def order_bsgs(C: ReducedCurve) -> TraceResult:
 
     N annihilates every point of the curve, 2p + 2 - N every point of its
     quadratic twist, and both lie in the Hasse window.  The candidates
-    for N are the annihilators of a first point of the curve, found by
-    baby-step giant-step in O(p^{1/4}) additions: N is among them, and
-    they are all the multiples of the point's order in the window, an
-    arithmetic progression.  A single one is N.  Otherwise each further
-    point, from the twist and the curve in turn, keeps only the
-    candidates whose order on its side annihilates it, again a
-    progression, until one is left.  Points come from the stream
+    for N are the annihilators of a first point of the curve in the
+    window (_annihilators), so N is among them.  Each further point, from
+    the twist and the curve in turn, keeps the candidates n for which n,
+    or 2p + 2 - n on the twist, annihilates it, one scalar multiple per
+    candidate, until one is left.  Points come from the stream
     random.Random(p), so the result and its cost depend on p alone.
     """
     p = C.p
@@ -168,11 +129,11 @@ def order_bsgs(C: ReducedCurve) -> TraceResult:
         if attempt % 2 == 1:
             if twist is None:
                 twist = quadratic_twist(C)
-            kept = _annihilating(random_point(twist, rng), twist,
-                                 [2 * p + 2 - n for n in reversed(cands)])
-            cands = [2 * p + 2 - n for n in reversed(kept)]
+            P = random_point(twist, rng)
+            cands = [n for n in cands if scalar_mul(2 * p + 2 - n, P, twist) is INFINITY]
         else:
-            cands = _annihilating(random_point(C, rng), C, cands)
+            P = random_point(C, rng)
+            cands = [n for n in cands if scalar_mul(n, P, C) is INFINITY]
     if len(cands) != 1:
         raise AmbiguityExhausted(f"{len(cands)} candidate orders left at p = {p}")
     N = cands[0]
@@ -359,11 +320,12 @@ def order_lanes(p, a, b, roots) -> tuple:
     [p+1-B, p+1+B].  E_c's cubic has the roots c*e_i of the curve's, so
     its order, like the curve's, is r (mod t): (t, r) = (4, 0) for three
     roots, (2, 0) for one and (2, 1) for none.  The search therefore
-    finds only the n = r (mod t) in the window with n*P = infinity,
-    after the tiling of _annihilators on the multiples of t*P: baby rows
-    x(v_j*P), v_j = t*j (r = 0) or 2j - 1 (r = 1), stepping by t*P, giant
-    rows x(k*S*P) with S a multiple of t, matched by x.  That is about
-    1/sqrt(t) of the rows of an unrestricted search.  A match (k, j)
+    finds only the n = r (mod t) in the window with n*P = infinity, by
+    baby-step giant-step on x alone: baby rows x(v_j*P), v_j = t*j (r =
+    0) or 2j - 1 (r = 1), stepping by t*P, and giant rows x(k*S*P) with S
+    a multiple of t, whose tiles k*S - v_j .. k*S + v_j meet end to end,
+    matched by x.  That is about 1/sqrt(t) of the rows of an
+    unrestricted search of this form.  A match (k, j)
     means k*S*P = +-v_j*P, and y-recovery from the next rows' x (Okeya
     and Sakurai, CHES 2001, in Brier and Joye's Weierstrass form, PKC
     2002) against the reference point t*P proves which, so each

@@ -289,11 +289,14 @@ def run_experiment(cfg: ExperimentConfig, constant=None) -> ExperimentResult:
     missing = good[~np.isin(good, old)]
     fresh, paths = compute_records(cfg.curve, missing, cfg.trace_threshold, cfg.workers)
     if len(missing):
-        records = np.concatenate([records, fresh])
-        records = records[np.argsort(records["p"])]
+        if len(records):
+            records = np.concatenate([records, fresh])
+            records = records[np.argsort(records["p"])]
+        else:  # fresh is already in p order
+            records = fresh
         if cfg.cache_path:
             cache_store(cfg.cache_path, cfg.curve, records)
-    records = records[records["p"] <= cfg.x_max].view(np.recarray)
+    records = records[:np.searchsorted(records["p"], cfg.x_max, side="right")].view(np.recarray)
 
     counts, li_x = pi_E_counts(records, K_MAX_DIAG), li(cfg.x_max)
     model = cfg.model if constant else estimate_degrees(counts, li_x)

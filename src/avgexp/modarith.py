@@ -21,42 +21,27 @@ def legendre(a: int, p: int) -> int:
 
 
 def sqrt_mod(a: int, p: int) -> int:
-    """Smaller square root of a mod p (Tonelli-Shanks).
-
-    Raises NotASquare when (a|p) = -1.  One exponentiation w = a^((q-1)/2),
-    p - 1 = q*2^s with q odd, gives both the first root r = a*w and
-    t = r*w = a^q; t has order 2^i with i < s exactly when a is a square,
-    so the symbol is read off the squarings Tonelli-Shanks does anyway.
-    """
+    """Smaller square root of a mod p, by Tonelli-Shanks; raises
+    NotASquare when (a|p) = -1."""
     a %= p
     if a == 0:
         return 0
-    q, s = p - 1, 0
+    if legendre(a, p) != 1:
+        raise NotASquare(f"{a} is not a square mod {p}")
+    q, s = p - 1, 0  # p - 1 = q*2^s, q odd
     while q % 2 == 0:
-        q //= 2
-        s += 1
-    w = pow(a, (q - 1) // 2, p)
-    r = a * w % p
-    t = r * w % p
-    c = None
-    m = s
-    while t != 1:
-        t2, i = t, 0
+        q, s = q // 2, s + 1
+    z = 2
+    while legendre(z, p) != -1:
+        z += 1
+    c, r, t = pow(z, q, p), pow(a, (q + 1) // 2, p), pow(a, q, p)
+    while t != 1:  # r^2 = a*t, and t has order 2^i, 0 < i < s
+        t2, i = t * t % p, 1
         while t2 != 1:
-            i += 1
-            if i == m:  # t^(2^(s-1)) = (a|p) = -1
-                raise NotASquare(f"{a} is not a square mod {p}")
-            t2 = t2 * t2 % p
-        if c is None:  # a generator of the 2-Sylow subgroup
-            z = 2
-            while legendre(z, p) != -1:
-                z += 1
-            c = pow(z, q, p)
-        b = pow(c, 1 << (m - i - 1), p)
-        r = r * b % p
-        c = b * b % p
+            t2, i = t2 * t2 % p, i + 1
+        b = pow(c, 1 << (s - i - 1), p)
+        r, c, s = r * b % p, b * b % p, i
         t = t * c % p
-        m = i
     return min(r, p - r)
 
 

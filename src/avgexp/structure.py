@@ -26,9 +26,9 @@ pair of a block at once, on x alone, in a few rounds of lane calls: x(l^j
 with points whose x depends on p and the draw index alone.  The pairs it
 leaves open, and the open primes below the lanes' floor, 229, go to
 exponent_sampling, whose points come from one stream random.Random(p)
-per prime, shared by every l.  Points affect only the cost, never the
-answer (Las Vegas).  A full-enumeration oracle (structure_bruteforce)
-provides an independent answer at small p.
+per prime, each l taking the draws after the last l's.  Points affect
+only the cost, never the answer (Las Vegas).  A full-enumeration oracle
+(structure_bruteforce) provides an independent answer at small p.
 """
 
 import math
@@ -144,25 +144,20 @@ def _index_outside(R_chain: list, Q_chain: list, l: int, C: ReducedCurve) -> int
     return 0
 
 
-def _sylow_exponent(C: ReducedCurve, N: int, l: int, k: int, a_min: int,
-                    points: list, rng) -> int:
+def _sylow_exponent(C: ReducedCurve, N: int, l: int, k: int, a_min: int, rng) -> int:
     """b with exp(S) = l^b for the l-Sylow subgroup S of order l^k,
-    given that S is Z/l^a x Z/l^(k-a) with a >= a_min.
+    given that S is Z/l^a x Z/l^(k-a) with a >= a_min, from points of rng.
 
-    points[i] is the i-th point from rng, drawn on first use and kept,
-    so every l walks the same points.  Q1 is the point of largest order
-    l^b1 projected so far, so b1 <= k - a.  Equality is proved when
-    b1 = k - a_min, or when a point R of order at most l^b1 has l^j*R
-    outside <Q1> for every j < k - b1: then #<Q1, R> = l^k, so Q1 and R
-    generate S and exp(S) = l^b1.  Both proofs are exact, so an unlucky
-    stream costs draws, never a wrong b.
+    Q1 is the point of largest order l^b1 projected so far, so b1 <= k -
+    a.  Equality is proved when b1 = k - a_min, or when a point R of
+    order at most l^b1 has l^j*R outside <Q1> for every j < k - b1: then
+    #<Q1, R> = l^k, so Q1 and R generate S and exp(S) = l^b1.  Both
+    proofs are exact, so an unlucky stream costs draws, never a wrong b.
     """
     cofactor = N // l ** k
     top = None
-    for i in range(_MAX_DRAWS):
-        if i == len(points):
-            points.append(random_point(C, rng))
-        chain = _l_chain(scalar_mul(cofactor, points[i], C), l, k, C)
+    for _ in range(_MAX_DRAWS):
+        chain = _l_chain(scalar_mul(cofactor, random_point(C, rng), C), l, k, C)
         if top is None or len(chain) > len(top):
             top, chain = chain, top
         b1 = len(top)
@@ -180,13 +175,13 @@ def exponent_sampling(C: ReducedCurve, N: int, lo: int = 1, hi: int = 0) -> int:
     a >= 1 iff the 2-torsion is rational.  Divisibilities lo | d | hi
     proved elsewhere (settle's bounds; hi = 0 for none) narrow it to
     v_l(lo) <= a <= v_l(hi).  A single admissible a needs no draws;
-    otherwise the l-Sylow subgroup decides, from points of the one stream
-    random.Random(p) that every l shares.
+    otherwise the l-Sylow subgroup decides, from points of the stream
+    random.Random(p), each l drawing on where the last one stopped.
     """
     p = C.p
     g = math.gcd(p - 1, p - 1 - N)  # a_p - 2 = p - 1 - N
     hi = math.gcd(g, hi)
-    rng, points = random.Random(p), []
+    rng = random.Random(p)
     d = 1
     for l, _ in factorize(g):
         k = _valuation(N, l)
@@ -202,7 +197,7 @@ def exponent_sampling(C: ReducedCurve, N: int, lo: int = 1, hi: int = 0) -> int:
         if a_min == a_max:
             d *= l ** a_max
         else:
-            d *= l ** (k - _sylow_exponent(C, N, l, k, a_min, points, rng))
+            d *= l ** (k - _sylow_exponent(C, N, l, k, a_min, rng))
     return N // d
 
 

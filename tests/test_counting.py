@@ -198,9 +198,12 @@ class TestAnnihilators:
                     assert _annihilators(P, side, lo, hi) == want, (p, a, b)
 
     @pytest.mark.parametrize("b, P, order", [
-        (2, (752, 768), 7),   # below m = 8: caught among the baby steps
-        (13, (686, 244), 8),  # order m: caught by the last baby step
-        (2, (880, 423), 9),   # above m: found by the giant steps
+        (2, (752, 768), 7),   # below m = 12: caught among the baby steps
+        (13, (686, 244), 8),
+        (2, (880, 423), 9),
+        (1, (27, 817), 11),   # the largest order the baby steps catch
+        (6, (764, 794), 12),  # order m: distinct baby points, m*P = infinity
+        (27, (993, 256), 13),  # above m: found by the giant steps
     ])
     def test_orders_around_baby_table_size(self, b, P, order):
         p = 1009
@@ -209,6 +212,82 @@ class TestAnnihilators:
         anns = _annihilators(P, C, lo, hi)
         assert anns == [n for n in range(lo, hi + 1) if n % order == 0]
         assert anns[1] - anns[0] == order
+
+
+def walked_annihilators(P, C, lo, hi):
+    """Every n in [lo, hi] with n*P = infinity, by walking n*P from lo*P,
+    one add per n."""
+    R, found = scalar_mul(lo, P, C), []
+    for n in range(lo, hi + 1):
+        if R is INFINITY:
+            found.append(n)
+        R = add(R, P, C)
+    return found
+
+
+def small_order_points(C):
+    """Every point of order 2 or 3 on C, by trying every x."""
+    p, roots = C.p, {}
+    for y in range(p):
+        roots.setdefault(y * y % p, []).append(y)
+    points = [(x, y) for x in range(p) for y in roots.get((x ** 3 + C.a * x + C.b) % p, ())]
+    return [P for P in points if P[1] == 0 or add(P, P, C) == neg(P, C)]
+
+
+def partial_tile(lo, hi):
+    """Whether _annihilators' last giant tile, of m = isqrt(hi - lo) + 1
+    baby points, runs past hi."""
+    return (hi - lo + 1) % (math.isqrt(hi - lo) + 1) != 0
+
+
+def check_against_walk(C, rng):
+    """_annihilators against the walk on C and its twist: two random
+    points and every point of order 2 and 3, each in the Hasse window and
+    in a narrower window about the side's order N.  Returns how many
+    windows had a partial last tile, and how many points of order 2 and 3
+    were walked."""
+    partial = small = 0
+    lo, hi = hasse_window(C.p)
+    for side in (C, quadratic_twist(C)):
+        N, tiny = trace_naive(side).N, small_order_points(side)
+        small += len(tiny)
+        for P in [random_point(side, rng) for _ in range(2)] + tiny:
+            for w in ((lo, hi), (N - rng.randrange(N - lo + 1), N + rng.randrange(hi - N + 1))):
+                assert _annihilators(P, side, *w) == walked_annihilators(P, side, *w), (side, P, w)
+                partial += partial_tile(*w)
+    return partial, small
+
+
+PRIMES_229_TO_3000 = [p for p in sieve_primes(3000) if p >= 229]
+
+
+class TestAnnihilatorsDifferential:
+    """_annihilators against a brute-force walk over the window."""
+
+    @pytest.mark.parametrize("preset", ["generic1", "cm-i", "cm-3"])
+    def test_presets_at_sampled_primes(self, preset):
+        E, rng, walked = PRESETS[preset], random.Random(preset), []
+        for p in PRIMES_229_TO_3000[::9]:
+            if p not in E.bad_primes:
+                walked.append(check_against_walk(reduce_curve(E, p), rng))
+        partial, small = map(sum, zip(*walked))
+        assert partial > 0 and small > 0
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(st.data())
+    def test_random_curves(self, data):
+        p = data.draw(st.sampled_from(PRIMES_229_TO_3000))
+        a = data.draw(st.integers(0, p - 1))
+        b = data.draw(st.integers(0, p - 1))
+        assume((4 * a ** 3 + 27 * b ** 2) % p)
+        check_against_walk(ReducedCurve(p, a, b), random.Random(data.draw(st.integers(0, 2 ** 32))))
+
+    def test_small_order_points(self):
+        # cm-i's x^3 - x splits, so its three points (e, 0) have order 2;
+        # cm-3's y^2 = x^3 + 16 has the points (0, +-4) of order 3
+        assert small_order_points(reduce_curve(PRESETS["cm-i"], 1009)) == [
+            (0, 0), (1, 0), (1008, 0)]
+        assert (0, 4) in small_order_points(reduce_curve(PRESETS["cm-3"], 1009))
 
 
 class TestBsgsPaths:
@@ -235,10 +314,10 @@ class TestBsgsPaths:
         assert sides == [C, quadratic_twist(C)]
 
     def test_add_count_at_100003(self, monkeypatch):
-        # counts the affine adds only: ~2*sqrt(B) = 50 for the baby and
-        # giant steps, B = isqrt(4p), and one per candidate the later
-        # points filter; the Jacobian steps inside scalar_mul, such as the
-        # start point k0*(s*P), are not counted
+        # counts the affine adds only: ~2*sqrt(2B) = 71 for the baby and
+        # giant steps, B = isqrt(4p); the Jacobian steps inside scalar_mul,
+        # such as the start point lo*(-P) and the candidates' multiples
+        # that the later points filter, are not counted
         calls = [0]
         real = curve.add
 

@@ -111,14 +111,15 @@ class TestExponentSampling:
         assert trials >= 10_000
 
     def test_one_point_list_per_prime(self, monkeypatch):
-        # every l walks the stream random.Random(p) from its start, and a
-        # point drawn for one l is reused, not redrawn, by the next
+        # every l draws from the one stream random.Random(p), the next l
+        # going on where the last stopped, so the points drawn at cm-i 313
+        # are the stream's first points, in order
         walked, drawn = [], []
         real = structure._sylow_exponent
 
-        def spy(C, N, l, k, a_min, points, rng):
-            b = real(C, N, l, k, a_min, points, rng)
-            walked.append((l, len(points)))
+        def spy(C, N, l, *rest):
+            b = real(C, N, l, *rest)
+            walked.append((l, len(drawn)))
             return b
         monkeypatch.setattr(structure, "_sylow_exponent", spy)
         monkeypatch.setattr(structure, "random_point",
@@ -126,8 +127,8 @@ class TestExponentSampling:
         C = reduce_curve(CM, 313)
         exponent_sampling(C, trace_naive(C).N)
         rng = random.Random(313)
-        assert walked == [(2, 2), (3, 3)]
-        assert drawn == [random_point(C, rng) for _ in range(3)]
+        assert walked == [(2, 2), (3, 4)]
+        assert drawn == [random_point(C, rng) for _ in drawn]
 
     def test_split_cubic_with_odd_two_part_raises(self):
         # x^3 - x splits over F_5, so 2 | d and 4 | N; v_2(6) = 1 fits no d
@@ -219,7 +220,7 @@ class TestSylowPath:
         N = trace_naive(C).N
         p, a, b, n = (np.array([v], dtype=np.int64) for v in (C.p, C.a, C.b, N))
         assert [v.tolist() for v in settle(p, a, b, n, cubic_roots(p, a, b))] == [[6], [54]]
-        assert structure._sylow_exponent(C, N, 3, 4, 1, [], random.Random(C.p)) == 2
+        assert structure._sylow_exponent(C, N, 3, 4, 1, random.Random(C.p)) == 2
         assert sampled(C, N, 6, 54) == (18, [(3, 1, 2, 2)])
         assert structure_bruteforce(C).d_p == 18
 
