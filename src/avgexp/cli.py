@@ -74,6 +74,13 @@ def _parse_curve(args) -> GlobalCurve:
         raise ValueError(f"curve {args.curve}: {err}") from None
 
 
+def _parse_checkpoints(text):
+    try:
+        return [int(t) for t in text.split(",")] if text else None
+    except ValueError:
+        raise ValueError("--checkpoints expects comma-separated decimal integers") from None
+
+
 def _build_model(args) -> DegreeModel:
     try:  # with no file there is no override to refuse
         overrides = load_overrides(args.overrides) if args.overrides else {}
@@ -105,7 +112,7 @@ def cmd_run(args) -> int:
         cfg = ExperimentConfig(
             curve=_parse_curve(args),
             x_max=args.xmax,
-            checkpoints=[int(t) for t in args.checkpoints.split(",")] if args.checkpoints else None,
+            checkpoints=_parse_checkpoints(args.checkpoints),
             workers=args.workers,
             trace_threshold=args.trace_threshold,
             model=_build_model(args),

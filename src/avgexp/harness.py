@@ -439,16 +439,23 @@ PI_E_HEADER = ["k", "count", "model_prediction"]
 
 
 def write_csv(path, header, rows) -> None:
-    """The header, then rows: a recarray, 2^14 records at a time so that
-    few Python tuples exist at once, or an iterable of sequences, in which
-    a Fraction is written n/d (str(Fraction(5)) is 5).  csv.writer writes
-    a float as its repr and None as an empty field."""
+    """The header, then rows, each line ended by csv's \\r\\n.  A structured
+    array of integer fields is formatted 2^14 records per write by one % on
+    its flattened columns (TypeError for other fields: %d truncates floats);
+    other rows go to csv.writer, which writes a float as its repr, None as
+    an empty field, and here a Fraction as n/d (str(Fraction(5)) is 5)."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(header)
         if isinstance(rows, np.ndarray):
+            names = rows.dtype.names
+            if not names or any(rows.dtype[n].kind not in "iu" for n in names):
+                raise TypeError(f"write_csv needs integer fields, not {rows.dtype}")
+            line = ",".join(["%d"] * len(names)) + "\r\n"
             for i in range(0, len(rows), 1 << 14):
-                w.writerows(rows[i:i + (1 << 14)].tolist())
+                chunk = rows[i:i + (1 << 14)]
+                flat = np.stack([chunk[n] for n in names], axis=1).ravel().tolist()
+                fh.write(line * len(chunk) % tuple(flat))
         else:
             w.writerows([f"{c.numerator}/{c.denominator}" if isinstance(c, Fraction) else c
                          for c in row] for row in rows)

@@ -1,5 +1,7 @@
 """Experiment orchestration: determinism, exactness, cache, diagnostics."""
 
+import csv
+import io
 import json
 import math
 import os
@@ -75,6 +77,26 @@ class TestRunExperiment:
     def test_csv_cells(self, tmp_path):  # str(Fraction(5)) would be "5"
         write_csv(tmp_path / "t.csv", ["q", "f", "none"], [(Fraction(5), 0.1, None)])
         assert (tmp_path / "t.csv").read_bytes() == b"q,f,none\r\n5/1,0.1,\r\n"
+
+    def test_record_csv_matches_csv_writer(self, tmp_path):
+        # 2^14 + 5 rows cross the bulk formatter's chunk edge; a_p takes
+        # negative, zero and positive values, and p lies near 2^30
+        i = np.arange((1 << 14) + 5)
+        rows = np.empty(len(i), RECORD)
+        rows["p"], rows["a_p"] = 2 ** 30 - 1 - 2 * i, (i % 7 - 3) * 65519
+        rows["d_p"], rows["e_p"] = i % 11 + 1, 2 ** 30 + i
+        expected = io.StringIO(newline="")
+        w = csv.writer(expected)
+        w.writerow(RECORD.names)
+        w.writerows(rows.tolist())
+        write_csv(tmp_path / "r.csv", RECORD.names, rows)
+        assert (tmp_path / "r.csv").read_bytes() == expected.getvalue().encode()
+        write_csv(tmp_path / "e.csv", RECORD.names, np.empty(0, RECORD))
+        assert (tmp_path / "e.csv").read_bytes() == b"p,a_p,d_p,e_p\r\n"
+
+    def test_record_csv_refuses_a_float_field(self, tmp_path):  # %d would truncate it
+        with pytest.raises(TypeError):
+            write_csv(tmp_path / "f.csv", ["p", "x"], np.zeros(1, [("p", "<i8"), ("x", "<f8")]))
 
     def test_bad_primes_skipped_and_reported(self):
         result = small_run()
@@ -870,6 +892,13 @@ class TestCli:
     def test_other_rejected_values_are_usage_errors(self, argv, capsys):
         assert cli.main(argv) == cli.EXIT_USAGE
         assert capsys.readouterr().err.startswith("usage error: ")
+
+    @pytest.mark.parametrize("value", ["1e3", ","])
+    def test_bad_checkpoints_name_the_flag(self, value, capsys):
+        argv = ["run", "--preset", "generic1", "--xmax", "1000", "--checkpoints", value]
+        assert cli.main(argv) == cli.EXIT_USAGE
+        assert capsys.readouterr().err == ("usage error: --checkpoints expects "
+                                           "comma-separated decimal integers\n")
 
     @pytest.mark.parametrize("command, text", [
         ("constant", "6 288\n"),  # composite level: no Euler product
