@@ -1,8 +1,8 @@
 """Prime-sweep experiment: per-prime exponent records, checkpoint tables
 comparing the running average against the model constant, and diagnostics.
 
-Work is split into blocks of consecutive good primes, one pool task per
-block, the same number for every worker and of equal size.  A block's
+Work is split into blocks of consecutive good primes, as many and as
+large for each worker, here and in forked children (block_stream).  A block's
 size is capped by the row cells its lanes need, not by a prime count, so
 blocks of small primes are larger and pay a lane call's fixed cost less
 often.  A block is columnar from the primes to the records: it counts
@@ -26,9 +26,9 @@ import contextlib
 import csv
 import json
 import os
+import pickle
 import struct
 import zlib
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import partial
@@ -53,7 +53,7 @@ _CACHE_DTYPE = np.dtype([("p", "<u8"), ("a_p", "<i8"), ("d_p", "<u4"), ("e_p", "
 
 DEFAULT_SERIES_Y = 1000
 # The good primes in a lane block at p near 2^30, and the least share of
-# a sweep worth a pool worker.  Blocks are capped by row cells: a block
+# a sweep worth a worker.  Blocks are capped by row cells: a block
 # may hold as many (rows x lanes) cells as LANE_BLOCK lanes at 2^30,
 # LANE_BLOCK * lane_rows(2^30 - 1), 3.0 MB per int64 row array, so
 # blocks of smaller primes hold more of them (5350 at 1e6), and the fixed
@@ -126,8 +126,8 @@ class ExperimentConfig:
             raise ValueError(f"checkpoints must be >= {least}, the least good prime")
         if self.model is None:
             self.model = DegreeModel("gl2_generic")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
+        if self.workers < 1 or self.workers > 1 and not hasattr(os, "fork"):
+            raise ValueError("workers must be >= 1, and 1 on a platform without os.fork")
         if self.cache_path and not all(-2 ** 63 <= a < 2 ** 63
                                        for a in (self.curve.a4, self.curve.a6)):
             raise ValueError("a cache stores a4 and a6 as int64, "
@@ -224,34 +224,79 @@ def compute_block(E: GlobalCurve, ps, threshold: int) -> tuple:
 
 def compute_records(E: GlobalCurve, primes, threshold: int,
                     workers: int = 1) -> tuple:
-    """compute_block over blocks of consecutive primes, on a process pool
-    of w = min(workers, ceil(n / LANE_BLOCK), CPUs) workers; records in
-    the order of primes, paths summed.  The n primes are cut into the
-    least multiple of w blocks whose lane buffers fit the row cells of a
-    LANE_BLOCK-prime block at 2^30: at most LANE_BLOCK * lane_rows(2^30 -
-    1) // lane_rows(q) primes each, q the largest prime.  The blocks
-    differ in size by at most one prime, so every worker gets the same
-    share."""
+    """compute_block over blocks of consecutive primes, by block_stream on
+    w = min(workers, ceil(n / LANE_BLOCK), CPUs this process may use)
+    workers; records in the order of primes, paths summed.  The n primes
+    are cut into the least multiple of w blocks whose lane buffers fit the
+    row cells of a LANE_BLOCK-prime block at 2^30: at most LANE_BLOCK *
+    lane_rows(2^30 - 1) // lane_rows(q) primes each, q the largest prime,
+    and differing in size by at most one prime."""
     primes = np.asarray(primes, dtype=np.int64)
     k = -(-len(primes) // LANE_BLOCK)
-    workers = max(1, min(workers, k, os.cpu_count() or 1))
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = max(1, min(workers, k, cpus or 1))
     if k:
         cap = LANE_BLOCK * lane_rows(LANE_CAP - 1) // lane_rows(int(primes.max()))
         k = -(-len(primes) // cap)
     k = -(-k // workers) * workers
     blocks = np.array_split(primes, k) if k else []
-    work = partial(compute_block, E, threshold=threshold)
-    if workers == 1:
-        parts = list(map(work, blocks))
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(work, blocks))
+    parts = list(block_stream(partial(compute_block, E, threshold=threshold), blocks, workers))
     paths = dict.fromkeys(PATHS, 0)
     for _, counts in parts:
         for path, n in counts.items():
             paths[path] += n
     records = np.concatenate([np.empty(0, RECORD)] + [recs for recs, _ in parts])
     return records.view(np.recarray), paths
+
+
+def block_stream(work, blocks, w: int):
+    """work(block) for each of blocks, in order: block j here if w | j, else
+    in forked child j % w, which sends the result of each of its blocks, or
+    the exception it raised, as one pickle behind its 8-byte length.
+    On any exit the read ends are closed (EPIPE to a blocked child) and
+    every child is reaped."""
+    children = []  # (pid, read end) of children 1, ..., w - 1
+    try:
+        for i in range(1, w):
+            fd_r, fd_w = os.pipe()
+            pid = os.fork()
+            if pid == 0:  # the child never leaves this branch
+                try:
+                    os.close(fd_r)
+                    for _, reader in children:
+                        reader.close()
+                    out = open(fd_w, "wb")
+                    for block in blocks[i::w]:
+                        try:
+                            result = work(block)
+                        except Exception as err:  # the parent raises it
+                            result = err
+                        frame = pickle.dumps(result)
+                        out.write(len(frame).to_bytes(8, "little") + frame)
+                        out.flush()
+                    os._exit(0)
+                finally:
+                    os._exit(1)
+            os.close(fd_w)
+            children.append((pid, open(fd_r, "rb")))
+        for j, block in enumerate(blocks):
+            if j % w == 0:
+                yield work(block)
+                continue
+            pid, reader = children[j % w - 1]
+            frame = reader.read(size := int.from_bytes(reader.read(8), "little"))
+            if not size or len(frame) < size:  # it died: by the OOM killer, say
+                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                raise ChildProcessError(f"block worker {pid} died before block {j}, exit {code}")
+            result = pickle.loads(frame)
+            if isinstance(result, Exception):
+                raise result
+            yield result
+    finally:
+        for pid, reader in children:  # each child holds no other child's read end
+            reader.close()
+            with contextlib.suppress(ChildProcessError):  # reaped already if it died
+                os.waitpid(pid, 0)
 
 
 def good_primes(E: GlobalCurve, limit: int) -> tuple:

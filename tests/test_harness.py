@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import signal
 import struct
 import subprocess
 import sys
@@ -30,6 +31,17 @@ from primality import is_prime
 
 GENERIC = GlobalCurve(1, 1)
 THRESHOLD = ExperimentConfig.trace_threshold  # run's default
+
+
+def use_cpus(monkeypatch, cpus):
+    """compute_records sees an affinity of cpus CPUs, or for cpus None a
+    platform without sched_getaffinity whose cpu_count is None."""
+    if cpus is None:
+        monkeypatch.delattr(harness.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: None)
+    else:
+        monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                            raising=False)
 
 
 def small_run(x_max=2000, **kw):
@@ -428,24 +440,12 @@ class TestPipeline:
 
     def test_pool_capped_at_blocks_and_cpus(self, monkeypatch):
         pools = []
-
-        class SerialPool:  # records max_workers; starts no process
-            def __init__(self, max_workers):
-                pools.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables):
-                return map(fn, *iterables)
-
         E = PRESETS["generic1"]
         good = [p for p in sieve_primes(2000) if p not in E.bad_primes]
         whole = harness.compute_records(E, good, 229)
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
+        # a serial stand-in for the stream records w and starts no process
+        monkeypatch.setattr(harness, "block_stream",
+                            lambda work, blocks, w: pools.append(w) or map(work, blocks))
         sizes = []
         real = harness.compute_block
         monkeypatch.setattr(harness, "compute_block",
@@ -454,20 +454,33 @@ class TestPipeline:
         # least multiple of it whose blocks hold the row cells of at most
         # LANE_BLOCK lanes at 2^30, LANE_BLOCK * 371 // lane_rows(1999) =
         # LANE_BLOCK * 371 // 21 primes (1060 or 70), all of one size or
-        # within one prime
+        # within one prime; cpus None is a platform without
+        # sched_getaffinity whose cpu_count is None
         for block, cpus, workers, want, blocks in (
                 (60, 4, 5000, 4, [75] * 4), (60, 64, 5000, 5, [60] * 5),
-                (60, None, 5000, None, [300]), (60, 64, 3, 3, [100] * 3),
-                (60, 64, 1, None, [300]), (4, 4, 5000, 4, [38] * 4 + [37] * 4),
-                (4, 64, 1, None, [60] * 5)):
+                (60, 64, 3, 3, [100] * 3), (60, 64, 1, 1, [300]),
+                (4, 4, 5000, 4, [38] * 4 + [37] * 4), (4, 64, 1, 1, [60] * 5),
+                (60, None, 5000, 1, [300])):
             monkeypatch.setattr(harness, "LANE_BLOCK", block)
-            monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
+            use_cpus(monkeypatch, cpus)
             pools.clear()
             sizes.clear()
             recs, paths = harness.compute_records(E, good, 229, workers)
-            assert pools == ([want] if want else [])
+            assert pools == [want]
             assert sizes == blocks
             assert np.array_equal(recs, whole[0]) and paths == whole[1]
+
+    def test_one_cpu_affinity_starts_no_child(self, monkeypatch):
+        # under an affinity of one CPU (taskset -c 0, say) --workers 2 runs
+        # serially, however many CPUs the machine has
+        E = PRESETS["generic1"]
+        good = good_primes(E, 20_000)[0]
+        whole, paths = harness.compute_records(E, good, THRESHOLD)
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 64)
+        use_cpus(monkeypatch, 1)
+        monkeypatch.setattr(harness.os, "fork", lambda: pytest.fail("a child was forked"))
+        recs, got = harness.compute_records(E, good, THRESHOLD, workers=2)
+        assert np.array_equal(recs, whole) and got == paths
 
     @pytest.mark.parametrize("n, block, workers, cpus", [
         (0, 1300, 2, 2), (1, 1300, 2, 2), (1300, 1300, 1, 2), (1301, 1300, 1, 2),
@@ -487,33 +500,22 @@ class TestPipeline:
         # differ in size by at most one prime, none holds more lanes than
         # LANE_BLOCK lanes' row cells at 2^30 allow at the largest p, their
         # count is a multiple of the pool size, and no smaller multiple
-        # would do; checked on the layout of the n numbers from start
+        # would do; checked on the layout of the n numbers from start, by a
+        # serial stand-in for the stream that starts no process
         pools, sizes = [], []
-
-        class Layout:  # records max_workers; starts no process
-            def __init__(self, max_workers):
-                pools.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables):
-                return map(fn, *iterables)
 
         def block_stub(E, ps, threshold):
             sizes.append(len(ps))
             return np.empty(0, RECORD), dict.fromkeys(PATHS, 0)
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", Layout)
+        monkeypatch.setattr(harness, "block_stream",
+                            lambda work, blocks, w: pools.append(w) or map(work, blocks))
         monkeypatch.setattr(harness, "compute_block", block_stub)
         monkeypatch.setattr(harness, "LANE_BLOCK", block)
-        monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
+        use_cpus(monkeypatch, cpus)
         harness.compute_records(GENERIC, list(range(start, start + n)), 229, workers)
-        assert sum(sizes) == n
+        assert sum(sizes) == n and len(pools) == 1
         if n:
-            pool = pools[0] if pools else 1
+            pool, = pools
             assert pool == min(workers, -(-n // block), cpus)
             cap = block * lane_rows(LANE_CAP - 1) // lane_rows(start + n - 1)
             assert max(sizes) - min(sizes) <= 1 and max(sizes) <= cap
@@ -563,32 +565,108 @@ class TestPipeline:
         assert used[0] <= rows and rows * lanes <= budget
 
     def test_records_identical_for_pool_and_block_sizes(self, monkeypatch):
-        # the block layouts of 1, 2 and 3 workers (four CPUs assumed; a
-        # serial stand-in runs the pool's tasks in this process), at the
-        # default and a small LANE_BLOCK: the same records and paths
-        class SerialPool:
-            def __init__(self, max_workers):
-                pass
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables):
-                return map(fn, *iterables)
-
+        # the block layouts of 1, 2 and 3 workers (four CPUs assumed; the
+        # 2- and 3-worker layouts fork children), at the default and a
+        # small LANE_BLOCK: the same records and paths, and no child left
         E = PRESETS["cm-i"]
         good = good_primes(E, 30_000)[0]
         whole, paths = harness.compute_records(E, good, THRESHOLD)
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
-        monkeypatch.setattr(harness.os, "cpu_count", lambda: 4)
+        use_cpus(monkeypatch, 4)
         for block in (harness.LANE_BLOCK, 97):
             monkeypatch.setattr(harness, "LANE_BLOCK", block)
             for workers in (1, 2, 3):
                 recs, got = harness.compute_records(E, good, THRESHOLD, workers)
                 assert np.array_equal(recs, whole) and got == paths, (block, workers)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @staticmethod
+    def fresh_interpreter(script, tmp_path):
+        """Run script in a new interpreter with avgexp importable; returns
+        the completed process.  After a minute its whole process group,
+        forked children too, is killed and the test fails."""
+        src = os.path.dirname(os.path.dirname(harness.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.Popen([sys.executable, "-c", script], env=env, cwd=tmp_path,
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                                start_new_session=True)
+        try:
+            out, err = proc.communicate(timeout=60)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate()
+            pytest.fail("no result within a minute")
+        return subprocess.CompletedProcess(proc.args, proc.returncode, out, err)
+
+    def test_child_failure_is_one_invariant_line(self, tmp_path):
+        # a block of a forked child raises: the parent raises it, so run
+        # exits 2 with one line; a child that left the fork branch would
+        # go on through cli.main and print a second one
+        script = """if True:
+            import os, sys
+            from avgexp import cli, harness
+            parent, real = os.getpid(), harness.compute_block
+            def block(E, ps, threshold):
+                if os.getpid() != parent:
+                    raise ArithmeticError(f"planted at p = {ps[0]}")
+                return real(E, ps, threshold)
+            harness.compute_block = block
+            harness.os.sched_getaffinity = lambda pid: {0, 1}
+            sys.exit(cli.main(["run", "--preset", "generic1", "--xmax", "20000",
+                               "--workers", "2", "--outfile", "out"]))
+        """
+        done = self.fresh_interpreter(script, tmp_path)
+        assert done.returncode == cli.EXIT_INVARIANT, done.stderr
+        assert done.stderr.startswith("invariant violation: planted at p = ")
+        assert done.stderr.count("\n") == 1 and done.stdout == ""
+
+    def test_parent_failure_reaps_a_blocked_child(self, tmp_path):
+        # the parent's own block fails while child 1 is blocked writing a
+        # result larger than a pipe's buffer: the stream closes its read
+        # end, so the child gets EPIPE, and returns once it is reaped
+        script = """if True:
+            import os, time
+            import numpy as np
+            from avgexp import harness
+            parent = os.getpid()
+            def work(block):
+                if os.getpid() != parent:
+                    return np.zeros(1 << 21)  # 16 MB
+                time.sleep(0.5)  # the child is blocked on its write by now
+                raise ArithmeticError("parent's block")
+            t = time.perf_counter()
+            try:
+                list(harness.block_stream(work, range(4), 2))
+            except ArithmeticError:
+                print(f"{time.perf_counter() - t:.3f}")
+            try:
+                os.waitpid(-1, os.WNOHANG)
+            except ChildProcessError:
+                print("no child left")
+        """
+        done = self.fresh_interpreter(script, tmp_path)
+        took, reaped = done.stdout.split("\n")[:2]
+        assert 0.5 <= float(took) < 5 and reaped == "no child left", done.stderr
+        assert done.stderr == ""  # a child that left the fork branch would print a traceback
+
+    @pytest.mark.parametrize("death, code", [
+        (lambda: os._exit(7), 7), (lambda: os.kill(os.getpid(), signal.SIGKILL), -9)],
+        ids=["exit-7", "sigkill"])
+    def test_dead_child_names_its_exit_status(self, death, code):
+        # a child that ends without sending its result, as one the OOM
+        # killer ends: one ChildProcessError with its exit status (minus
+        # the signal), not an EOFError or UnpicklingError
+        parent = os.getpid()
+
+        def work(block):
+            if os.getpid() != parent:
+                death()
+            return block
+        with pytest.raises(ChildProcessError, match=f"before block 1, exit {code}$"):
+            list(harness.block_stream(work, range(4), 2))
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     def test_objects_only_on_the_scalar_paths(self, monkeypatch):
         # a reduction of generic1 (a = b = 1; order_bsgs's quadratic
@@ -1020,6 +1098,15 @@ class TestCli:
                                 "--out", "json", "--outfile", str(out)]) == cli.EXIT_PIPE
         assert out.exists()
         assert capsys.readouterr().err == ""  # no usage error, no traceback
+
+    def test_workers_above_1_need_fork(self, tmp_path, capsys, monkeypatch):
+        # without os.fork only --workers 1 runs; more is one usage line
+        monkeypatch.delattr(harness.os, "fork", raising=False)
+        argv = ["run", "--preset", "generic1", "--xmax", "1000", "--outfile", str(tmp_path)]
+        assert cli.main(argv + ["--workers", "2"]) == cli.EXIT_USAGE
+        assert capsys.readouterr().err == ("usage error: workers must be >= 1, "
+                                           "and 1 on a platform without os.fork\n")
+        assert cli.main(argv + ["--workers", "1"]) == cli.EXIT_OK
 
     def test_help_exits_zero(self, capsys):
         assert cli.main(["run", "--help"]) == cli.EXIT_OK
