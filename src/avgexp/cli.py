@@ -2,8 +2,9 @@
 
 Exit codes: 0 on success, 2 when an invariant or verification fails,
 3 on cache errors (a cached record that breaks an identity among them),
-4 when the command line or an argument value is rejected, 141 (128 + SIGPIPE)
-when standard output closes early; run has written its output files by then.
+4 when the command line or an argument value is rejected, 5 when a block
+worker dies before it sends a result, 141 (128 + SIGPIPE) when standard
+output closes early; run has written its output files by then.
 """
 
 import argparse
@@ -11,6 +12,7 @@ import contextlib
 import os
 import sys
 from dataclasses import astuple, fields
+from functools import partial
 
 from .constants import (DegreeModel, constant_euler, constant_series,
                         load_overrides, nstr)
@@ -18,14 +20,15 @@ from .curve import GlobalCurve, reduce_curve
 from .harness import (CacheMismatch, CheckpointRow, CorruptCache,
                       ExperimentConfig, PI_E_HEADER, PRESETS, RECORD,
                       UnwritableCache, compute_records, error_trend,
-                      good_primes, model_constant, run_experiment, write_csv,
-                      write_json)
+                      good_primes, model_constant, record_lines,
+                      run_experiment, write_csv, write_json)
 from .structure import structure_bruteforce
 
 EXIT_OK = 0
 EXIT_INVARIANT = 2
 EXIT_CACHE = 3
 EXIT_USAGE = 4
+EXIT_WORKER = 5
 EXIT_PIPE = 141
 # the files of --out csv, in its --outfile directory
 CSV_NAMES = ("records.csv", "checkpoints.csv", "pi_e.csv")
@@ -35,6 +38,27 @@ VERIFY_CURVES = [
     GlobalCurve(-1, 0, label="y^2 = x^3 - x"),
     GlobalCurve(0, 6, label="y^2 = x^3 + 6"),
 ]
+
+
+class UnwritableOutput(Exception):
+    """An output file could not be written."""
+
+
+def _output(fn, *args):
+    """fn(*args), writing an output file: an OSError of it is raised as
+    UnwritableOutput, so that it is not taken for one of the sweep's
+    own, a fork that fails, say."""
+    try:
+        return fn(*args)
+    except OSError as err:
+        raise UnwritableOutput(err) from err
+
+
+def _append(fh, records) -> None:
+    """records as csv lines at the end of fh, flushed, so that closing fh
+    has nothing left to write."""
+    fh.write(record_lines(records))
+    fh.flush()
 
 
 def _usage_error(message: str) -> int:
@@ -122,24 +146,32 @@ def cmd_run(args) -> int:
         _prepare_output(args)
     except ValueError as err:
         return _usage_error(str(err))
-    result = run_experiment(cfg, constant)
     try:  # before any print, so that a closed stdout cannot cost the files
         if args.out == "json":
+            result = run_experiment(cfg, constant)
             written = args.outfile or "avgexp.json"
-            write_json(written, result)
-        else:
+            _output(write_json, written, result)
+        else:  # records.csv is written as the sweep folds each block
             outdir = args.outfile or "."
             records, checkpoints, pi_e = (os.path.join(outdir, name) for name in CSV_NAMES)
-            write_csv(records, RECORD.names, result.records)
-            write_csv(checkpoints, [f.name for f in fields(CheckpointRow)],
-                      map(astuple, result.checkpoints))
-            write_csv(pi_e, PI_E_HEADER, result.pi_e)
+            part = f"{records}.part.{os.getpid()}"
+            try:  # under a temporary name: a failed sweep leaves records.csv as it was
+                with _output(open, part, "wb") as fh:
+                    _output(fh.write, ",".join(RECORD.names).encode() + b"\r\n")
+                    result = run_experiment(cfg, constant, partial(_output, _append, fh))
+                _output(os.replace, part, records)
+            finally:
+                with contextlib.suppress(OSError):
+                    os.remove(part)
+            _output(write_csv, checkpoints, [f.name for f in fields(CheckpointRow)],
+                    map(astuple, result.checkpoints))
+            _output(write_csv, pi_e, PI_E_HEADER, result.pi_e)
             written = f"{outdir}/{', '.join(CSV_NAMES)}"
-    except OSError as err:
+    except UnwritableOutput as err:
         return _usage_error(f"--outfile: {err}")
 
     print(f"curve: {cfg.curve.label or (cfg.curve.a4, cfg.curve.a6)}   "
-          f"x_max = {cfg.x_max}   good primes = {len(result.records)}   "
+          f"x_max = {cfg.x_max}   good primes = {result.good}   "
           f"skipped bad primes: {result.skipped}")
     print(f"paths: {_paths_text(result.paths)}")
     print(f"constant = {result.c_model:.12f}  "
@@ -258,6 +290,9 @@ def main(argv=None) -> int:
     except ArithmeticError as err:
         print(f"invariant violation: {err}", file=sys.stderr)
         return EXIT_INVARIANT
+    except ChildProcessError as err:  # the OOM killer, say
+        print(f"worker error: {err}", file=sys.stderr)
+        return EXIT_WORKER
     except BrokenPipeError:
         # point the descriptor at devnull, so the flush at exit cannot fail too
         with contextlib.suppress(AttributeError, OSError, ValueError):

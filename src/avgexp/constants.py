@@ -269,14 +269,41 @@ def constant_euler(model: DegreeModel, p_max: int, dps: int = DEFAULT_DPS) -> Co
                             "2/(3*p_max^3), generic factors are 1 - O(q^-4)")
 
 
-_LN = decimal.Context(prec=45)  # 2^-128 is 2.9e-39, and ln x < 47 for x <= 1e20
+_F = 160  # bits of the fixed-point logarithms: units of 2^-128 and 32 guard bits
+
+
+def _atanh2(z: int) -> int:
+    """2 atanh(z 2^-_F) in units of 2^-_F, for |z| <= 2^_F / 3: the odd
+    series, one floor per term."""
+    if z < 0:
+        return -_atanh2(-z)
+    z2, total, k = z * z >> _F, 0, 1
+    while z:  # z = z^k here
+        total += z // k
+        z, k = z * z2 >> _F, k + 2
+    return 2 * total
+
+
+_LN2 = _atanh2((1 << _F) // 3)  # ln 2 = 2 atanh(1/3)
+
+
+def _ln(n: int, s: int) -> int:
+    """ln(n 2^-s), n >= 1, in units of 2^-128: n 2^-s = m 2^e with m in
+    [sqrt(1/2), sqrt(2)], and ln m = 2 atanh((m - 1)/(m + 1)), |z| < 0.18."""
+    e = n.bit_length() - 1
+    m, one = (n << _F) >> e, 1 << _F  # m 2^-_F in [1, 2)
+    if m * m > 2 << 2 * _F:
+        m, e = m >> 1, e + 1
+    return ((e - s) * _LN2 + _atanh2(((m - one) << _F) // (m + one))) >> (_F - 128)
 
 
 def _ei_less_gamma(x) -> int:
     """Ei(ln x) - gamma = ln ln x + sum_{n >= 1} (ln x)^n / (n n!) in units
-    of 2^-128; each of the few hundred floors errs by one unit at most."""
-    ln = _LN.ln(decimal.Decimal(x))
-    l, total = (int(_LN.multiply(v, 1 << 128)) for v in (ln, _LN.ln(ln)))
+    of 2^-128, for an int or float x >= 2; each of the few hundred floors
+    errs by one unit at most."""
+    num, den = x.as_integer_ratio()  # den is a power of 2
+    l = _ln(num, den.bit_length() - 1)
+    total = _ln(l, 128)
     term, n = 1 << 128, 0
     while term:  # term = l^n / n!
         n += 1

@@ -15,24 +15,29 @@ lanes leave it open (compute_record), starting from the bounds narrowed
 so far.  Every record is proved, and the points behind it depend on p
 alone, so records are identical for any worker count and block layout.
 
-Records are one numpy recarray of dtype RECORD, sorted by p.  The
-identities every true record obeys are written once, in
-record_violations, and checked where records enter a run: per block as
-they are computed, and when a cache is loaded.  Accumulators stay exact
-(integers and rationals); floats appear only in reported columns.
+A block's records are a numpy array of dtype RECORD, sorted by p.  A
+run folds the blocks in p order as they arrive (aggregate_checkpoints)
+and hands each one on, to records.csv say, so that it holds one segment
+of the sieve and the blocks in flight, not every record.  The identities
+every true record obeys are written once, in record_violations, and
+checked where records enter a run: per block as they are computed, and
+when a cache is loaded.  Accumulators stay exact (integers and
+rationals); floats appear only in reported columns.
 """
 
 import contextlib
 import csv
 import json
+import math
 import os
 import pickle
 import struct
 import zlib
+from collections import Counter
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import count
+from itertools import count, islice
 
 import numpy as np
 
@@ -40,7 +45,7 @@ from .constants import (ConstantEstimate, DegreeModel, constant_series,
                         degree, estimate_degrees, li)
 from .curve import GlobalCurve, ReducedCurve
 from .counting import LANE_CAP, PATHS, TraceResult, cubic_roots, lane_rows, trace_block
-from .modarith import factorize, residues, sieve_primes
+from .modarith import factorize, prime_segments, residues, sieve_primes
 from .structure import GroupStructure, group_structure, settle, sylow_lanes
 
 CACHE_MAGIC = b"AVGEXP1\0"
@@ -59,8 +64,7 @@ DEFAULT_SERIES_Y = 1000
 # blocks of smaller primes hold more of them (5350 at 1e6), and the fixed
 # cost of a lane call, a few ms, is paid less often.
 LANE_BLOCK = 1024
-# The largest x_max: the lanes' int64 residues need p < 2^30, and a sweep
-# holds every record in memory.
+# The largest x_max: the lanes' int64 residues need p < 2^30.
 X_MAX_CAP = LANE_CAP - 1
 # Levels k of the pi_e.csv table and of the empirical degree table.
 K_MAX_DIAG = 12
@@ -156,7 +160,7 @@ class CheckpointRow:
 @dataclass
 class ExperimentResult:
     config: ExperimentConfig
-    records: np.recarray  # of RECORD, ascending in p
+    records: np.recarray  # of RECORD, ascending in p; None if they went to write
     checkpoints: list
     skipped: list
     model: DegreeModel
@@ -168,6 +172,11 @@ class ExperimentResult:
     @property
     def c_model(self) -> float:
         return float(self.constant.value)
+
+    @property
+    def good(self) -> int:
+        """The good primes p <= x_max: pi_E(x_max; 1)."""
+        return self.pi_e[0][1]
 
 
 def record_violations(records) -> np.ndarray:
@@ -224,37 +233,56 @@ def compute_block(E: GlobalCurve, ps, threshold: int) -> tuple:
 
 def compute_records(E: GlobalCurve, primes, threshold: int,
                     workers: int = 1) -> tuple:
-    """compute_block over blocks of consecutive primes, by block_stream on
-    w = min(workers, ceil(n / LANE_BLOCK), CPUs this process may use)
-    workers; records in the order of primes, paths summed.  The n primes
-    are cut into the least multiple of w blocks whose lane buffers fit the
-    row cells of a LANE_BLOCK-prime block at 2^30: at most LANE_BLOCK *
-    lane_rows(2^30 - 1) // lane_rows(q) primes each, q the largest prime,
-    and differing in size by at most one prime."""
+    """stream_records over primes as one segment: records in the order of
+    primes, paths summed."""
     primes = np.asarray(primes, dtype=np.int64)
-    k = -(-len(primes) // LANE_BLOCK)
+    parts, paths = [np.empty(0, RECORD)], Counter(dict.fromkeys(PATHS, 0))
+    for records, counts in stream_records(E, [primes], len(primes), int(primes.max(initial=0)),
+                                          threshold, workers):
+        parts.append(records)
+        paths.update(counts)
+    return np.concatenate(parts).view(np.recarray), dict(paths)
+
+
+def stream_records(E: GlobalCurve, segments, n: int, top: int, threshold: int,
+                   workers: int = 1):
+    """compute_block's (records, paths) for each block of the n primes of
+    segments, int64 arrays whose largest prime is top, in order, by
+    block_stream on w = min(workers, ceil(n / LANE_BLOCK), CPUs this
+    process may use) workers; each of them iterates segments anew.  The
+    primes are cut into the least multiple of w blocks whose lane buffers
+    fit the row cells of a LANE_BLOCK-prime block at 2^30: at most
+    LANE_BLOCK * lane_rows(2^30 - 1) // lane_rows(top) primes each, and
+    differing in size by at most one prime."""
+    k = -(-n // LANE_BLOCK)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     workers = max(1, min(workers, k, cpus or 1))
     if k:
-        cap = LANE_BLOCK * lane_rows(LANE_CAP - 1) // lane_rows(int(primes.max()))
-        k = -(-len(primes) // cap)
+        k = -(-n // (LANE_BLOCK * lane_rows(LANE_CAP - 1) // lane_rows(top)))
     k = -(-k // workers) * workers
-    blocks = np.array_split(primes, k) if k else []
-    parts = list(block_stream(partial(compute_block, E, threshold=threshold), blocks, workers))
-    paths = dict.fromkeys(PATHS, 0)
-    for _, counts in parts:
-        for path, n in counts.items():
-            paths[path] += n
-    records = np.concatenate([np.empty(0, RECORD)] + [recs for recs, _ in parts])
-    return records.view(np.recarray), paths
+    yield from block_stream(partial(compute_block, E, threshold=threshold),
+                            _blocks(segments, n, k), workers)
+
+
+def _blocks(segments, n: int, k: int):
+    """The n primes of segments in k consecutive blocks, the first n % k
+    one prime larger, as np.array_split cuts them; a segment is sieved
+    only when a block needs it."""
+    rest, j, segments = np.empty(0, np.int64), 0, iter(segments)
+    while j < k:
+        rest = np.concatenate((rest, next(segments))) if len(rest) else next(segments)
+        while j < k and len(rest) >= (size := n // k + (j < n % k)):
+            yield rest[:size]
+            rest, j = rest[size:], j + 1
 
 
 def block_stream(work, blocks, w: int):
-    """work(block) for each of blocks, in order: block j here if w | j, else
-    in forked child j % w, which sends the result of each of its blocks, or
-    the exception it raised, as one pickle behind its 8-byte length.
-    On any exit the read ends are closed (EPIPE to a blocked child) and
-    every child is reaped."""
+    """work(block) for each of blocks, an iterable not yet started, in
+    order: block j here if w | j, else in forked child j % w, which
+    iterates its own copy of blocks and sends the result of each of its
+    blocks, or the exception it raised, as one pickle behind its 8-byte
+    length.  On any exit the read ends are closed (EPIPE to a blocked
+    child) and every child is reaped."""
     children = []  # (pid, read end) of children 1, ..., w - 1
     try:
         for i in range(1, w):
@@ -266,7 +294,7 @@ def block_stream(work, blocks, w: int):
                     for _, reader in children:
                         reader.close()
                     out = open(fd_w, "wb")
-                    for block in blocks[i::w]:
+                    for block in islice(blocks, i, None, w):
                         try:
                             result = work(block)
                         except Exception as err:  # the parent raises it
@@ -300,55 +328,108 @@ def block_stream(work, blocks, w: int):
 
 
 def good_primes(E: GlobalCurve, limit: int) -> tuple:
-    """The good primes p <= limit of E and the bad ones, as int64 arrays.
+    """The good primes p <= limit of E and the bad ones, as int64 arrays."""
+    return _good_and_bad(E, np.array(sieve_primes(limit), dtype=np.int64))
 
-    p is bad when p < 5 or p | disc.  disc mod every sieved prime comes
-    at once from residues, exact for p < 2^47; disc is never factored.
-    """
-    primes = np.array(sieve_primes(limit), dtype=np.int64)
+
+def _good_and_bad(E: GlobalCurve, primes) -> tuple:
+    """primes split into the good ones and the bad ones, p < 5 or p | disc.
+    disc mod every prime comes at once from residues, exact for p < 2^47;
+    disc is never factored."""
     bad = (primes < 5) | (residues(E.disc, primes) == 0)
     return primes[~bad], primes[bad]
 
 
-def run_experiment(cfg: ExperimentConfig, constant=None) -> ExperimentResult:
+def _missing_primes(cfg: ExperimentConfig, cached_p):
+    """For each segment of prime_segments(x_max): the good primes that
+    cached_p, the ascending p of the cache, lacks, and the bad primes.  A
+    cached p <= x_max that is not a good prime makes the cache corrupt;
+    both arrays are sorted, so one searchsorted finds it and the good
+    primes that are cached."""
+    cached_p = cached_p[:np.searchsorted(cached_p, cfg.x_max, side="right")]
+    i = 0
+    for primes in prime_segments(cfg.x_max, sieve_primes(math.isqrt(cfg.x_max))):
+        good, bad = _good_and_bad(cfg.curve, primes)
+        j = int(np.searchsorted(cached_p, primes[-1], side="right")) if len(primes) else i
+        at = np.searchsorted(good, cached_p[i:j])
+        known = at < len(good)
+        known[known] = good[at[known]] == cached_p[i:j][known]
+        if not known.all():
+            i += int(known.argmin())
+            break
+        i = j
+        yield np.delete(good, at) if len(at) else good, bad
+    if i < len(cached_p):
+        raise CorruptCache(f"{cfg.cache_path}: cached p = {cached_p[i]} is not a good prime")
+
+
+def _in_order(cached, fresh, paths):
+    """The records of cached (ascending in p) and of the fresh blocks'
+    (records, paths), in p order, in blocks; the fresh paths are added
+    to paths.  Cached records go ahead of the fresh block above them
+    as they are; only a cache with gaps has records among a block's."""
+    i, cached_p = 0, cached["p"]
+    for records, counts in fresh:
+        paths.update(counts)
+        j, k = np.searchsorted(cached_p, records["p"][[0, -1]]).tolist()
+        if j > i:
+            yield cached[i:j]
+        if k > j:
+            records = np.concatenate((cached[j:k], records))
+            records = records[np.argsort(records["p"])]
+        i = k
+        yield records
+    if i < len(cached):
+        yield cached[i:]
+
+
+def run_experiment(cfg: ExperimentConfig, constant=None, write=None) -> ExperimentResult:
     """Process every good prime p <= x_max exactly once and aggregate.
 
     Only the good primes the cache lacks are computed; the cache is then
-    rewritten with its old records and the new ones.  A cached p <= x_max
-    that is not a good prime makes the cache corrupt.  The model's
-    constant, model_constant(cfg.model), is evaluated before the sweep, so
-    a model it refuses costs no prime; a caller that has evaluated it
-    passes it as constant.  An empirical model with no table is fitted to
-    the records after the sweep.
+    rewritten with its old records and the new ones.  A first pass of
+    the sieve counts them, lists the bad primes and checks the cache: a
+    cached p <= x_max that is not a good prime makes it corrupt before
+    any prime is computed.  The records p <= x_max are folded in p
+    order, block by block, and each block goes to write(records); with
+    no write the result holds them all, and with a cache to rewrite the
+    run holds them all too.  The model's constant,
+    model_constant(cfg.model), is evaluated before the sweep, so a model
+    it refuses costs no prime; a caller that has evaluated it passes it
+    as constant.  An empirical model with no table is fitted to the
+    per-d counts after the sweep.
     """
     constant = constant or model_constant(cfg.model)
-    good, skipped = good_primes(cfg.curve, cfg.x_max)
-    records = np.empty(0, RECORD)
+    cached = np.empty(0, RECORD)
     if cfg.cache_path and os.path.exists(cfg.cache_path):
-        records = cache_load(cfg.cache_path, cfg.curve)
-    old = records["p"][records["p"] <= cfg.x_max]
-    known = np.isin(old, good)
-    if not known.all():
-        raise CorruptCache(f"{cfg.cache_path}: cached p = {old[~known][0]} "
-                           "is not a good prime")
-    missing = good[~np.isin(good, old)]
-    fresh, paths = compute_records(cfg.curve, missing, cfg.trace_threshold, cfg.workers)
-    if len(missing):
-        if len(records):
-            records = np.concatenate([records, fresh])
-            records = records[np.argsort(records["p"])]
-        else:  # fresh is already in p order
-            records = fresh
-        if cfg.cache_path:
-            cache_store(cfg.cache_path, cfg.curve, records)
-    records = records[:np.searchsorted(records["p"], cfg.x_max, side="right")].view(np.recarray)
+        cached = cache_load(cfg.cache_path, cfg.curve)
+    n, top, skipped = 0, 0, []
+    for missing, bad in _missing_primes(cfg, cached["p"]):
+        n, top = n + len(missing), int(missing.max(initial=top))
+        skipped += bad.tolist()
+    segments = (missing for missing, _ in _missing_primes(cfg, cached["p"]))
+    upto = int(np.searchsorted(cached["p"], cfg.x_max, side="right"))
+    fold = Fold(list(cfg.checkpoints), math.isqrt(cfg.x_max) + 2)
+    kept, paths = [np.empty(0, RECORD)], Counter(dict.fromkeys(PATHS, 0))
+    keep = write is None or bool(cfg.cache_path and n)
+    with contextlib.closing(stream_records(cfg.curve, segments, n, top, cfg.trace_threshold,
+                                           cfg.workers)) as fresh:
+        for records in _in_order(cached[:upto], fresh, paths):
+            aggregate_checkpoints(fold, records)
+            if write:
+                write(records)
+            if keep:
+                kept.append(records)
+    records = np.concatenate(kept).view(np.recarray) if keep else None
+    if cfg.cache_path and n:
+        cache_store(cfg.cache_path, cfg.curve, np.concatenate((records, cached[upto:])))
 
-    counts, li_x = pi_E_counts(records, K_MAX_DIAG), li(cfg.x_max)
+    counts, li_x = pi_E_counts(fold.count, K_MAX_DIAG), li(cfg.x_max)
     model = cfg.model if constant else estimate_degrees(counts, li_x)
     estimate, provenance = constant or model_constant(model)
-    rows = aggregate_checkpoints(records, cfg.checkpoints, float(estimate.value))
-    return ExperimentResult(cfg, records, rows, skipped.tolist(), model, estimate,
-                            provenance, paths, pi_E_table(counts, li_x, model))
+    rows = checkpoint_rows(fold, float(estimate.value))
+    return ExperimentResult(cfg, records, rows, skipped, model, estimate,
+                            provenance, dict(paths), pi_E_table(counts, li_x, model))
 
 
 def model_constant(model: DegreeModel):
@@ -368,25 +449,49 @@ def model_constant(model: DegreeModel):
     return est, f"empirical series, y = {covered} (fitted table)"
 
 
-def aggregate_checkpoints(records, checkpoints, c_model: float) -> list:
-    """Exact running sums cut at each checkpoint of records sorted by p.
+class Fold:
+    """Exact running sums over the records folded so far, ascending in p:
+    how many (n), the sum of e, and per d the count and the sum of p; at
+    each checkpoint x passed, (x, n, sum_e, sum_p) as they stood there.
+    A true record p <= x_max has d^2 <= p + 1 - a < (sqrt(p) + 1)^2, so
+    the per-d arrays need isqrt(x_max) + 2 entries."""
 
-    The cuts come from searchsorted over p and sum(e) from a cumulative
-    sum.  sum(p/d) is kept as per-d integer sums (d is tiny) and only
-    combined into one rational at each cut.
-    """
+    def __init__(self, checkpoints: list, size: int):
+        self.checkpoints = checkpoints  # the ones not yet passed, ascending
+        self.count = np.zeros(size, np.int64)
+        self.sum_p = np.zeros(size, np.int64)
+        self.n = self.sum_e = 0
+        self.cuts = []
+
+
+def aggregate_checkpoints(fold: Fold, records) -> None:
+    """Fold records, ascending in p and above every record folded before;
+    each checkpoint below their last p is passed, and its sums are cut
+    where searchsorted over p puts it."""
     p = records["p"]
-    cuts = np.searchsorted(p, checkpoints, side="right").tolist()
-    cum_e = np.concatenate(([0], np.cumsum(records["e_p"])))
-    ds, which = np.unique(records["d_p"], return_inverse=True)
-    by_d = np.zeros(len(ds), dtype=np.int64)
-    rows, lo = [], 0
-    for x, n in zip(checkpoints, cuts):
-        np.add.at(by_d, which[lo:n], p[lo:n])
-        lo = n
-        spd = sum((Fraction(s, d) for d, s in zip(ds.tolist(), by_d.tolist()) if s),
-                  Fraction(0))
-        sum_e = int(cum_e[n])
+    passed = int(np.searchsorted(fold.checkpoints, p[-1])) if len(p) else 0
+    xs = fold.checkpoints[:passed]
+    cuts = np.searchsorted(p, xs, side="right").tolist()
+    for x, lo, hi in zip(xs + [None], [0] + cuts, cuts + [len(p)]):
+        part = records[lo:hi]
+        fold.n += len(part)
+        fold.sum_e += int(part["e_p"].sum())
+        np.add.at(fold.count, part["d_p"], 1)
+        np.add.at(fold.sum_p, part["d_p"], part["p"])
+        if x is not None:
+            fold.cuts.append((x, fold.n, fold.sum_e, fold.sum_p.copy()))
+    del fold.checkpoints[:passed]
+
+
+def checkpoint_rows(fold: Fold, c_model: float) -> list:
+    """A CheckpointRow for each checkpoint, from the sums cut there; the
+    checkpoints not passed take the final sums.  sum(p/d) is combined
+    from the per-d sums into one rational only here."""
+    rows = []
+    for x, n, sum_e, sum_p in fold.cuts + [(x, fold.n, fold.sum_e, fold.sum_p)
+                                           for x in fold.checkpoints]:
+        s = sum_p.tolist()
+        spd = sum((Fraction(s[d], d) for d in np.flatnonzero(sum_p).tolist()), Fraction(0))
         avg = sum_e / n if n else 0.0
         c_hat = 2 * sum_e / (n * x) if n else 0.0
         rows.append(CheckpointRow(
@@ -395,10 +500,10 @@ def aggregate_checkpoints(records, checkpoints, c_model: float) -> list:
     return rows
 
 
-def pi_E_counts(records, k_max: int) -> list:
-    """pi_E(x; k) for k = 1, ..., k_max: how many records have k | d_p."""
-    ds = records["d_p"]
-    return [int((ds % k == 0).sum()) for k in range(1, k_max + 1)]
+def pi_E_counts(count, k_max: int) -> list:
+    """pi_E(x; k) for k = 1, ..., k_max from count[d], the records with
+    d_p = d: the sum of count over the multiples of k."""
+    return [int(count[::k].sum()) for k in range(1, k_max + 1)]
 
 
 def pi_E_table(counts, li_x: float, model: DegreeModel) -> list:
@@ -483,27 +588,28 @@ def cache_load(path, curve: GlobalCurve) -> np.recarray:
 PI_E_HEADER = ["k", "count", "model_prediction"]
 
 
+def record_lines(records) -> bytes:
+    """records, a structured array of integer fields, as csv lines ended
+    by \r\n: 2^14 records per % on their flattened columns (TypeError
+    for other fields: %d truncates floats)."""
+    names = records.dtype.names
+    if not names or any(records.dtype[n].kind not in "iu" for n in names):
+        raise TypeError(f"record_lines needs integer fields, not {records.dtype}")
+    line = b",".join([b"%d"] * len(names)) + b"\r\n"
+    return b"".join(
+        line * len(chunk) % tuple(np.stack([chunk[n] for n in names], axis=1).ravel().tolist())
+        for chunk in (records[i:i + (1 << 14)] for i in range(0, len(records), 1 << 14)))
+
+
 def write_csv(path, header, rows) -> None:
-    """The header, then rows, each line ended by csv's \\r\\n.  A structured
-    array of integer fields is formatted 2^14 records per write by one % on
-    its flattened columns (TypeError for other fields: %d truncates floats);
-    other rows go to csv.writer, which writes a float as its repr, None as
-    an empty field, and here a Fraction as n/d (str(Fraction(5)) is 5)."""
+    """The header, then rows, each line ended by csv's \r\n: csv.writer
+    writes a float as its repr, None as an empty field, and here a
+    Fraction as n/d (str(Fraction(5)) is 5)."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(header)
-        if isinstance(rows, np.ndarray):
-            names = rows.dtype.names
-            if not names or any(rows.dtype[n].kind not in "iu" for n in names):
-                raise TypeError(f"write_csv needs integer fields, not {rows.dtype}")
-            line = ",".join(["%d"] * len(names)) + "\r\n"
-            for i in range(0, len(rows), 1 << 14):
-                chunk = rows[i:i + (1 << 14)]
-                flat = np.stack([chunk[n] for n in names], axis=1).ravel().tolist()
-                fh.write(line * len(chunk) % tuple(flat))
-        else:
-            w.writerows([f"{c.numerator}/{c.denominator}" if isinstance(c, Fraction) else c
-                         for c in row] for row in rows)
+        w.writerows([f"{c.numerator}/{c.denominator}" if isinstance(c, Fraction) else c
+                     for c in row] for row in rows)
 
 
 def result_to_json(result: ExperimentResult) -> dict:

@@ -47,9 +47,11 @@ def sqrt_mod(a: int, p: int) -> int:
 
 def residues(n: int, moduli: np.ndarray) -> np.ndarray:
     """n mod q for every q of the int64 array moduli, for an integer n of
-    any size and sign: Horner's rule over the 16-bit limbs of |n|, which
-    stays inside int64 for moduli below 2^47.  No big-int step depends on
-    the number of moduli."""
+    any size and sign: one % for an n inside int64, else Horner's rule
+    over the 16-bit limbs of |n|, which stays inside int64 for moduli
+    below 2^47.  No big-int step depends on the number of moduli."""
+    if -2 ** 63 <= n < 2 ** 63:
+        return n % moduli  # numpy's % takes the modulus's sign, as Python's does
     m = abs(n)
     r = np.zeros_like(moduli)
     for shift in range(m.bit_length() // 16 * 16, -1, -16):
@@ -57,30 +59,42 @@ def residues(n: int, moduli: np.ndarray) -> np.ndarray:
     return -r % moduli if n < 0 else r
 
 
-def sieve_primes(limit: int) -> list:
-    """All primes <= limit, ascending, by a segmented sieve.
+# The numbers one segment of prime_segments spans; its flags take half as
+# many bytes (odd numbers only), 8 MB.
+SEGMENT = 1 << 24
 
-    The sieve works in O(sqrt(limit) + segment) memory, but the list holds
-    every prime as a Python int: 5.76 M for limit = 1e8, ~250 MB at peak.
-    """
+
+def prime_segments(limit: int, base):
+    """The primes p <= limit, ascending, as one int64 array per segment
+    [lo, lo + SEGMENT): a segmented sieve of Eratosthenes (Bays and
+    Hudson, BIT 1977) over the odd numbers, given base, the primes up to
+    isqrt(limit) at least.  It holds one segment's flags at a time."""
+    odd = [q for q in base if q > 2]
+    for lo in range(0, limit + 1, SEGMENT):
+        hi = min(lo + SEGMENT, limit + 1)
+        first = lo | 1
+        flags = np.ones((hi - first + 1) // 2, dtype=bool)  # flags[i]: first + 2i
+        for q in odd:
+            if q * q >= hi:
+                break
+            m = max(q * q, -(-first // q) * q)  # q's least multiple to strike
+            m += q * (1 - m % 2)  # odd multiples are 2q apart, q flags
+            flags[(m - first) // 2::q] = False
+        if lo == 0:
+            flags[0] = False  # 1
+        primes = np.flatnonzero(flags)
+        del flags  # before the consumer runs
+        primes *= 2
+        primes += first
+        yield np.concatenate(([2], primes)) if lo <= 2 < hi else primes
+
+
+def sieve_primes(limit: int) -> list:
+    """All primes <= limit, ascending, from prime_segments."""
     if limit < 2:
         raise ValueError("limit must be >= 2")
-    root = math.isqrt(limit)
-    base = _simple_sieve(root)
-    primes = [p for p in base if p <= limit]
-    segment = max(1 << 16, root)
-    low = root + 1
-    while low <= limit:
-        high = min(low + segment - 1, limit)
-        mask = np.ones(high - low + 1, dtype=bool)
-        for p in base:
-            start = max(p * p, ((low + p - 1) // p) * p)
-            if start > high:
-                continue
-            mask[start - low::p] = False
-        primes.extend((low + np.flatnonzero(mask)).tolist())
-        low = high + 1
-    return primes
+    base = _simple_sieve(math.isqrt(limit))
+    return np.concatenate(list(prime_segments(limit, base))).tolist()
 
 
 def _simple_sieve(limit: int) -> list:

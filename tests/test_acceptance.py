@@ -10,6 +10,7 @@ import os
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from avgexp.constants import (DegreeModel, constant_euler, constant_series,
@@ -176,7 +177,7 @@ def test_criterion_10_planted_error_exponent():
 # --- corollary checks that ride on the same 1e6 run -----------------------
 
 def test_empirical_degree_estimate_k2_band(big_run):
-    model = estimate_degrees(pi_E_counts(big_run.records, 4), li(10 ** 6))
+    model = estimate_degrees(pi_E_counts(np.bincount(big_run.records.d_p), 4), li(10 ** 6))
     n2 = float(degree(model, 2))
     print(f"\n  estimated degree at k=2: {n2:.3f} (gl2 value 6)")
     assert abs(n2 - 6) / 6 < 0.15

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import re
 import signal
 import struct
 import subprocess
@@ -27,6 +28,7 @@ from avgexp.harness import (CacheMismatch, CheckpointRow, CorruptCache,
                             record_violations, run_experiment, write_csv)
 from avgexp.modarith import residues, sieve_primes
 from avgexp.structure import structure_bruteforce
+from measure import measure
 from primality import is_prime
 
 GENERIC = GlobalCurve(1, 1)
@@ -90,7 +92,7 @@ class TestRunExperiment:
         write_csv(tmp_path / "t.csv", ["q", "f", "none"], [(Fraction(5), 0.1, None)])
         assert (tmp_path / "t.csv").read_bytes() == b"q,f,none\r\n5/1,0.1,\r\n"
 
-    def test_record_csv_matches_csv_writer(self, tmp_path):
+    def test_record_csv_matches_csv_writer(self):
         # 2^14 + 5 rows cross the bulk formatter's chunk edge; a_p takes
         # negative, zero and positive values, and p lies near 2^30
         i = np.arange((1 << 14) + 5)
@@ -98,17 +100,13 @@ class TestRunExperiment:
         rows["p"], rows["a_p"] = 2 ** 30 - 1 - 2 * i, (i % 7 - 3) * 65519
         rows["d_p"], rows["e_p"] = i % 11 + 1, 2 ** 30 + i
         expected = io.StringIO(newline="")
-        w = csv.writer(expected)
-        w.writerow(RECORD.names)
-        w.writerows(rows.tolist())
-        write_csv(tmp_path / "r.csv", RECORD.names, rows)
-        assert (tmp_path / "r.csv").read_bytes() == expected.getvalue().encode()
-        write_csv(tmp_path / "e.csv", RECORD.names, np.empty(0, RECORD))
-        assert (tmp_path / "e.csv").read_bytes() == b"p,a_p,d_p,e_p\r\n"
+        csv.writer(expected).writerows(rows.tolist())
+        assert harness.record_lines(rows) == expected.getvalue().encode()
+        assert harness.record_lines(np.empty(0, RECORD)) == b""
 
-    def test_record_csv_refuses_a_float_field(self, tmp_path):  # %d would truncate it
+    def test_record_csv_refuses_a_float_field(self):  # %d would truncate it
         with pytest.raises(TypeError):
-            write_csv(tmp_path / "f.csv", ["p", "x"], np.zeros(1, [("p", "<i8"), ("x", "<f8")]))
+            harness.record_lines(np.zeros(1, [("p", "<i8"), ("x", "<f8")]))
 
     def test_bad_primes_skipped_and_reported(self):
         result = small_run()
@@ -262,7 +260,8 @@ class TestPiETable:
     def test_zero_beyond_hasse_range(self):
         result = small_run(x_max=400, checkpoints=[400])
         kmax = 2 * math.isqrt(400) + 5
-        table = pi_E_table(pi_E_counts(result.records, kmax + 10), li(400), result.model)
+        table = pi_E_table(pi_E_counts(np.bincount(result.records.d_p), kmax + 10), li(400),
+                           result.model)
         for k, count, _ in table:
             if k > kmax:
                 assert count == 0
@@ -276,10 +275,20 @@ class TestPiETable:
             residue = sum(1 for p in primes if p % k == 1)
             assert count <= residue
 
+    def test_counts_from_per_d_counts_match_the_records(self):
+        # pi_E(x; k) summed over the per-d counts, as the fold keeps them,
+        # equals the count of records with k | d_p
+        result = small_run(x_max=30_000, checkpoints=[30_000])
+        d = result.records.d_p
+        want = [int((d % k == 0).sum()) for k in range(1, harness.K_MAX_DIAG + 1)]
+        assert [count for _, count, _ in result.pi_e] == want
+        assert pi_E_counts(np.bincount(d), harness.K_MAX_DIAG) == want
+        assert want[1] > 0 and want[2] > 0
+
     def test_prediction_none_when_uncovered(self):
         result = small_run()
         model = DegreeModel("empirical", {1: 1})
-        table = pi_E_table(pi_E_counts(result.records, 3), li(2000), model)
+        table = pi_E_table(pi_E_counts(np.bincount(result.records.d_p), 3), li(2000), model)
         assert table[0][2] is not None
         assert table[1][2] is None
 
@@ -421,6 +430,65 @@ class TestCache:
         assert computed == []
         assert np.array_equal(r4.records, fresh.records[fresh.records.p <= 1000])
         assert np.array_equal(cache_load(path, GENERIC), fresh.records)
+
+
+class TestFold:
+    """run_experiment folds blocks in p order: the three csv files do not
+    depend on how the records are cut into blocks, where the checkpoints
+    fall among them, or which records come from a cache."""
+
+    GOOD = good_primes(GENERIC, 3000)[0]
+    # pieces of 1, 1, 17, 1, 200 and 1 primes, then the rest
+    CUTS = np.cumsum([1, 1, 17, 1, 200, 1]).tolist()
+    # the first and the last prime of every piece, and x_max
+    CHECKPOINTS = sorted(set(GOOD[[0] + CUTS].tolist() + [3000]
+                             + GOOD[[c - 1 for c in CUTS] + [-1]].tolist()))
+
+    def files(self, out, monkeypatch, cuts=None, cache=None) -> list:
+        """The bytes of the three csv files of a run to 3000 into out; with
+        cuts, the primes to compute go to compute_block cut before each
+        index of cuts (none: one block; empty pieces dropped), by a
+        serial stand-in for the stream."""
+        if cuts is not None:
+            def stream(work, blocks, w):
+                pieces = np.split(np.concatenate(list(blocks)), cuts)
+                return (work(piece) for piece in pieces if len(piece))
+            monkeypatch.setattr(harness, "block_stream", stream)
+        argv = ["run", "--preset", "generic1", "--xmax", "3000", "--outfile", str(out),
+                "--checkpoints", ",".join(map(str, self.CHECKPOINTS))]
+        assert cli.main(argv + (["--cache", str(cache)] if cache else [])) == cli.EXIT_OK
+        monkeypatch.undo()
+        return [(out / name).read_bytes() for name in cli.CSV_NAMES]
+
+    def test_blocks_and_checkpoints_leave_the_files_alone(self, tmp_path, monkeypatch, capsys):
+        want = self.files(tmp_path / "default", monkeypatch)
+        assert self.files(tmp_path / "one", monkeypatch, cuts=[]) == want
+        assert self.files(tmp_path / "uneven", monkeypatch, cuts=self.CUTS) == want
+        rows = list(csv.reader(want[1].decode().splitlines()))[1:]
+        assert [int(r[0]) for r in rows] == self.CHECKPOINTS
+        assert [int(r[1]) for r in rows] == [int((self.GOOD <= x).sum()) for x in self.CHECKPOINTS]
+
+    def test_cached_prefix_and_gaps_leave_the_files_alone(self, tmp_path, monkeypatch, capsys):
+        # a cache to 1500, then one that lacks every third record: the
+        # fresh blocks merge with the cached records, and the cache keeps
+        # the union
+        want = self.files(tmp_path / "default", monkeypatch)
+        whole = small_run(x_max=3000, checkpoints=[3000]).records
+        cache = tmp_path / "c.bin"
+        small_run(x_max=1500, checkpoints=[1500], cache_path=str(cache))
+        assert self.files(tmp_path / "prefix", monkeypatch, cache=cache) == want
+        keep = np.arange(len(whole)) % 3 != 1
+        cache_store(cache, GENERIC, whole[keep])
+        assert self.files(tmp_path / "gaps", monkeypatch, cuts=self.CUTS, cache=cache) == want
+        assert np.array_equal(cache_load(cache, GENERIC), whole)
+        assert self.files(tmp_path / "cached", monkeypatch, cache=cache) == want
+
+    def test_records_stream_to_write_and_are_not_kept(self):
+        cfg = ExperimentConfig(curve=GENERIC, x_max=3000, checkpoints=[1000, 3000])
+        blocks = []
+        result = run_experiment(cfg, write=blocks.append)
+        assert result.records is None and result.good == len(self.GOOD)
+        assert np.concatenate(blocks)["p"].tolist() == self.GOOD.tolist()
 
 
 class TestPipeline:
@@ -667,6 +735,40 @@ class TestPipeline:
             list(harness.block_stream(work, range(4), 2))
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+
+    def test_dead_child_is_one_worker_line(self, tmp_path):
+        # a child that dies before it sends its result (the OOM killer,
+        # say): run exits 5 with one line that names it, no traceback
+        script = """if True:
+            import os, sys
+            from avgexp import cli, harness
+            parent, real = os.getpid(), harness.compute_block
+            def block(E, ps, threshold):
+                if os.getpid() != parent:
+                    os._exit(9)
+                return real(E, ps, threshold)
+            harness.compute_block = block
+            harness.os.sched_getaffinity = lambda pid: {0, 1}
+            sys.exit(cli.main(["run", "--preset", "generic1", "--xmax", "20000",
+                               "--workers", "2", "--outfile", "out"]))
+        """
+        done = self.fresh_interpreter(script, tmp_path)
+        assert done.returncode == cli.EXIT_WORKER == 5, done.stderr
+        assert re.fullmatch(r"worker error: block worker \d+ died before block 1, exit 9\n",
+                            done.stderr)
+        assert "Traceback" not in done.stderr and done.stdout == ""
+
+    def test_peak_memory_does_not_grow_with_x_max(self, tmp_path):
+        # the sweep folds its blocks and streams records.csv, so the
+        # largest process of a sweep to 4e6 at 2 workers peaks within
+        # 1.2 times one to 1e6 (1.37 times when every record was held)
+        peaks = []
+        for x in (10 ** 6, 4 * 10 ** 6):
+            ran = measure(["run", "--preset", "generic1", "--xmax", x, "--workers", 2,
+                           "--outfile", tmp_path / str(x)], timeout=120)
+            assert ran["code"] == cli.EXIT_OK
+            peaks.append(ran["peak_rss_mb"])
+        assert peaks[1] <= 1.2 * peaks[0], peaks
 
     def test_objects_only_on_the_scalar_paths(self, monkeypatch):
         # a reduction of generic1 (a = b = 1; order_bsgs's quadratic
@@ -1098,6 +1200,40 @@ class TestCli:
                                 "--out", "json", "--outfile", str(out)]) == cli.EXIT_PIPE
         assert out.exists()
         assert capsys.readouterr().err == ""  # no usage error, no traceback
+
+    def test_failed_sweep_leaves_records_csv_as_it_was(self, tmp_path, capsys, monkeypatch):
+        # records.csv is written under a temporary name as the sweep folds
+        # its blocks: a block that fails after others were written leaves
+        # the old file, and no partial one
+        argv = ["run", "--preset", "generic1", "--xmax", "3000", "--outfile", str(tmp_path)]
+        assert cli.main(argv) == cli.EXIT_OK
+        old = (tmp_path / "records.csv").read_bytes()
+        written, real = [], harness.compute_block
+
+        def block(E, ps, threshold):
+            if ps[-1] > 2000:
+                raise ArithmeticError("planted")
+            written.append(len(ps))
+            return real(E, ps, threshold)
+        monkeypatch.setattr(harness, "compute_block", block)
+        monkeypatch.setattr(harness, "LANE_BLOCK", 20)  # 2 blocks
+        assert cli.main(argv) == cli.EXIT_INVARIANT
+        assert written
+        assert (tmp_path / "records.csv").read_bytes() == old
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(cli.CSV_NAMES)
+
+    def test_failed_records_write_is_a_usage_error(self, tmp_path, capsys, monkeypatch):
+        # a full disk while records.csv is written: one --outfile line,
+        # exit 4, no partial file
+        def full(fh, records):
+            raise OSError(28, "No space left on device")
+        monkeypatch.setattr(cli, "_append", full)
+        rc = cli.main(["run", "--preset", "generic1", "--xmax", "3000",
+                       "--outfile", str(tmp_path)])
+        assert rc == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err == "usage error: --outfile: [Errno 28] No space left on device\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_workers_above_1_need_fork(self, tmp_path, capsys, monkeypatch):
         # without os.fork only --workers 1 runs; more is one usage line

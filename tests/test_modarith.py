@@ -6,7 +6,9 @@ import random
 import numpy as np
 import pytest
 
-from avgexp.modarith import NotASquare, factorize, legendre, sieve_primes, sqrt_mod
+from avgexp import modarith
+from avgexp.modarith import (NotASquare, factorize, legendre, prime_segments, residues,
+                             sieve_primes, sqrt_mod)
 from primality import is_prime
 
 
@@ -144,6 +146,42 @@ class TestSievePrimes:
 
     def test_matches_trial_division_to_1e4(self):
         assert sieve_primes(10_000) == naive_primes(10_000)
+
+    @pytest.mark.parametrize("size", [2, 16, 64])
+    def test_segments_at_every_edge(self, size, monkeypatch):
+        # a shrunk segment size S: the segments of every limit in 2..300
+        # and of k*S - 1, k*S and k*S + 1 hold the primes of their own
+        # window [lo, lo + S), and together those of sieve_primes in one
+        # segment, which the Miller-Rabin oracle confirms
+        limits = sorted(set(range(2, 301)) | {k * size + j for k in range(1, 40)
+                                             for j in (-1, 0, 1)} - {1})
+        want = {x: sieve_primes(x) for x in limits}
+        monkeypatch.setattr(modarith, "SEGMENT", size)
+        for x in limits:
+            assert want[x] == [q for q in range(x + 1) if is_prime(q)], x
+            segments = list(prime_segments(x, sieve_primes(max(2, math.isqrt(x)))))
+            assert len(segments) == x // size + 1, x
+            for lo, seg in zip(range(0, x + 1, size), segments):
+                assert seg.dtype == np.int64 and all(lo <= q < lo + size for q in seg.tolist())
+            assert np.concatenate(segments).tolist() == want[x] == sieve_primes(x), x
+
+    def test_segments_of_a_sweep_to_1e8_region(self):
+        # the one segment from 10^8 - 2^24 up to a limit just past 10^8
+        # that the odd-only flags and their struck multiples get right:
+        # spot-checked against the oracle at both ends
+        limit = 10 ** 8 + 100
+        base = sieve_primes(math.isqrt(limit))
+        *_, last = prime_segments(limit, base)
+        lo = limit // modarith.SEGMENT * modarith.SEGMENT
+        got = last.tolist()
+        assert got[:50] == [q for q in range(lo, lo + 2000) if is_prime(q)][:50]
+        assert got[-5:] == [q for q in range(limit - 2000, limit + 1) if is_prime(q)][-5:]
+
+    def test_residues_of_a_word_sized_and_a_large_n(self):
+        # n inside int64 takes one %, a larger n Horner's rule: both exact
+        q = np.array([5, 7, 2 ** 31 - 1, 2 ** 46 - 27])
+        for n in (-496, 2 ** 63 - 1, -2 ** 63, 2 ** 63, -3 ** 60 * 7):
+            assert residues(n, q).tolist() == [n % int(m) for m in q], n
 
     def test_rejects_tiny_limit(self):
         with pytest.raises(ValueError):
