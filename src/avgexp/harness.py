@@ -21,8 +21,10 @@ and hands each one on, to records.csv say, so that it holds one segment
 of the sieve and the blocks in flight, not every record.  The identities
 every true record obeys are written once, in record_violations, and
 checked where records enter a run: per block as they are computed, and
-when a cache is loaded.  Accumulators stay exact (integers and
-rationals); floats appear only in reported columns.
+when a cache is loaded.  A cache is a sweep's prefix, every good prime
+up to its last p, and a run computes only the good primes above it.
+Accumulators stay exact (integers and rationals); floats appear only in
+reported columns.
 """
 
 import contextlib
@@ -37,7 +39,7 @@ from collections import Counter
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import count, islice
+from itertools import chain, count, islice
 
 import numpy as np
 
@@ -341,63 +343,40 @@ def _good_and_bad(E: GlobalCurve, primes) -> tuple:
 
 
 def _missing_primes(cfg: ExperimentConfig, cached_p):
-    """For each segment of prime_segments(x_max): the good primes that
-    cached_p, the ascending p of the cache, lacks, and the bad primes.  A
-    cached p <= x_max that is not a good prime makes the cache corrupt;
-    both arrays are sorted, so one searchsorted finds it and the good
-    primes that are cached."""
-    cached_p = cached_p[:np.searchsorted(cached_p, cfg.x_max, side="right")]
-    i = 0
+    """For each segment of prime_segments(x_max): the good primes above
+    the last of cached_p, the cache's ascending p, and the bad primes.
+    cached_p must be every good prime up to its last; the first p <= x_max
+    where they differ makes the cache corrupt."""
+    last, i = cached_p.max(initial=0), 0
     for primes in prime_segments(cfg.x_max, sieve_primes(math.isqrt(cfg.x_max))):
         good, bad = _good_and_bad(cfg.curve, primes)
-        j = int(np.searchsorted(cached_p, primes[-1], side="right")) if len(primes) else i
-        at = np.searchsorted(good, cached_p[i:j])
-        known = at < len(good)
-        known[known] = good[at[known]] == cached_p[i:j][known]
-        if not known.all():
-            i += int(known.argmin())
+        k = int(np.searchsorted(good, last, side="right"))
+        want, have = good[:k], cached_p[i:i + k]
+        if not np.array_equal(want, have):  # they differ inside len(have)
+            m = int(np.argmax(want[:len(have)] != have))
+            if have[m] > want[m]:
+                raise CorruptCache(f"{cfg.cache_path}: cache lacks the good prime {want[m]}")
+            i += m
             break
-        i = j
-        yield np.delete(good, at) if len(at) else good, bad
-    if i < len(cached_p):
+        i += k
+        yield good[k:], bad
+    if i < np.searchsorted(cached_p, cfg.x_max, side="right"):
         raise CorruptCache(f"{cfg.cache_path}: cached p = {cached_p[i]} is not a good prime")
-
-
-def _in_order(cached, fresh, paths):
-    """The records of cached (ascending in p) and of the fresh blocks'
-    (records, paths), in p order, in blocks; the fresh paths are added
-    to paths.  Cached records go ahead of the fresh block above them
-    as they are; only a cache with gaps has records among a block's."""
-    i, cached_p = 0, cached["p"]
-    for records, counts in fresh:
-        paths.update(counts)
-        j, k = np.searchsorted(cached_p, records["p"][[0, -1]]).tolist()
-        if j > i:
-            yield cached[i:j]
-        if k > j:
-            records = np.concatenate((cached[j:k], records))
-            records = records[np.argsort(records["p"])]
-        i = k
-        yield records
-    if i < len(cached):
-        yield cached[i:]
 
 
 def run_experiment(cfg: ExperimentConfig, constant=None, write=None) -> ExperimentResult:
     """Process every good prime p <= x_max exactly once and aggregate.
 
-    Only the good primes the cache lacks are computed; the cache is then
-    rewritten with its old records and the new ones.  A first pass of
-    the sieve counts them, lists the bad primes and checks the cache: a
-    cached p <= x_max that is not a good prime makes it corrupt before
-    any prime is computed.  The records p <= x_max are folded in p
-    order, block by block, and each block goes to write(records); with
-    no write the result holds them all, and with a cache to rewrite the
-    run holds them all too.  The model's constant,
-    model_constant(cfg.model), is evaluated before the sweep, so a model
-    it refuses costs no prime; a caller that has evaluated it passes it
-    as constant.  An empirical model with no table is fitted to the
-    per-d counts after the sweep.
+    A first pass of the sieve counts the good primes above the cache's
+    last p, the ones to compute, lists the bad primes and checks the
+    cache (_missing_primes) before any prime is computed.  The cached
+    records p <= x_max are folded, then the fresh blocks as they arrive,
+    and each block goes to write(records); with no write the result
+    holds them all, as the run does to rewrite the cache with them.  The
+    model's constant, model_constant(cfg.model), is evaluated before the
+    sweep, so a model it refuses costs no prime; a caller that has
+    evaluated it passes it as constant.  An empirical model with no
+    table is fitted to the per-d counts after the sweep.
     """
     constant = constant or model_constant(cfg.model)
     cached = np.empty(0, RECORD)
@@ -410,19 +389,20 @@ def run_experiment(cfg: ExperimentConfig, constant=None, write=None) -> Experime
     segments = (missing for missing, _ in _missing_primes(cfg, cached["p"]))
     upto = int(np.searchsorted(cached["p"], cfg.x_max, side="right"))
     fold = Fold(list(cfg.checkpoints), math.isqrt(cfg.x_max) + 2)
-    kept, paths = [np.empty(0, RECORD)], Counter(dict.fromkeys(PATHS, 0))
+    kept, paths = [], Counter(dict.fromkeys(PATHS, 0))
     keep = write is None or bool(cfg.cache_path and n)
     with contextlib.closing(stream_records(cfg.curve, segments, n, top, cfg.trace_threshold,
                                            cfg.workers)) as fresh:
-        for records in _in_order(cached[:upto], fresh, paths):
+        for records, counts in chain([(cached[:upto], {})], fresh):
+            paths.update(counts)
             aggregate_checkpoints(fold, records)
             if write:
                 write(records)
             if keep:
                 kept.append(records)
     records = np.concatenate(kept).view(np.recarray) if keep else None
-    if cfg.cache_path and n:
-        cache_store(cfg.cache_path, cfg.curve, np.concatenate((records, cached[upto:])))
+    if cfg.cache_path and n:  # then the cache ends below x_max
+        cache_store(cfg.cache_path, cfg.curve, records)
 
     counts, li_x = pi_E_counts(fold.count, K_MAX_DIAG), li(cfg.x_max)
     model = cfg.model if constant else estimate_degrees(counts, li_x)
@@ -560,7 +540,8 @@ def cache_store(path, curve: GlobalCurve, records) -> None:
 
 def cache_load(path, curve: GlobalCurve) -> np.recarray:
     """The cached records, re-validated: a record that breaks an identity,
-    or a p that is not above its predecessor's, makes the cache corrupt."""
+    or a p that is not above its predecessor's, makes the cache corrupt.
+    That they are every good prime up to the last is _missing_primes's."""
     with open(path, "rb") as fh:
         raw = fh.read()
     if len(raw) < _CACHE_HEADER.size:

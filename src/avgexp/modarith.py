@@ -90,22 +90,11 @@ def prime_segments(limit: int, base):
 
 
 def sieve_primes(limit: int) -> list:
-    """All primes <= limit, ascending, from prime_segments."""
+    """All primes <= limit, ascending, by prime_segments on its own base."""
     if limit < 2:
         raise ValueError("limit must be >= 2")
-    base = _simple_sieve(math.isqrt(limit))
+    base = sieve_primes(math.isqrt(limit)) if limit >= 4 else []
     return np.concatenate(list(prime_segments(limit, base))).tolist()
-
-
-def _simple_sieve(limit: int) -> list:
-    if limit < 2:
-        return []
-    flags = np.ones(limit + 1, dtype=bool)
-    flags[:2] = False
-    for p in range(2, math.isqrt(limit) + 1):
-        if flags[p]:
-            flags[p * p::p] = False
-    return np.flatnonzero(flags).tolist()
 
 
 def factorize(n: int) -> list:

@@ -40,7 +40,7 @@ import numpy as np
 
 from .counting import _ladder, _power, _powmod, _xadd, _xdbl, lane_rows, on_lanes
 from .curve import INFINITY, ReducedCurve, add, neg, random_point, scalar_mul
-from .modarith import _simple_sieve, factorize, legendre
+from .modarith import factorize, legendre, sieve_primes
 
 _MAX_DRAWS = 100  # per l-Sylow subgroup; a handful are expected
 _BRUTEFORCE_CAP = 5000
@@ -280,7 +280,7 @@ def settle(p, a, b, N, roots) -> tuple:
     two, three, two_N, three_N = g & -g, np.gcd(g, 3 ** 20), N & -N, np.gcd(N, 3 ** 20)
     h = g // (two * three)
     ok = (h < 1 << 16) & (np.gcd(h, N // h) == 1)
-    for l in _simple_sieve(math.isqrt(int(h[ok].max(initial=1))))[2:]:
+    for l in sieve_primes(max(2, math.isqrt(int(h[ok].max(initial=1)))))[2:]:
         ok &= h % (l * l) != 0
     ok &= ~split | (N % 4 == 0)
     lo, hi = np.where(split, 2, 1), np.where(split, g, g // two)
@@ -304,7 +304,7 @@ def _open_pairs(N, lo, hi) -> tuple:
     with more than _LANE_ROWS x(u*G) for G of order l, or some l has
     a_min > a_max (exponent_sampling then raises).  v_l(n) is read off
     gcd(n, l^e), l^e the largest power of l below 2^62."""
-    small = np.array(_simple_sieve(2 * _LANE_ROWS + 1))
+    small = np.array(sieve_primes(2 * _LANE_ROWS + 1))
     rest = hi // lo
     lane, which = np.nonzero(rest[:, None] % small == 0)
     by_l = np.argsort(which, kind="stable")

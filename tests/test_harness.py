@@ -431,6 +431,22 @@ class TestCache:
         assert np.array_equal(r4.records, fresh.records[fresh.records.p <= 1000])
         assert np.array_equal(cache_load(path, GENERIC), fresh.records)
 
+    def test_cache_above_xmax_that_skips_a_good_prime_refused(self, tmp_path):
+        path = str(tmp_path / "r.bin")
+        whole = small_run(x_max=3000, checkpoints=[3000]).records
+        skip = int(whole.p[whole.p < 2000][-1])
+        cache_store(path, GENERIC, whole[whole.p != skip])
+        with pytest.raises(CorruptCache, match=f"cache lacks the good prime {skip}$"):
+            small_run(x_max=2000, checkpoints=[2000], cache_path=path)
+
+    def test_cache_is_the_sweep_to_the_largest_xmax_so_far(self, tmp_path):
+        path, reach = str(tmp_path / "r.bin"), 0
+        for x_max in (1000, 3000, 2000, 5000):
+            small_run(x_max=x_max, checkpoints=[x_max], cache_path=path)
+            reach = max(reach, x_max)
+            fresh = small_run(x_max=reach, checkpoints=[reach]).records
+            assert np.array_equal(cache_load(path, GENERIC), fresh), x_max
+
 
 class TestFold:
     """run_experiment folds blocks in p order: the three csv files do not
@@ -469,19 +485,26 @@ class TestFold:
         assert [int(r[1]) for r in rows] == [int((self.GOOD <= x).sum()) for x in self.CHECKPOINTS]
 
     def test_cached_prefix_and_gaps_leave_the_files_alone(self, tmp_path, monkeypatch, capsys):
-        # a cache to 1500, then one that lacks every third record: the
-        # fresh blocks merge with the cached records, and the cache keeps
-        # the union
+        # a cache to 1500 gives the files of a run with none; one that
+        # lacks every third record is refused before any prime is
+        # computed, and the cache and an earlier run's files stay as
+        # they were
         want = self.files(tmp_path / "default", monkeypatch)
         whole = small_run(x_max=3000, checkpoints=[3000]).records
         cache = tmp_path / "c.bin"
         small_run(x_max=1500, checkpoints=[1500], cache_path=str(cache))
         assert self.files(tmp_path / "prefix", monkeypatch, cache=cache) == want
-        keep = np.arange(len(whole)) % 3 != 1
-        cache_store(cache, GENERIC, whole[keep])
-        assert self.files(tmp_path / "gaps", monkeypatch, cuts=self.CUTS, cache=cache) == want
-        assert np.array_equal(cache_load(cache, GENERIC), whole)
-        assert self.files(tmp_path / "cached", monkeypatch, cache=cache) == want
+        cache_store(cache, GENERIC, whole[np.arange(len(whole)) % 3 != 1])
+        gapped, computed = cache.read_bytes(), []
+        monkeypatch.setattr(harness, "compute_block", lambda *args: computed.append(args))
+        capsys.readouterr()
+        argv = ["run", "--preset", "generic1", "--xmax", "3000", "--cache", str(cache),
+                "--outfile", str(tmp_path / "prefix"),
+                "--checkpoints", ",".join(map(str, self.CHECKPOINTS))]
+        assert cli.main(argv) == cli.EXIT_CACHE
+        assert "cache lacks the good prime 7\n" in capsys.readouterr().err
+        assert computed == [] and cache.read_bytes() == gapped
+        assert [(tmp_path / "prefix" / name).read_bytes() for name in cli.CSV_NAMES] == want
 
     def test_records_stream_to_write_and_are_not_kept(self):
         cfg = ExperimentConfig(curve=GENERIC, x_max=3000, checkpoints=[1000, 3000])

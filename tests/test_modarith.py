@@ -1,5 +1,6 @@
 """Modular arithmetic against brute-force oracles."""
 
+import bisect
 import math
 import random
 
@@ -145,7 +146,12 @@ class TestSievePrimes:
         assert got == np.flatnonzero(flags).tolist()
 
     def test_matches_trial_division_to_1e4(self):
-        assert sieve_primes(10_000) == naive_primes(10_000)
+        # sieve_primes sieves its own base primes: every limit below
+        # 3000, squares and the numbers beside them too, against the oracle
+        want = naive_primes(10_000)
+        assert sieve_primes(10_000) == want
+        for x in range(2, 3000):
+            assert sieve_primes(x) == want[:bisect.bisect_right(want, x)], x
 
     @pytest.mark.parametrize("size", [2, 16, 64])
     def test_segments_at_every_edge(self, size, monkeypatch):
