@@ -17,11 +17,10 @@ from functools import partial
 from .constants import (DegreeModel, constant_euler, constant_series,
                         load_overrides, nstr)
 from .curve import GlobalCurve, reduce_curve
-from .harness import (CacheMismatch, CheckpointRow, CorruptCache,
-                      ExperimentConfig, PI_E_HEADER, PRESETS, RECORD,
-                      UnwritableCache, compute_records, error_trend,
-                      good_primes, model_constant, record_lines,
-                      run_experiment, write_csv, write_json)
+from .harness import (CacheError, CheckpointRow, ExperimentConfig,
+                      PI_E_HEADER, PRESETS, RECORD, compute_records,
+                      error_trend, good_primes, model_constant,
+                      record_lines, run_experiment, write_csv, write_json)
 from .structure import structure_bruteforce
 
 EXIT_OK = 0
@@ -52,6 +51,23 @@ def _output(fn, *args):
         return fn(*args)
     except OSError as err:
         raise UnwritableOutput(err) from err
+
+
+@contextlib.contextmanager
+def _replacing(paths):
+    """Temporary names path.part.<pid> in the same directories for paths,
+    each of which replaces its path once the block completes, so that a
+    failure on the way leaves every path as it was; no temporary file
+    outlives the block."""
+    parts = [f"{path}.part.{os.getpid()}" for path in paths]
+    try:
+        yield parts
+        for part, path in zip(parts, paths):
+            _output(os.replace, part, path)
+    finally:
+        for part in parts:
+            with contextlib.suppress(OSError):
+                os.remove(part)
 
 
 def _append(fh, records) -> None:
@@ -150,22 +166,18 @@ def cmd_run(args) -> int:
         if args.out == "json":
             result = run_experiment(cfg, constant)
             written = args.outfile or "avgexp.json"
-            _output(write_json, written, result)
+            with _replacing([written]) as (part,):
+                _output(write_json, part, result)
         else:  # records.csv is written as the sweep folds each block
             outdir = args.outfile or "."
-            records, checkpoints, pi_e = (os.path.join(outdir, name) for name in CSV_NAMES)
-            part = f"{records}.part.{os.getpid()}"
-            try:  # under a temporary name: a failed sweep leaves records.csv as it was
-                with _output(open, part, "wb") as fh:
+            with _replacing([os.path.join(outdir, name) for name in CSV_NAMES]) as parts:
+                records, checkpoints, pi_e = parts
+                with _output(open, records, "wb") as fh:
                     _output(fh.write, ",".join(RECORD.names).encode() + b"\r\n")
                     result = run_experiment(cfg, constant, partial(_output, _append, fh))
-                _output(os.replace, part, records)
-            finally:
-                with contextlib.suppress(OSError):
-                    os.remove(part)
-            _output(write_csv, checkpoints, [f.name for f in fields(CheckpointRow)],
-                    map(astuple, result.checkpoints))
-            _output(write_csv, pi_e, PI_E_HEADER, result.pi_e)
+                _output(write_csv, checkpoints, [f.name for f in fields(CheckpointRow)],
+                        map(astuple, result.checkpoints))
+                _output(write_csv, pi_e, PI_E_HEADER, result.pi_e)
             written = f"{outdir}/{', '.join(CSV_NAMES)}"
     except UnwritableOutput as err:
         return _usage_error(f"--outfile: {err}")
@@ -191,9 +203,6 @@ def cmd_run(args) -> int:
 
 
 def cmd_constant(args) -> int:
-    if args.model != "gl2":
-        return _usage_error("the constant subcommand evaluates the gl2 model; "
-                            "empirical tables come from 'run --model empirical'")
     try:  # every ValueError here comes from an argument value or the overrides file
         model = _build_model(args)
         s = constant_series(model, args.series_y, args.precision)
@@ -263,7 +272,9 @@ def build_parser() -> argparse.ArgumentParser:
     run.set_defaults(func=cmd_run)
 
     const = sub.add_parser("constant", help="evaluate the constant two ways")
-    const.add_argument("--model", default="gl2")
+    const.add_argument("--model", choices=("gl2",), default="gl2",
+                       help="the gl2 model, the only one evaluated here; "
+                            "empirical tables come from 'run --model empirical'")
     const.add_argument("--overrides")
     const.add_argument("--series-y", type=int, required=True)
     const.add_argument("--euler-pmax", type=int, required=True)
@@ -284,7 +295,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
         return args.func(args)
-    except (CacheMismatch, CorruptCache, UnwritableCache) as err:
+    except CacheError as err:
         print(f"cache error: {err}", file=sys.stderr)
         return EXIT_CACHE
     except ArithmeticError as err:

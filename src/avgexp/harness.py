@@ -7,13 +7,12 @@ size is capped by the row cells its lanes need, not by a prime count, so
 blocks of small primes are larger and pay a lane call's fixed cost less
 often.  A block is columnar from the primes to the records: it counts
 points for all its primes at once (trace_block), settles every d_p that
-the divisibility constraints and the lane tests of E[4] and E[3] in
-E(F_p) decide (settle), proves the l-Sylow exponents of the primes left
-open on the lanes, starting from the bounds on d_p that settle proved
-(sylow_lanes), and proves the structure prime by prime only where the
-lanes leave it open (compute_record), starting from the bounds narrowed
-so far.  Every record is proved, and the points behind it depend on p
-alone, so records are identical for any worker count and block layout.
+the divisibility constraints, the lane tests of E[4] and E[3] in E(F_p)
+and the lane Sylow rounds decide (settle), and proves the structure
+prime by prime only where the lanes leave it open (compute_record),
+starting from the bounds on d_p that settle proved.  Every record is
+proved, and the points behind it depend on p alone, so records are
+identical for any worker count and block layout.
 
 A block's records are a numpy array of dtype RECORD, sorted by p.  A
 run folds the blocks in p order as they arrive (aggregate_checkpoints)
@@ -48,7 +47,7 @@ from .constants import (ConstantEstimate, DegreeModel, constant_series,
 from .curve import GlobalCurve, ReducedCurve
 from .counting import LANE_CAP, PATHS, TraceResult, cubic_roots, lane_rows, trace_block
 from .modarith import factorize, prime_segments, residues, sieve_primes
-from .structure import GroupStructure, group_structure, settle, sylow_lanes
+from .structure import GroupStructure, group_structure, settle
 
 CACHE_MAGIC = b"AVGEXP1\0"
 _CACHE_HEADER = struct.Struct("<8sqqQI")  # a4 and a6 are int64
@@ -78,16 +77,9 @@ PRESETS = {
 }
 
 
-class CacheMismatch(RuntimeError):
-    """Cache header disagrees with the requested curve or format."""
-
-
-class CorruptCache(RuntimeError):
-    """Cache file is truncated or fails its checksum."""
-
-
-class UnwritableCache(RuntimeError):
-    """The cache file could not be written."""
+class CacheError(RuntimeError):
+    """A cache file is for another curve or format, is truncated, fails
+    its checksum or the prefix rule, or could not be written."""
 
 
 class InsufficientCheckpoints(ValueError):
@@ -208,17 +200,16 @@ def compute_record(C: ReducedCurve, T: TraceResult, lo: int = 1,
 
 def compute_block(E: GlobalCurve, ps, threshold: int) -> tuple:
     """Records of the good primes ps, and how many took each path of
-    PATHS.  Point counting, the forced structures and the lane Sylow step
-    run for the whole block at once, from one count of the cubic's roots;
-    only the primes that settle and sylow_lanes leave open go through
-    compute_record, with the bounds on d proved so far.  A record that
-    breaks an identity raises ArithmeticError."""
+    PATHS.  Point counting and the structure step (settle) run for the
+    whole block at once, from one count of the cubic's roots; only the
+    primes that settle leaves open go through compute_record, with the
+    bounds on d it proved.  A record that breaks an identity raises
+    ArithmeticError."""
     p = np.asarray(ps, dtype=np.int64)
     a, b = residues(E.a4, p), residues(E.a6, p)
     roots = cubic_roots(p, a, b)
     N, path = trace_block(p, a, b, roots, threshold)
     d, hi = settle(p, a, b, N, roots)  # d = d_p where d = hi, else a divisor of it
-    d, hi = sylow_lanes(p, a, b, N, d, hi)  # the same, with fewer open
     for i in np.flatnonzero(d != hi).tolist():
         q, n = int(p[i]), int(N[i])
         S = compute_record(ReducedCurve(q, int(a[i]), int(b[i])), TraceResult(q, q + 1 - n, n),
@@ -355,13 +346,13 @@ def _missing_primes(cfg: ExperimentConfig, cached_p):
         if not np.array_equal(want, have):  # they differ inside len(have)
             m = int(np.argmax(want[:len(have)] != have))
             if have[m] > want[m]:
-                raise CorruptCache(f"{cfg.cache_path}: cache lacks the good prime {want[m]}")
+                raise CacheError(f"{cfg.cache_path}: cache lacks the good prime {want[m]}")
             i += m
             break
         i += k
         yield good[k:], bad
     if i < np.searchsorted(cached_p, cfg.x_max, side="right"):
-        raise CorruptCache(f"{cfg.cache_path}: cached p = {cached_p[i]} is not a good prime")
+        raise CacheError(f"{cfg.cache_path}: cached p = {cached_p[i]} is not a good prime")
 
 
 def run_experiment(cfg: ExperimentConfig, constant=None, write=None) -> ExperimentResult:
@@ -535,7 +526,7 @@ def cache_store(path, curve: GlobalCurve, records) -> None:
     except OSError as err:  # a full disk or a file size limit: leave no partial file
         with contextlib.suppress(OSError):
             os.remove(tmp)
-        raise UnwritableCache(f"{path}: {err.strerror or err}") from err
+        raise CacheError(f"{path}: {err.strerror or err}") from err
 
 
 def cache_load(path, curve: GlobalCurve) -> np.recarray:
@@ -545,24 +536,24 @@ def cache_load(path, curve: GlobalCurve) -> np.recarray:
     with open(path, "rb") as fh:
         raw = fh.read()
     if len(raw) < _CACHE_HEADER.size:
-        raise CorruptCache(f"{path}: shorter than a header")
+        raise CacheError(f"{path}: shorter than a header")
     magic, a4, a6, count, crc = _CACHE_HEADER.unpack_from(raw)
     if magic != CACHE_MAGIC:
-        raise CorruptCache(f"{path}: bad magic {magic!r}")
+        raise CacheError(f"{path}: bad magic {magic!r}")
     if (a4, a6) != (curve.a4, curve.a6):
-        raise CacheMismatch(
+        raise CacheError(
             f"{path}: cache is for curve ({a4}, {a6}), not ({curve.a4}, {curve.a6})")
     body = memoryview(raw)[_CACHE_HEADER.size:]
     if len(body) != count * _CACHE_DTYPE.itemsize:
-        raise CorruptCache(f"{path}: truncated body")
+        raise CacheError(f"{path}: truncated body")
     if zlib.crc32(body) != crc:
-        raise CorruptCache(f"{path}: checksum mismatch")
+        raise CacheError(f"{path}: checksum mismatch")
     records = np.frombuffer(body, dtype=_CACHE_DTYPE).astype(RECORD).view(np.recarray)
     bad = record_violations(records)
     bad[1:] |= records.p[1:] <= records.p[:-1]
     if bad.any():
-        raise CorruptCache(f"{path}: invalid or out-of-order record at "
-                           f"p = {records.p[bad.argmax()]}")
+        raise CacheError(f"{path}: invalid or out-of-order record at "
+                         f"p = {records.p[bad.argmax()]}")
     return records
 
 

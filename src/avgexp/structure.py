@@ -6,28 +6,28 @@ exactly when 2 | g.  The exponent is thus settled one prime l | g at a time,
 and N is never factored.  With k = v_l(N) and a = v_l(d), the l-Sylow
 subgroup is Z/l^a x Z/l^(k-a), a <= k/2 and a <= v_l(g); at l = 2 the
 discriminant of the cubic fixes whether a >= 1.  Usually that leaves one
-admissible a and costs no group operation; settle finds those primes for
-a whole block of lanes at once.  settle also decides the two commonest
-open cases there, since l^(a+1) | d iff E[l^(a+1)] lies in E(F_p): at l = 2
-with 1 <= a, whether E[4] does, from the quartic character of the
-discriminant and the squares f'(ei) (f'^((p-1)/2) modulo the cubic; Miret,
-Moreno, Rio and Valls, "Determining the 2-Sylow subgroup of an elliptic
-curve over a finite field", Math. Comp. 2005), and at l = 3 with 3 | g,
-where Frobenius is unipotent on E[3], whether E[3] does, from x^p = x
-modulo psi_3; where a stays open, its verdicts, as bounds lo | d | hi, are
-where the Sylow step starts.  There the l-Sylow subgroup, which is tiny,
-is resolved directly (after Sutherland, "Structure computation and
-discrete logarithms in finite abelian p-groups", Math. Comp. 2011): a
-point Q1 of order l^b1 and a point R whose multiple l^j*R first lies in
-<Q1> at j = k - b1 generate the whole subgroup, which proves that its
-exponent is l^b1.  sylow_lanes runs that proof for every open (lane, l)
-pair of a block at once, on x alone, in a few rounds of lane calls: x(l^j
-*R) at j = k - b1 - 1 against the x of the multiples of Q1 of its order,
-with points whose x depends on p and the draw index alone.  The pairs it
-leaves open, and the open primes below the lanes' floor, 229, go to
-exponent_sampling, whose points come from one stream random.Random(p)
-per prime, each l taking the draws after the last l's.  Points affect
-only the cost, never the answer (Las Vegas).  A full-enumeration oracle
+admissible a and costs no group operation.  settle keeps, for a whole
+block of lanes at once, one table of the a each small l | g still allows,
+and narrows it in three steps, since l^(a+1) | d iff E[l^(a+1)] lies in
+E(F_p): at l = 2 with 1 <= a, whether E[4] does, from the quartic
+character of the discriminant and the squares f'(ei) (f'^((p-1)/2) modulo
+the cubic; Miret, Moreno, Rio and Valls, "Determining the 2-Sylow subgroup
+of an elliptic curve over a finite field", Math. Comp. 2005); at l = 3
+with 3 | g, where Frobenius is unipotent on E[3], whether E[3] does, from
+x^p = x modulo psi_3; and where a is still open, by resolving the l-Sylow
+subgroup, which is tiny, directly (after Sutherland, "Structure
+computation and discrete logarithms in finite abelian p-groups", Math.
+Comp. 2011): a point Q1 of order l^b1 and a point R whose multiple l^j*R
+first lies in <Q1> at j = k - b1 generate the whole subgroup, which proves
+that its exponent is l^b1.  The lane rounds (_lane_sylow) run that proof
+for every open (lane, l) pair of a block at once, on x alone, in a few
+rounds of lane calls: x(l^j*R) at j = k - b1 - 1 against the x of the
+multiples of Q1 of its order, with points whose x depends on p and the
+draw index alone.  The pairs they leave open, and the open primes below
+the lanes' floor, 229, go to exponent_sampling, starting from the table's
+bounds; its points come from one stream random.Random(p) per prime, each
+l taking the draws after the last l's.  Points affect only the cost,
+never the answer (Las Vegas).  A full-enumeration oracle
 (structure_bruteforce) provides an independent answer at small p.
 """
 
@@ -245,81 +245,6 @@ def _full_four_torsion(p, a, b):
     return full
 
 
-def settle(p, a, b, N, roots) -> tuple:
-    """Bounds (lo, hi), lo | d | hi, on d for the curves y^2 = x^3 + a*x
-    + b of order N over F_p whose cubics have the root counts roots
-    (counting.cubic_roots), lane by lane: lo = hi = d wherever
-    exponent_sampling's a = v_l(d) is decided without drawing a point for
-    every l | g = gcd(p-1, a_p-2), and elsewhere what the lane tests below
-    proved: lo is the 2- and 3-parts of d they found, and hi is g less
-    the parts they excluded.  p, a, b, N and roots are int64 arrays with
-    5 <= p < 2^30 and 0 <= a, b < p.
-
-    An odd l | g allows only a = 0 exactly when v_l(N) = 1; with h the
-    part of g prime to 6 (h | N), that holds for every such l when h is
-    squarefree and prime to N/h.  The square test tries l^2 for primes 5
-    <= l <= 255, which is exact only for h < 2^16, so larger h are left
-    to the scalar path (h <= g <= |a_p - 2| < 2^16 + 3 unless a_p = 2).
-
-    At l = 2, a = 0 when the cubic does not split; it splits when it has
-    three roots, and then 1 <= a <= a_max = min(v_2(g), v_2(N)/2).  Where
-    a_max >= 2, E[4] lies in E(F_p) or not (_full_four_torsion): a = 1
-    if not, and a >= 2 if so, which decides a_max = 2.
-
-    At l = 3 with a_max = min(v_3(g), v_3(N)/2) >= 1, Frobenius is
-    unipotent on E[3] (_full_three_torsion): a = 0 unless E[3] lies in
-    E(F_p), and a >= 1 if it does, which decides a_max = 1.
-
-    Each test runs on every lane where its class is open, also where the
-    odd part leaves the lane to the scalar path, which then starts from
-    the verdict.
-    """
-    split = roots == 3
-    g = np.gcd(p - 1, p - 1 - N)
-    # the 2- and 3-parts of g and N (3^20 exceeds both)
-    two, three, two_N, three_N = g & -g, np.gcd(g, 3 ** 20), N & -N, np.gcd(N, 3 ** 20)
-    h = g // (two * three)
-    ok = (h < 1 << 16) & (np.gcd(h, N // h) == 1)
-    for l in sieve_primes(max(2, math.isqrt(int(h[ok].max(initial=1)))))[2:]:
-        ok &= h % (l * l) != 0
-    ok &= ~split | (N % 4 == 0)
-    lo, hi = np.where(split, 2, 1), np.where(split, g, g // two)
-    i = np.flatnonzero(split & (two >= 4) & (two_N >= 16))
-    full = _full_four_torsion(p[i], a[i], b[i])
-    lo[i[full]] = 4
-    hi[i[~full]] //= two[i[~full]] // 2
-    ok[i[full & (two[i] >= 8) & (two_N[i] >= 64)]] = False
-    i = np.flatnonzero((three >= 3) & (three_N >= 9))
-    full = _full_three_torsion(p[i], a[i], b[i])
-    lo[i[full]] *= 3
-    hi[i[~full]] //= three[i[~full]]
-    ok[i[full & (three[i] >= 9) & (three_N[i] >= 81)]] = False
-    return lo, np.where(ok, lo, hi)
-
-
-def _open_pairs(N, lo, hi) -> tuple:
-    """The (lane, l) pairs that the bounds lo | d | hi leave open, as
-    arrays (lane, l, k, a_min, v_l(hi)) in ascending l, k = v_l(N), and
-    the lanes that the lane step cannot take: hi/lo has a prime factor l
-    with more than _LANE_ROWS x(u*G) for G of order l, or some l has
-    a_min > a_max (exponent_sampling then raises).  v_l(n) is read off
-    gcd(n, l^e), l^e the largest power of l below 2^62."""
-    small = np.array(sieve_primes(2 * _LANE_ROWS + 1))
-    rest = hi // lo
-    lane, which = np.nonzero(rest[:, None] % small == 0)
-    by_l = np.argsort(which, kind="stable")
-    lane, l = lane[by_l], small[which[by_l]]
-    top = l ** (62 / np.log2(l)).astype(np.int64)
-    k, a_min, h = (np.rint(np.log(np.gcd(v[lane], top)) / np.log(l)).astype(np.int64)
-                   for v in (N, lo, hi))
-    a_max = np.minimum(h, k // 2)
-    np.floor_divide.at(rest, lane, l ** (h - a_min))
-    scalar = rest > 1
-    scalar[lane[a_min > a_max]] = True
-    o = (a_min < a_max) & ~scalar[lane]
-    return lane[o], l[o], k[o], a_min[o], h[o], scalar
-
-
 def _draw_points(p, a, b, first):
     """x of up to _LANE_DRAWS points of E(F_p) a lane, as arrays (lane,
     x): among the candidates x = mix(p, c) mod p, c = first .. first +
@@ -457,30 +382,69 @@ def _lane_sylow(p, a, b, N, l, k, a_min):
     return found
 
 
-def sylow_lanes(p, a, b, N, lo, hi) -> tuple:
-    """settle's bounds lo | d | hi narrowed by the lane Sylow step on
-    every open (lane, l) pair of the lanes that counting.on_lanes serves,
-    p >= 229, as new arrays (lo, hi): each a = v_l(d) that _lane_sylow
-    proves sets the l-parts of both to l^a, and lo = hi = d on a lane
-    whose every l is then decided.  The pairs go in chunks whose chain
-    rows fit the row cells of the block's order_lanes buffers, len(p) *
-    lane_rows(max p)."""
-    lo, hi = lo.copy(), hi.copy()
-    i = np.flatnonzero((lo != hi) & on_lanes(p))
-    lane, l, k, a_min, h, scalar = _open_pairs(N[i], lo[i], hi[i])
-    if len(l) < _LANE_MIN_PAIRS:
-        return lo, hi
-    j, found = i[lane], np.full(len(l), -1)
-    rows = (_LANE_DRAWS + 1) * (int((k - a_min).max()) + 1)  # the chain rows of a pair
-    cells = len(p) * lane_rows(int(p[i].max()))
-    for c in np.array_split(np.arange(len(l)), -(-len(l) * rows // cells)):
-        found[c] = _lane_sylow(p[j[c]], a[j[c]], b[j[c]], N[j[c]], l[c], k[c], a_min[c])
-    done = found >= 0
-    np.multiply.at(lo, j[done], l[done] ** (found[done] - a_min[done]))
-    np.floor_divide.at(hi, j[done], l[done] ** (h[done] - found[done]))
-    scalar[lane[~done]] = True
-    hi[i[~scalar]] = lo[i[~scalar]]
-    return lo, hi
+def settle(p, a, b, N, roots) -> tuple:
+    """Bounds (lo, hi), lo | d | hi, on d for the curves y^2 = x^3 + a*x
+    + b of order N over F_p whose cubics have the root counts roots
+    (counting.cubic_roots), lane by lane, with lo = hi = d wherever d is
+    decided here; p, a, b, N and roots are int64 arrays, 5 <= p < 2^30
+    and 0 <= a, b < p.
+
+    One table holds the (lane, l) pairs for the primes l <= 2*_LANE_ROWS
+    + 1 that divide g = gcd(p-1, a_p-2), in ascending l, each with the
+    range a_min .. a_max that a = v_l(d) may take: 0 .. min(v_l(g),
+    v_l(N)/2), except at l = 2, where a = 0 unless the cubic splits (it
+    has three roots) and a >= 1 if it does.  The part rest of g above
+    2*_LANE_ROWS + 1 allows only a = 0 exactly when it is squarefree and
+    prime to N/rest; its primes are at least 67, so below 67^3 it is
+    squarefree iff it is not a square, and from 67^3 on it is left to
+    the scalar path.  On a split cubic with a_max >= 2 at l = 2, E[4]
+    lies in E(F_p) or not (_full_four_torsion): a >= 2 if so, a = 1 if
+    not.  At l = 3 with a_max >= 1, E[3] does or not
+    (_full_three_torsion): a >= 1 or a = 0.  Then _lane_sylow decides
+    the pairs still open on the lanes that counting.on_lanes serves, p
+    >= 229, in chunks whose chain rows fit the row cells of the block's
+    order_lanes buffers, len(p) * lane_rows(max p), once there are
+    _LANE_MIN_PAIRS of them.
+
+    lo is the product of the l^a_min.  A lane is decided, hi = lo,
+    unless rest fails its test, some pair has a_min > a_max, a split
+    cubic has 4 not dividing N, or a pair is still open; then hi is the
+    product of the l^a_max times rest, where the scalar path starts.
+    """
+    split = roots == 3
+    g = np.gcd(p - 1, p - 1 - N)
+    small = np.array(sieve_primes(2 * _LANE_ROWS + 1))
+    which, lane = np.nonzero(g % small[:, None] == 0)  # in ascending l
+    l = small[which]
+    # v_l(n) is read off gcd(n, l^e), l^e the largest power of l below 2^62
+    top = l ** (62 / np.log2(l)).astype(np.int64)
+    v, k = (np.rint(np.log(np.gcd(n[lane], top)) / np.log(l)).astype(np.int64) for n in (g, N))
+    two = (l == 2) & split[lane]
+    a_min, a_max = two.astype(np.int64), np.where((l == 2) & ~two, 0, np.minimum(v, k // 2))
+    rest = g.copy()
+    np.floor_divide.at(rest, lane, l ** v)
+    i = np.flatnonzero(two & (a_max >= 2))
+    full = _full_four_torsion(p[lane[i]], a[lane[i]], b[lane[i]])
+    a_min[i[full]], a_max[i[~full]] = 2, 1
+    i = np.flatnonzero((l == 3) & (a_max >= 1))
+    full = _full_three_torsion(p[lane[i]], a[lane[i]], b[lane[i]])
+    a_min[i[full]], a_max[i[~full]] = 1, 0
+    squarefree = (rest == 1) | (rest < 67 ** 3) & (np.rint(np.sqrt(rest)) ** 2 != rest)
+    scalar = ~squarefree | (np.gcd(rest, N // rest) > 1) | split & (N % 4 != 0)
+    scalar[lane[a_min > a_max]] = True
+    o = np.flatnonzero((a_min < a_max) & ~scalar[lane] & on_lanes(p[lane]))
+    if len(o) >= _LANE_MIN_PAIRS:
+        rows = (_LANE_DRAWS + 1) * (int((k[o] - a_min[o]).max()) + 1)  # the chain rows of a pair
+        cells = len(p) * lane_rows(int(p.max()))
+        for c in np.array_split(o, -(-len(o) * rows // cells)):
+            j = lane[c]
+            found = _lane_sylow(p[j], a[j], b[j], N[j], l[c], k[c], a_min[c])
+            a_min[c[found >= 0]] = a_max[c[found >= 0]] = found[found >= 0]
+    scalar[lane[a_min < a_max]] = True
+    lo, hi = np.ones_like(g), rest
+    np.multiply.at(lo, lane, l ** a_min)
+    np.multiply.at(hi, lane, l ** a_max)
+    return lo, np.where(scalar, hi, lo)
 
 
 def group_structure(C: ReducedCurve, T, lo: int = 1, hi: int = 0) -> GroupStructure:

@@ -20,9 +20,8 @@ from avgexp import cli, constants, counting, harness, structure
 from avgexp.constants import DegreeModel, li
 from avgexp.counting import LANE_CAP, PATHS, cubic_roots, lane_rows, trace_naive
 from avgexp.curve import GlobalCurve, ReducedCurve, reduce_curve
-from avgexp.harness import (CacheMismatch, CheckpointRow, CorruptCache,
-                            ExperimentConfig, InsufficientCheckpoints,
-                            PRESETS, RECORD, cache_load, cache_store,
+from avgexp.harness import (CacheError, CheckpointRow, ExperimentConfig,
+                            InsufficientCheckpoints, PRESETS, RECORD, cache_load, cache_store,
                             compute_record, default_checkpoints, error_trend,
                             good_primes, pi_E_counts, pi_E_table,
                             record_violations, run_experiment, write_csv)
@@ -345,7 +344,7 @@ class TestCache:
         recs = self._records()
         recs["d_p"][1] = 3  # d*e = 33 != p+1-a = 11, with a valid checksum
         cache_store(path, GENERIC, recs)
-        with pytest.raises(CorruptCache, match="p = 7"):
+        with pytest.raises(CacheError, match="p = 7"):
             cache_load(path, GENERIC)
         rc = cli.main(["run", "--preset", "generic1", "--xmax", "300", "--checkpoints", "300",
                        "--cache", str(path), "--outfile", str(tmp_path)])
@@ -356,7 +355,7 @@ class TestCache:
     def test_repeated_or_unsorted_p_refused(self, order, tmp_path):
         path = tmp_path / "r.bin"
         cache_store(path, GENERIC, self._records()[order])
-        with pytest.raises(CorruptCache, match="p = 7"):
+        with pytest.raises(CacheError, match="p = 7"):
             cache_load(path, GENERIC)
 
     @pytest.mark.parametrize("rec", [(31, 0, 1, 32), (9, 0, 1, 10)], ids=["bad-prime", "composite"])
@@ -367,13 +366,13 @@ class TestCache:
                        order="p")
         cache_store(path, GENERIC, recs)
         assert np.array_equal(cache_load(path, GENERIC), recs)  # every identity holds
-        with pytest.raises(CorruptCache, match=f"p = {rec[0]} is not a good prime"):
+        with pytest.raises(CacheError, match=f"p = {rec[0]} is not a good prime"):
             small_run(x_max=100, checkpoints=[100], cache_path=path)
 
     def test_wrong_curve_header(self, tmp_path):
         path = tmp_path / "r.bin"
         cache_store(path, GENERIC, self._records())
-        with pytest.raises(CacheMismatch):
+        with pytest.raises(CacheError, match=r"cache is for curve \(1, 1\), not \(1, 2\)$"):
             cache_load(path, GlobalCurve(1, 2))
 
     def test_truncated(self, tmp_path):
@@ -381,7 +380,7 @@ class TestCache:
         cache_store(path, GENERIC, self._records())
         raw = path.read_bytes()
         path.write_bytes(raw[:-5])
-        with pytest.raises(CorruptCache):
+        with pytest.raises(CacheError, match="truncated body$"):
             cache_load(path, GENERIC)
 
     def test_checksum_corruption(self, tmp_path):
@@ -390,13 +389,13 @@ class TestCache:
         raw = bytearray(path.read_bytes())
         raw[-1] ^= 0xFF
         path.write_bytes(bytes(raw))
-        with pytest.raises(CorruptCache):
+        with pytest.raises(CacheError, match="checksum mismatch$"):
             cache_load(path, GENERIC)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "r.bin"
         path.write_bytes(b"NOTMAGIC" + b"\0" * 40)
-        with pytest.raises(CorruptCache):
+        with pytest.raises(CacheError, match="bad magic b'NOTMAGIC'$"):
             cache_load(path, GENERIC)
 
     def test_run_uses_cache(self, tmp_path):
@@ -436,7 +435,7 @@ class TestCache:
         whole = small_run(x_max=3000, checkpoints=[3000]).records
         skip = int(whole.p[whole.p < 2000][-1])
         cache_store(path, GENERIC, whole[whole.p != skip])
-        with pytest.raises(CorruptCache, match=f"cache lacks the good prime {skip}$"):
+        with pytest.raises(CacheError, match=f"cache lacks the good prime {skip}$"):
             small_run(x_max=2000, checkpoints=[2000], cache_path=path)
 
     def test_cache_is_the_sweep_to_the_largest_xmax_so_far(self, tmp_path):
@@ -796,11 +795,12 @@ class TestPipeline:
     def test_objects_only_on_the_scalar_paths(self, monkeypatch):
         # a reduction of generic1 (a = b = 1; order_bsgs's quadratic
         # twists aside) is built per naive prime, per fallback prime and
-        # per prime whose structure needs scalar draws: settle leaves 89
-        # of the 5130 primes open, the lane Sylow step decides 86 of them,
-        # and the other 3 (p = 61 below the lanes among them) go through
+        # per prime whose structure needs scalar draws: the torsion tests
+        # leave 89 of the 5130 primes open, settle's lane rounds decide 86
+        # of the 88 above the lanes' floor, one (lane, l) pair each, and
+        # the other 3 (p = 61 below the lanes among them) go through
         # compute_record
-        built, unsettled, lanes = [], [], []
+        built, unsettled, settled, rounds = [], [], [], []
         real_init = ReducedCurve.__post_init__
 
         def spy(C):
@@ -808,19 +808,26 @@ class TestPipeline:
                 built.append(C.p)
             real_init(C)
         monkeypatch.setattr(ReducedCurve, "__post_init__", spy)
-        real_record, real_lanes = harness.compute_record, harness.sylow_lanes
+        real_record, real_settle = harness.compute_record, harness.settle
+        real_rounds = structure._lane_sylow
         monkeypatch.setattr(harness, "compute_record",
                             lambda C, *args: unsettled.append(C.p) or real_record(C, *args))
 
-        def lane_spy(p, a, b, N, lo, hi):
-            out = real_lanes(p, a, b, N, lo, hi)
-            lanes.append((int((lo != hi).sum()), int((out[0] != out[1]).sum())))
-            return out
-        monkeypatch.setattr(harness, "sylow_lanes", lane_spy)
+        def settle_spy(p, a, b, N, roots):
+            lo, hi = real_settle(p, a, b, N, roots)
+            settled.append((len(p), int((lo != hi).sum())))
+            return lo, hi
+
+        def rounds_spy(p, *args):
+            found = real_rounds(p, *args)
+            rounds.append((len(p), int((found < 0).sum())))
+            return found
+        monkeypatch.setattr(harness, "settle", settle_spy)
+        monkeypatch.setattr(structure, "_lane_sylow", rounds_spy)
         E = PRESETS["generic1"]
         good = good_primes(E, 50_000)[0].tolist()
         _, paths = harness.compute_records(E, good, THRESHOLD)
-        assert (len(good), lanes, len(unsettled)) == (5130, [(89, 3)], 3)
+        assert (len(good), settled, rounds, len(unsettled)) == (5130, [(5130, 3)], [(88, 2)], 3)
         assert 61 in unsettled
         assert len(built) == paths["naive"] + paths["fallback"] + len(unsettled)
 
@@ -1078,7 +1085,6 @@ class TestCli:
         ["run", "--preset", "nope", "--xmax", "1000"],
         ["run", "--curve", "1;1", "--xmax", "1000"],
         ["run", "--curve", "0,0", "--xmax", "1000"],
-        ["constant", "--model", "empirical", "--series-y", "10", "--euler-pmax", "10"],
         ["verify", "--xmax", "6000"],
         ["constant", "--series-y", "100", "--euler-pmax", "100", "--precision", "0"],
         ["constant", "--series-y", "100", "--euler-pmax", "100", "--precision", "5"],
@@ -1169,6 +1175,7 @@ class TestCli:
         ["bogus"],
         ["run", "--preset", "generic1", "--xmax", "1000", "--seed", "1"],
         ["run", "--preset", "generic1", "--xmax", "1000", "--precision", "19"],
+        ["constant", "--model", "empirical", "--series-y", "10", "--euler-pmax", "10"],
     ])
     def test_argparse_errors_are_usage_errors(self, argv, capsys):
         assert cli.main(argv) == cli.EXIT_USAGE
@@ -1257,6 +1264,43 @@ class TestCli:
         err = capsys.readouterr().err
         assert err == "usage error: --outfile: [Errno 28] No space left on device\n"
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("out", ["csv", "json"])
+    def test_failed_late_write_leaves_the_earlier_files(self, out, tmp_path, capsys,
+                                                        monkeypatch):
+        # a full disk while checkpoints.csv (or the json file) is written,
+        # after records.csv: exit 4, the files of an earlier run to 2000
+        # byte-unchanged and no .part file left
+        target = tmp_path if out == "csv" else tmp_path / "r.json"
+        names = cli.CSV_NAMES if out == "csv" else ("r.json",)
+        argv = ["run", "--preset", "generic1", "--out", out, "--outfile", str(target)]
+        assert cli.main(argv + ["--xmax", "2000"]) == cli.EXIT_OK
+        before = {name: (tmp_path / name).read_bytes() for name in names}
+        real_open = open
+
+        class Full:  # opens, and so truncates, the file, then refuses every write
+            def __init__(self, path, *args, **kwargs):
+                self.fh = real_open(path, *args, **kwargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, *args):
+                raise OSError(28, "No space left on device")
+
+        def full(path, *args, **kwargs):
+            late = os.path.basename(path).startswith(("checkpoints.csv", "r.json"))
+            return (Full if late else real_open)(path, *args, **kwargs)
+        monkeypatch.setattr(harness, "open", full, raising=False)
+        capsys.readouterr()
+        assert cli.main(argv + ["--xmax", "3000"]) == cli.EXIT_USAGE
+        assert capsys.readouterr().err == ("usage error: --outfile: "
+                                           "[Errno 28] No space left on device\n")
+        assert {name: (tmp_path / name).read_bytes() for name in names} == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(names)
 
     def test_workers_above_1_need_fork(self, tmp_path, capsys, monkeypatch):
         # without os.fork only --workers 1 runs; more is one usage line

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from avgexp import curve, structure
+from avgexp import curve, harness, structure
 from avgexp.counting import (LANE_CAP, _power, _powmod, cubic_roots, order_bsgs,
                              trace_block, trace_naive)
 from avgexp.curve import (INFINITY, GlobalCurve, ReducedCurve, add, random_point,
@@ -20,7 +20,7 @@ from avgexp.modarith import factorize, legendre, residues, sieve_primes, sqrt_mo
 from avgexp.structure import (NotAnnihilated, StructureUnverified,
                               exponent_sampling, group_structure,
                               has_full_two_torsion, settle,
-                              structure_bruteforce, sylow_lanes)
+                              structure_bruteforce)
 from primality import is_prime
 
 GENERIC = GlobalCurve(1, 1)
@@ -214,14 +214,14 @@ class TestSylowPath:
 
     def test_three_sylow_from_a_lane_verdict(self):
         # generic1 at 2539: N = 2^5 * 3^4, g = 2 * 3^3 and d = 2 * 3^2.
-        # The lanes find E[3] in E(F_p) and leave a = 1 or 2 open, so the
-        # 3-Sylow step starts at a_min = 1
+        # The lanes find E[3] in E(F_p) and leave a = 1 or 2 open (a <=
+        # v_3(N)/2 = 2), so the 3-Sylow step starts at a_min = 1
         C = reduce_curve(GENERIC, 2539)
         N = trace_naive(C).N
         p, a, b, n = (np.array([v], dtype=np.int64) for v in (C.p, C.a, C.b, N))
-        assert [v.tolist() for v in settle(p, a, b, n, cubic_roots(p, a, b))] == [[6], [54]]
+        assert [v.tolist() for v in settle(p, a, b, n, cubic_roots(p, a, b))] == [[6], [18]]
         assert structure._sylow_exponent(C, N, 3, 4, 1, random.Random(C.p)) == 2
-        assert sampled(C, N, 6, 54) == (18, [(3, 1, 2, 2)])
+        assert sampled(C, N, 6, 18) == (18, [(3, 1, 2, 2)])
         assert structure_bruteforce(C).d_p == 18
 
 
@@ -294,23 +294,36 @@ def lane_decided(l, a_min, a_max, a):
     return (l, a_min) in ((2, 1), (3, 0)) and (a == a_min or a_max == a_min + 1)
 
 
+def table_rest(g):
+    """The part of g whose primes lie above settle's table, 2*_LANE_ROWS + 1."""
+    for l in sieve_primes(2 * structure._LANE_ROWS + 1):
+        while g % l == 0:
+            g //= l
+    return g
+
+
 def settle_rule(C, N):
-    """What settle must return for C of order N: exponent_sampling's d
-    where it draws no point or the torsion tests decide every class it
-    draws for, and 0 elsewhere; and the classes it draws for.  Parts of g
-    prime to 6 from 2^16 on are beyond the square test and left open
-    (only at a_p = 2)."""
+    """What settle must return for C of order N with no lane round:
+    exponent_sampling's d where it draws no point or the torsion tests
+    decide every class it draws for, and 0 elsewhere; and the classes it
+    draws for.  A part of g above the table from 67^3 on is left to the
+    scalar path (only at a_p = 2)."""
     d, drew = sampled(C, N)
-    g = math.gcd(C.p - 1, C.p - 1 - N)
-    while g % 2 == 0:
-        g //= 2
-    while g % 3 == 0:
-        g //= 3
-    return (d if g < 1 << 16 and all(lane_decided(*c) for c in drew) else 0), drew
+    rest = table_rest(math.gcd(C.p - 1, C.p - 1 - N))
+    return (d if rest < 67 ** 3 and all(lane_decided(*c) for c in drew) else 0), drew
+
+
+def without_rounds(p, a, b, N, roots):
+    """settle's bounds with no lane Sylow round: what the table and the
+    torsion tests alone prove."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(structure, "_LANE_MIN_PAIRS", math.inf)
+        return settle(p, a, b, N, roots)
 
 
 def settle_one(C, N):
-    """settle's d for C of order N where its bounds meet, lo = hi, else 0."""
+    """settle's d for C of order N where its bounds meet, lo = hi, else 0;
+    one lane has fewer open pairs than a lane round needs."""
     p, a, b, N = (np.array([v], dtype=np.int64) for v in (C.p, C.a, C.b, N))
     lo, hi = settle(p, a, b, N, cubic_roots(p, a, b))
     return lo.item() if lo == hi else 0
@@ -360,17 +373,19 @@ class TestSettle:
 
     @staticmethod
     def check_block(E, p):
-        # settle's d on a block of good primes of E is settle_rule's; the
-        # classes (2, 1, 2) and (3, 0, 1) are met and settled, and some
-        # prime is left to the draws.  Every open prime obeys lo | d | hi,
-        # and exponent_sampling started from the bounds (the handover)
-        # proves standalone exponent_sampling's d there, and never draws
-        # for a class the lane tests decide: the lanes decide every
-        # (2, 1, >= 2) and (3, 0, >= 1)
+        # settle's d on a block of good primes of E with no lane round is
+        # settle_rule's; the classes (2, 1, 2) and (3, 0, 1) are met and
+        # settled, and some prime is left to the draws.  Every open prime
+        # obeys lo | d | hi, and exponent_sampling started from the
+        # bounds (the handover) proves standalone exponent_sampling's d
+        # there, and never draws for a class the lane tests decide: the
+        # lanes decide every (2, 1, >= 2) and (3, 0, >= 1).  With the lane
+        # rounds, the primes decided before stay so, and the others are
+        # decided with that d or keep bounds on it
         a, b = residues(E.a4, p), residues(E.a6, p)
         roots = cubic_roots(p, a, b)
         N = trace_block(p, a, b, roots)[0]
-        lo, hi = settle(p, a, b, N, roots)
+        lo, hi = without_rounds(p, a, b, N, roots)
         got = np.where(lo == hi, lo, 0)
         curves = [ReducedCurve(*v) for v in zip(p.tolist(), a.tolist(), b.tolist())]
         want, drew = zip(*(settle_rule(C, n) for C, n in zip(curves, N.tolist())))
@@ -378,10 +393,13 @@ class TestSettle:
         tested = [i for i, c in enumerate(drew)
                   if c and all(x[:3] in ((2, 1, 2), (3, 0, 1)) for x in c)]
         assert tested and got[tested].all()
+        d_all, top = settle(p, a, b, N, roots)
+        assert (d_all == lo)[lo == hi].all() and (top == hi)[lo == hi].all()
         for i in np.flatnonzero(lo != hi).tolist():
             C, n, bounds = curves[i], int(N[i]), (int(lo[i]), int(hi[i]))
             d = sampled(C, n)[0]
             assert d % bounds[0] == 0 and bounds[1] % d == 0, C.p
+            assert d % d_all[i] == 0 and top[i] % d == 0, C.p
             handed, handed_drew = sampled(C, n, *bounds)
             assert handed == d, C.p
             assert not [c for c in handed_drew if c[:2] in ((2, 1), (3, 0))], C.p
@@ -400,7 +418,7 @@ class TestSettle:
         # at 2^30; exponent_sampling proves its d from drawn points.  Then
         # the lane Sylow step on 4096 primes from start: every d it
         # decides is standalone exponent_sampling's, and it decides most
-        # of the primes settle leaves open
+        # of the primes the torsion tests leave open
         E = PRESETS[preset]
         p = np.array(primes_from(start, 256), dtype=np.int64)
         self.check_block(E, p)
@@ -409,8 +427,8 @@ class TestSettle:
         a, b = residues(E.a4, p), residues(E.a6, p)
         roots = cubic_roots(p, a, b)
         N = trace_block(p, a, b, roots)[0]
-        lo, hi = settle(p, a, b, N, roots)
-        d, top = sylow_lanes(p, a, b, N, lo, hi)
+        lo, hi = without_rounds(p, a, b, N, roots)
+        d, top = settle(p, a, b, N, roots)
         lanes = np.flatnonzero((lo != hi) & (d == top))
         assert len(lanes) > 0.8 * (lo != hi).sum()
         for i in lanes.tolist():
@@ -452,15 +470,48 @@ class TestSettle:
         assert settle_one(C, p - 1) == settle_rule(C, p - 1)[0]
 
     def test_large_odd_part_left_open(self):
-        # generic1 at 422923: a_p = 2, so g = p - 1 = 2 * 3 * 70487, whose
-        # part prime to 6 is squarefree but beyond the square test; at
-        # 163363, g = 2 * 3 * 19 * 1433 leaves 27227, within it
-        for p, d in ((422923, 0), (163363, 1)):
-            C = reduce_curve(GENERIC, p)
+        # a_p = 2, so g = p - 1.  The part rest of g above the table
+        # leaves the lane to the scalar path when it is a square, 67^2 at
+        # p = 134^2 + 1, or from 67^3 on, 304169 in generic1 at 608339 =
+        # 2 * 304169 + 1; the scalar path then proves d from the bounds.
+        # generic1 at 422923 = 2 * 3 * 70487 + 1 and at 163363 = 2 * 3 *
+        # 19 * 1433 + 1 is decided, rest being prime and below 67^3
+        cases = [(apex_two_curve(134 ** 2 + 1, "j1728"), 67 ** 2, 0),
+                 (reduce_curve(GENERIC, 608339), 304169, 0),
+                 (reduce_curve(GENERIC, 422923), 70487, 1),
+                 (reduce_curve(GENERIC, 163363), 1433, 1)]
+        for C, rest, d in cases:
             N = group_order(C)
-            assert N == C.p - 1
-            assert sampled(C, N) == (1, [])
+            assert N == C.p - 1 and table_rest(N) == rest
+            p, a, b, n = (np.array([v], dtype=np.int64) for v in (C.p, C.a, C.b, N))
+            lo, hi = settle(p, a, b, n, cubic_roots(p, a, b))
             assert settle_one(C, N) == d
+            want, drew = sampled(C, N)
+            assert bool(drew) == (rest == 67 ** 2)  # only the square needs draws, at l = 67
+            assert want % lo.item() == 0 and hi.item() % want == 0
+            assert sampled(C, N, lo.item(), hi.item())[0] == want
+
+    def test_trace_two_primes_to_1e6(self, monkeypatch):
+        # the 68 primes of generic1 to 1e6 with a_p = 2, where g = p - 1,
+        # in the sweep's blocks: settle decides every one with
+        # exponent_sampling's d but the two whose rest is beyond 67^3,
+        # 608339 = 2 * 304169 + 1 and 831443 = 2 * 415721 + 1
+        seen, real = [], structure.settle
+
+        def spy(p, a, b, N, roots):
+            lo, hi = real(p, a, b, N, roots)
+            i = np.flatnonzero(N == p - 1)
+            seen.extend(zip(*(v[i].tolist() for v in (p, a, b, N, lo, hi))))
+            return lo, hi
+        monkeypatch.setattr(harness, "settle", spy)
+        E = PRESETS["generic1"]
+        harness.compute_records(E, good_primes(E, 10 ** 6)[0],
+                                harness.ExperimentConfig.trace_threshold)
+        assert len(seen) == 68
+        assert [q for q, *_, lo, hi in seen if lo != hi] == [608339, 831443]
+        for q, a, b, n, lo, hi in seen:
+            d = n // exponent_sampling(ReducedCurve(q, a, b), n)
+            assert d % lo == 0 and hi % d == 0 and (lo == hi or table_rest(n) > 67 ** 3), q
 
     def test_splits_as_has_full_two_torsion(self):
         # a prime with N even is settled with an even d exactly when the
@@ -485,18 +536,17 @@ LANE_PRIMES_TO_5000 = [p for p in PRIMES_TO_5000 if p >= 229]
 
 
 def open_block(p, a, b):
-    """(p, a, b, N, lo, hi) for the curves y^2 = x^3 + a*x + b over F_p:
-    point counts by trace_block and settle's bounds."""
+    """(p, a, b, N, roots) for the curves y^2 = x^3 + a*x + b over F_p:
+    point counts by trace_block, settle's arguments."""
     p, a, b = (np.asarray(v, dtype=np.int64) for v in (p, a, b))
     roots = cubic_roots(p, a, b)
-    N = trace_block(p, a, b, roots)[0]
-    return (p, a, b, N) + settle(p, a, b, N, roots)
+    return p, a, b, trace_block(p, a, b, roots)[0], roots
 
 
 class TestLaneSylow:
-    """sylow_lanes, the lane Sylow step, against full enumeration and
-    against exponent_sampling, with its refusals.  Below, a round runs
-    for any number of open pairs."""
+    """settle's lane Sylow rounds against full enumeration and against
+    exponent_sampling, with their refusals.  Below, a round runs for any
+    number of open pairs."""
 
     @pytest.fixture(autouse=True)
     def every_round(self, monkeypatch):
@@ -506,8 +556,9 @@ class TestLaneSylow:
     @given(st.data())
     def test_differential_against_bruteforce(self, data):
         # 64 curves at each of up to 3 primes 229 <= p <= 5000, a third
-        # of them CM (b = 0, j = 1728, or a = 0, j = 0): every d the lane
-        # step decides where settle left it open is the enumerated one
+        # of them CM (b = 0, j = 1728, or a = 0, j = 0): every d settle
+        # decides, by the lane rounds where the torsion tests left it
+        # open, is the enumerated one
         primes = data.draw(st.lists(st.sampled_from(LANE_PRIMES_TO_5000), min_size=1,
                                     max_size=3))
         rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32)))
@@ -518,24 +569,27 @@ class TestLaneSylow:
                 a, b = (a, 0) if kind == 1 else (0, b) if kind == 2 else (a, b)
                 if (4 * a ** 3 + 27 * b ** 2) % p:
                     curves.append((p, a, b))
-        p, a, b, N, lo, hi = open_block(*zip(*curves))
-        d, top = sylow_lanes(p, a, b, N, lo, hi)
+        block = open_block(*zip(*curves))
+        p, a, b, N, _ = block
+        lo, hi = without_rounds(*block)
+        d, top = settle(*block)
         for i in np.flatnonzero((lo != hi) & (d == top)).tolist():
             want = structure_bruteforce(ReducedCurve(int(p[i]), int(a[i]), int(b[i])))
             assert (N[i], d[i]) == (want.N, want.d_p), curves[i]
 
     def test_serves_the_lanes_range_only(self):
         # the open primes below 229 (generic1 at 61, cm-i at 113 and 181,
-        # cm-3 at 73 and 211) are left as settle left them; open primes of
-        # generic1 near 5e4 are decided
+        # cm-3 at 73 and 211) are left as the torsion tests left them;
+        # open primes of generic1 near 5e4 are decided
         blocks = [(E, good_primes(E, 228)[0]) for E in PRESETS.values()]
         E = PRESETS["generic1"]
         blocks.append((E, good_primes(E, 50_000)[0][-400:]))
         p = np.concatenate([q for _, q in blocks])
         a = np.concatenate([residues(E.a4, q) for E, q in blocks])
         b = np.concatenate([residues(E.a6, q) for E, q in blocks])
-        p, a, b, N, lo, hi = open_block(p, a, b)
-        d, top = sylow_lanes(p, a, b, N, lo, hi)
+        block = open_block(p, a, b)
+        lo, hi = without_rounds(*block)
+        d, top = settle(*block)
         out = p < 229
         assert (lo != hi)[out].sum() == 5 and (lo != hi)[~out].any()
         assert (d == lo)[out].all() and (top == hi)[out].all()
@@ -543,11 +597,14 @@ class TestLaneSylow:
 
     def test_wrong_order_raises_not_annihilated(self):
         # as for exponent_sampling: N = 640 at p = 617, and 637 = 7^2 * 13
-        # leaves a = v_7(d) open in 0 .. 1 and kills no point
+        # leaves a = v_7(d) open in 0 .. 1 (g = 7) and kills no point.
+        # The cubic splits; given as one root, so that the odd N does not
+        # send the lane to the scalar path first
         p, a, b, N = (np.array([v]) for v in (617, 169, 170, 637))
         assert trace_naive(ReducedCurve(617, 169, 170)).N == 640
+        assert cubic_roots(p, a, b).tolist() == [3]
         with pytest.raises(NotAnnihilated):
-            sylow_lanes(p, a, b, N, np.array([1]), np.array([7]))
+            settle(p, a, b, N, np.array([1]))
 
     @pytest.mark.parametrize("p, l", [(401, 5), (421, 7)])
     def test_outside_compares_every_multiple(self, p, l):
@@ -581,7 +638,7 @@ class TestLaneSylow:
         E = PRESETS["generic1"]
         p = good_primes(E, 10 ** 6)[0][-5233:]
         block = open_block(p, residues(E.a4, p), residues(E.a6, p))
-        want = sylow_lanes(*block)
+        want = settle(*block)
         planted, rounds = [], []
         real, real_draw = structure._ladder, structure._draw_points
 
@@ -594,7 +651,7 @@ class TestLaneSylow:
         monkeypatch.setattr(structure, "_ladder", ladder)
         monkeypatch.setattr(structure, "_draw_points",
                             lambda p, *args: rounds.append(len(p)) or real_draw(p, *args))
-        got = sylow_lanes(*block)
+        got = settle(*block)
         decided = (got[0] == got[1]) & (want[0] == want[1])
         assert planted[0] > 20 and rounds[1] >= planted[0] // structure._LANE_DRAWS
         assert (got[0] == want[0])[decided].all()
