@@ -99,11 +99,7 @@ def _fold_curve(argv) -> list:
 
 def _parse_curve(args) -> GlobalCurve:
     if args.preset:
-        if args.preset not in PRESETS:
-            raise ValueError(f"unknown preset {args.preset!r}; have {sorted(PRESETS)}")
         return PRESETS[args.preset]
-    if not args.curve:
-        raise ValueError("one of --curve or --preset is required")
     try:
         a4, a6 = (int(t) for t in args.curve.split(","))
     except ValueError:
@@ -253,8 +249,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="sweep primes and emit checkpoint tables")
-    run.add_argument("--curve", help="global model as 'a4,a6'")
-    run.add_argument("--preset", help=f"named curve: {', '.join(sorted(PRESETS))}")
+    named = run.add_mutually_exclusive_group(required=True)
+    named.add_argument("--curve", help="global model as 'a4,a6'")
+    named.add_argument("--preset", choices=sorted(PRESETS), help="named curve")
     run.add_argument("--xmax", type=int, required=True,
                      help="sweep the good primes up to this, 100 .. 2^30 - 1 "
                           "(the int64 lanes' range)")

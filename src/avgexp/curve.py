@@ -2,9 +2,8 @@
 
 Points are plain (x, y) tuples; the identity is the module constant
 INFINITY (None).  add is the affine chord-tangent law, one inversion per
-addition, which keeps the short chains of baby-step giant-step and of the
-Sylow subgroups easy to audit.  scalar_mul works in Jacobian coordinates
-and inverts once, at the end.
+addition, and the only group law here: scalar_mul is double-and-add over
+it, so every group operation of the scalar paths is one call to add.
 """
 
 from dataclasses import dataclass, field
@@ -96,57 +95,17 @@ def add(P, Q, C: ReducedCurve):
 
 
 def scalar_mul(k: int, P, C: ReducedCurve):
-    """k*P; 0*P is the identity.
-
-    Left-to-right double-and-add in Jacobian coordinates (X : Y : Z) for
-    the affine (X/Z^2, Y/Z^3), Z = 0 at the identity, with P added in
-    affine form (Cohen, Miyaji and Ono's mixed coordinates, ASIACRYPT
-    1998), so the only inversion is the one back to affine at the end.
-    Doubling a point of order 2 (Y = 0) gives Z = 0 by itself.
-    """
+    """k*P by left-to-right double-and-add over add; 0*P is the identity."""
     if k < 0:
         raise ValueError("negative scalar")
     if k == 0 or P is INFINITY:
         return INFINITY
-    if k <= 2:  # P, or 2P by one affine tangent, cheaper than a conversion
-        return P if k == 1 else add(P, P, C)
-    p, a = C.p, C.a
-    x, y = P
-    X, Y, Z = x, y, 1
+    R = P
     for bit in bin(k)[3:]:
-        YY = Y * Y % p
-        S = 4 * X * YY % p
-        ZZ = Z * Z % p
-        M = (3 * X * X + a * ZZ * ZZ) % p
-        X = (M * M - 2 * S) % p
-        Z = 2 * Y * Z % p
-        Y = (M * (S - X) - 8 * YY * YY) % p
-        if bit == "0":
-            continue
-        if not Z:
-            X, Y, Z = x, y, 1
-            continue
-        ZZ = Z * Z % p
-        H = (x * ZZ - X) % p
-        r = (y * ZZ % p * Z - Y) % p
-        if H or r:  # H = 0 means the sum so far is -P, and Z comes out 0
-            HH = H * H % p
-            HHH = H * HH % p
-            V = X * HH % p
-            X = (r * r - HHH - 2 * V) % p
-            Y = (r * (V - X) - Y * HHH) % p
-            Z = Z * H % p
-        else:  # the sum so far is P, and 2P is taken in affine form
-            D = add(P, P, C)
-            if D is INFINITY:
-                Z = 0
-            else:
-                X, Y, Z = D[0], D[1], 1
-    if not Z:
-        return INFINITY
-    w = pow(Z, -1, p)
-    ww = w * w % p
-    return (X * ww % p, Y * ww % p * w % p)
+        R = add(R, R, C)
+        if bit == "1":
+            R = add(R, P, C)
+    return R
 
 
 def random_point(C: ReducedCurve, rng):

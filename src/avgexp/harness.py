@@ -79,7 +79,7 @@ PRESETS = {
 
 class CacheError(RuntimeError):
     """A cache file is for another curve or format, is truncated, fails
-    its checksum or the prefix rule, or could not be written."""
+    its checksum or the prefix rule, or could not be read or written."""
 
 
 class InsufficientCheckpoints(ValueError):
@@ -533,8 +533,11 @@ def cache_load(path, curve: GlobalCurve) -> np.recarray:
     """The cached records, re-validated: a record that breaks an identity,
     or a p that is not above its predecessor's, makes the cache corrupt.
     That they are every good prime up to the last is _missing_primes's."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    except OSError as err:  # no permission or an I/O error
+        raise CacheError(f"{path}: {err.strerror or err}") from err
     if len(raw) < _CACHE_HEADER.size:
         raise CacheError(f"{path}: shorter than a header")
     magic, a4, a6, count, crc = _CACHE_HEADER.unpack_from(raw)

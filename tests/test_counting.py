@@ -314,10 +314,11 @@ class TestBsgsPaths:
         assert sides == [C, quadratic_twist(C)]
 
     def test_add_count_at_100003(self, monkeypatch):
-        # counts the affine adds only: ~2*sqrt(2B) = 71 for the baby and
-        # giant steps, B = isqrt(4p); the Jacobian steps inside scalar_mul,
-        # such as the start point lo*(-P) and the candidates' multiples
-        # that the later points filter, are not counted
+        # every group operation is an add: m - 1 = 35 baby steps and 36
+        # giant steps over the window of width 2B, B = isqrt(4p), m =
+        # isqrt(2B) + 1, then the start point lo*(-P), lo = p + 1 - B =
+        # 99372, by 16 doublings and 5 additions; the first point leaves
+        # one candidate, so no later point takes a multiple
         calls = [0]
         real = curve.add
 
@@ -328,7 +329,7 @@ class TestBsgsPaths:
         monkeypatch.setattr(counting, "add", counted)
         C = reduce_curve(GENERIC, 100003)
         assert order_bsgs(C).N == trace_naive(C).N
-        assert calls[0] <= 75
+        assert calls[0] == 35 + 36 + 16 + 5
 
     @settings(max_examples=80, deadline=None, database=None)
     @given(st.data())

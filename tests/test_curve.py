@@ -171,24 +171,30 @@ class TestGroupLaw:
                 assert scalar_mul(N, random_point(C, rng), C) is INFINITY
 
 
-class TestJacobianScalarMul:
-    # scalar_mul works in Jacobian coordinates; the other tests use it as
-    # their oracle, so it is checked here against affine chains of the
-    # test's own group law
+class TestScalarMulAgainstOracle:
+    # the other tests use scalar_mul as their oracle, so it is checked here
+    # against affine chains of the test's own group law, with the real add
+    # wrapped to count the group operations
     SMALL = [ReducedCurve(5, 1, 1), ReducedCurve(11, 0, 1), ReducedCurve(13, 1, 0),
              ReducedCurve(47, 2, 3), ReducedCurve(59, 0, 1)]
 
-    def test_every_point_every_k_to_twice_the_order(self, monkeypatch):
-        # k in [0, 2*ord(P) + 2] covers k = 0 (mod ord(P)), where the sum
-        # passes -P, and k = 1 (mod ord(P)) after a doubling, where it is
-        # P and the sum 2P: the one call to add for k >= 3
+    @staticmethod
+    def count_adds(monkeypatch):
         calls = [0]
+        real = curve.add
 
         def counted(*args):
             calls[0] += 1
-            return oracle_add(args[0], args[1], args[2].p, args[2].a)
+            return real(*args)
         monkeypatch.setattr(curve, "add", counted)
-        orders, doubled = set(), 0
+        return calls
+
+    def test_every_point_every_k_to_twice_the_order(self, monkeypatch):
+        # k in [0, 2*ord(P) + 2] covers k = 0 (mod ord(P)), where the sum
+        # passes -P, and the doubling of a point of order 2; each k >= 1
+        # costs one add per doubling and one per further set bit
+        calls = self.count_adds(monkeypatch)
+        orders = set()
         for C in self.SMALL:
             for P in all_points(C)[1:]:
                 chain = [None]
@@ -199,9 +205,21 @@ class TestJacobianScalarMul:
                 for k in range(2 * order + 3):
                     before = calls[0]
                     assert scalar_mul(k, P, C) == chain[k % order], (C, P, k)
-                    doubled += k >= 3 and calls[0] > before
+                    steps = k.bit_length() - 1 + bin(k).count("1") - 1 if k else 0
+                    assert calls[0] - before == steps, (C, P, k)
         assert {2, 3} <= orders
-        assert doubled > 0
+
+    @settings(max_examples=30, deadline=None, database=None)
+    @given(st.integers(1, 2 ** 64))
+    def test_every_doubling_is_a_counted_add(self, k):
+        # the tracer's add counts are the scalar paths' group operations
+        # only if no doubling bypasses curve.add
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            calls = self.count_adds(monkeypatch)
+            C = reduce_curve(GENERIC, 1000003)
+            P = random_point(C, random.Random(k))
+            assert scalar_mul(k, P, C) == oracle_mul(k, P, C.p, C.a)
+        assert calls[0] >= k.bit_length() - 1
 
     @settings(max_examples=60, deadline=None, database=None)
     @given(st.data())

@@ -1011,6 +1011,24 @@ class TestCli:
         assert "File too large" in err
         assert not list(tmp_path.glob("c.bin*"))
 
+    def test_unreadable_cache_is_a_cache_error(self, tmp_path, capsys, monkeypatch):
+        # no permission to read an existing cache: one line, exit 3, and
+        # the outputs of the earlier run byte-unchanged
+        cache = tmp_path / "c.bin"
+        argv = ["run", "--preset", "generic1", "--xmax", "300", "--checkpoints", "300",
+                "--cache", str(cache), "--outfile", str(tmp_path)]
+        assert cli.main(argv) == cli.EXIT_OK
+        before = {name: (tmp_path / name).read_bytes() for name in cli.CSV_NAMES + ("c.bin",)}
+
+        def refuse(path, *args, **kwargs):
+            raise PermissionError(13, "Permission denied", str(path))
+        monkeypatch.setattr(harness, "open", refuse, raising=False)
+        capsys.readouterr()
+        assert cli.main(argv) == cli.EXIT_CACHE
+        assert capsys.readouterr().err == f"cache error: {cache}: Permission denied\n"
+        assert {name: (tmp_path / name).read_bytes() for name in before} == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(before)
+
     def test_xmax_too_small_is_a_usage_error(self, tmp_path, capsys):
         rc = cli.main(["run", "--preset", "generic1", "--xmax", "50",
                        "--outfile", str(tmp_path)])
@@ -1082,7 +1100,6 @@ class TestCli:
         assert not cache.exists()
 
     @pytest.mark.parametrize("argv", [
-        ["run", "--preset", "nope", "--xmax", "1000"],
         ["run", "--curve", "1;1", "--xmax", "1000"],
         ["run", "--curve", "0,0", "--xmax", "1000"],
         ["verify", "--xmax", "6000"],
@@ -1171,6 +1188,9 @@ class TestCli:
 
     @pytest.mark.parametrize("argv", [
         ["run", "--preset", "generic1"],
+        ["run", "--preset", "nope", "--xmax", "1000"],
+        ["run", "--preset", "generic1", "--curve", "1,2", "--xmax", "1000"],
+        ["run", "--xmax", "1000"],
         ["run", "--preset", "generic1", "--xmax", "ten"],
         ["bogus"],
         ["run", "--preset", "generic1", "--xmax", "1000", "--seed", "1"],
