@@ -1114,6 +1114,7 @@ class TestCli:
         ["verify", "--xmax", "-3"],
         ["run", "--preset", "generic1", "--xmax", "1000", "--checkpoints", "3,1000"],
         ["run", "--preset", "generic1", "--xmax", "1000", "--checkpoints", "100,1000,1000"],
+        ["run", "--preset", "generic1", "--xmax", "1000", "--checkpoints", "100,2000"],
     ])
     def test_other_rejected_values_are_usage_errors(self, argv, capsys):
         assert cli.main(argv) == cli.EXIT_USAGE
