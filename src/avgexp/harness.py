@@ -1,8 +1,9 @@
 """Prime-sweep experiment: per-prime exponent records, checkpoint tables
 comparing the running average against the model constant, and diagnostics.
 
-Work is split into blocks of consecutive good primes, as many and as
-large for each worker, here and in forked children (block_stream).  A block's
+A sweep is one pass of the segmented sieve, in the parent.  A segment's
+good primes are split into blocks, as many and as large for each worker,
+here and in children forked for the segment (block_stream).  A block's
 size is capped by the row cells its lanes need, not by a prime count, so
 blocks of small primes are larger and pay a lane call's fixed cost less
 often.  A block is columnar from the primes to the records: it counts
@@ -38,7 +39,7 @@ from collections import Counter
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import chain, count, islice
+from itertools import count
 
 import numpy as np
 
@@ -226,56 +227,40 @@ def compute_block(E: GlobalCurve, ps, threshold: int) -> tuple:
 
 def compute_records(E: GlobalCurve, primes, threshold: int,
                     workers: int = 1) -> tuple:
-    """stream_records over primes as one segment: records in the order of
-    primes, paths summed."""
-    primes = np.asarray(primes, dtype=np.int64)
+    """stream_records over primes: records in the order of primes, paths summed."""
     parts, paths = [np.empty(0, RECORD)], Counter(dict.fromkeys(PATHS, 0))
-    for records, counts in stream_records(E, [primes], len(primes), int(primes.max(initial=0)),
-                                          threshold, workers):
+    for records, counts in stream_records(E, primes, threshold, workers):
         parts.append(records)
         paths.update(counts)
     return np.concatenate(parts).view(np.recarray), dict(paths)
 
 
-def stream_records(E: GlobalCurve, segments, n: int, top: int, threshold: int,
-                   workers: int = 1):
-    """compute_block's (records, paths) for each block of the n primes of
-    segments, int64 arrays whose largest prime is top, in order, by
-    block_stream on w = min(workers, ceil(n / LANE_BLOCK), CPUs this
-    process may use) workers; each of them iterates segments anew.  The
-    primes are cut into the least multiple of w blocks whose lane buffers
+def stream_records(E: GlobalCurve, primes, threshold: int, workers: int = 1):
+    """compute_block's (records, paths) for each block of the n primes,
+    in order, by block_stream on w = min(workers, ceil(n / LANE_BLOCK),
+    CPUs this process may use) workers.  The primes are cut by
+    np.array_split into the least multiple of w blocks whose lane buffers
     fit the row cells of a LANE_BLOCK-prime block at 2^30: at most
-    LANE_BLOCK * lane_rows(2^30 - 1) // lane_rows(top) primes each, and
+    LANE_BLOCK * lane_rows(2^30 - 1) // lane_rows(max p) primes each, and
     differing in size by at most one prime."""
+    primes = np.asarray(primes, dtype=np.int64)
+    n = len(primes)
     k = -(-n // LANE_BLOCK)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     workers = max(1, min(workers, k, cpus or 1))
     if k:
-        k = -(-n // (LANE_BLOCK * lane_rows(LANE_CAP - 1) // lane_rows(top)))
-    k = -(-k // workers) * workers
-    yield from block_stream(partial(compute_block, E, threshold=threshold),
-                            _blocks(segments, n, k), workers)
-
-
-def _blocks(segments, n: int, k: int):
-    """The n primes of segments in k consecutive blocks, the first n % k
-    one prime larger, as np.array_split cuts them; a segment is sieved
-    only when a block needs it."""
-    rest, j, segments = np.empty(0, np.int64), 0, iter(segments)
-    while j < k:
-        rest = np.concatenate((rest, next(segments))) if len(rest) else next(segments)
-        while j < k and len(rest) >= (size := n // k + (j < n % k)):
-            yield rest[:size]
-            rest, j = rest[size:], j + 1
+        k = -(-n // (LANE_BLOCK * lane_rows(LANE_CAP - 1) // lane_rows(int(primes.max()))))
+    blocks = np.array_split(primes, -(-k // workers) * workers) if k else []
+    yield from block_stream(partial(compute_block, E, threshold=threshold), blocks, workers)
 
 
 def block_stream(work, blocks, w: int):
-    """work(block) for each of blocks, an iterable not yet started, in
-    order: block j here if w | j, else in forked child j % w, which
-    iterates its own copy of blocks and sends the result of each of its
-    blocks, or the exception it raised, as one pickle behind its 8-byte
-    length.  On any exit the read ends are closed (EPIPE to a blocked
-    child) and every child is reaped."""
+    """work(block) for each of blocks, a list, in order: block j here if
+    w | j, else in forked child j % w, which takes its blocks from its
+    copy of the list and sends the result of each, or the exception it
+    raised, as one pickle behind its 8-byte length.  On any exit the read
+    ends are closed (EPIPE to a blocked child) and every child is
+    reaped."""
     children = []  # (pid, read end) of children 1, ..., w - 1
     try:
         for i in range(1, w):
@@ -287,7 +272,7 @@ def block_stream(work, blocks, w: int):
                     for _, reader in children:
                         reader.close()
                     out = open(fd_w, "wb")
-                    for block in islice(blocks, i, None, w):
+                    for block in blocks[i::w]:
                         try:
                             result = work(block)
                         except Exception as err:  # the parent raises it
@@ -334,65 +319,64 @@ def _good_and_bad(E: GlobalCurve, primes) -> tuple:
 
 
 def _missing_primes(cfg: ExperimentConfig, cached_p):
-    """For each segment of prime_segments(x_max): the good primes above
-    the last of cached_p, the cache's ascending p, and the bad primes.
-    cached_p must be every good prime up to its last; the first p <= x_max
-    where they differ makes the cache corrupt."""
+    """For each segment of prime_segments(x_max), in one pass of the
+    sieve: the good primes above the last of cached_p, the cache's
+    ascending p, and the bad primes.  cached_p must be every good prime
+    up to its last: the first p <= x_max where they differ makes the
+    cache corrupt, found before the segment that holds it is yielded."""
     last, i = cached_p.max(initial=0), 0
     for primes in prime_segments(cfg.x_max, sieve_primes(math.isqrt(cfg.x_max))):
         good, bad = _good_and_bad(cfg.curve, primes)
         k = int(np.searchsorted(good, last, side="right"))
-        want, have = good[:k], cached_p[i:i + k]
-        if not np.array_equal(want, have):  # they differ inside len(have)
-            m = int(np.argmax(want[:len(have)] != have))
-            if have[m] > want[m]:
-                raise CacheError(f"{cfg.cache_path}: cache lacks the good prime {want[m]}")
-            i += m
-            break
-        i += k
+        j = i + int(np.searchsorted(cached_p[i:], primes.max(initial=0), side="right"))
+        want, have = good[:k], cached_p[i:j]
+        if not np.array_equal(want, have):
+            p = np.setxor1d(want, have)[0]  # the least p in just one of them
+            raise CacheError(f"{cfg.cache_path}: cache lacks the good prime {p}" if p in want
+                             else f"{cfg.cache_path}: cached p = {p} is not a good prime")
+        i = j
         yield good[k:], bad
-    if i < np.searchsorted(cached_p, cfg.x_max, side="right"):
+    if i < np.searchsorted(cached_p, cfg.x_max, side="right"):  # above the last prime
         raise CacheError(f"{cfg.cache_path}: cached p = {cached_p[i]} is not a good prime")
 
 
 def run_experiment(cfg: ExperimentConfig, constant=None, write=None) -> ExperimentResult:
     """Process every good prime p <= x_max exactly once and aggregate.
 
-    A first pass of the sieve counts the good primes above the cache's
-    last p, the ones to compute, lists the bad primes and checks the
-    cache (_missing_primes) before any prime is computed.  The cached
-    records p <= x_max are folded, then the fresh blocks as they arrive,
-    and each block goes to write(records); with no write the result
-    holds them all, as the run does to rewrite the cache with them.  The
-    model's constant, model_constant(cfg.model), is evaluated before the
-    sweep, so a model it refuses costs no prime; a caller that has
-    evaluated it passes it as constant.  An empirical model with no
-    table is fitted to the per-d counts after the sweep.
+    The cached records p <= x_max are folded first, then, segment by
+    segment of one pass of the sieve that checks the cache ahead of each
+    (_missing_primes), the blocks of its good primes above the cache as
+    they arrive (stream_records).  Each block goes to write(records);
+    with no write the result holds them all, as the run does to rewrite
+    the cache with them.  The model's constant, model_constant(cfg.model),
+    is evaluated before the sweep, so a model it refuses costs no prime;
+    a caller that has evaluated it passes it as constant.  An empirical
+    model with no table is fitted to the per-d counts after the sweep.
     """
     constant = constant or model_constant(cfg.model)
     cached = np.empty(0, RECORD)
     if cfg.cache_path and os.path.exists(cfg.cache_path):
         cached = cache_load(cfg.cache_path, cfg.curve)
-    n, top, skipped = 0, 0, []
-    for missing, bad in _missing_primes(cfg, cached["p"]):
-        n, top = n + len(missing), int(missing.max(initial=top))
-        skipped += bad.tolist()
-    segments = (missing for missing, _ in _missing_primes(cfg, cached["p"]))
-    upto = int(np.searchsorted(cached["p"], cfg.x_max, side="right"))
     fold = Fold(list(cfg.checkpoints), math.isqrt(cfg.x_max) + 2)
-    kept, paths = [], Counter(dict.fromkeys(PATHS, 0))
-    keep = write is None or bool(cfg.cache_path and n)
-    with contextlib.closing(stream_records(cfg.curve, segments, n, top, cfg.trace_threshold,
-                                           cfg.workers)) as fresh:
-        for records, counts in chain([(cached[:upto], {})], fresh):
+    kept, paths, skipped = [], Counter(dict.fromkeys(PATHS, 0)), []
+    keep = write is None or bool(cfg.cache_path)
+
+    def sweep():  # the cached records p <= x_max as one block, then the fresh ones
+        yield cached[:np.searchsorted(cached["p"], cfg.x_max, side="right")], {}
+        for missing, bad in _missing_primes(cfg, cached["p"]):
+            skipped.extend(bad.tolist())
+            yield from stream_records(cfg.curve, missing, cfg.trace_threshold, cfg.workers)
+    with contextlib.closing(sweep()) as blocks:
+        for records, counts in blocks:
             paths.update(counts)
             aggregate_checkpoints(fold, records)
             if write:
                 write(records)
             if keep:
                 kept.append(records)
-    records = np.concatenate(kept).view(np.recarray) if keep else None
-    if cfg.cache_path and n:  # then the cache ends below x_max
+    stored = cfg.cache_path and sum(paths.values())  # rewritten if a prime was computed
+    records = np.concatenate(kept).view(np.recarray) if write is None or stored else None
+    if stored:
         cache_store(cfg.cache_path, cfg.curve, records)
 
     counts, li_x = pi_E_counts(fold.count, K_MAX_DIAG), li(cfg.x_max)

@@ -395,11 +395,13 @@ def settle(p, a, b, N, roots) -> tuple:
     v_l(N)/2), except at l = 2, where a = 0 unless the cubic splits (it
     has three roots) and a >= 1 if it does.  The part rest of g above
     2*_LANE_ROWS + 1 allows only a = 0 exactly when it is squarefree and
-    prime to N/rest; its primes are at least 67, so below 67^3 it is
-    squarefree iff it is not a square, and from 67^3 on it is left to
-    the scalar path.  On a split cubic with a_max >= 2 at l = 2, E[4]
-    lies in E(F_p) or not (_full_four_torsion): a >= 2 if so, a = 1 if
-    not.  At l = 3 with a_max >= 1, E[3] does or not
+    prime to N/rest.  Its primes are at least 67 and rest < 2^30, so it
+    is squarefree iff it is 1, or not a square and, from 67^3 on (only at
+    a_p = 2), not q^2 * m with m >= 67 for an odd 67 <= q <= 4003 =
+    isqrt(2^30 // 67); an odd composite q there has a prime factor below
+    67, so q^2 divides no rest.  On a split cubic with a_max >= 2 at
+    l = 2, E[4] lies in E(F_p) or not (_full_four_torsion): a >= 2 if
+    so, a = 1 if not.  At l = 3 with a_max >= 1, E[3] does or not
     (_full_three_torsion): a >= 1 or a = 0.  Then _lane_sylow decides
     the pairs still open on the lanes that counting.on_lanes serves, p
     >= 229, in chunks whose chain rows fit the row cells of the block's
@@ -429,7 +431,9 @@ def settle(p, a, b, N, roots) -> tuple:
     i = np.flatnonzero((l == 3) & (a_max >= 1))
     full = _full_three_torsion(p[lane[i]], a[lane[i]], b[lane[i]])
     a_min[i[full]], a_max[i[~full]] = 1, 0
-    squarefree = (rest == 1) | (rest < 67 ** 3) & (np.rint(np.sqrt(rest)) ** 2 != rest)
+    squarefree = (rest == 1) | (np.rint(np.sqrt(rest)) ** 2 != rest)
+    big = rest >= 67 ** 3  # only at a_p = 2; below it, q^2 | rest makes rest = q^2
+    squarefree[big] &= (rest[big, None] % np.arange(67, 4004, 2) ** 2 != 0).all(axis=1)
     scalar = ~squarefree | (np.gcd(rest, N // rest) > 1) | split & (N % 4 != 0)
     scalar[lane[a_min > a_max]] = True
     o = np.flatnonzero((a_min < a_max) & ~scalar[lane] & on_lanes(p[lane]))

@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from avgexp import cli, constants, counting, harness, structure
+from avgexp import cli, constants, counting, harness, modarith, structure
 from avgexp.constants import DegreeModel, li
 from avgexp.counting import LANE_CAP, PATHS, cubic_roots, lane_rows, trace_naive
 from avgexp.curve import GlobalCurve, ReducedCurve, reduce_curve
@@ -43,6 +43,12 @@ def use_cpus(monkeypatch, cpus):
     else:
         monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: set(range(cpus)),
                             raising=False)
+
+
+def run_files(out, *argv) -> list:
+    """The bytes of the three csv files of `run *argv` into out."""
+    assert cli.main(["run", *map(str, argv), "--outfile", str(out)]) == cli.EXIT_OK
+    return [(out / name).read_bytes() for name in cli.CSV_NAMES]
 
 
 def small_run(x_max=2000, **kw):
@@ -505,6 +511,58 @@ class TestFold:
         assert computed == [] and cache.read_bytes() == gapped
         assert [(tmp_path / "prefix" / name).read_bytes() for name in cli.CSV_NAMES] == want
 
+    @pytest.mark.parametrize("fault", ["gap", "composite-inside", "composite-last"])
+    def test_late_segment_faults_leave_the_files_alone(self, fault, tmp_path, monkeypatch,
+                                                       capsys):
+        # over segments of 2^12 numbers, a cache to 25000 with a fault in
+        # the fifth segment, [16384, 20480): a good prime left out, a
+        # composite between two cached primes, or a composite after the
+        # last cached prime.  Each is refused before any prime is
+        # computed, and the cache and an earlier run's files stay as they
+        # were
+        monkeypatch.setattr(modarith, "SEGMENT", 1 << 12)
+        run = ["--preset", "generic1", "--xmax", 30_000]
+        want = run_files(tmp_path, *run)
+        records = small_run(x_max=25_000, checkpoints=[25_000]).records
+        fake = np.array([(c, 0, 1, c + 1) for c in (18001, 20001)], RECORD)  # c = 47*383, 3*6667
+        gap = int(records.p[records.p > 18000][0])
+        cached, text = {
+            "gap": (records[records.p != gap], f"cache lacks the good prime {gap}"),
+            "composite-inside": (np.sort(np.concatenate((records, fake[:1])), order="p"),
+                                 "cached p = 18001 is not a good prime"),
+            "composite-last": (np.concatenate((records[records.p < 20001], fake[1:])),
+                               "cached p = 20001 is not a good prime")}[fault]
+        cache = tmp_path / "c.bin"
+        cache_store(cache, GENERIC, cached)
+        stored, computed = cache.read_bytes(), []
+        monkeypatch.setattr(harness, "compute_block", lambda *args: computed.append(args))
+        capsys.readouterr()
+        argv = ["run", *map(str, run), "--cache", str(cache), "--outfile", str(tmp_path)]
+        assert cli.main(argv) == cli.EXIT_CACHE
+        assert capsys.readouterr().err.endswith(f": {text}\n")
+        assert computed == [] and cache.read_bytes() == stored
+        assert [(tmp_path / name).read_bytes() for name in cli.CSV_NAMES] == want
+
+    @pytest.mark.parametrize("preset", ["generic1", "cm-i"])
+    def test_segments_leave_the_files_alone(self, preset, tmp_path, monkeypatch, capsys):
+        # 25 segments of 2^12 numbers to 1e5 give the files of one segment
+        # of 2^24: at 1 worker, at 2 workers with blocks of LANE_BLOCK = 97
+        # lanes (so that each segment forks a child), and so again over a
+        # cache whose last p, the last good prime below 7e4, lies inside a
+        # segment; no child is left
+        run = ["--preset", preset, "--xmax", 10 ** 5]
+        want = run_files(tmp_path / "one", *run)
+        cache = tmp_path / "c.bin"
+        run_files(tmp_path / "cache", "--preset", preset, "--xmax", 70_000, "--cache", cache)
+        monkeypatch.setattr(modarith, "SEGMENT", 1 << 12)
+        assert run_files(tmp_path / "w1", *run) == want
+        monkeypatch.setattr(harness, "LANE_BLOCK", 97)
+        use_cpus(monkeypatch, 2)
+        assert run_files(tmp_path / "w2", *run, "--workers", 2) == want
+        assert run_files(tmp_path / "w2c", *run, "--workers", 2, "--cache", cache) == want
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
     def test_records_stream_to_write_and_are_not_kept(self):
         cfg = ExperimentConfig(curve=GENERIC, x_max=3000, checkpoints=[1000, 3000])
         blocks = []
@@ -779,6 +837,64 @@ class TestPipeline:
         assert re.fullmatch(r"worker error: block worker \d+ died before block 1, exit 9\n",
                             done.stderr)
         assert "Traceback" not in done.stderr and done.stdout == ""
+
+    def test_dead_child_in_a_late_segment_is_one_worker_line(self, tmp_path):
+        # over segments of 2^12 numbers, with a child forked per segment, a
+        # child dies in a late segment: one line, whose block index counts
+        # the blocks of that segment
+        script = """if True:
+            import os, sys
+            from avgexp import cli, harness, modarith
+            parent, real = os.getpid(), harness.compute_block
+            def block(E, ps, threshold):
+                if os.getpid() != parent and ps[0] > 50000:
+                    os._exit(9)
+                return real(E, ps, threshold)
+            harness.compute_block = block
+            harness.os.sched_getaffinity = lambda pid: {0, 1}
+            modarith.SEGMENT, harness.LANE_BLOCK = 1 << 12, 97
+            sys.exit(cli.main(["run", "--preset", "generic1", "--xmax", "100000",
+                               "--workers", "2", "--outfile", "out"]))
+        """
+        done = self.fresh_interpreter(script, tmp_path)
+        assert done.returncode == cli.EXIT_WORKER == 5, done.stderr
+        assert re.fullmatch(r"worker error: block worker \d+ died before block \d+, exit 9\n",
+                            done.stderr)
+        assert done.stdout == ""
+
+    def test_one_sieve_pass_in_the_parent(self, tmp_path):
+        # two runs at 2 workers over segments of 2^12 numbers, to 6e4 and
+        # then to 1e5 over its cache: each calls harness.prime_segments
+        # once, in the parent, while forked children compute blocks, and
+        # no child is left
+        script = """if True:
+            import os
+            from avgexp import cli, harness, modarith
+            def logged(name, fn):
+                def call(*args, **kw):
+                    with open(name, "a") as fh:
+                        fh.write(f"{os.getpid()}\\n")
+                    return fn(*args, **kw)
+                return call
+            harness.prime_segments = logged("sieves", harness.prime_segments)
+            harness.compute_block = logged("blocks", harness.compute_block)
+            harness.os.sched_getaffinity = lambda pid: {0, 1}
+            modarith.SEGMENT, harness.LANE_BLOCK = 1 << 12, 97
+            for x in (60000, 100000):
+                assert cli.main(["run", "--preset", "generic1", "--xmax", str(x), "--workers",
+                                 "2", "--cache", "c.bin", "--outfile", "out"]) == 0
+            try:
+                os.waitpid(-1, os.WNOHANG)
+            except ChildProcessError:
+                print("no child left", os.getpid())
+        """
+        done = self.fresh_interpreter(script, tmp_path)
+        *_, last = done.stdout.splitlines()
+        assert last.startswith("no child left "), done.stderr
+        parent = last.split()[-1]
+        blocks = (tmp_path / "blocks").read_text().split()
+        assert (tmp_path / "sieves").read_text().split() == [parent, parent]
+        assert parent in blocks and len(set(blocks) - {parent}) > 1  # children of segments
 
     def test_peak_memory_does_not_grow_with_x_max(self, tmp_path):
         # the sweep folds its blocks and streams records.csv, so the

@@ -306,11 +306,10 @@ def settle_rule(C, N):
     """What settle must return for C of order N with no lane round:
     exponent_sampling's d where it draws no point or the torsion tests
     decide every class it draws for, and 0 elsewhere; and the classes it
-    draws for.  A part of g above the table from 67^3 on is left to the
-    scalar path (only at a_p = 2)."""
+    draws for.  The part of g above the table is decided exactly at every
+    size, so it draws no point where settle decides it."""
     d, drew = sampled(C, N)
-    rest = table_rest(math.gcd(C.p - 1, C.p - 1 - N))
-    return (d if rest < 67 ** 3 and all(lane_decided(*c) for c in drew) else 0), drew
+    return (d if all(lane_decided(*c) for c in drew) else 0), drew
 
 
 def without_rounds(p, a, b, N, roots):
@@ -471,13 +470,17 @@ class TestSettle:
 
     def test_large_odd_part_left_open(self):
         # a_p = 2, so g = p - 1.  The part rest of g above the table
-        # leaves the lane to the scalar path when it is a square, 67^2 at
-        # p = 134^2 + 1, or from 67^3 on, 304169 in generic1 at 608339 =
-        # 2 * 304169 + 1; the scalar path then proves d from the bounds.
-        # generic1 at 422923 = 2 * 3 * 70487 + 1 and at 163363 = 2 * 3 *
-        # 19 * 1433 + 1 is decided, rest being prime and below 67^3
+        # leaves the lane to the scalar path when it is not squarefree:
+        # the square 67^2 at p = 134^2 + 1, and 67^2 * 73 >= 67^3 at p =
+        # 4 * 67^2 * 73 + 1 = 1310789 on y^2 = x^3 + 1467x + 2; the
+        # scalar path then proves d from the bounds.  A prime rest is
+        # decided at any size: generic1 at 608339 = 2 * 304169 + 1 and
+        # 831443 = 2 * 415721 + 1, both beyond 67^3, at 422923 = 2 * 3 *
+        # 70487 + 1 and at 163363 = 2 * 3 * 19 * 1433 + 1
         cases = [(apex_two_curve(134 ** 2 + 1, "j1728"), 67 ** 2, 0),
-                 (reduce_curve(GENERIC, 608339), 304169, 0),
+                 (ReducedCurve(1310789, 1467, 2), 67 ** 2 * 73, 0),
+                 (reduce_curve(GENERIC, 608339), 304169, 1),
+                 (reduce_curve(GENERIC, 831443), 415721, 1),
                  (reduce_curve(GENERIC, 422923), 70487, 1),
                  (reduce_curve(GENERIC, 163363), 1433, 1)]
         for C, rest, d in cases:
@@ -487,15 +490,15 @@ class TestSettle:
             lo, hi = settle(p, a, b, n, cubic_roots(p, a, b))
             assert settle_one(C, N) == d
             want, drew = sampled(C, N)
-            assert bool(drew) == (rest == 67 ** 2)  # only the square needs draws, at l = 67
+            assert [c[0] for c in drew] == ([67] if d == 0 else [])  # draws only at l = 67
             assert want % lo.item() == 0 and hi.item() % want == 0
             assert sampled(C, N, lo.item(), hi.item())[0] == want
 
     def test_trace_two_primes_to_1e6(self, monkeypatch):
         # the 68 primes of generic1 to 1e6 with a_p = 2, where g = p - 1,
         # in the sweep's blocks: settle decides every one with
-        # exponent_sampling's d but the two whose rest is beyond 67^3,
-        # 608339 = 2 * 304169 + 1 and 831443 = 2 * 415721 + 1
+        # exponent_sampling's d, also the two whose rest is a prime beyond
+        # 67^3, 608339 = 2 * 304169 + 1 and 831443 = 2 * 415721 + 1
         seen, real = [], structure.settle
 
         def spy(p, a, b, N, roots):
@@ -508,10 +511,10 @@ class TestSettle:
         harness.compute_records(E, good_primes(E, 10 ** 6)[0],
                                 harness.ExperimentConfig.trace_threshold)
         assert len(seen) == 68
-        assert [q for q, *_, lo, hi in seen if lo != hi] == [608339, 831443]
+        assert [q for q, *_, lo, hi in seen if lo != hi] == []
+        assert [q for q, *_, n, lo, hi in seen if table_rest(n) > 67 ** 3] == [608339, 831443]
         for q, a, b, n, lo, hi in seen:
-            d = n // exponent_sampling(ReducedCurve(q, a, b), n)
-            assert d % lo == 0 and hi % d == 0 and (lo == hi or table_rest(n) > 67 ** 3), q
+            assert lo == hi == n // exponent_sampling(ReducedCurve(q, a, b), n), q
 
     def test_splits_as_has_full_two_torsion(self):
         # a prime with N even is settled with an even d exactly when the
