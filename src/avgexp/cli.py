@@ -12,7 +12,7 @@ import contextlib
 import os
 import sys
 from dataclasses import astuple, fields
-from functools import partial
+from functools import cache, partial
 
 from .constants import (DegreeModel, constant_euler, constant_series,
                         load_overrides, nstr)
@@ -154,13 +154,13 @@ def cmd_run(args) -> int:
             model=_build_model(args),
             cache_path=args.cache,
         )
-        constant = model_constant(cfg.model)  # None for a table fitted to the records
+        model_constant(cfg.model)  # a model it refuses exits 4 before a file is touched
         _prepare_output(args)
     except ValueError as err:
         return _usage_error(str(err))
     try:  # before any print, so that a closed stdout cannot cost the files
         if args.out == "json":
-            result = run_experiment(cfg, constant)
+            result = run_experiment(cfg)
             written = args.outfile or "avgexp.json"
             with _replacing([written]) as (part,):
                 _output(write_json, part, result)
@@ -170,7 +170,7 @@ def cmd_run(args) -> int:
                 records, checkpoints, pi_e = parts
                 with _output(open, records, "wb") as fh:
                     _output(fh.write, ",".join(RECORD.names).encode() + b"\r\n")
-                    result = run_experiment(cfg, constant, partial(_output, _append, fh))
+                    result = run_experiment(cfg, partial(_output, _append, fh))
                 _output(write_csv, checkpoints, [f.name for f in fields(CheckpointRow)],
                         map(astuple, result.checkpoints))
                 _output(write_csv, pi_e, PI_E_HEADER, result.pi_e)
@@ -241,6 +241,7 @@ def cmd_verify(args) -> int:
     return EXIT_OK
 
 
+@cache  # one parser per process: it depends on no call, and parsing leaves it as it was
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="avgexp",
@@ -286,6 +287,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run the command of argv (default sys.argv[1:]) and return its exit
+    code.  The parser is built at the first call, not at import, and kept
+    for the process; each call parses into a namespace of its own."""
     try:
         args = build_parser().parse_args(_fold_curve(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:  # argparse: 0 after --help, 2 on a bad command line

@@ -38,7 +38,7 @@ import zlib
 from collections import Counter
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 from itertools import count
 
 import numpy as np
@@ -66,6 +66,11 @@ DEFAULT_SERIES_Y = 1000
 # blocks of smaller primes hold more of them (5350 at 1e6), and the fixed
 # cost of a lane call, a few ms, is paid less often.
 LANE_BLOCK = 1024
+# The bytes a block worker's pipe may hold: more than the largest frame a
+# child sends (7753 records, ~248 KB, at 2 workers near x_max = 1.7e5), so
+# that a child writes a block and goes on to its next one before the
+# parent reads.  1 MB is Linux's default pipe-max-size for any user.
+PIPE_SIZE = 1 << 20
 # The largest x_max: the lanes' int64 residues need p < 2^30.
 X_MAX_CAP = LANE_CAP - 1
 # Levels k of the pi_e.csv table and of the empirical degree table.
@@ -258,13 +263,19 @@ def block_stream(work, blocks, w: int):
     """work(block) for each of blocks, a list, in order: block j here if
     w | j, else in forked child j % w, which takes its blocks from its
     copy of the list and sends the result of each, or the exception it
-    raised, as one pickle behind its 8-byte length.  On any exit the read
-    ends are closed (EPIPE to a blocked child) and every child is
-    reaped."""
+    raised, as one pickle behind its 8-byte length.  Each child's pipe
+    is widened to PIPE_SIZE bytes (F_SETPIPE_SZ), so a child runs a block
+    ahead of the reads instead of waiting on a frame larger than the
+    platform's 64 KB pipe; where the call is missing or refused, the
+    pipe keeps its size.  On any exit the read ends are closed (EPIPE to
+    a blocked child) and every child is reaped."""
     children = []  # (pid, read end) of children 1, ..., w - 1
     try:
         for i in range(1, w):
+            import fcntl  # POSIX, as os.fork is, which w > 1 needs
             fd_r, fd_w = os.pipe()
+            with contextlib.suppress(AttributeError, OSError):  # no F_SETPIPE_SZ, or refused
+                fcntl.fcntl(fd_w, fcntl.F_SETPIPE_SZ, PIPE_SIZE)
             pid = os.fork()
             if pid == 0:  # the child never leaves this branch
                 try:
@@ -340,7 +351,7 @@ def _missing_primes(cfg: ExperimentConfig, cached_p):
         raise CacheError(f"{cfg.cache_path}: cached p = {cached_p[i]} is not a good prime")
 
 
-def run_experiment(cfg: ExperimentConfig, constant=None, write=None) -> ExperimentResult:
+def run_experiment(cfg: ExperimentConfig, write=None) -> ExperimentResult:
     """Process every good prime p <= x_max exactly once and aggregate.
 
     The cached records p <= x_max are folded first, then, segment by
@@ -349,11 +360,11 @@ def run_experiment(cfg: ExperimentConfig, constant=None, write=None) -> Experime
     they arrive (stream_records).  Each block goes to write(records);
     with no write the result holds them all, as the run does to rewrite
     the cache with them.  The model's constant, model_constant(cfg.model),
-    is evaluated before the sweep, so a model it refuses costs no prime;
-    a caller that has evaluated it passes it as constant.  An empirical
-    model with no table is fitted to the per-d counts after the sweep.
+    is evaluated before the sweep, so a model it refuses costs no prime.
+    An empirical model with no table is fitted to the per-d counts after
+    the sweep.
     """
-    constant = constant or model_constant(cfg.model)
+    constant = model_constant(cfg.model)
     cached = np.empty(0, RECORD)
     if cfg.cache_path and os.path.exists(cfg.cache_path):
         cached = cache_load(cfg.cache_path, cfg.curve)
@@ -389,7 +400,17 @@ def run_experiment(cfg: ExperimentConfig, constant=None, write=None) -> Experime
 
 def model_constant(model: DegreeModel):
     """Series value of the constant under the model, with provenance; None
-    for an empirical model with no table, which is to be fitted."""
+    for an empirical model with no table, which is to be fitted.  Memoized
+    by the model's value, (kind, sorted overrides), as a DegreeModel holds
+    a dict and has no hash; the estimate and provenance are immutable, so
+    equal models share them."""
+    return _model_constant(model.kind, tuple(sorted(model.overrides.items())))
+
+
+@lru_cache(maxsize=8)  # small: a table fitted to a run's counts is new on every run
+def _model_constant(kind: str, overrides: tuple):
+    """model_constant of DegreeModel(kind, dict(overrides))."""
+    model = DegreeModel(kind, dict(overrides))
     if model.kind == "gl2_generic":
         est = constant_series(model, DEFAULT_SERIES_Y)
         return est, f"gl2_generic series, y = {DEFAULT_SERIES_Y}"

@@ -1,10 +1,12 @@
 """Experiment orchestration: determinism, exactness, cache, diagnostics."""
 
 import csv
+import fcntl
 import io
 import json
 import math
 import os
+import pickle
 import re
 import signal
 import struct
@@ -17,7 +19,7 @@ import numpy as np
 import pytest
 
 from avgexp import cli, constants, counting, harness, modarith, structure
-from avgexp.constants import DegreeModel, li
+from avgexp.constants import DegreeModel, constant_series, li
 from avgexp.counting import LANE_CAP, PATHS, cubic_roots, lane_rows, trace_naive
 from avgexp.curve import GlobalCurve, ReducedCurve, reduce_curve
 from avgexp.harness import (CacheError, CheckpointRow, ExperimentConfig,
@@ -29,6 +31,7 @@ from avgexp.modarith import residues, sieve_primes
 from avgexp.structure import structure_bruteforce
 from measure import measure
 from primality import is_prime
+from test_digests import assert_golden
 
 GENERIC = GlobalCurve(1, 1)
 THRESHOLD = ExperimentConfig.trace_threshold  # run's default
@@ -171,6 +174,66 @@ class TestRunExperiment:
 # |disc| >= 2^40, beyond factorize: 86 and 220 bits; the second curve's
 # bad primes are 2, 3, 5, 653 and 2273
 BIG_CURVES = [GlobalCurve(10 ** 8, 1), GlobalCurve(3 ** 45, -7 ** 30)]
+
+
+class TestModelConstant:
+    """model_constant is memoized by the model's value."""
+
+    def test_equal_models_share_one_estimate(self):
+        assert (harness.model_constant(DegreeModel("gl2_generic"))
+                is harness.model_constant(DegreeModel("gl2_generic")))
+        a = harness.model_constant(DegreeModel("gl2_generic", {2: 3, 3: 48}))
+        b = harness.model_constant(DegreeModel("gl2_generic", {3: Fraction(48), 2: 3}))
+        assert a is b
+        assert a[0] == constant_series(DegreeModel("gl2_generic", {2: 3, 3: 48}),
+                                       harness.DEFAULT_SERIES_Y)
+
+    @pytest.mark.parametrize("command", ["run", "constant"])
+    def test_rewritten_overrides_file_gives_the_new_constant(self, command, tmp_path, capsys):
+        # the memo's key is the table, not the path: the file rewritten
+        # between two calls in one process gives its new constant
+        ov = tmp_path / "ov"
+        argv = (["run", "--preset", "generic1", "--xmax", "1000", "--out", "json",
+                 "--outfile", str(tmp_path / "r.json")] if command == "run"
+                else ["constant", "--series-y", "1000", "--euler-pmax", "1000"])
+        got, codes = [], []
+        for degree in (3, 6):
+            ov.write_text(f"2 {degree}\n")
+            capsys.readouterr()
+            codes.append(cli.main(argv + ["--overrides", str(ov)]))
+            want = constant_series(DegreeModel("gl2_generic", {2: degree}), 1000).value
+            if command == "run":
+                got.append(json.loads((tmp_path / "r.json").read_text())["constant"]["value"])
+                assert got[-1] == float(want)
+            else:
+                line, = (t for t in capsys.readouterr().out.splitlines()
+                         if t.startswith("series"))
+                got.append(line.split()[-1])
+                assert got[-1] == constants.nstr(want, 50)
+        assert got[0] != got[1]
+        # constant's Euler product agrees with the series only for the gl2
+        # degree at level 2, 6, which that cross-check reports
+        assert codes == ([cli.EXIT_OK] * 2 if command == "run"
+                         else [cli.EXIT_INVARIANT, cli.EXIT_OK])
+
+    def test_fitted_table_is_not_served_to_other_counts(self):
+        # two empirical runs fit two tables, and each is compared with the
+        # constant of its own table
+        runs = [small_run(x_max, model=DegreeModel("empirical"), checkpoints=[x_max])
+                for x_max in (2000, 5000, 2000)]
+        assert runs[0].model.overrides != runs[1].model.overrides
+        assert runs[0].model.overrides == runs[2].model.overrides
+        for run in runs:  # the series to the first level the table lacks
+            y = next(k for k in range(1, 100) if k + 1 not in run.model.overrides)
+            assert run.constant == constant_series(run.model, y)
+        assert runs[0].constant is runs[2].constant is not runs[1].constant
+
+    def test_memo_stays_within_its_size(self):
+        memo = harness._model_constant
+        for degree in range(1, memo.cache_info().maxsize + 4):
+            harness.model_constant(DegreeModel("gl2_generic", {2: degree}))
+        info = memo.cache_info()
+        assert info.currsize == info.maxsize <= 8
 
 
 class TestGoodPrimes:
@@ -728,6 +791,51 @@ class TestPipeline:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
+    @pytest.mark.skipif(not hasattr(fcntl, "F_SETPIPE_SZ"), reason="no F_SETPIPE_SZ to refuse")
+    def test_refused_pipe_size_keeps_the_golden_files(self, tmp_path, monkeypatch, capsys):
+        # a platform that refuses F_SETPIPE_SZ: every child keeps the 64 KB
+        # pipe, and a 2-worker sweep of many blocks still gives the golden
+        # csv bytes and leaves no child
+        refused, real = [], fcntl.fcntl
+
+        def refuse(fd, cmd, *arg):
+            if cmd == fcntl.F_SETPIPE_SZ:
+                refused.append(fd)
+                raise PermissionError(1, "Operation not permitted")
+            return real(fd, cmd, *arg)
+        monkeypatch.setattr(fcntl, "fcntl", refuse)
+        monkeypatch.setattr(harness, "LANE_BLOCK", 256)
+        use_cpus(monkeypatch, 2)
+        run_files(tmp_path, "--preset", "generic1", "--xmax", 10 ** 6, "--workers", 2)
+        assert_golden("generic1", tmp_path)
+        assert len(refused) == 1  # one segment, one child
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_child_pipe_holds_the_largest_frame(self, monkeypatch):
+        # the child's pipe holds the largest frame of its sweep, 8 bytes of
+        # length and the pickled block, so it never waits on a read; at 2
+        # workers to 1.7e5 the blocks are the largest of any sweep that
+        # forks, 2 of ~7750 records
+        r, w = os.pipe()
+        try:
+            fcntl.fcntl(w, fcntl.F_SETPIPE_SZ, harness.PIPE_SIZE)
+        except (AttributeError, OSError):
+            pytest.skip("the platform sets no pipe size")
+        finally:
+            os.close(r)
+            os.close(w)
+        pipes, real = [], os.pipe
+        monkeypatch.setattr(os, "pipe", lambda: pipes.append(real()) or pipes[-1])
+        use_cpus(monkeypatch, 2)
+        frames, sizes = [], set()
+        for result in harness.stream_records(GENERIC, good_primes(GENERIC, 170_000)[0],
+                                             THRESHOLD, 2):
+            frames.append(8 + len(pickle.dumps(result)))
+            sizes.update(fcntl.fcntl(fd_r, fcntl.F_GETPIPE_SZ) for fd_r, _ in pipes)
+        assert len(pipes) == 1 and len(frames) == 2
+        assert 7 << 15 < max(frames) <= min(sizes)  # above 224 KB
+
     @staticmethod
     def fresh_interpreter(script, tmp_path):
         """Run script in a new interpreter with avgexp importable; returns
@@ -1034,6 +1142,63 @@ class TestPipeline:
 
 
 class TestCli:
+    def test_parser_built_once_per_process(self, tmp_path, capsys):
+        # several calls of main build the parser once, at the first call
+        cli.build_parser.cache_clear()
+        argv = ["run", "--preset", "generic1", "--xmax", "1000", "--outfile", str(tmp_path)]
+        assert cli.main(argv) == cli.main(["run", "--help"]) == cli.main(argv) == cli.EXIT_OK
+        info = cli.build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
+
+    def test_import_builds_no_parser(self):
+        # import avgexp.cli leaves the parser to the first call of main
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", "from avgexp import cli; "
+                               "print(cli.build_parser.cache_info().currsize)"],
+                              env=env, capture_output=True, text=True)
+        assert done.stdout == "0\n", done.stderr
+
+    def test_calls_share_no_namespace(self, tmp_path, capsys, monkeypatch):
+        # a preset run, then a curve run: each gets its own namespace with
+        # its own values and the parser's defaults, and the second writes
+        # the files a fresh parser gives it
+        seen, real = [], cli._prepare_output
+        monkeypatch.setattr(cli, "_prepare_output", lambda args: seen.append(args) or real(args))
+        first = ["run", "--preset", "generic1", "--xmax", "1000", "--workers", "2",
+                 "--checkpoints", "500,1000", "--out", "json", "--outfile",
+                 str(tmp_path / "r.json")]
+        second = ["run", "--curve", "-1,1", "--xmax", "1000", "--outfile", str(tmp_path / "b")]
+        assert cli.main(first) == cli.main(second) == cli.EXIT_OK
+        defaults = dict(checkpoints=None, workers=1, trace_threshold=0, model="gl2",
+                        overrides=None, cache=None, out="csv", outfile=None,
+                        command="run", func=cli.cmd_run)
+        assert seen[0] is not seen[1]
+        assert vars(seen[0]) == {**defaults, "preset": "generic1", "curve": None,
+                                 "xmax": 1000, "workers": 2, "checkpoints": "500,1000",
+                                 "out": "json", "outfile": str(tmp_path / "r.json")}
+        assert vars(seen[1]) == {**defaults, "preset": None, "curve": "-1,1", "xmax": 1000,
+                                 "outfile": str(tmp_path / "b")}
+        cli.build_parser.cache_clear()
+        assert run_files(tmp_path / "c", *second[1:-2]) == [
+            (tmp_path / "b" / name).read_bytes() for name in cli.CSV_NAMES]
+
+    @pytest.mark.parametrize("between, code", [
+        (["run", "--preset", "nope", "--xmax", "1000"], cli.EXIT_USAGE),
+        (["run", "--preset", "generic1", "--xmax", "ten"], cli.EXIT_USAGE),
+        (["bogus"], cli.EXIT_USAGE),
+        (["run", "--help"], cli.EXIT_OK),
+        (["--help"], cli.EXIT_OK),
+    ], ids=["bad-preset", "bad-xmax", "bad-command", "run-help", "help"])
+    def test_refused_or_help_call_between_runs(self, between, code, tmp_path, capsys):
+        # a command line argparse refuses, or --help, between two runs:
+        # the second run exits as the first did and writes the same files
+        argv = ("--preset", "cm-i", "--xmax", "3000", "--checkpoints", "1000,3000")
+        before = run_files(tmp_path / "a", *argv)
+        assert cli.main(between) == code
+        assert run_files(tmp_path / "b", *argv) == before
+
     def test_negative_a4_curve_matches_its_preset(self, tmp_path, capsys):
         # '--curve -1,0' is y^2 = x^3 - x, not an option: the same files
         # as --preset cm-i, and the same paths line
