@@ -20,7 +20,7 @@ from .curve import GlobalCurve, reduce_curve
 from .harness import (CacheError, CheckpointRow, ExperimentConfig,
                       PI_E_HEADER, PRESETS, RECORD, compute_records,
                       error_trend, good_primes, model_constant,
-                      record_lines, run_experiment, write_csv, write_json)
+                      record_lines, run_experiment, write_csv)
 from .structure import structure_bruteforce
 
 EXIT_OK = 0
@@ -29,7 +29,7 @@ EXIT_CACHE = 3
 EXIT_USAGE = 4
 EXIT_WORKER = 5
 EXIT_PIPE = 141
-# the files of --out csv, in its --outfile directory
+# the files of run, in its --outfile directory
 CSV_NAMES = ("records.csv", "checkpoints.csv", "pi_e.csv")
 
 VERIFY_CURVES = [
@@ -125,22 +125,26 @@ def _build_model(args) -> DegreeModel:
         raise ValueError(f"--overrides: {err}") from None
 
 
-def _prepare_output(args) -> None:
-    """Refuse an unusable --outfile or --cache before the sweep; make the
-    csv directory, and refuse it if one of its files is a directory."""
-    json_file = args.out == "json" and (args.outfile or "avgexp.json")
-    for flag, path in (("--cache", args.cache), ("--outfile", json_file)):
-        if path and (os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or ".")):
-            raise ValueError(f"{flag}: {path} is a directory or lies in no directory")
-    if args.out == "csv":
-        outdir = args.outfile or "."
-        try:
-            os.makedirs(outdir, exist_ok=True)
-        except OSError as err:
-            raise ValueError(f"--outfile: {err}") from None
-        for path in (os.path.join(outdir, name) for name in CSV_NAMES):
-            if os.path.isdir(path):
-                raise ValueError(f"--outfile: {path} is a directory")
+def _prepare_output(args) -> list:
+    """The paths of the csv files, once an unusable --cache or --outfile
+    is refused before the sweep: a cache that is a directory, lies in
+    none, or is one of the csv files, which would replace it.  Makes the
+    csv directory, and refuses it if one of its files is a directory."""
+    cache, outdir = args.cache, args.outfile or "."
+    cache_dir = cache and (os.path.dirname(cache) or ".")
+    if cache and (os.path.isdir(cache) or not os.path.isdir(cache_dir)):
+        raise ValueError(f"--cache: {cache} is a directory or lies in no directory")
+    try:
+        os.makedirs(outdir, exist_ok=True)
+    except OSError as err:
+        raise ValueError(f"--outfile: {err}") from None
+    if cache and os.path.basename(cache) in CSV_NAMES and os.path.samefile(cache_dir, outdir):
+        raise ValueError(f"--cache: {cache} is one of the files of --outfile")
+    paths = [os.path.join(outdir, name) for name in CSV_NAMES]
+    for path in paths:
+        if os.path.isdir(path):
+            raise ValueError(f"--outfile: {path} is a directory")
+    return paths
 
 
 def cmd_run(args) -> int:
@@ -155,26 +159,17 @@ def cmd_run(args) -> int:
             cache_path=args.cache,
         )
         model_constant(cfg.model)  # a model it refuses exits 4 before a file is touched
-        _prepare_output(args)
+        paths = _prepare_output(args)
     except ValueError as err:
         return _usage_error(str(err))
     try:  # before any print, so that a closed stdout cannot cost the files
-        if args.out == "json":
-            result = run_experiment(cfg)
-            written = args.outfile or "avgexp.json"
-            with _replacing([written]) as (part,):
-                _output(write_json, part, result)
-        else:  # records.csv is written as the sweep folds each block
-            outdir = args.outfile or "."
-            with _replacing([os.path.join(outdir, name) for name in CSV_NAMES]) as parts:
-                records, checkpoints, pi_e = parts
-                with _output(open, records, "wb") as fh:
-                    _output(fh.write, ",".join(RECORD.names).encode() + b"\r\n")
-                    result = run_experiment(cfg, partial(_output, _append, fh))
-                _output(write_csv, checkpoints, [f.name for f in fields(CheckpointRow)],
-                        map(astuple, result.checkpoints))
-                _output(write_csv, pi_e, PI_E_HEADER, result.pi_e)
-            written = f"{outdir}/{', '.join(CSV_NAMES)}"
+        with _replacing(paths) as (records, checkpoints, pi_e):
+            with _output(open, records, "wb") as fh:  # written as the sweep folds each block
+                _output(fh.write, ",".join(RECORD.names).encode() + b"\r\n")
+                result = run_experiment(cfg, partial(_output, _append, fh))
+            _output(write_csv, checkpoints, [f.name for f in fields(CheckpointRow)],
+                    map(astuple, result.checkpoints))
+            _output(write_csv, pi_e, PI_E_HEADER, result.pi_e)
     except UnwritableOutput as err:
         return _usage_error(f"--outfile: {err}")
 
@@ -194,7 +189,7 @@ def cmd_run(args) -> int:
         print(f"deviation trend: slope {fit.slope:.3f} ({fit.note})")
     except ValueError:
         pass
-    print(f"wrote {written}")
+    print(f"wrote {args.outfile or '.'}/{', '.join(CSV_NAMES)}")
     return EXIT_OK
 
 
@@ -248,8 +243,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exponent of elliptic-curve groups mod p: records, "
                     "constants, and convergence experiments.")
     sub = ap.add_subparsers(dest="command", required=True)
+    command = partial(sub.add_parser, allow_abbrev=False)  # no option taken by a prefix
 
-    run = sub.add_parser("run", help="sweep primes and emit checkpoint tables")
+    run = command("run", help="sweep primes and emit checkpoint tables")
     named = run.add_mutually_exclusive_group(required=True)
     named.add_argument("--curve", help="global model as 'a4,a6'")
     named.add_argument("--preset", choices=sorted(PRESETS), help="named curve")
@@ -265,11 +261,10 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--model", choices=("gl2", "empirical"), default="gl2")
     run.add_argument("--overrides", help="file of 'k degree' pairs")
     run.add_argument("--cache", help="binary record cache path")
-    run.add_argument("--out", choices=("csv", "json"), default="csv")
-    run.add_argument("--outfile", help="csv: output directory; json: file path")
+    run.add_argument("--outfile", help="output directory of the csv files")
     run.set_defaults(func=cmd_run)
 
-    const = sub.add_parser("constant", help="evaluate the constant two ways")
+    const = command("constant", help="evaluate the constant two ways")
     const.add_argument("--model", choices=("gl2",), default="gl2",
                        help="the gl2 model, the only one evaluated here; "
                             "empirical tables come from 'run --model empirical'")
@@ -279,8 +274,8 @@ def build_parser() -> argparse.ArgumentParser:
     const.add_argument("--precision", type=int, default=50)
     const.set_defaults(func=cmd_constant)
 
-    verify = sub.add_parser("verify", help="cross-check the certified structures "
-                                           "against full enumeration at small p")
+    verify = command("verify", help="cross-check the certified structures "
+                                    "against full enumeration at small p")
     verify.add_argument("--xmax", type=int, default=2000)
     verify.set_defaults(func=cmd_verify)
     return ap

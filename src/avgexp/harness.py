@@ -15,28 +15,28 @@ starting from the bounds on d_p that settle proved.  Every record is
 proved, and the points behind it depend on p alone, so records are
 identical for any worker count and block layout.
 
-A block's records are a numpy array of dtype RECORD, sorted by p.  A
-run folds the blocks in p order as they arrive (aggregate_checkpoints)
-and hands each one on, to records.csv say, so that it holds one segment
-of the sieve and the blocks in flight, not every record.  The identities
-every true record obeys are written once, in record_violations, and
-checked where records enter a run: per block as they are computed, and
-when a cache is loaded.  A cache is a sweep's prefix, every good prime
-up to its last p, and a run computes only the good primes above it.
-Accumulators stay exact (integers and rationals); floats appear only in
-reported columns.
+A block's records are a numpy array of dtype RECORD, sorted by p.  A run
+folds the blocks in p order as they arrive (aggregate_checkpoints) and
+hands each one to write, which in `run` appends it to records.csv, so
+that it holds one segment of the sieve and the blocks in flight, not
+every record; only a run with a cache keeps them, to rewrite it.  The
+identities every true record obeys are written once, in
+record_violations, and checked where records enter a run: per block as
+they are computed, and when a cache is loaded.  A cache is a sweep's
+prefix, every good prime up to its last p, and a run computes only the
+good primes above it.  Accumulators stay exact (integers and rationals);
+floats appear only in reported columns.
 """
 
 import contextlib
 import csv
-import json
 import math
 import os
 import pickle
 import struct
 import zlib
 from collections import Counter
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import count
@@ -159,8 +159,7 @@ class CheckpointRow:
 
 @dataclass
 class ExperimentResult:
-    config: ExperimentConfig
-    records: np.recarray  # of RECORD, ascending in p; None if they went to write
+    """A run's checkpoint rows and reports; its records went to write."""
     checkpoints: list
     skipped: list
     model: DegreeModel
@@ -351,14 +350,14 @@ def _missing_primes(cfg: ExperimentConfig, cached_p):
         raise CacheError(f"{cfg.cache_path}: cached p = {cached_p[i]} is not a good prime")
 
 
-def run_experiment(cfg: ExperimentConfig, write=None) -> ExperimentResult:
+def run_experiment(cfg: ExperimentConfig, write) -> ExperimentResult:
     """Process every good prime p <= x_max exactly once and aggregate.
 
     The cached records p <= x_max are folded first, then, segment by
     segment of one pass of the sieve that checks the cache ahead of each
     (_missing_primes), the blocks of its good primes above the cache as
-    they arrive (stream_records).  Each block goes to write(records);
-    with no write the result holds them all, as the run does to rewrite
+    they arrive (stream_records).  Each block goes to write(records) and
+    is then dropped, unless the run has a cache: it keeps them to rewrite
     the cache with them.  The model's constant, model_constant(cfg.model),
     is evaluated before the sweep, so a model it refuses costs no prime.
     An empirical model with no table is fitted to the per-d counts after
@@ -370,7 +369,6 @@ def run_experiment(cfg: ExperimentConfig, write=None) -> ExperimentResult:
         cached = cache_load(cfg.cache_path, cfg.curve)
     fold = Fold(list(cfg.checkpoints), math.isqrt(cfg.x_max) + 2)
     kept, paths, skipped = [], Counter(dict.fromkeys(PATHS, 0)), []
-    keep = write is None or bool(cfg.cache_path)
 
     def sweep():  # the cached records p <= x_max as one block, then the fresh ones
         yield cached[:np.searchsorted(cached["p"], cfg.x_max, side="right")], {}
@@ -381,21 +379,18 @@ def run_experiment(cfg: ExperimentConfig, write=None) -> ExperimentResult:
         for records, counts in blocks:
             paths.update(counts)
             aggregate_checkpoints(fold, records)
-            if write:
-                write(records)
-            if keep:
+            write(records)
+            if cfg.cache_path:
                 kept.append(records)
-    stored = cfg.cache_path and sum(paths.values())  # rewritten if a prime was computed
-    records = np.concatenate(kept).view(np.recarray) if write is None or stored else None
-    if stored:
-        cache_store(cfg.cache_path, cfg.curve, records)
+    if cfg.cache_path and sum(paths.values()):  # rewritten if a prime was computed
+        cache_store(cfg.cache_path, cfg.curve, np.concatenate(kept))
 
     counts, li_x = pi_E_counts(fold.count, K_MAX_DIAG), li(cfg.x_max)
     model = cfg.model if constant else estimate_degrees(counts, li_x)
     estimate, provenance = constant or model_constant(model)
     rows = checkpoint_rows(fold, float(estimate.value))
-    return ExperimentResult(cfg, records, rows, skipped, model, estimate,
-                            provenance, dict(paths), pi_E_table(counts, li_x, model))
+    return ExperimentResult(rows, skipped, model, estimate, provenance, dict(paths),
+                            pi_E_table(counts, li_x, model))
 
 
 def model_constant(model: DegreeModel):
@@ -591,27 +586,3 @@ def write_csv(path, header, rows) -> None:
         w.writerows([f"{c.numerator}/{c.denominator}" if isinstance(c, Fraction) else c
                      for c in row] for row in rows)
 
-
-def result_to_json(result: ExperimentResult) -> dict:
-    cfg = result.config
-    return {
-        "curve": {"a4": cfg.curve.a4, "a6": cfg.curve.a6, "label": cfg.curve.label},
-        "x_max": cfg.x_max,
-        "constant": {"value": float(result.constant.value),
-                     "tail_bound": result.constant.tail_bound,
-                     "provenance": result.constant_provenance},
-        "skipped_bad_primes": result.skipped,
-        "paths": result.paths,
-        "checkpoints": [{
-            **asdict(r),
-            "sum_p_over_d": [r.sum_p_over_d.numerator, r.sum_p_over_d.denominator],
-        } for r in result.checkpoints],
-        "pi_e": [dict(zip(PI_E_HEADER, row)) for row in result.pi_e],
-        "records": result.records.tolist(),
-    }
-
-
-def write_json(path, result: ExperimentResult) -> None:
-    with open(path, "w") as fh:
-        json.dump(result_to_json(result), fh, indent=1)
-        fh.write("\n")

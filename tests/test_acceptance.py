@@ -19,9 +19,10 @@ from avgexp.constants import (DegreeModel, constant_euler, constant_series,
 from avgexp.counting import order_bsgs, trace_naive
 from avgexp.curve import GlobalCurve, reduce_curve
 from avgexp.harness import (RECORD, CheckpointRow, ExperimentConfig, error_trend,
-                            pi_E_counts, run_experiment, write_csv)
+                            pi_E_counts, write_csv)
 from avgexp.modarith import sieve_primes
 from avgexp.structure import group_structure, structure_bruteforce
+from test_harness import kept_run
 
 GENERIC = GlobalCurve(1, 1, label="y^2 = x^3 + x + 1")
 CM = GlobalCurve(-1, 0, label="y^2 = x^3 - x")
@@ -37,8 +38,9 @@ def report(num, desc, passed):
 
 
 @pytest.fixture(scope="session")
-def big_run():
-    """The 1e6 sweep on the generic curve, gl2 model, no overrides."""
+def big_sweep():
+    """kept_run of the 1e6 sweep on the generic curve, gl2 model, no
+    overrides."""
     cfg = ExperimentConfig(
         curve=GENERIC, x_max=10 ** 6,
         checkpoints=[10 ** 3, 10 ** 4, 10 ** 5, 10 ** 6],
@@ -46,7 +48,17 @@ def big_run():
         model=DegreeModel("gl2_generic"),
         cache_path=os.environ.get("AVGEXP_TEST_CACHE") or None,
     )
-    return run_experiment(cfg)
+    return kept_run(cfg)
+
+
+@pytest.fixture(scope="session")
+def big_run(big_sweep):
+    return big_sweep[0]
+
+
+@pytest.fixture(scope="session")
+def big_records(big_sweep):
+    return big_sweep[1]
 
 
 def test_criterion_1_oracle_equivalence():
@@ -79,20 +91,20 @@ def test_criterion_2_cross_algorithm_traces():
            not bad)
 
 
-def test_criterion_3_hasse_and_divisibility(big_run):
+def test_criterion_3_hasse_and_divisibility(big_records):
     violations = 0
-    for rec in big_run.records:
+    for rec in big_records:
         p, a, d, e = rec.p, rec.a_p, rec.d_p, rec.e_p
         N = p + 1 - a
         if abs(a) > math.isqrt(4 * p):
             violations += 1
         elif (a - 2) % d or (p - 1) % d or N % (d * d) or d * e != N:
             violations += 1
-    report(3, f"Hasse + divisibility invariants on 100% of {len(big_run.records)} "
+    report(3, f"Hasse + divisibility invariants on 100% of {len(big_records)} "
               "records", violations == 0)
 
 
-def test_criterion_4_exact_identities(big_run):
+def test_criterion_4_exact_identities(big_records):
     sums, bound_ok = [Fraction(0)] * 10_001, True  # sums[k] = sum_{j | k} coeff(j)
     for j in range(1, 10_001):  # each j adds its coefficient to its multiples
         c = mobius_coeff(j).value
@@ -100,8 +112,8 @@ def test_criterion_4_exact_identities(big_run):
         for k in range(j, 10_001, j):
             sums[k] += c
     ok = sums[1:] == [Fraction(1, k) for k in range(1, 10_001)]
-    lhs = sum(r.e_p * r.d_p for r in big_run.records)
-    rhs = sum(r.p + 1 - r.a_p for r in big_run.records)
+    lhs = sum(r.e_p * r.d_p for r in big_records)
+    rhs = sum(r.p + 1 - r.a_p for r in big_records)
     report(4, "mobius inversion to 1e4, coefficient bound, and exact "
               "sum(e*d) = sum(p+1-a)", ok and bound_ok and lhs == rhs)
 
@@ -157,9 +169,8 @@ def test_criterion_9_worker_determinism(tmp_path):
     for workers in (1, 8):
         cfg = ExperimentConfig(curve=GENERIC, x_max=10 ** 4,
                                checkpoints=[10 ** 4], workers=workers)
-        result = run_experiment(cfg)
         path = tmp_path / f"records_w{workers}.csv"
-        write_csv(path, RECORD.names, result.records)
+        write_csv(path, RECORD.names, kept_run(cfg)[1])
         outs.append(path.read_bytes())
     report(9, "workers 1 vs 8: byte-identical records.csv",
            outs[0] == outs[1])
@@ -176,8 +187,8 @@ def test_criterion_10_planted_error_exponent():
 
 # --- corollary checks that ride on the same 1e6 run -----------------------
 
-def test_empirical_degree_estimate_k2_band(big_run):
-    model = estimate_degrees(pi_E_counts(np.bincount(big_run.records.d_p), 4), li(10 ** 6))
+def test_empirical_degree_estimate_k2_band(big_records):
+    model = estimate_degrees(pi_E_counts(np.bincount(big_records.d_p), 4), li(10 ** 6))
     n2 = float(degree(model, 2))
     print(f"\n  estimated degree at k=2: {n2:.3f} (gl2 value 6)")
     assert abs(n2 - 6) / 6 < 0.15

@@ -3,7 +3,6 @@
 import csv
 import fcntl
 import io
-import json
 import math
 import os
 import pickle
@@ -54,33 +53,40 @@ def run_files(out, *argv) -> list:
     return [(out / name).read_bytes() for name in cli.CSV_NAMES]
 
 
-def small_run(x_max=2000, **kw):
+def kept_run(cfg) -> tuple:
+    """run_experiment(cfg)'s result, and the records it passed to write."""
+    blocks = [np.empty(0, RECORD)]
+    result = run_experiment(cfg, blocks.append)
+    return result, np.concatenate(blocks).view(np.recarray)
+
+
+def small_run(x_max=2000, **kw) -> tuple:
+    """kept_run of a run on GENERIC to x_max."""
     cfg = ExperimentConfig(curve=GENERIC, x_max=x_max,
                            checkpoints=kw.pop("checkpoints", [500, 1000, x_max]),
                            **kw)
-    return run_experiment(cfg)
+    return kept_run(cfg)
 
 
 class TestRunExperiment:
     def test_records_match_bruteforce_to_100(self):
-        result = small_run(x_max=100, checkpoints=[100])
+        _, records = small_run(x_max=100, checkpoints=[100])
         good = [p for p in sieve_primes(100) if p not in GENERIC.bad_primes]
-        assert [rec.p for rec in result.records] == good
-        for rec in result.records:
+        assert [rec.p for rec in records] == good
+        for rec in records:
             p = int(rec.p)
             want = structure_bruteforce(ReducedCurve(p, 1 % p, 1 % p))
             assert (rec.a_p, rec.d_p, rec.e_p) == (want.a_p, want.d_p, want.e_p)
 
     def test_exact_identity_sum_ed(self):
-        result = small_run()
-        lhs = sum(r.e_p * r.d_p for r in result.records)
-        rhs = sum(r.p + 1 - r.a_p for r in result.records)
+        _, records = small_run()
+        lhs = sum(r.e_p * r.d_p for r in records)
+        rhs = sum(r.p + 1 - r.a_p for r in records)
         assert lhs == rhs
 
     def test_sum_p_over_d_tracks_sum_e(self):
         # |sum p/d - sum e| <= sum (|a|+1)/d <= sum (2*sqrt(p)+1), exactly
-        result = small_run()
-        recs = result.records
+        _, recs = small_run()
         spd = sum((Fraction(r.p, r.d_p) for r in recs), Fraction(0))
         se = sum(r.e_p for r in recs)
         slack = sum((Fraction(abs(r.a_p) + 1, r.d_p) for r in recs), Fraction(0))
@@ -88,12 +94,12 @@ class TestRunExperiment:
         assert abs(spd - se) <= slack <= coarse
 
     def test_worker_determinism(self, tmp_path):
-        r1 = small_run(workers=1)
-        r2 = small_run(workers=2)
-        assert np.array_equal(r1.records, r2.records)
+        _, r1 = small_run(workers=1)
+        _, r2 = small_run(workers=2)
+        assert np.array_equal(r1, r2)
         f1, f2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        write_csv(f1, RECORD.names, r1.records)
-        write_csv(f2, RECORD.names, r2.records)
+        write_csv(f1, RECORD.names, r1)
+        write_csv(f2, RECORD.names, r2)
         assert f1.read_bytes() == f2.read_bytes()
 
     def test_csv_cells(self, tmp_path):  # str(Fraction(5)) would be "5"
@@ -117,19 +123,18 @@ class TestRunExperiment:
             harness.record_lines(np.zeros(1, [("p", "<i8"), ("x", "<f8")]))
 
     def test_bad_primes_skipped_and_reported(self):
-        result = small_run()
+        result, records = small_run()
         assert result.skipped == [2, 3, 31]
-        assert all(rec.p not in GENERIC.bad_primes for rec in result.records)
+        assert all(rec.p not in GENERIC.bad_primes for rec in records)
 
     def test_checkpoint_monotonicity(self):
-        rows = small_run().checkpoints
+        rows = small_run()[0].checkpoints
         assert [r.x for r in rows] == [500, 1000, 2000]
         for a, b in zip(rows, rows[1:]):
             assert b.pi_x >= a.pi_x and b.sum_e >= a.sum_e
 
     def test_checkpoint_exact_columns(self):
-        result = small_run()
-        recs = result.records
+        result, recs = small_run()
         for row in result.checkpoints:
             upto = [r for r in recs if r.p <= row.x]
             assert row.pi_x == len(upto)
@@ -139,7 +144,7 @@ class TestRunExperiment:
             assert row.c_hat == pytest.approx(2 * row.sum_e / (row.pi_x * row.x))
 
     def test_empirical_model_path(self):
-        result = small_run(model=DegreeModel("empirical"))
+        result, _ = small_run(model=DegreeModel("empirical"))
         assert result.model.kind == "empirical"
         assert 0 < result.c_model < 1
         assert "empirical" in result.constant_provenance
@@ -193,9 +198,8 @@ class TestModelConstant:
         # the memo's key is the table, not the path: the file rewritten
         # between two calls in one process gives its new constant
         ov = tmp_path / "ov"
-        argv = (["run", "--preset", "generic1", "--xmax", "1000", "--out", "json",
-                 "--outfile", str(tmp_path / "r.json")] if command == "run"
-                else ["constant", "--series-y", "1000", "--euler-pmax", "1000"])
+        argv = (["run", "--preset", "generic1", "--xmax", "1000", "--outfile", str(tmp_path)]
+                if command == "run" else ["constant", "--series-y", "1000", "--euler-pmax", "1000"])
         got, codes = [], []
         for degree in (3, 6):
             ov.write_text(f"2 {degree}\n")
@@ -203,7 +207,8 @@ class TestModelConstant:
             codes.append(cli.main(argv + ["--overrides", str(ov)]))
             want = constant_series(DegreeModel("gl2_generic", {2: degree}), 1000).value
             if command == "run":
-                got.append(json.loads((tmp_path / "r.json").read_text())["constant"]["value"])
+                with open(tmp_path / "checkpoints.csv", newline="") as fh:
+                    got.append(float(next(csv.DictReader(fh))["c_model"]))
                 assert got[-1] == float(want)
             else:
                 line, = (t for t in capsys.readouterr().out.splitlines()
@@ -219,7 +224,7 @@ class TestModelConstant:
     def test_fitted_table_is_not_served_to_other_counts(self):
         # two empirical runs fit two tables, and each is compared with the
         # constant of its own table
-        runs = [small_run(x_max, model=DegreeModel("empirical"), checkpoints=[x_max])
+        runs = [small_run(x_max, model=DegreeModel("empirical"), checkpoints=[x_max])[0]
                 for x_max in (2000, 5000, 2000)]
         assert runs[0].model.overrides != runs[1].model.overrides
         assert runs[0].model.overrides == runs[2].model.overrides
@@ -256,10 +261,10 @@ class TestGoodPrimes:
 
     @pytest.mark.parametrize("E", BIG_CURVES)
     def test_records_match_bruteforce_to_3000(self, E):
-        result = run_experiment(ExperimentConfig(curve=E, x_max=3000, checkpoints=[3000]))
+        result, records = kept_run(ExperimentConfig(curve=E, x_max=3000, checkpoints=[3000]))
         assert result.skipped == [q for q in sieve_primes(3000) if q < 5 or E.disc % q == 0]
         assert result.paths["lanes"] and result.paths["fallback"]
-        for p, a, d, e in result.records.tolist():
+        for p, a, d, e in records.tolist():
             want = structure_bruteforce(reduce_curve(E, p))
             assert (p, a, d, e) == (want.p, want.a_p, want.d_p, want.e_p)
 
@@ -272,7 +277,7 @@ class TestGoodPrimes:
         E = GlobalCurve(2 ** 63 - 1, -2 ** 63)  # the extremes still round-trip
         path = str(tmp_path / "edge.bin")
         cfg = ExperimentConfig(curve=E, x_max=300, checkpoints=[300], cache_path=path)
-        assert np.array_equal(run_experiment(cfg).records, cache_load(path, E))
+        assert np.array_equal(kept_run(cfg)[1], cache_load(path, E))
 
 
 TRUE_RECORD = (17, 0, 1, 18)  # generic1 at p = 17: E(F_17) = Z/18
@@ -302,9 +307,9 @@ class TestRecordViolations:
         assert record_violations(recs).tolist() == [False, True, False]
 
     def test_true_records_pass(self):
-        result = small_run(x_max=3000, checkpoints=[3000])
-        assert not record_violations(result.records).any()
-        assert TRUE_RECORD in result.records.tolist()
+        _, records = small_run(x_max=3000, checkpoints=[3000])
+        assert not record_violations(records).any()
+        assert TRUE_RECORD in records.tolist()
 
     def test_bad_block_raises(self, monkeypatch):
         # every prime of a block passes settle; a planted d = 3 at p = 17
@@ -321,21 +326,21 @@ class TestRecordViolations:
 
 class TestPiETable:
     def test_k1_counts_good_primes(self):
-        result = small_run()
+        result, records = small_run()
         k1 = result.pi_e[0]
-        assert k1[0] == 1 and k1[1] == len(result.records)
+        assert k1[0] == 1 and k1[1] == len(records)
 
     def test_zero_beyond_hasse_range(self):
-        result = small_run(x_max=400, checkpoints=[400])
+        result, records = small_run(x_max=400, checkpoints=[400])
         kmax = 2 * math.isqrt(400) + 5
-        table = pi_E_table(pi_E_counts(np.bincount(result.records.d_p), kmax + 10), li(400),
+        table = pi_E_table(pi_E_counts(np.bincount(records.d_p), kmax + 10), li(400),
                            result.model)
         for k, count, _ in table:
             if k > kmax:
                 assert count == 0
 
     def test_bounded_by_residue_class_count(self):
-        result = small_run()
+        result, _ = small_run()
         primes = [p for p in sieve_primes(2000) if p not in GENERIC.bad_primes]
         for k, count, _ in result.pi_e:
             if k == 1:
@@ -346,17 +351,17 @@ class TestPiETable:
     def test_counts_from_per_d_counts_match_the_records(self):
         # pi_E(x; k) summed over the per-d counts, as the fold keeps them,
         # equals the count of records with k | d_p
-        result = small_run(x_max=30_000, checkpoints=[30_000])
-        d = result.records.d_p
+        result, records = small_run(x_max=30_000, checkpoints=[30_000])
+        d = records.d_p
         want = [int((d % k == 0).sum()) for k in range(1, harness.K_MAX_DIAG + 1)]
         assert [count for _, count, _ in result.pi_e] == want
         assert pi_E_counts(np.bincount(d), harness.K_MAX_DIAG) == want
         assert want[1] > 0 and want[2] > 0
 
     def test_prediction_none_when_uncovered(self):
-        result = small_run()
+        _, records = small_run()
         model = DegreeModel("empirical", {1: 1})
-        table = pi_E_table(pi_E_counts(np.bincount(result.records.d_p), 3), li(2000), model)
+        table = pi_E_table(pi_E_counts(np.bincount(records.d_p), 3), li(2000), model)
         assert table[0][2] is not None
         assert table[1][2] is None
 
@@ -469,13 +474,13 @@ class TestCache:
 
     def test_run_uses_cache(self, tmp_path):
         path = str(tmp_path / "r.bin")
-        r1 = small_run(cache_path=path)
-        r2 = small_run(cache_path=path)  # second run loads, must agree
-        assert np.array_equal(r1.records, r2.records)
+        _, r1 = small_run(cache_path=path)
+        _, r2 = small_run(cache_path=path)  # second run loads, must agree
+        assert np.array_equal(r1, r2)
         # a cache for a smaller range is extended by the primes it lacks
-        r3 = small_run(x_max=3000, checkpoints=[3000], cache_path=path)
-        assert len(r3.records) > len(r1.records)
-        assert np.array_equal(cache_load(path, GENERIC), r3.records)
+        _, r3 = small_run(x_max=3000, checkpoints=[3000], cache_path=path)
+        assert len(r3) > len(r1)
+        assert np.array_equal(cache_load(path, GENERIC), r3)
 
     def test_raising_xmax_computes_only_new_primes(self, tmp_path, monkeypatch):
         path = str(tmp_path / "r.bin")
@@ -487,21 +492,21 @@ class TestCache:
             computed.extend(int(p) for p in ps)
             return real(E, ps, threshold)
         monkeypatch.setattr(harness, "compute_block", spy)
-        r3 = small_run(x_max=3000, checkpoints=[3000], cache_path=path)
+        _, r3 = small_run(x_max=3000, checkpoints=[3000], cache_path=path)
         assert computed and all(2000 < p <= 3000 for p in computed)
-        assert sorted(computed) == [rec.p for rec in r3.records if rec.p > 2000]
-        fresh = small_run(x_max=3000, checkpoints=[3000])
-        assert np.array_equal(r3.records, fresh.records)
+        assert sorted(computed) == [rec.p for rec in r3 if rec.p > 2000]
+        _, fresh = small_run(x_max=3000, checkpoints=[3000])
+        assert np.array_equal(r3, fresh)
         computed.clear()
         # a smaller x_max reads the cache and keeps the records above it
-        r4 = small_run(x_max=1000, checkpoints=[1000], cache_path=path)
+        _, r4 = small_run(x_max=1000, checkpoints=[1000], cache_path=path)
         assert computed == []
-        assert np.array_equal(r4.records, fresh.records[fresh.records.p <= 1000])
-        assert np.array_equal(cache_load(path, GENERIC), fresh.records)
+        assert np.array_equal(r4, fresh[fresh.p <= 1000])
+        assert np.array_equal(cache_load(path, GENERIC), fresh)
 
     def test_cache_above_xmax_that_skips_a_good_prime_refused(self, tmp_path):
         path = str(tmp_path / "r.bin")
-        whole = small_run(x_max=3000, checkpoints=[3000]).records
+        whole = small_run(x_max=3000, checkpoints=[3000])[1]
         skip = int(whole.p[whole.p < 2000][-1])
         cache_store(path, GENERIC, whole[whole.p != skip])
         with pytest.raises(CacheError, match=f"cache lacks the good prime {skip}$"):
@@ -512,7 +517,7 @@ class TestCache:
         for x_max in (1000, 3000, 2000, 5000):
             small_run(x_max=x_max, checkpoints=[x_max], cache_path=path)
             reach = max(reach, x_max)
-            fresh = small_run(x_max=reach, checkpoints=[reach]).records
+            fresh = small_run(x_max=reach, checkpoints=[reach])[1]
             assert np.array_equal(cache_load(path, GENERIC), fresh), x_max
 
 
@@ -558,7 +563,7 @@ class TestFold:
         # computed, and the cache and an earlier run's files stay as
         # they were
         want = self.files(tmp_path / "default", monkeypatch)
-        whole = small_run(x_max=3000, checkpoints=[3000]).records
+        whole = small_run(x_max=3000, checkpoints=[3000])[1]
         cache = tmp_path / "c.bin"
         small_run(x_max=1500, checkpoints=[1500], cache_path=str(cache))
         assert self.files(tmp_path / "prefix", monkeypatch, cache=cache) == want
@@ -586,7 +591,7 @@ class TestFold:
         monkeypatch.setattr(modarith, "SEGMENT", 1 << 12)
         run = ["--preset", "generic1", "--xmax", 30_000]
         want = run_files(tmp_path, *run)
-        records = small_run(x_max=25_000, checkpoints=[25_000]).records
+        records = small_run(x_max=25_000, checkpoints=[25_000])[1]
         fake = np.array([(c, 0, 1, c + 1) for c in (18001, 20001)], RECORD)  # c = 47*383, 3*6667
         gap = int(records.p[records.p > 18000][0])
         cached, text = {
@@ -630,8 +635,28 @@ class TestFold:
         cfg = ExperimentConfig(curve=GENERIC, x_max=3000, checkpoints=[1000, 3000])
         blocks = []
         result = run_experiment(cfg, write=blocks.append)
-        assert result.records is None and result.good == len(self.GOOD)
+        assert result.good == len(self.GOOD)
         assert np.concatenate(blocks)["p"].tolist() == self.GOOD.tolist()
+
+    def test_peak_does_not_grow_with_the_records(self, tmp_path, monkeypatch, capsys):
+        # a run without a cache holds a segment and the blocks in flight,
+        # not its records: over segments of 2^12 numbers and blocks of at
+        # most 64 lanes at one worker, doubling x_max from 2e5 grows
+        # tracemalloc's peak by less than a quarter of the records it adds
+        monkeypatch.setattr(modarith, "SEGMENT", 1 << 12)
+        monkeypatch.setattr(harness, "LANE_BLOCK", 64)
+        argv = ["run", "--preset", "generic1", "--outfile", str(tmp_path), "--xmax"]
+        assert cli.main(argv + ["100000"]) == cli.EXIT_OK  # memos fill outside the trace
+        peaks, records = [], []
+        for x_max in (200_000, 400_000):
+            tracemalloc.start()
+            try:
+                assert cli.main(argv + [str(x_max)]) == cli.EXIT_OK
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            records.append(len(good_primes(GENERIC, x_max)[0]) * RECORD.itemsize)
+        assert peaks[1] - peaks[0] < (records[1] - records[0]) / 4, (peaks, records)
 
 
 class TestPipeline:
@@ -1099,17 +1124,19 @@ class TestPipeline:
         harness.compute_records(E, good_primes(E, x_max)[0].tolist(), THRESHOLD)
         assert (lanes[0], scalar[0]) == (lane_draws, scalar_draws)
 
-    def test_paths_count_the_computed_primes(self, tmp_path):
-        out, cache = tmp_path / "res.json", str(tmp_path / "c.bin")
-        argv = ["run", "--preset", "cm-i", "--xmax", "5000", "--out", "json",
-                "--outfile", str(out), "--cache", cache, "--trace-threshold", "1000"]
-        assert cli.main(argv) == 0
-        paths = json.loads(out.read_text())["paths"]
+    def test_paths_count_the_computed_primes(self, tmp_path, capsys):
+        argv = ["run", "--preset", "cm-i", "--xmax", "5000", "--outfile", str(tmp_path),
+                "--cache", str(tmp_path / "c.bin"), "--trace-threshold", "1000"]
+
+        def run_paths() -> dict:  # the paths line of a run of argv
+            assert cli.main(argv) == 0
+            line, = (t for t in capsys.readouterr().out.splitlines() if t.startswith("paths: "))
+            return {k: int(n) for k, n in map(str.split, line.removeprefix("paths: ").split(", "))}
+        paths = run_paths()
         assert set(paths) == {"naive", "lanes", "fallback"}
         assert paths["naive"] == sum(p < 1000 for p in sieve_primes(5000)) - 2
         assert sum(paths.values()) == 667 and paths["lanes"] > 0 and paths["fallback"] > 0
-        assert cli.main(argv) == 0  # every record now comes from the cache
-        assert json.loads(out.read_text())["paths"] == dict.fromkeys(paths, 0)
+        assert run_paths() == dict.fromkeys(paths, 0)  # every record now comes from the cache
 
     @pytest.mark.parametrize("preset", sorted(PRESETS))
     def test_threshold_moves_only_the_paths(self, preset):
@@ -1167,17 +1194,16 @@ class TestCli:
         seen, real = [], cli._prepare_output
         monkeypatch.setattr(cli, "_prepare_output", lambda args: seen.append(args) or real(args))
         first = ["run", "--preset", "generic1", "--xmax", "1000", "--workers", "2",
-                 "--checkpoints", "500,1000", "--out", "json", "--outfile",
-                 str(tmp_path / "r.json")]
+                 "--checkpoints", "500,1000", "--outfile", str(tmp_path / "a")]
         second = ["run", "--curve", "-1,1", "--xmax", "1000", "--outfile", str(tmp_path / "b")]
         assert cli.main(first) == cli.main(second) == cli.EXIT_OK
         defaults = dict(checkpoints=None, workers=1, trace_threshold=0, model="gl2",
-                        overrides=None, cache=None, out="csv", outfile=None,
+                        overrides=None, cache=None, outfile=None,
                         command="run", func=cli.cmd_run)
         assert seen[0] is not seen[1]
         assert vars(seen[0]) == {**defaults, "preset": "generic1", "curve": None,
                                  "xmax": 1000, "workers": 2, "checkpoints": "500,1000",
-                                 "out": "json", "outfile": str(tmp_path / "r.json")}
+                                 "outfile": str(tmp_path / "a")}
         assert vars(seen[1]) == {**defaults, "preset": None, "curve": "-1,1", "xmax": 1000,
                                  "outfile": str(tmp_path / "b")}
         cli.build_parser.cache_clear()
@@ -1225,17 +1251,16 @@ class TestCli:
         assert rc == 0
         assert "match full enumeration" in capsys.readouterr().out
 
-    def test_run_json(self, tmp_path):
-        out = tmp_path / "res.json"
+    def test_run_reports_and_files(self, tmp_path, capsys):
         rc = cli.main(["run", "--curve", "1,1", "--xmax", "500",
-                       "--checkpoints", "500", "--out", "json",
-                       "--outfile", str(out)])
+                       "--checkpoints", "500", "--outfile", str(tmp_path)])
         assert rc == 0
-        blob = json.loads(out.read_text())
-        assert blob["curve"] == {"a4": 1, "a6": 1, "label": "1,1"}
-        assert blob["skipped_bad_primes"] == [2, 3, 31]
-        assert blob["checkpoints"][0]["pi_x"] > 0
-        assert blob["records"][0][0] == 5
+        first = capsys.readouterr().out.splitlines()[0]
+        assert first.startswith("curve: 1,1   x_max = 500   ")
+        assert first.endswith("   skipped bad primes: [2, 3, 31]")
+        with open(tmp_path / "checkpoints.csv", newline="") as fh:
+            assert int(next(csv.DictReader(fh))["pi_x"]) > 0
+        assert (tmp_path / "records.csv").read_text().splitlines()[1].startswith("5,")
 
     def test_constant_subcommand(self, capsys):
         rc = cli.main(["constant", "--model", "gl2",
@@ -1478,6 +1503,7 @@ class TestCli:
         ["run", "--preset", "generic1", "--xmax", "1000", "--seed", "1"],
         ["run", "--preset", "generic1", "--xmax", "1000", "--precision", "19"],
         ["constant", "--model", "empirical", "--series-y", "10", "--euler-pmax", "10"],
+        ["run", "--preset", "generic1", "--xmax", "1000", "--out", "json"],
     ])
     def test_argparse_errors_are_usage_errors(self, argv, capsys):
         assert cli.main(argv) == cli.EXIT_USAGE
@@ -1487,10 +1513,9 @@ class TestCli:
         monkeypatch.setattr(cli, "run_experiment", None)  # refused before the sweep
         blocker = tmp_path / "file"
         blocker.write_text("")
-        for out, outfile in (("json", tmp_path / "missing" / "x.json"),
-                             ("csv", blocker / "sub"), ("json", tmp_path)):
+        for outfile in (blocker / "sub", blocker):  # in a regular file, or one
             rc = cli.main(["run", "--preset", "generic1", "--xmax", "1000",
-                           "--out", out, "--outfile", str(outfile)])
+                           "--outfile", str(outfile)])
             assert rc == cli.EXIT_USAGE
             err = capsys.readouterr().err
             assert err.startswith("usage error: --outfile") and err.count("\n") == 1
@@ -1502,6 +1527,25 @@ class TestCli:
         assert rc == cli.EXIT_USAGE
         err = capsys.readouterr().err
         assert err.startswith("usage error: --cache") and err.count("\n") == 1
+
+    def test_cache_that_is_an_output_file_is_a_usage_error(self, tmp_path, capsys,
+                                                           monkeypatch):
+        # a cache named as one of the csv files, by their own path or
+        # through another path to their directory: the files would replace
+        # it, so it is refused before the sweep, and an earlier run's
+        # files stay byte-unchanged
+        out = tmp_path / "out"
+        before = run_files(out, "--preset", "generic1", "--xmax", 2000)
+        (tmp_path / "link").symlink_to(out)
+        monkeypatch.setattr(cli, "run_experiment", None)  # refused before the sweep
+        for cache in (out / "records.csv", out / ".." / "out" / "checkpoints.csv",
+                      tmp_path / "link" / "pi_e.csv"):
+            rc = cli.main(["run", "--preset", "generic1", "--xmax", "2000",
+                           "--cache", str(cache), "--outfile", str(out)])
+            assert rc == cli.EXIT_USAGE
+            err = capsys.readouterr().err
+            assert err.startswith("usage error: --cache") and err.count("\n") == 1
+        assert [(out / name).read_bytes() for name in cli.CSV_NAMES] == before
 
     def test_cache_in_missing_directory_is_a_usage_error(self, tmp_path, capsys,
                                                          monkeypatch):
@@ -1525,12 +1569,11 @@ class TestCli:
         monkeypatch.setattr(sys, "stdout", ClosedPipe())
         base = ["run", "--curve", "100000000,1", "--xmax", "1000"]
         assert cli.main(base + ["--outfile", str(tmp_path)]) == cli.EXIT_PIPE
-        for name in ("records.csv", "checkpoints.csv", "pi_e.csv"):
-            assert (tmp_path / name).exists()
-        out = tmp_path / "res.json"
+        ten = tmp_path / "ten"  # ten checkpoints, and so a trend line too
         assert cli.main(base + ["--checkpoints", ",".join(map(str, range(100, 1001, 100))),
-                                "--out", "json", "--outfile", str(out)]) == cli.EXIT_PIPE
-        assert out.exists()
+                                "--outfile", str(ten)]) == cli.EXIT_PIPE
+        for out in (tmp_path, ten):
+            assert all((out / name).exists() for name in cli.CSV_NAMES)
         assert capsys.readouterr().err == ""  # no usage error, no traceback
 
     def test_failed_sweep_leaves_records_csv_as_it_was(self, tmp_path, capsys, monkeypatch):
@@ -1567,17 +1610,15 @@ class TestCli:
         assert err == "usage error: --outfile: [Errno 28] No space left on device\n"
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("out", ["csv", "json"])
-    def test_failed_late_write_leaves_the_earlier_files(self, out, tmp_path, capsys,
+    @pytest.mark.parametrize("late", ["checkpoints.csv", "pi_e.csv"], ids=["csv", "pi_e"])
+    def test_failed_late_write_leaves_the_earlier_files(self, late, tmp_path, capsys,
                                                         monkeypatch):
-        # a full disk while checkpoints.csv (or the json file) is written,
-        # after records.csv: exit 4, the files of an earlier run to 2000
+        # a full disk while checkpoints.csv, or pi_e.csv, is written, after
+        # records.csv: exit 4, the files of an earlier run to 2000
         # byte-unchanged and no .part file left
-        target = tmp_path if out == "csv" else tmp_path / "r.json"
-        names = cli.CSV_NAMES if out == "csv" else ("r.json",)
-        argv = ["run", "--preset", "generic1", "--out", out, "--outfile", str(target)]
+        argv = ["run", "--preset", "generic1", "--outfile", str(tmp_path)]
         assert cli.main(argv + ["--xmax", "2000"]) == cli.EXIT_OK
-        before = {name: (tmp_path / name).read_bytes() for name in names}
+        before = {name: (tmp_path / name).read_bytes() for name in cli.CSV_NAMES}
         real_open = open
 
         class Full:  # opens, and so truncates, the file, then refuses every write
@@ -1594,15 +1635,15 @@ class TestCli:
                 raise OSError(28, "No space left on device")
 
         def full(path, *args, **kwargs):
-            late = os.path.basename(path).startswith(("checkpoints.csv", "r.json"))
-            return (Full if late else real_open)(path, *args, **kwargs)
+            return (Full if os.path.basename(path).startswith(late) else real_open)(
+                path, *args, **kwargs)
         monkeypatch.setattr(harness, "open", full, raising=False)
         capsys.readouterr()
         assert cli.main(argv + ["--xmax", "3000"]) == cli.EXIT_USAGE
         assert capsys.readouterr().err == ("usage error: --outfile: "
                                            "[Errno 28] No space left on device\n")
-        assert {name: (tmp_path / name).read_bytes() for name in names} == before
-        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(names)
+        assert {name: (tmp_path / name).read_bytes() for name in before} == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(before)
 
     def test_workers_above_1_need_fork(self, tmp_path, capsys, monkeypatch):
         # without os.fork only --workers 1 runs; more is one usage line
