@@ -5,7 +5,8 @@ order_lanes runs baby-step giant-step on x coordinates alone for a whole
 block of primes at once, one prime per int64 numpy lane, over the class
 of N mod 2 or 4 that the cubic's roots fix (cubic_roots), proves each
 annihilator of its point in that class and the Hasse window by recovered
-y, and takes the order where the window holds one.  Where it holds
+y, or reads the point's order off its baby rows where it is small, and
+takes the order where the window holds one annihilator.  Where it holds
 several, weed_orders keeps those that annihilate one point of the curve
 and one of its twist, by one ladder over all such lanes, and a lone
 survivor is the order.  order_bsgs pins the order for one prime: its
@@ -42,7 +43,7 @@ PATHS = ("naive", "lanes", "fallback")
 
 
 class AmbiguityExhausted(ArithmeticError):
-    """order_bsgs could not pin the order; signals a logic bug upstream."""
+    """The candidate orders do not single out N; signals a logic bug upstream."""
 
 
 @dataclass(frozen=True)
@@ -334,17 +335,22 @@ def order_lanes(p, a, b, roots) -> tuple:
     when exactly one annihilator of the class lies in the window: since
     every one shows up as a candidate, that one is the curve's (or the
     twist's) group order.
-    Lanes where a used multiple of P is at infinity, two baby rows share
-    an x, a row degenerates to (0 : 0), t*P or S*P has order 2, or the
-    window holds several annihilators of the class are refused.
-    Nothing in a lane depends on the others.
+    A lane whose baby rows prove the order of P lists the annihilators of
+    the class in its window from that order instead: the first baby row
+    at infinity, j1, gives ord(t*P) = j1 (r = 0) or ord(P) = 2*j1 - 1 (r
+    = 1), and with none, S*P at infinity gives ord(t*P) = S/t (r = 0).
+    Such a lane stays refused only if that list is longer than lane_rows
+    of its own p.  Other lanes where a used multiple of P is at infinity,
+    two baby rows share an x, a row degenerates to (0 : 0), t*P or S*P
+    has order 2, or the window holds several annihilators of the class
+    are refused.  Nothing in a lane depends on the others.
 
     A lane accepted, or refused only for several annihilators, lists every
     annihilator of its class in its window in orders, read as a curve
     order (2p + 2 - n where its point lies on the twist): the multiples
-    of the point's order that are r (mod t), an ascending progression
-    that holds the curve's order, and weed_orders' input.  The other
-    lanes list none.
+    of the point's order that are r (mod t), a progression that holds
+    the curve's order, and weed_orders' input.  The other lanes list
+    none.
     """
     N = np.zeros(len(p), dtype=np.int64)
     idx = np.flatnonzero(on_lanes(p))
@@ -420,7 +426,9 @@ def _window_annihilators(p, a, b, roots):
     for j in range(2, M + 1):
         BX[j + 1], BZ[j + 1] = _xadd(BX[j], BZ[j], xR, None, BX[j - 1], BZ[j - 1], a, b4, p)
     j_row = np.arange(M + 2)[:, None]
-    refused |= ((BZ == 0) & (j_row >= 1) & (j_row <= nb + 1)).any(axis=0)  # ord(P) small
+    b_inf = (BZ == 0) & (j_row >= 1) & (j_row <= nb + 1)
+    small = b_inf.any(axis=0)  # ord(P) small
+    refused |= small
 
     # S*P = row nb+1 + row nb, difference R; S*P + R = 2 * row nb+1;
     # k0*S*P and (k0+1)*S*P by one ladder
@@ -478,8 +486,26 @@ def _window_annihilators(p, a, b, roots):
     cand_lane = np.concatenate([ml[plus], ml[minus], o_lane])
     cand = np.concatenate([ks[plus] - v[plus], ks[minus] + v[minus],
                            (k0[o_lane] + o_row) * S[o_lane]])
-    keep = (cand >= lo[cand_lane]) & (cand <= hi[cand_lane])
-    return cand_lane[keep], cand[keep], refused, twist
+
+    # a lane whose rows prove the order of P lists its class annihilators, a
+    # progression, in place of its matches: the first baby row j1 at infinity
+    # (the rows before it are sound) gives ord(R) = j1 (r = 0) or ord(P) =
+    # 2*j1 - 1 (r = 1, odd multiples); with none, S*P = (2*nb + 1)*R at
+    # infinity gives ord(R) = 2*nb + 1, its one divisor above nb + 1 (r = 0).
+    # A progression longer than lane_rows of the lane's own p stays refused
+    j1 = b_inf.argmax(axis=0)
+    step = np.where(small, np.where(odd, 4 * j1 - 2, t * j1), S)
+    off = np.where(odd, step // 2, 0)
+    first = off - (off - lo) // step * step
+    count = np.maximum((hi - first) // step + 1, 0)
+    prog = (RZ != 0) & (small | (SZ == 0) & ~odd) & (count <= 2 * _isqrt(B // 2) + 9)
+    if (count[prog] == 0).any():  # the order of P's own curve is a class annihilator
+        raise AmbiguityExhausted(f"no class annihilator at p = {p[prog & (count == 0)][0]}")
+    pl = np.repeat(lane[prog], count[prog])
+    pn = first[pl] + step[pl] * (np.arange(len(pl)) - np.searchsorted(pl, pl))
+    keep = (cand >= lo[cand_lane]) & (cand <= hi[cand_lane]) & ~prog[cand_lane]
+    return (np.concatenate([cand_lane[keep], pl]), np.concatenate([cand[keep], pn]),
+            refused & ~prog, twist)
 
 
 def weed_orders(p, a, b, lane, orders) -> tuple:
@@ -529,10 +555,10 @@ def trace_block(p, a, b, roots, threshold: int = 0) -> tuple:
     229, or below a larger threshold, the lanes from there on, and
     order_bsgs for every lane they leave.  The lanes are order_lanes, and
     weed_orders for those it refuses only because the window holds
-    several proved annihilators of their class; a lane weed_orders leaves
-    with several candidates goes to order_bsgs too.  p, a, b and roots
-    are as for order_lanes; a ReducedCurve is built only for the two
-    scalar paths."""
+    several annihilators of their class, matched or read off a small
+    order; a lane weed_orders leaves with several candidates goes to
+    order_bsgs too.  p, a, b and roots are as for order_lanes; a
+    ReducedCurve is built only for the two scalar paths."""
     naive = p < max(threshold, _MIN_BSGS_P)
     N, lane, orders = order_lanes(np.where(naive, 0, p), a, b, roots)  # p = 0: no lane
     several = N[lane] == 0

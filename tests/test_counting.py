@@ -12,9 +12,9 @@ from hypothesis import strategies as st
 
 from avgexp import counting, curve
 from avgexp.counting import (LANE_CAP, PATHS, AmbiguityExhausted, _annihilators, _power,
-                             _recover, _window_annihilators, cubic_roots, order_bsgs,
-                             order_lanes, quadratic_twist, trace_block, trace_naive,
-                             weed_orders)
+                             _recover, _window_annihilators, cubic_roots, lane_rows,
+                             order_bsgs, order_lanes, quadratic_twist, trace_block,
+                             trace_naive, weed_orders)
 from avgexp.curve import (GlobalCurve, INFINITY, ReducedCurve, add, neg,
                           random_point, reduce_curve, scalar_mul)
 from avgexp.harness import PRESETS, good_primes
@@ -95,6 +95,15 @@ def lane_proofs(curves):
     lane, n, refused, _ = _window_annihilators(*columns(curves))
     return [None if refused[i] else sorted(n[lane == i].tolist())
             for i in range(len(curves))]
+
+
+def lane_curve_orders(curves):
+    """The annihilators each lane lists, read as curve orders, ascending,
+    with None for a lane the search refuses."""
+    lane, n, refused, twist = _window_annihilators(*columns(curves))
+    return [None if refused[i] else sorted(2 * C.p + 2 - x if twist[i] else x
+                                           for x in n[lane == i].tolist())
+            for i, C in enumerate(curves)]
 
 
 def lane_oracle(C):
@@ -409,8 +418,8 @@ class TestCandidateFilter:
         assert sum(got) == total
         assert got == [lcm_rule_draws(C) for C in curves]
 
-    @pytest.mark.parametrize("E, lanes, twisted", [(GENERIC, 132, 66), (CM, 459, 92),
-                                                   (CM3, 351, 57)],
+    @pytest.mark.parametrize("E, lanes, twisted", [(GENERIC, 138, 68), (CM, 507, 99),
+                                                   (CM3, 376, 58)],
                              ids=["generic1", "cm-i", "cm-3"])
     def test_lane_annihilators_hold_the_order(self, E, lanes, twisted):
         # every lane of ambiguous_lanes: read as curve orders, its
@@ -424,9 +433,12 @@ class TestCandidateFilter:
         # generic1 at 941 (one root, N even): x = 1 lies on the twist, with
         # even annihilators 912, 950, 988, so the curve orders 972, 934,
         # 896; cm-i at 1013 (three roots, 4 | N): 968, 1012, 1056 on the
-        # curve.  weed_orders gets both lists and keeps N alone, so these
-        # lanes never reach order_bsgs.  generic1 at 337: the search
-        # refuses the lane, so order_bsgs finds its own; generic1 at
+        # curve.  generic1 at 337 (one root): x = 1 has order 8, so the
+        # baby row 4 = 4*(2P) is at infinity, and the lane lists the
+        # multiples of 8, 304 .. 368.  weed_orders gets the three lists
+        # and keeps N alone, so these lanes never reach order_bsgs.
+        # generic1 at 2393: the point's order, 9 on the twist, is neither
+        # read off nor matched, so order_bsgs finds its own; generic1 at
         # 4027: accepted
         weeded, seen = [], []
         real_weed, real_bsgs = counting.weed_orders, counting.order_bsgs
@@ -442,12 +454,13 @@ class TestCandidateFilter:
             return real_bsgs(C)
         monkeypatch.setattr(counting, "weed_orders", weed)
         monkeypatch.setattr(counting, "order_bsgs", spy)
-        curves = [reduce_curve(GENERIC, 941), reduce_curve(CM, 1013),
-                  reduce_curve(GENERIC, 337), reduce_curve(GENERIC, 4027)]
+        curves = [reduce_curve(GENERIC, 941), reduce_curve(CM, 1013), reduce_curve(GENERIC, 337),
+                  reduce_curve(GENERIC, 2393), reduce_curve(GENERIC, 4027)]
         N, path = trace_block(*columns(curves), threshold=229)
-        assert weeded == [[[896, 934, 972], [968, 1012, 1056]], [[972], [968]]]
-        assert seen == [337]
-        assert [PATHS[i] for i in path] == ["lanes", "lanes", "fallback", "lanes"]
+        assert weeded == [[[896, 934, 972], [968, 1012, 1056], list(range(304, 369, 8))],
+                          [[972], [968], [352]]]
+        assert seen == [2393]
+        assert [PATHS[i] for i in path] == ["lanes", "lanes", "lanes", "fallback", "lanes"]
         assert N.tolist() == [trace_naive(C).N for C in curves]
 
 
@@ -455,10 +468,10 @@ class TestWeedOrders:
     @pytest.mark.parametrize("E, left", [(GENERIC, []), (CM, [769, 176401]), (CM3, [])],
                              ids=["generic1", "cm-i", "cm-3"])
     def test_orders_match_unseeded_bsgs(self, E, left):
-        # the 132, 459 and 351 lanes of ambiguous_lanes: trace_block's N,
+        # the 138, 507 and 376 lanes of ambiguous_lanes: trace_block's N,
         # from weed_orders and from order_bsgs for the lanes it leaves with
         # several candidates, is the order order_bsgs finds from a point
-        # of its own; weed_orders leaves two lanes of the 942
+        # of its own; weed_orders leaves two lanes of the 1021
         rows = ambiguous_lanes(E)
         p, a, b, roots = columns([C for C, *_ in rows])
         N, path = trace_block(p, a, b, roots, threshold=229)
@@ -510,6 +523,102 @@ class TestWeedOrders:
         monkeypatch.setattr(counting, "order_lanes", planted)
         with pytest.raises(ArithmeticError, match="p = 4993"):
             trace_block(*columns([reduce_curve(CM, 4993)]), threshold=229)
+
+
+@cache
+def small_order_lanes(E):
+    """Every lane of [229, 2e5] whose baby rows prove the order of its
+    point, found by scalar arithmetic on E_c from the lane's own x0, as
+    (C, the n = r (mod t) in the window with n*P = infinity, each read as
+    a curve order, ascending).  These are the lanes where t*P is not at
+    infinity and the first baby row at infinity, t*j*P (r = 0) or (2j -
+    1)*P (r = 1), has j <= nb + 1 (rule A), or where r = 0, no such row
+    is at infinity and S*P = (2*nb + 1)*t*P is (rule B)."""
+    curves = [reduce_curve(E, p) for p in sieve_primes(200_000)
+              if p >= 229 and p not in E.bad_primes]
+    found = []
+    for C, roots in zip(curves, columns(curves)[3].tolist()):
+        p, a, b = C.p, C.a, C.b
+        (t, r), B = {3: (4, 0), 1: (2, 0), 0: (2, 1)}[roots], math.isqrt(4 * p)
+        x0 = next(x for x in range(1, 5) if (x ** 3 + a * x + b) % p)
+        c = (x0 ** 3 + a * x0 + b) % p
+        side, P = ReducedCurve(p, a * c * c % p, b * c ** 3 % p), (x0 * c % p, c * c % p)
+        tP = scalar_mul(t, P, side)
+        if tP is INFINITY:
+            continue
+        step, rows = scalar_mul(2, P, side) if r else tP, [P if r else tP]
+        for _ in range(math.isqrt(B // t) + r):  # rows 1 .. nb + 1
+            rows.append(add(rows[-1], step, side))
+        if INFINITY not in rows and (r or add(rows[-1], rows[-2], side) is not INFINITY):
+            continue
+        lo, hi = hasse_window(p)
+        n0, anns = lo + (r - lo) % t, []
+        Q = scalar_mul(n0, P, side)
+        for n in range(n0, hi + 1, t):
+            if Q is INFINITY:
+                anns.append(2 * p + 2 - n if legendre(c, p) == -1 else n)
+            Q = add(Q, tP, side)
+        found.append((C, sorted(anns)))
+    return found
+
+
+class TestSmallOrderLanes:
+    @pytest.mark.parametrize("E, taken, capped", [(GENERIC, 6, 4), (CM, 48, 3), (CM3, 25, 10)],
+                             ids=["generic1", "cm-i", "cm-3"])
+    def test_progressions_are_the_class_annihilators(self, E, taken, capped):
+        # every lane of small_order_lanes lists exactly its point's
+        # annihilators in the class, read as curve orders, or stays
+        # refused when they are more than lane_rows of its own p; rule B
+        # takes 2, 17 and 7 of them, and odd N 2, 0 and 16
+        rows = small_order_lanes(E)
+        curves = [C for C, _ in rows]
+        for i in range(0, len(curves), 512):
+            assert lane_curve_orders(curves[i:i + 512]) == [
+                None if len(orders) > lane_rows(C.p) else orders for C, orders in rows[i:i + 512]]
+        over = sum(len(orders) > lane_rows(C.p) for C, orders in rows)
+        assert (len(rows) - over, over) == (taken, capped)
+
+    def test_planted_double_step_is_caught(self, monkeypatch):
+        # every progression built with twice its step, from its first
+        # term: on each preset some lane loses N, so weed_orders raises,
+        # or keeps one wrong order, which then differs from the character
+        # sum's
+        real = counting._window_annihilators
+        for E in (GENERIC, CM, CM3):
+            curves = [C for C, _ in small_order_lanes(E)]
+            small = [C.p for C in curves]
+
+            def doubled(p, a, b, roots):
+                lane, n, refused, twist = real(p, a, b, roots)
+                order = np.lexsort((n, lane))
+                lane, n = lane[order], n[order]
+                rank = np.arange(len(lane)) - np.searchsorted(lane, lane)
+                keep = ~np.isin(p[lane], small) | (rank % 2 == 0)
+                return lane[keep], n[keep], refused, twist
+            monkeypatch.setattr(counting, "_window_annihilators", doubled)
+            try:
+                N = trace_block(*columns(curves), threshold=229)[0].tolist()
+            except AmbiguityExhausted:
+                continue
+            finally:
+                monkeypatch.undo()
+            assert N != [trace_naive(C).N for C in curves], E
+
+    @pytest.mark.parametrize("p, path", [(1151, "lanes"), (7487, "fallback")])
+    def test_cap_is_the_lanes_own(self, p, path):
+        # cm-i at 1151: x = 2 has order 8, so the lane lists the 17
+        # multiples of 8 in its window, within lane_rows(1151) = 19; at
+        # 7487 it has order 12, and the 29 multiples of 12 are more than
+        # lane_rows(7487) = 27, so the lane stays refused.  Each takes the
+        # same path, with the same N, alone and in a block with 256 primes
+        # near 2^30 - 3e5, whose lane_rows is 371
+        E, N = PRESETS["cm-i"], trace_naive(reduce_curve(CM, p)).N
+        for block in ([p], [p] + primes_from(2 ** 30 - 300_000, 256)):
+            q = np.array(block, dtype=np.int64)
+            a, b = residues(E.a4, q), residues(E.a6, q)
+            got, paths = trace_block(q, a, b, cubic_roots(q, a, b), threshold=229)
+            assert (PATHS[paths[0]], got[0]) == (path, N)
+        assert lane_rows(int(q.max())) == 371
 
 
 class TestRecover:
@@ -816,11 +925,13 @@ class TestTraceBlock:
         assert [PATHS[i] for i in path] == ["lanes", "lanes", "lanes", "naive", "fallback"]
         assert N.tolist() == [trace_naive(C).N for C in curves]
 
-    @pytest.mark.parametrize("preset, calls", [("generic1", 6), ("cm-i", 36), ("cm-3", 23)])
+    @pytest.mark.parametrize("preset, calls", [("generic1", 3), ("cm-i", 11), ("cm-3", 3)],
+                             ids=["generic1", "cm-i", "cm-3"])
     def test_order_bsgs_calls_to_2e4(self, preset, calls, monkeypatch):
         # how many lanes of the good primes to 2e4 trace_block leaves to
-        # the scalar order_bsgs (47, 161 and 124 before weed_orders), a
-        # count that is the same on every machine
+        # the scalar order_bsgs (47, 161 and 124 before weed_orders; 6, 36
+        # and 23 before the lanes read a small order off their baby rows),
+        # a count that is the same on every machine
         seen = []
         real = counting.order_bsgs
         monkeypatch.setattr(counting, "order_bsgs",

@@ -1235,7 +1235,7 @@ class TestCli:
             outs.append([(out / name).read_bytes() for name in cli.CSV_NAMES])
         assert outs[0] == outs[1]
         lines = capsys.readouterr().out.splitlines()
-        assert lines.count("paths: naive 47, lanes 363, fallback 18") == 2
+        assert lines.count("paths: naive 47, lanes 376, fallback 5") == 2
 
     def test_run_csv_and_verify(self, tmp_path, capsys):
         out = tmp_path / "out"
